@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .gq import ONE, nilpotent_exp, apply_matrix
 from .hodge import (
@@ -36,26 +37,29 @@ def catalog_dir():
     return os.path.join(os.path.dirname(__file__), "catalog")
 
 
-def catalog_names():
+class UnknownEntry(KeyError):
+    pass
+
+
+def _catalog_entries():
     d = catalog_dir()
-    out = []
     for fn in sorted(os.listdir(d)):
         if fn.endswith(".json"):
-            out.append(json.load(open(os.path.join(d, fn)))["name"])
-    return out
+            with open(os.path.join(d, fn)) as fh:
+                yield json.load(fh)
+
+
+def catalog_names():
+    return [entry["name"] for entry in _catalog_entries()]
 
 
 def load_catalog_entry(name):
-    d = catalog_dir()
     low = name.lower()
-    for fn in sorted(os.listdir(d)):
-        if not fn.endswith(".json"):
-            continue
-        entry = json.load(open(os.path.join(d, fn)))
+    for entry in _catalog_entries():
         if entry["name"].lower() == low or \
                 low in [a.lower() for a in entry.get("aliases", [])]:
             return entry
-    raise KeyError(name)
+    raise UnknownEntry(name)
 
 
 def _triples(dims):
@@ -91,10 +95,14 @@ def recompute_entry(entry):
 
 
 def load_datum(obj):
-    """LmhsDatum if the JSON carries an \"N\" entry, else a pure HodgeDatum."""
-    if "N" in obj:
-        return LmhsDatum.from_json(obj)
-    return HodgeDatum.from_json(obj)
+    """LmhsDatum if the JSON carries an \"N\" or a \"W\" entry, else a pure
+    HodgeDatum.  A missing key raises ValueError naming the key."""
+    try:
+        if "N" in obj or "W" in obj:
+            return LmhsDatum.from_json(obj)
+        return HodgeDatum.from_json(obj)
+    except KeyError as e:
+        raise ValueError("missing key %s" % e) from None
 
 
 def _emit(text, out):
@@ -110,7 +118,7 @@ def cmd_validate(args):
         with open(args.path) as fh:
             obj = json.load(fh)
         datum = load_datum(obj)
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, TypeError) as e:
         print(json.dumps({"error": str(e)}))
         return 2
     if isinstance(datum, LmhsDatum):
@@ -171,7 +179,10 @@ def cmd_classify(args):
             try:
                 with open(args.input) as fh:
                     L = LmhsDatum.from_json(json.load(fh))
-            except (OSError, ValueError, KeyError, TypeError) as e:
+            except KeyError as e:
+                print(json.dumps({"error": "missing key %s" % e}))
+                return 2
+            except (OSError, ValueError, TypeError) as e:
                 print(json.dumps({"error": str(e)}))
                 return 2
         else:
@@ -212,18 +223,24 @@ def _spec_from_input(args):
         from .hodge import hodge_decomposition
         dims = {(p, q): s.dim for p, q, s in hodge_decomposition(datum)}
         return spec_from_dims(dims)
-    entry = load_catalog_entry(name_or_path)  # raises KeyError on bad input
-    which = args.part
-    block = entry["expected"].get(which) or entry["expected"]["V"]
+    entry = load_catalog_entry(name_or_path)
+    expected = entry["expected"]
+    block = expected.get(args.part) or expected.get("V")
+    if block is None:
+        raise ValueError("catalog entry %r has no diagram block (V or adjoint); "
+                         "its blocks: %s" % (entry["name"], ", ".join(sorted(expected))))
     return DiagramSpec([(p, q, d) for p, q, d in block["nodes"]])
 
 
 def cmd_diagram(args):
     try:
         spec = _spec_from_input(args)
-    except KeyError as e:
+    except UnknownEntry as e:
         print("unknown input %s; catalog names: %s"
               % (e, ", ".join(catalog_names())), file=sys.stderr)
+        return 2
+    except KeyError as e:
+        print("bad input: missing key %s" % e, file=sys.stderr)
         return 2
     except (OSError, ValueError, TypeError) as e:
         print("bad input: %s" % e, file=sys.stderr)
@@ -244,7 +261,7 @@ def cmd_catalog(args):
     if not names:
         try:
             names = [load_catalog_entry(args.name)["name"]]
-        except KeyError:
+        except UnknownEntry:
             print("unknown catalog entry %r; available: %s"
                   % (args.name, ", ".join(catalog_names())), file=sys.stderr)
             return 2
@@ -307,8 +324,11 @@ def corpus_cases(limit=None):
     return cases
 
 
-def check_case(cid, L, heavy=True):
-    """Run every module invariant on one corpus element; returns failure id."""
+def check_case(cid, L, heavy=True, samples=(1, 2)):
+    """Run every module invariant on one corpus element; returns failure id.
+
+    `samples` are the values y > 0 at which disc_sample checks e^{iyN} F.
+    """
     n = L.hodge.n
     report = validate_lmhs(L)
     if not report["ok"]:
@@ -320,7 +340,7 @@ def check_case(cid, L, heavy=True):
     L2 = LmhsDatum.from_json(json.loads(json.dumps(L.to_json())))
     if deligne_splitting(L2).dims() != bg.dims():
         return cid + "/json-roundtrip"
-    if not disc_sample(L, (1, 2))["ok"]:
+    if not disc_sample(L, samples)["ok"]:
         return cid + "/disc-sample"
     if not is_r_split(bg):
         return cid  # r-split-only invariants below do not apply
@@ -329,7 +349,7 @@ def check_case(cid, L, heavy=True):
     d = HodgeDatum(L.hodge.dim, L.hodge.polarization, F)
     if not check_isotropy(d):
         return cid + "/reduced-limit-isotropy"
-    E = nilpotent_exp(L.N, ONE)
+    E = nilpotent_exp(L.N, ONE, L.powers)
     for p in range(n + 1):
         if apply_matrix(E, F.step(p)) != F.step(p):
             return cid + "/reduced-limit-exp-fixed"
@@ -353,7 +373,24 @@ def check_case(cid, L, heavy=True):
     return cid
 
 
+def _parse_samples(text):
+    """Comma separated positive rationals, such as "1,2" or "1/2,3"."""
+    try:
+        ys = tuple(Fraction(x) for x in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("--samples needs comma separated rationals, got %r"
+                         % text) from None
+    if not all(y > 0 for y in ys):
+        raise ValueError("--samples must all be positive, got %r" % text)
+    return ys
+
+
 def cmd_verify_corpus(args):
+    try:
+        samples = _parse_samples(args.samples)
+    except ValueError as e:
+        print(json.dumps({"error": str(e)}))
+        return 2
     cases = corpus_cases(args.limit)
     failures = []
     ran = 0
@@ -364,7 +401,7 @@ def cmd_verify_corpus(args):
             failures.append(cid + "/construct:" + str(e))
             break
         heavy = L.hodge.dim <= 6
-        res = check_case(cid, L, heavy=heavy)
+        res = check_case(cid, L, heavy=heavy, samples=samples)
         ran += 1
         if res != cid:
             failures.append(res)
@@ -385,7 +422,6 @@ def main(argv=None):
 
     p = sub.add_parser("validate", help="validate a (limiting) Hodge datum file")
     p.add_argument("path")
-    p.add_argument("--center", type=int, default=None)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("classify", help="classify degenerations for (n, h)")
@@ -409,9 +445,9 @@ def main(argv=None):
     p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("verify-corpus", help="run all invariants on the corpus")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--samples", default="1,2")
+    p.add_argument("--samples", default="1,2",
+                   help="comma separated y > 0 for the disc samples e^{iyN} F")
     p.set_defaults(fn=cmd_verify_corpus)
 
     args = ap.parse_args(argv)

@@ -265,13 +265,6 @@ class MatrixGQ:
         assert len(v) == self.cols
         return tuple(_dot(row, v) for row in self.entries)
 
-    def power(self, k):
-        assert self.rows == self.cols and k >= 0
-        out = MatrixGQ.identity(self.rows)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def trace(self):
         assert self.rows == self.cols
         t = ZERO
@@ -529,34 +522,36 @@ def complement_mod(S, U):
     return Subspace.from_vectors(S.ambient_dim, vecs)
 
 
-def nilpotent_exp(N, z):
-    """exp(z N) for nilpotent N, as a finite exact sum."""
+def nilpotent_powers(N):
+    """(N^0, N^1, ..., N^deg) of a nilpotent N, one product per step.
+
+    The tuple ends at the first zero power N^deg, with deg >= 1; NotNilpotent
+    when N is not square or N^dim is not zero.
+    """
     if N.rows != N.cols:
         raise NotNilpotent("not square")
-    n = N.rows
-    if not N.power(n).is_zero():
-        raise NotNilpotent("N^dim != 0")
+    powers = [MatrixGQ.identity(N.rows), N]
+    while not powers[-1].is_zero():
+        if len(powers) > N.rows:
+            raise NotNilpotent("N^dim != 0")
+        powers.append(powers[-1] * N)
+    return tuple(powers)
+
+
+def nilpotent_exp(N, z, powers=None):
+    """exp(z N) for nilpotent N, as a finite exact sum.
+
+    `powers` is nilpotent_powers(N), when the caller already has it.
+    """
+    if powers is None:
+        powers = nilpotent_powers(N)
     z = gq(z)
-    out = MatrixGQ.identity(n)
-    term = MatrixGQ.identity(n)
-    k = 1
-    while True:
-        term = term * N
-        if term.is_zero():
-            break
-        coeff = ONE
-        for j in range(1, k + 1):
-            coeff = coeff * GaussianRational(Fraction(1, j))
-        out = out + term.scale(z * coeff * _pow_scalar(z, k - 1))
-        k += 1
+    out = powers[0]
+    coeff = ONE  # z^k / k!
+    for k, P in enumerate(powers[1:-1], 1):
+        coeff = coeff * z * GaussianRational(Fraction(1, k))
+        out = out + P.scale(coeff)
     return out
-
-
-def _pow_scalar(z, k):
-    acc = ONE
-    for _ in range(k):
-        acc = acc * z
-    return acc
 
 
 def determinant(M):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .gq import (
     GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, I as IMAG, i_power,
     intersect, ssum, conj_space, apply_matrix, preimage, kernel, image,
-    complement_mod, nilpotent_exp, hermitian_pd, rref, rank, NotNilpotent,
+    complement_mod, nilpotent_exp, nilpotent_powers, hermitian_pd, rref,
 )
 from .hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs,
@@ -82,43 +82,29 @@ class WeightFiltration:
         return all(self.level(k) == other.level(k) for k in range(lo, hi + 1))
 
 
-def weight_filtration(N, center):
+def weight_filtration(N, center, powers=None):
     """Monodromy weight filtration of a nilpotent N, centered at `center`.
 
     Uses W_k = sum_j ker(N^{k+j+1}) cap im(N^j) (centered at 0), then checks
-    the two defining properties.
+    the two defining properties.  `powers` is nilpotent_powers(N), when the
+    caller already has it.
     """
+    if powers is None:
+        powers = nilpotent_powers(N)
     dim = N.rows
-    if not N.power(dim).is_zero():
-        raise NotNilpotent("weight filtration needs a nilpotent input")
-    deg = 1
-    while not N.power(deg).is_zero():
-        deg += 1
+    deg = len(powers) - 1
     d = deg - 1  # N^(d+1) = 0, N^d != 0
 
-    kers = {}
-    ims = {}
-    for j in range(0, deg + 1):
-        kers[j] = kernel(N.power(j)) if j > 0 else Subspace.zero(dim)
-        ims[j] = image(N.power(j))
-
-    def ker_at(j):
-        if j <= 0:
-            return Subspace.zero(dim)
-        return kers[min(j, deg)]
-
-    def im_at(j):
-        if j <= 0:
-            return Subspace.full(dim)
-        if j >= deg:
-            return Subspace.zero(dim)
-        return ims[j]
+    kers = {j: kernel(powers[j]) for j in range(1, deg + 1)}
+    ims = {j: image(powers[j]) for j in range(1, deg)}
 
     levels = {}
     for k in range(-d, d + 1):
         acc = Subspace.zero(dim)
-        for j in range(0, deg + 1):
-            term = intersect(ker_at(k + j + 1), im_at(j))
+        # the terms with k + j + 1 <= 0 (zero kernel) or j >= deg (zero image) vanish
+        for j in range(max(0, -k), deg):
+            ker = kers[min(k + j + 1, deg)]
+            term = intersect(ker, ims[j]) if j else ker
             if term.dim:
                 acc = ssum(acc, term)
         levels[center + k] = acc
@@ -131,16 +117,20 @@ def weight_filtration(N, center):
         if W.gr_dim(center + k) != W.gr_dim(center - k):
             raise AssertionError("graded dims not symmetric")
         up = W.level(center + k)
-        lowtarget = ssum(apply_matrix(N.power(k), up), W.level(center - k - 1))
+        lowtarget = ssum(apply_matrix(powers[k], up), W.level(center - k - 1))
         if lowtarget != W.level(center - k):
             raise AssertionError("N^k not onto Gr_{-k}")
     return W
 
 
 class LmhsDatum:
-    """(V, Q, F) plus a real nilpotent N and its weight filtration."""
+    """(V, Q, F) plus a real nilpotent N and its weight filtration.
 
-    __slots__ = ("hodge", "N", "W")
+    `powers` is (N^0, ..., N^deg), ending at the first zero power.  The
+    Deligne splitting is computed on first use and kept (`deligne_splitting`).
+    """
+
+    __slots__ = ("hodge", "N", "W", "powers", "_given_W", "_splitting")
 
     def __init__(self, hodge, N, W=None):
         dim = hodge.dim
@@ -148,8 +138,7 @@ class LmhsDatum:
             raise ValueError("N has wrong shape")
         if not N.is_real():
             raise ValueError("N must be real")
-        if not N.power(dim).is_zero():
-            raise NotNilpotent("N must be nilpotent")
+        powers = nilpotent_powers(N)
         Q = hodge.polarization.Q
         if not (Q * N + N.transpose() * Q).is_zero():
             raise ValueError("N is not in End(V, Q)")
@@ -157,11 +146,17 @@ class LmhsDatum:
         for p in range(1, hodge.n + 1):
             if not F.step(p - 1).contains(apply_matrix(N, F.step(p))):
                 raise ValueError("N F^%d not inside F^%d" % (p, p - 1))
+        # validate_lmhs checks a W given from outside; one computed here has
+        # already passed weight_filtration's own checks
+        given_W = W is not None
         if W is None:
-            W = weight_filtration(N, hodge.n)
+            W = weight_filtration(N, hodge.n, powers)
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "W", W)
+        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "_given_W", given_W)
+        object.__setattr__(self, "_splitting", None)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -177,6 +172,10 @@ class LmhsDatum:
     @property
     def center(self):
         return self.W.center
+
+    def power(self, k):
+        """N^k, zero past the nilpotency degree."""
+        return self.powers[min(k, len(self.powers) - 1)]
 
     def to_json(self):
         obj = self.hodge.to_json()
@@ -240,7 +239,19 @@ class Bigrading:
 
 
 def deligne_splitting(L):
-    """The canonical splitting I^{p,q} of an LMHS, by the standard formula."""
+    """The canonical splitting I^{p,q} of an LMHS, by the standard formula.
+
+    Computed and checked once per datum; later calls return the same
+    (immutable) Bigrading.
+    """
+    bg = L._splitting
+    if bg is None:
+        bg = _deligne_splitting(L)
+        object.__setattr__(L, "_splitting", bg)
+    return bg
+
+
+def _deligne_splitting(L):
     F = L.hodge.filtration
     W = L.W
     n = L.n
@@ -295,19 +306,6 @@ def _check_reconstruction(L, bg):
             raise NotMhs("Hodge filtration not recovered at step %d" % p0)
 
 
-def deligne_splitting_fast(L):
-    """R-split shortcut I^{p,q} = F^p cap conj F^q cap W_{p+q}; no validity checks."""
-    F = L.hodge.filtration
-    nodes = []
-    for p in range(L.n + 1):
-        for q in range(L.n + 1):
-            lev = L.center - L.n + p + q
-            s = intersect(intersect(F.step(p), conj_space(F.step(q))), L.W.level(lev))
-            if s.dim:
-                nodes.append((p, q, s))
-    return Bigrading(L.dim, nodes, check_direct=False)
-
-
 def is_r_split(bg):
     for p, q, s in bg.nodes:
         if conj_space(s) != bg.piece(q, p):
@@ -323,22 +321,18 @@ def is_hodge_tate(bg_or_dims):
     return all(p == q for (p, q), d in dims.items() if d)
 
 
-def epsilon_k(k):
-    # Sign normalization of the twisted pairings Q_k.  With the conventions
-    # used by the constructors in this package the polarization direction on
-    # every primitive piece comes out positive with no extra sign.
-    return 1
-
-
 def qk_form(L, k):
-    """Gram matrix of Q_k(v, w) = eps_k Q(v, N^k w) on a lift of Gr_{center+k}."""
+    """Gram matrix of Q_k(v, w) = Q(v, N^k w) on a lift of Gr_{center+k}.
+
+    With the conventions of the constructors in this package the polarization
+    direction on every primitive piece comes out positive with no extra sign.
+    """
     assert k >= 0
     lift = complement_mod(L.W.level(L.center + k), L.W.level(L.center + k - 1))
-    Nk = L.N.power(k)
-    eps = gq(epsilon_k(k))
+    Nk = L.power(k)
     rows = []
     for u in lift.basis.entries:
-        rows.append([eps * L.hodge.polarization.pair(u, Nk.matvec(v))
+        rows.append([L.hodge.polarization.pair(u, Nk.matvec(v))
                      for v in lift.basis.entries])
     return MatrixGQ(rows) if rows else MatrixGQ.zero(0, 0)
 
@@ -355,7 +349,7 @@ def primitives(L):
     for k in range(0, kmax + 1):
         upstairs = L.W.level(c + k)
         target = L.W.level(c - k - 3)
-        S = intersect(upstairs, preimage(L.N.power(k + 1), target))
+        S = intersect(upstairs, preimage(L.power(k + 1), target))
         P = complement_mod(S, L.W.level(c + k - 1))
         out.append((k, P))
     return out
@@ -367,7 +361,7 @@ def _primitive_pieces(L, bg):
     out = {}
     kmax = L.W.max_level - c
     for k in range(0, kmax + 1):
-        ker_k = kernel(L.N.power(k + 1))
+        ker_k = kernel(L.power(k + 1))
         pieces = []
         for p, q, s in bg.nodes:
             if (c - n + p + q) - c != k:
@@ -387,12 +381,13 @@ def validate_lmhs(L):
     (c) N has type (-1,-1) for the splitting
     (d) the twisted pairings polarize the primitive pieces
     """
-    report = {}
-    try:
-        Wcomp = weight_filtration(L.N, L.center)
-        report["weight_filtration"] = (L.W == Wcomp)
-    except AssertionError as e:
-        report["weight_filtration"] = False
+    report = {"weight_filtration": True}
+    if L._given_W:
+        try:
+            Wcomp = weight_filtration(L.N, L.center, L.powers)
+            report["weight_filtration"] = (L.W == Wcomp)
+        except AssertionError:
+            report["weight_filtration"] = False
     try:
         bg = deligne_splitting(L)
     except NotMhs as e:
@@ -421,8 +416,7 @@ def validate_lmhs(L):
     prim = _primitive_pieces(L, bg)
     Qp = L.hodge.polarization
     for k, pieces in prim.items():
-        Nk = L.N.power(k)
-        eps = gq(epsilon_k(k))
+        Nk = L.power(k)
         for p, q, s in pieces:
             # orthogonality against the other primitive pieces of this level
             for r, t, s2 in pieces:
@@ -430,12 +424,12 @@ def validate_lmhs(L):
                     continue
                 for u in s.basis.entries:
                     for v in s2.basis.entries:
-                        val = eps * Qp.pair(u, Nk.matvec(tuple(x.conj() for x in v)))
+                        val = Qp.pair(u, Nk.matvec(tuple(x.conj() for x in v)))
                         if not val.is_zero():
                             okd = False
             coef = i_power(p - q)
             H = MatrixGQ(
-                [[coef * eps * Qp.pair(u, Nk.matvec(tuple(x.conj() for x in v)))
+                [[coef * Qp.pair(u, Nk.matvec(tuple(x.conj() for x in v)))
                   for v in s.basis.entries] for u in s.basis.entries]
             )
             if H.rows and not (H == H.conj_transpose() and hermitian_pd(H)):
@@ -450,7 +444,7 @@ def disc_sample(L, ys):
     out = {"ok": True, "samples": []}
     n = L.n
     for y in ys:
-        E = nilpotent_exp(L.N, GaussianRational(0, Fraction(y)))
+        E = nilpotent_exp(L.N, GaussianRational(0, Fraction(y)), L.powers)
         steps = [Subspace.full(L.dim)]
         for p in range(1, n + 1):
             steps.append(apply_matrix(E, L.hodge.filtration.step(p)))

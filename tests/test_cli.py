@@ -1,10 +1,13 @@
 """Command line surface: exit codes, determinism, catalog reproduction."""
 
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -66,6 +69,28 @@ def test_validate_malformed_scalar(capsys, tmp_path):
     p.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "validate", str(p))
     assert code == 2
+
+
+@pytest.mark.parametrize("key", ["dim", "weight", "Q", "F", "N"])
+def test_validate_missing_key(capsys, ht_file, tmp_path, key):
+    obj = json.loads(open(ht_file).read())
+    del obj[key]
+    p = tmp_path / "missing.json"
+    p.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "validate", str(p))
+    assert code == 2
+    assert json.loads(out) == {"error": "missing key %r" % key}
+
+
+def test_validate_wrong_given_weight_filtration(capsys, ht_file, tmp_path):
+    obj = json.loads(open(ht_file).read())
+    obj["W"] = {str(int(k) + 1): rows for k, rows in obj["W"].items()}
+    p = tmp_path / "shifted.json"
+    p.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "validate", str(p))
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["weight_filtration"] is False and rep["ok"] is False
 
 
 def test_validate_missing_file(capsys, tmp_path):
@@ -155,6 +180,14 @@ def test_diagram_unknown_input(capsys):
     assert "catalog names" in err
 
 
+def test_diagram_entry_without_diagram_block(capsys):
+    code, out, err = run(capsys, "diagram", "G2-split-closed")
+    assert code == 2 and out == ""
+    assert "G2-split-closed" in err and "no diagram block" in err
+    assert "dim_R_orbit" in err and "closed" in err
+    assert "catalog names" not in err
+
+
 # ------------------------------------------------------------ catalog
 
 def test_catalog_listing(capsys):
@@ -183,6 +216,17 @@ def test_catalog_unknown(capsys):
     assert "available" in err
 
 
+def test_catalog_closes_its_files():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        names = cli.catalog_names()
+        for name in names:
+            cli.load_catalog_entry(name)
+        gc.collect()
+    assert len(names) == 17
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_catalog_detects_corruption(capsys, tmp_path, monkeypatch):
     src = cli.catalog_dir()
     for fn in os.listdir(src):
@@ -209,6 +253,27 @@ def test_verify_corpus_zero(capsys):
     code, out, _ = run(capsys, "verify-corpus", "--limit", "0")
     assert code == 0
     assert json.loads(out)["cases"] == 0
+
+
+def test_verify_corpus_samples(capsys, monkeypatch):
+    seen = []
+    sample = cli.disc_sample
+
+    def recorded(L, ys):
+        seen.append(tuple(ys))
+        return sample(L, ys)
+
+    monkeypatch.setattr(cli, "disc_sample", recorded)
+    code, out, _ = run(capsys, "verify-corpus", "--limit", "2", "--samples", "3")
+    assert code == 0 and json.loads(out) == {"cases": 2, "ok": True}
+    assert seen == [(Fraction(3),), (Fraction(3),)]
+
+
+@pytest.mark.parametrize("bad", ["x", "1,x", "0", "-1", "1/0"])
+def test_verify_corpus_bad_samples(capsys, bad):
+    code, out, _ = run(capsys, "verify-corpus", "--limit", "1", "--samples", bad)
+    assert code == 2
+    assert "--samples" in json.loads(out)["error"]
 
 
 def test_entry_point_installed(tmp_path):

@@ -10,7 +10,8 @@ from hodge_degen.gq import (
     GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, i_power,
     format_scalar, parse_scalar, rref, rank, intersect, ssum, kernel, image,
     conj_space, apply_matrix, preimage, annihilator, complement_mod,
-    nilpotent_exp, determinant, hermitian_pd, NotNilpotent, AmbientMismatch,
+    nilpotent_exp, nilpotent_powers, determinant, hermitian_pd, NotNilpotent,
+    AmbientMismatch,
 )
 
 
@@ -182,6 +183,25 @@ def test_nilpotent_exp_homomorphism(N, z, w):
 def test_nilpotent_exp_rejects_non_nilpotent():
     with pytest.raises(NotNilpotent):
         nilpotent_exp(MatrixGQ.identity(2), ONE)
+
+
+@settings(max_examples=15, deadline=None)
+@given(strict_upper(4))
+def test_nilpotent_powers_multiply(N):
+    powers = nilpotent_powers(N)
+    deg = len(powers) - 1
+    assert powers[0] == MatrixGQ.identity(4) and powers[1] == N
+    assert powers[deg].is_zero() and not powers[deg - 1].is_zero()
+    for j in range(deg + 1):
+        for k in range(deg + 1):
+            assert powers[j] * powers[k] == powers[min(j + k, deg)]
+
+
+def test_nilpotent_powers_rejects_non_nilpotent():
+    with pytest.raises(NotNilpotent):
+        nilpotent_powers(MatrixGQ([[ZERO, ONE], [ONE, ZERO]]))
+    with pytest.raises(NotNilpotent):
+        nilpotent_powers(MatrixGQ([[ZERO, ONE]]))
 
 
 # ---------------------------------------------------------------- pd forms

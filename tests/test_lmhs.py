@@ -6,8 +6,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodge_degen import cli, lmhs
 from hodge_degen.gq import (
     MatrixGQ, Subspace, gq, ZERO, ONE, apply_matrix, nilpotent_exp, rank,
+    NotNilpotent,
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
@@ -15,9 +17,9 @@ from hodge_degen.hodge import (
 )
 from hodge_degen.lmhs import (
     WeightFiltration, weight_filtration, LmhsDatum, Bigrading,
-    deligne_splitting, deligne_splitting_fast, is_r_split, is_hodge_tate,
-    epsilon_k, qk_form, primitives, validate_lmhs, disc_sample, adjoint_lmhs,
-    reduced_limit, diagonal_levi, NotMhs, NonRSplit,
+    deligne_splitting, is_r_split, is_hodge_tate, qk_form, primitives,
+    validate_lmhs, disc_sample, adjoint_lmhs, reduced_limit, diagonal_levi,
+    NotMhs, NonRSplit,
 )
 from hodge_degen.classify import (
     atomic_block, _direct_sum, _phs_block, minimal_types, minimal_witness,
@@ -85,7 +87,29 @@ def test_atomic_block_splitting_nodes():
     bg = deligne_splitting(L)
     assert bg.dims() == {(1, 1): 2, (2, 2): 2, (3, 3): 2}
     assert is_r_split(bg) and is_hodge_tate(bg)
-    assert deligne_splitting_fast(L).dims() == bg.dims()
+
+
+def test_splitting_is_computed_once_per_datum():
+    L = ht_construct(2, HodgeNumbers(2, (1, 2, 1)))
+    assert deligne_splitting(L) is deligne_splitting(L)
+
+
+@pytest.mark.parametrize("cid", ["minimal/n=1,h=1,1,I(0,1)", "principal/sp(2)"])
+def test_check_case_splits_each_datum_once(cid, monkeypatch):
+    seen = []  # the data themselves, so that no id is reused
+    body = lmhs._deligne_splitting
+
+    def counted(L):
+        seen.append(L)
+        return body(L)
+
+    monkeypatch.setattr(lmhs, "_deligne_splitting", counted)
+    thunk = next(t for c, _, _, t in cli.corpus_cases() if c == cid)
+    L = thunk()
+    assert cli.check_case(cid, L) == cid
+    # L, its JSON round trip, and the diagonal-Levi datum
+    assert len(seen) == 3
+    assert len({id(x) for x in seen}) == len(seen)
 
 
 def test_splitting_reconstructs_both_filtrations():
@@ -114,6 +138,15 @@ def test_pure_structure_is_trivial_lmhs():
     bg = deligne_splitting(L)
     assert bg.dims() == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     assert validate_lmhs(L)["ok"]
+
+
+def test_non_nilpotent_n_raises():
+    d = model_phs(HodgeNumbers(0, (2,)))
+    N = MatrixGQ([[ZERO, ONE], [ONE, ZERO]])
+    with pytest.raises(NotNilpotent):
+        LmhsDatum(d, N)
+    with pytest.raises(NotNilpotent):
+        weight_filtration(N, 0)
 
 
 def test_incompatible_filtration_raises():
@@ -153,10 +186,7 @@ def test_validate_detects_wrong_weight_filtration():
     wrong = WeightFiltration(2, {k: Subspace.full(3) for k in range(-1, 5)})
     rep = validate_lmhs(LmhsDatum(L.hodge, L.N, wrong))
     assert not rep["weight_filtration"]
-
-
-def test_epsilon_constant():
-    assert all(epsilon_k(k) == 1 for k in range(6))
+    assert not rep["ok"]
 
 
 def test_qk_form_symmetric_on_top_primitive():
