@@ -54,8 +54,13 @@ def catalog_names():
 
 
 def load_catalog_entry(name):
+    return _find_entry(_catalog_entries(), name)
+
+
+def _find_entry(entries, name):
+    """The entry called `name`, or carrying it as an alias, in any case."""
     low = name.lower()
-    for entry in _catalog_entries():
+    for entry in entries:
         if entry["name"].lower() == low or \
                 low in [a.lower() for a in entry.get("aliases", [])]:
             return entry
@@ -225,10 +230,10 @@ def _spec_from_input(args):
         return spec_from_dims(dims)
     entry = load_catalog_entry(name_or_path)
     expected = entry["expected"]
-    block = expected.get(args.part) or expected.get("V")
+    block = expected.get(args.part)
     if block is None:
-        raise ValueError("catalog entry %r has no diagram block (V or adjoint); "
-                         "its blocks: %s" % (entry["name"], ", ".join(sorted(expected))))
+        raise ValueError("catalog entry %r has no diagram block %r; its blocks: %s"
+                         % (entry["name"], args.part, ", ".join(sorted(expected))))
     return DiagramSpec([(p, q, d) for p, q, d in block["nodes"]])
 
 
@@ -251,24 +256,34 @@ def cmd_diagram(args):
 
 
 def cmd_catalog(args):
+    entries = list(_catalog_entries())
     if not args.name:
-        for name in catalog_names():
-            print(name)
+        for entry in entries:
+            print(entry["name"])
         return 0
     low = args.name.lower()
-    names = [n for n in catalog_names() if n.lower() == low
-             or n.lower().startswith(low + "-row")]
-    if not names:
+    matched = [e for e in entries if e["name"].lower() == low
+               or e["name"].lower().startswith(low + "-row")]
+    if not matched:
         try:
-            names = [load_catalog_entry(args.name)["name"]]
+            matched = [_find_entry(entries, args.name)]
         except UnknownEntry:
             print("unknown catalog entry %r; available: %s"
-                  % (args.name, ", ".join(catalog_names())), file=sys.stderr)
+                  % (args.name, ", ".join(e["name"] for e in entries)),
+                  file=sys.stderr)
             return 2
     status = 0
-    for name in names:
-        entry = load_catalog_entry(name)
-        got = recompute_entry(entry)
+    for entry in matched:
+        name = entry["name"]
+        try:
+            got = recompute_entry(entry)
+        except KeyError as e:
+            print("catalog entry %r: payload is missing key %s" % (name, e),
+                  file=sys.stderr)
+            return 2
+        except ValueError as e:
+            print("catalog entry %r: bad payload: %s" % (name, e), file=sys.stderr)
+            return 2
         want = entry["expected"]
         if got == want:
             print("%s: match" % name)

@@ -6,6 +6,7 @@ arithmetic.  Conventions fixed here once and for all:
   F4: alpha1, alpha2 long, alpha3, alpha4 short (Bourbaki)
 """
 
+import math
 from fractions import Fraction
 
 
@@ -83,15 +84,16 @@ def _dot(u, v):
 
 class RootSystem:
     __slots__ = ("type_letter", "rank", "simple_roots", "all_roots",
-                 "cartan_matrix", "fundamental_weights", "_orth", "_sq")
+                 "cartan_matrix", "fundamental_weights", "_orth", "_sq",
+                 "_int_roots")
 
     def __init__(self, type_letter, rank, simple_roots, all_roots,
-                 cartan_matrix, fundamental_weights, orth, sq):
+                 cartan_matrix, fundamental_weights, orth, sq, int_roots):
         for k, v in (("type_letter", type_letter), ("rank", rank),
                      ("simple_roots", simple_roots), ("all_roots", all_roots),
                      ("cartan_matrix", cartan_matrix),
                      ("fundamental_weights", fundamental_weights),
-                     ("_orth", orth), ("_sq", sq)):
+                     ("_orth", orth), ("_sq", sq), ("_int_roots", int_roots)):
             object.__setattr__(self, k, v)
 
     def __setattr__(self, *a):
@@ -173,10 +175,11 @@ def build_root_system(type_letter, rank):
     roots |= {tuple(-x for x in a) for a in roots}
     if len(roots) != expected:
         raise AssertionError("root count %d != %d" % (len(roots), expected))
-    all_roots = sorted(roots)
+    all_roots = tuple(sorted(roots))
     for a in all_roots:
         assert tuple(-x for x in a) in roots
-        assert all(x == int(x) for x in a)
+    int_roots = tuple(tuple(int(x) for x in a) for a in all_roots)
+    assert int_roots == all_roots
     cartan = tuple(tuple(int(2 * _dot(orthogonal_of(si), orth[j]) / sq[j])
                          for j in range(rank)) for si in simples)
     for i in range(rank):
@@ -185,8 +188,8 @@ def build_root_system(type_letter, rank):
     inv = _rational_inverse([[Fraction(cartan[j][i]) for j in range(rank)]
                              for i in range(rank)])
     fws = tuple(tuple(inv[j][i] for j in range(rank)) for i in range(rank))
-    return RootSystem(type_letter, rank, tuple(simples), tuple(all_roots),
-                      cartan, fws, [tuple(v) for v in orth], sq)
+    return RootSystem(type_letter, rank, tuple(simples), all_roots,
+                      cartan, fws, [tuple(v) for v in orth], sq, int_roots)
 
 
 def _rational_inverse(M):
@@ -228,10 +231,21 @@ class GradingElement:
         return "GradingElement(%s)" % (self.values,)
 
     def check_integral(self, rs):
-        for a in rs.all_roots:
-            if self(a).denominator != 1:
-                raise NonIntegralGrading("alpha(L) not an integer on %s" % (a,))
+        _levels(rs, self)
         return self
+
+
+def _levels(rs, L):
+    """alpha(L) for every root of rs, in all_roots order, as ints."""
+    d = math.lcm(*(v.denominator for v in L.values))
+    scaled = [int(v * d) for v in L.values]
+    out = []
+    for a in rs._int_roots:
+        x, r = divmod(sum(c * v for c, v in zip(a, scaled)), d)
+        if r:
+            raise NonIntegralGrading("alpha(L) not an integer on %s" % (a,))
+        out.append(x)
+    return out
 
 
 class WeightMultiset:
@@ -285,19 +299,16 @@ def sigma_from_grading(rs, L):
 
 
 def l_decomposition(rs, L):
-    L.check_integral(rs)
     out = {0: rs.rank}
-    for a in rs.all_roots:
-        lev = int(L(a))
+    for lev in _levels(rs, L):
         out[lev] = out.get(lev, 0) + 1
     return out
 
 
 def compactness(rs, L):
-    L.check_integral(rs)
     comp, noncomp = [], []
-    for a in rs.all_roots:
-        (comp if int(L(a)) % 2 == 0 else noncomp).append(a)
+    for a, x in zip(rs.all_roots, _levels(rs, L)):
+        (comp if x % 2 == 0 else noncomp).append(a)
     return {"compact": comp, "noncompact": noncomp}
 
 
@@ -307,14 +318,11 @@ def adjoint_bigrading(rs, L, Y):
     Y = None is the pure (undegenerate) case, where alpha sits at
     (-alpha(L), alpha(L)); the Cartan contributes rank at (0, 0).
     """
-    L.check_integral(rs)
-    if Y is not None:
-        Y.check_integral(rs)
+    qs = _levels(rs, L)
+    ys = _levels(rs, Y) if Y is not None else [0] * len(qs)
     dims = {(0, 0): rs.rank}
-    for a in rs.all_roots:
-        q = int(L(a))
-        p = int(Y(a)) - q if Y is not None else -q
-        dims[(p, q)] = dims.get((p, q), 0) + 1
+    for q, y in zip(qs, ys):
+        dims[(y - q, q)] = dims.get((y - q, q), 0) + 1
     return dims
 
 
@@ -369,11 +377,17 @@ def jm_parabolic(rs, Y):
 
 
 class InvolutionDatum:
-    """Conjugation sigma and Cartan involution theta acting on root coordinates."""
+    """Conjugation sigma and Cartan involution theta acting on root coordinates.
 
-    __slots__ = ("sigma", "theta")
+    Both permute the roots of rs; `_conj[i]` is the all_roots index of
+    conj(alpha_i) and `_imag[i]` says whether alpha_i is imaginary
+    (conj alpha = -alpha), which is whether theta fixes alpha_i, since
+    theta(alpha) = -conj(alpha) is checked for every root.
+    """
 
-    def __init__(self, sigma, theta, rs=None):
+    __slots__ = ("sigma", "theta", "_conj", "_imag")
+
+    def __init__(self, sigma, theta, rs):
         sigma = tuple(tuple(Fraction(x) for x in row) for row in sigma)
         theta = tuple(tuple(Fraction(x) for x in row) for row in theta)
         r = len(sigma)
@@ -383,17 +397,20 @@ class InvolutionDatum:
             raise InconsistentInvolutions("sigma or theta is not an involution")
         if _matmul(sigma, theta) != _matmul(theta, sigma):
             raise InconsistentInvolutions("sigma and theta do not commute")
-        if rs is not None:
-            roots = set(rs.all_roots)
-            for a in rs.all_roots:
-                sa = _matvec(sigma, a)
-                ta = _matvec(theta, a)
-                if sa not in roots or ta not in roots:
-                    raise InconsistentInvolutions("involution does not permute roots")
-                if ta != tuple(-x for x in sa):
-                    raise InconsistentInvolutions("-alpha != theta(conj alpha)")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "theta", theta)
+        index = {a: i for i, a in enumerate(rs.all_roots)}
+        conj, imag = [], []
+        for a in rs.all_roots:
+            sa = _matvec(sigma, a)
+            ta = _matvec(theta, a)
+            if sa not in index or ta not in index:
+                raise InconsistentInvolutions("involution does not permute roots")
+            if ta != tuple(-x for x in sa):
+                raise InconsistentInvolutions("-alpha != theta(conj alpha)")
+            conj.append(index[sa])
+            imag.append(ta == a)
+        for k, v in (("sigma", sigma), ("theta", theta),
+                     ("_conj", tuple(conj)), ("_imag", tuple(imag))):
+            object.__setattr__(self, k, v)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -465,15 +482,11 @@ def orbit_dims(rs, L, inv):
     dim_R = |Delta(O)|; dim_KR counts theta-fixed directions of k modulo the
     parabolic; imaginary roots are compact exactly when alpha(L) is even.
     """
-    L.check_integral(rs)
-    vals = {}
+    lev = _levels(rs, L)
     sets = {"O": [], "le0le0": [], "ge0ge0x": [], "plus_minus": [], "minus_plus": []}
-    dim_C = 0
-    for a in rs.all_roots:
-        x = int(L(a))
-        ab = inv.conj_root(a)
-        y = int(L(ab))
-        vals[a] = (x, y)
+    dim_C = dim_KR = half_count = 0
+    for a, x, j, imaginary in zip(rs.all_roots, lev, inv._conj, inv._imag):
+        y = lev[j]
         if x > 0:
             dim_C += 1
         if x <= 0 and y <= 0:
@@ -486,25 +499,17 @@ def orbit_dims(rs, L, inv):
                 sets["plus_minus"].append(a)
             elif x < 0 and y > 0:
                 sets["minus_plus"].append(a)
-    dim_R = len(sets["O"])
-
-    half_count = 0
-    dim_KR = 0
-    for a in rs.all_roots:
-        x, y = vals[a]
-        imaginary = inv.conj_root(a) == tuple(-c for c in a)
         if imaginary:
             if x % 2 == 0 and x > 0:
                 dim_KR += 1
-        else:
+        elif not (x <= 0 and y >= 0):
             # theta-pair {a, theta a} enters k; it survives modulo p unless
             # both members lie in p, i.e. alpha(L) <= 0 and conj-alpha(L) >= 0
-            if not (x <= 0 and y >= 0):
-                half_count += 1
+            half_count += 1
     assert half_count % 2 == 0
     dim_KR += half_count // 2
-    return {"dim_R_orbit": dim_R, "dim_KR_orbit": dim_KR, "dim_C_dual": dim_C,
-            "sets": sets}
+    return {"dim_R_orbit": len(sets["O"]), "dim_KR_orbit": dim_KR,
+            "dim_C_dual": dim_C, "sets": sets}
 
 
 def closed_orbit_criterion(rs, L, inv):
@@ -513,6 +518,7 @@ def closed_orbit_criterion(rs, L, inv):
     Imaginary means theta-fixed; compact means alpha(L) even (the Cartan
     involution acts on the root space by (-1)^{alpha(L)}).
     """
-    info = orbit_dims(rs, L, inv)
-    return all(inv.theta_root(a) == a and int(L(a)) % 2 == 0
-               for a in info["sets"]["minus_plus"])
+    lev = _levels(rs, L)
+    return all(imaginary and x % 2 == 0
+               for x, j, imaginary in zip(lev, inv._conj, inv._imag)
+               if x < 0 and lev[j] > 0)

@@ -188,6 +188,13 @@ def test_diagram_entry_without_diagram_block(capsys):
     assert "catalog names" not in err
 
 
+def test_diagram_missing_part(capsys):
+    code, out, err = run(capsys, "diagram", "ht-n2-111", "--part", "adjoint")
+    assert code == 2 and out == ""
+    assert "ht-n2-111" in err and "no diagram block 'adjoint'" in err
+    assert err.rstrip().endswith("its blocks: V")
+
+
 # ------------------------------------------------------------ catalog
 
 def test_catalog_listing(capsys):
@@ -238,6 +245,38 @@ def test_catalog_detects_corruption(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "catalog", "G2-row1")
     assert code == 1
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize("edit, witness", [
+    (lambda p: p.update(L=["1/2", 1]), "bad payload: alpha(L) not an integer on (-3, -2)"),
+    (lambda p: p.update(type="X"), "bad payload: unknown type 'X'"),
+    (lambda p: p.update(involution="bogus"), "bad payload: unknown involution 'bogus'"),
+    (lambda p: p.pop("L"), "payload is missing key 'L'"),
+], ids=["non-integral-L", "unknown-type", "unknown-involution", "missing-L"])
+def test_catalog_bad_payload(capsys, tmp_path, monkeypatch, edit, witness):
+    src = Path(cli.catalog_dir())
+    for path in src.glob("*.json"):
+        obj = json.loads(path.read_text())
+        if obj["name"] == "G2-split-closed":
+            edit(obj["payload"])
+        (tmp_path / path.name).write_text(json.dumps(obj))
+    monkeypatch.setenv(cli.CATALOG_ENV, str(tmp_path))
+    code, out, err = run(capsys, "catalog", "G2-split-closed")
+    assert code == 2 and out == ""
+    assert "'G2-split-closed'" in err and witness in err
+
+
+@pytest.mark.parametrize("argv", [[], ["G2"], ["G2-split-codim1-long"], ["nope"]])
+def test_catalog_reads_each_file_once(capsys, monkeypatch, argv):
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    run(capsys, "catalog", *argv)
+    assert len(opened) == len(set(opened)) == 17
 
 
 # ------------------------------------------------------------ corpus

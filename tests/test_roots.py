@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hodge_degen import roots
 from hodge_degen.roots import (
     build_root_system, GradingElement, rep_weights, grading_from_sigma,
     sigma_from_grading, l_decomposition, compactness, adjoint_bigrading,
@@ -11,7 +13,7 @@ from hodge_degen.roots import (
     compact_involution, split_involution, cayley_involution, orbit_dims,
     closed_orbit_criterion, InvolutionDatum,
     UnsupportedType, HalfIntegralityViolation, NotNormalizable,
-    EntryOutOfRange, InconsistentInvolutions,
+    EntryOutOfRange, InconsistentInvolutions, NonIntegralGrading,
 )
 
 
@@ -158,6 +160,16 @@ def test_involution_consistency_enforced():
         InvolutionDatum(bad_sigma, good.theta, rs)
 
 
+@pytest.mark.parametrize("sigma, theta, message", [
+    (((1, 1), (0, 1)), ((1, 0), (0, 1)), "not an involution"),
+    (((0, 1), (1, 0)), ((-1, 0), (1, 1)), "do not commute"),
+    (((1, 0), (0, -1)), ((-1, 0), (0, 1)), "does not permute roots"),
+])
+def test_each_involution_check_enforced(sigma, theta, message):
+    with pytest.raises(InconsistentInvolutions, match=message):
+        InvolutionDatum(sigma, theta, build_root_system("A", 2))
+
+
 def test_orbit_dims_open_orbit_compact_form():
     rs = build_root_system("G", 2)
     L = GradingElement((1, 1))
@@ -196,3 +208,97 @@ def test_cayley_involution_intermediate_orbit():
     info = orbit_dims(rs, L, inv)
     assert info["dim_R_orbit"] == 11 and info["dim_KR_orbit"] == 3
     assert not closed_orbit_criterion(rs, L, inv)
+
+
+def test_closed_criterion_does_not_recompute_orbit_dims(monkeypatch):
+    calls = []
+    dims = roots.orbit_dims
+    monkeypatch.setattr(roots, "orbit_dims",
+                        lambda *args: calls.append(args) or dims(*args))
+    rs = build_root_system("F", 4)
+    L = GradingElement((1, 1, 1, 1))
+    for name in ("compact", "split", "cayley:1,2,3,1"):
+        roots.closed_orbit_criterion(rs, L, named_involution(rs, name))
+    assert calls == []
+
+
+def test_half_integral_grading_rejected_everywhere():
+    # alpha(L) = -7/2 on the first root (-3, -2), named in integer coordinates
+    rs = build_root_system("G", 2)
+    half = GradingElement((Fraction(1, 2), 1))
+    whole = GradingElement((1, 1))
+    inv = split_involution(rs)
+    for call in (lambda: half.check_integral(rs),
+                 lambda: l_decomposition(rs, half),
+                 lambda: compactness(rs, half),
+                 lambda: adjoint_bigrading(rs, half, None),
+                 lambda: adjoint_bigrading(rs, whole, half),
+                 lambda: orbit_dims(rs, half, inv),
+                 lambda: closed_orbit_criterion(rs, half, inv)):
+        with pytest.raises(NonIntegralGrading, match=r"on \(-3, -2\)$"):
+            call()
+
+
+# ------------------------------------------------------------ orbit layer oracle
+
+SYSTEMS = ([(t, r) for t in "ABC" for r in range(1, 5)]
+           + [("D", r) for r in range(2, 5)] + [("G", 2), ("F", 4)])
+
+
+@st.composite
+def orbit_cases(draw):
+    """(type, rank, involution name, L values)."""
+    letter, rank = draw(st.sampled_from(SYSTEMS))
+    name = draw(st.sampled_from(("compact", "split", "cayley")))
+    if name == "cayley":
+        beta = draw(st.sampled_from(build_root_system(letter, rank).positive_roots()))
+        name = "cayley:" + ",".join(map(str, beta))
+    values = draw(st.lists(st.sampled_from((-1, 0, 1, 2)),
+                           min_size=rank, max_size=rank))
+    return letter, rank, name, tuple(values)
+
+
+def reference_orbit_layer(rs, L, inv):
+    """orbit_dims and closed_orbit_criterion from the definitions: Fraction
+    alpha(L), conj and theta applied to each root as matrices."""
+    sets = {"O": [], "le0le0": [], "ge0ge0x": [], "plus_minus": [], "minus_plus": []}
+    dim_C = dim_KR = half_count = 0
+    for a in rs.all_roots:
+        conj = inv.conj_root(a)
+        x, y = L(a), L(conj)
+        assert x.denominator == y.denominator == 1
+        dim_C += x > 0
+        if x <= 0 and y <= 0:
+            sets["le0le0"].append(a)
+        else:
+            sets["O"].append(a)
+            if x >= 0 and y >= 0:
+                sets["ge0ge0x"].append(a)
+            elif x > 0 and y < 0:
+                sets["plus_minus"].append(a)
+            elif x < 0 and y > 0:
+                sets["minus_plus"].append(a)
+        if conj == tuple(-c for c in a):
+            dim_KR += x > 0 and x % 2 == 0
+        elif not (x <= 0 and y >= 0):
+            half_count += 1
+    assert half_count % 2 == 0
+    dims = {"dim_R_orbit": len(sets["O"]), "dim_KR_orbit": dim_KR + half_count // 2,
+            "dim_C_dual": dim_C, "sets": sets}
+    closed = all(inv.theta_root(a) == a and L(a) % 2 == 0
+                 for a in sets["minus_plus"])
+    return dims, closed
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=("F", 4, "cayley:1,2,3,1", (1, -1, 2, 0)))
+@example(case=("A", 2, "cayley:0,1", (-1, 1)))  # a real root with x < 0, y = 0
+@given(case=orbit_cases())
+def test_orbit_layer_matches_definitions(case):
+    letter, rank, name, values = case
+    rs = build_root_system(letter, rank)
+    inv = named_involution(rs, name)
+    L = GradingElement(values)
+    dims, closed = reference_orbit_layer(rs, L, inv)
+    assert orbit_dims(rs, L, inv) == dims
+    assert closed_orbit_criterion(rs, L, inv) == closed
