@@ -14,6 +14,7 @@ from .hodge import (
     InadmissibleHodgeNumbers,
 )
 from .lmhs import LmhsDatum, Bigrading, deligne_splitting, validate_lmhs, is_hodge_tate
+from .diagrams import triples
 
 
 class InfeasibleType(ValueError):
@@ -56,7 +57,7 @@ class MinimalType:
         return sorted(self.i_table)
 
     def triples(self):
-        return sorted([p, q, d] for (p, q), d in self.i_table.items())
+        return triples(self.i_table)
 
     def __repr__(self):
         return "MinimalType(%s, p_o=%s, q_o=%s)" % (self.kind, self.p_o, self.q_o)

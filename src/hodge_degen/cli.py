@@ -8,6 +8,7 @@ import argparse
 import itertools
 import json
 import os
+import reprlib
 import sys
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from .classify import (
     cp_orb_check, period_closed_check, principal_lmhs, principal_neutral_char,
     GateFailed, InfeasibleType,
 )
-from .diagrams import DiagramSpec, spec_from_dims, render
+from .diagrams import DiagramSpec, spec_from_dims, render, triples
 
 CATALOG_ENV = "HODGE_DEGEN_CATALOG"
 
@@ -38,7 +39,11 @@ def catalog_dir():
 
 
 class UnknownEntry(KeyError):
-    pass
+    """No catalog entry has this name or alias; `names` are the entries there are."""
+
+    def __init__(self, name, names):
+        super().__init__(name)
+        self.names = names
 
 
 def _catalog_entries():
@@ -58,17 +63,17 @@ def load_catalog_entry(name):
 
 
 def _find_entry(entries, name):
-    """The entry called `name`, or carrying it as an alias, in any case."""
+    """The entry called `name`, or carrying it as an alias, in any case.
+
+    Reads `entries` (an iterable) once, up to the match."""
     low = name.lower()
+    names = []
     for entry in entries:
         if entry["name"].lower() == low or \
                 low in [a.lower() for a in entry.get("aliases", [])]:
             return entry
-    raise UnknownEntry(name)
-
-
-def _triples(dims):
-    return sorted([p, q, d] for (p, q), d in dims.items() if d)
+        names.append(entry["name"])
+    raise UnknownEntry(name, names)
 
 
 def recompute_entry(entry):
@@ -78,7 +83,7 @@ def recompute_entry(entry):
         L = LmhsDatum.from_json(payload)
         if not validate_lmhs(L)["ok"]:
             raise ValueError("payload fails validation")
-        return {"V": {"nodes": _triples(deligne_splitting(L).dims())}}
+        return {"V": {"nodes": triples(deligne_splitting(L).dims())}}
     from .roots import (
         build_root_system, GradingElement, rep_weights, rep_bigrading,
         adjoint_bigrading, named_involution, orbit_dims, closed_orbit_criterion,
@@ -96,12 +101,14 @@ def recompute_entry(entry):
     w = rep_weights(rs, payload["rep"])
     V = rep_bigrading(w, L, Y, payload["weight"])
     adj = adjoint_bigrading(rs, L, Y)
-    return {"V": {"nodes": _triples(V)}, "adjoint": {"nodes": _triples(adj)}}
+    return {"V": {"nodes": triples(V)}, "adjoint": {"nodes": triples(adj)}}
 
 
 def load_datum(obj):
     """LmhsDatum if the JSON carries an \"N\" or a \"W\" entry, else a pure
     HodgeDatum.  A missing key raises ValueError naming the key."""
+    if not isinstance(obj, dict):
+        raise ValueError("a datum must be a JSON object, got %s" % reprlib.repr(obj))
     try:
         if "N" in obj or "W" in obj:
             return LmhsDatum.from_json(obj)
@@ -172,7 +179,7 @@ def cmd_classify(args):
         plan = ht_plan(n, hn)
         report["atomic_multiplicities"] = list(plan.d)
         L = ht_construct(n, hn)
-        report["nodes"] = _triples(deligne_splitting(L).dims())
+        report["nodes"] = triples(deligne_splitting(L).dims())
         if args.out:
             with open(args.out, "w") as fh:
                 json.dump(L.to_json(), fh, sort_keys=True)
@@ -242,7 +249,7 @@ def cmd_diagram(args):
         spec = _spec_from_input(args)
     except UnknownEntry as e:
         print("unknown input %s; catalog names: %s"
-              % (e, ", ".join(catalog_names())), file=sys.stderr)
+              % (e, ", ".join(e.names)), file=sys.stderr)
         return 2
     except KeyError as e:
         print("bad input: missing key %s" % e, file=sys.stderr)
@@ -267,10 +274,9 @@ def cmd_catalog(args):
     if not matched:
         try:
             matched = [_find_entry(entries, args.name)]
-        except UnknownEntry:
+        except UnknownEntry as e:
             print("unknown catalog entry %r; available: %s"
-                  % (args.name, ", ".join(e["name"] for e in entries)),
-                  file=sys.stderr)
+                  % (args.name, ", ".join(e.names)), file=sys.stderr)
             return 2
     status = 0
     for entry in matched:

@@ -55,12 +55,17 @@ class DiagramSpec:
         return self.nodes == other.nodes
 
 
+def triples(dims):
+    """Sorted [p, q, dim] lists of the nonzero nodes of a {(p, q): dim} map."""
+    return sorted([p, q, d] for (p, q), d in dims.items() if d)
+
+
 def spec_from_dims(dims, arrows=False):
     """Build a DiagramSpec from a {(p, q): dim} map (or Bigrading.dims())."""
-    nodes = [(p, q, d) for (p, q), d in dims.items() if d]
+    nodes = triples(dims)
     arr = []
     if arrows:
-        pos = {(p, q) for p, q, _ in ((a, b, c) for a, b, c in nodes)}
+        pos = {(p, q) for p, q, _ in nodes}
         arr = sorted((p, q) for p, q in pos if (p - 1, q - 1) in pos)
     return DiagramSpec(nodes, arrows=arr)
 

@@ -8,6 +8,7 @@ equality a structural comparison).
 
 from fractions import Fraction
 import re as _re
+import reprlib
 
 
 class AmbientMismatch(ValueError):
@@ -158,20 +159,30 @@ def format_scalar(x):
 
 
 def parse_scalar(s):
-    """Parse the serialization format; also accepts bare "i" / "-i"."""
+    """Parse the serialization format; also accepts bare "i" / "-i".
+
+    ValueError for anything else: a non-string, a string outside the format,
+    or a zero denominator.
+    """
+    if not isinstance(s, str):
+        raise ValueError("scalar must be a string such as \"1/2+3*i\", got %s"
+                         % reprlib.repr(s))
     m = _SCALAR_RE.match(s)
     if not m or (m.group("re") is None and m.group("im") is None):
         raise ValueError("bad scalar string: %r" % s)
-    re_part = Fraction(m.group("re")) if m.group("re") is not None else Fraction(0)
-    im_part = Fraction(0)
-    if m.group("im") is not None:
-        t = m.group("im").replace(" ", "")
-        if t in ("", "+"):
-            im_part = Fraction(1)
-        elif t == "-":
-            im_part = Fraction(-1)
-        else:
-            im_part = Fraction(t.rstrip("*"))
+    try:
+        re_part = Fraction(m.group("re")) if m.group("re") is not None else Fraction(0)
+        im_part = Fraction(0)
+        if m.group("im") is not None:
+            t = m.group("im").replace(" ", "")
+            if t in ("", "+"):
+                im_part = Fraction(1)
+            elif t == "-":
+                im_part = Fraction(-1)
+            else:
+                im_part = Fraction(t.rstrip("*"))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in scalar %r" % s) from None
     return GaussianRational(re_part, im_part)
 
 
@@ -280,6 +291,10 @@ class MatrixGQ:
 
     @staticmethod
     def from_json(rows):
+        """The matrix of a JSON array of rows, each an array of scalar strings."""
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("a matrix must be an array of rows, each an array "
+                             "of scalar strings; got %s" % reprlib.repr(rows))
         return MatrixGQ([[parse_scalar(e) for e in row] for row in rows])
 
     def __repr__(self):
@@ -422,6 +437,11 @@ def intersect(A, B):
     ka, kb = A.dim, B.dim
     if ka == 0 or kb == 0:
         return Subspace.zero(A.ambient_dim)
+    # the whole space meets B in B: no solve needed
+    if ka == A.ambient_dim:
+        return B
+    if kb == A.ambient_dim:
+        return A
     # rows (a | b) with a*basisA - b*basisB = 0
     stacked = MatrixGQ(
         [list(r) for r in A.basis.entries] + [[-e for e in r] for r in B.basis.entries]
@@ -536,6 +556,17 @@ def nilpotent_powers(N):
             raise NotNilpotent("N^dim != 0")
         powers.append(powers[-1] * N)
     return tuple(powers)
+
+
+def nilpotent_kernels(powers):
+    """(ker N^0, ..., ker N^deg) for powers = nilpotent_powers(N).
+
+    The zero space, one kernel solve per power strictly between, and the
+    whole space at the first zero power N^deg.
+    """
+    dim = powers[0].rows
+    return ((Subspace.zero(dim),) + tuple(kernel(P) for P in powers[1:-1])
+            + (Subspace.full(dim),))
 
 
 def nilpotent_exp(N, z, powers=None):

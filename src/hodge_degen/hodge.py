@@ -7,6 +7,7 @@ bilinear relations are checked exactly:
   HR2: i^(p-q) Q(u, conj v) positive definite on V^{p,q}
 """
 
+import reprlib
 from fractions import Fraction
 
 from .gq import (
@@ -127,19 +128,35 @@ class HodgeDatum:
 
     @staticmethod
     def from_json(obj):
-        dim = obj["dim"]
-        n = obj["weight"]
+        """ValueError naming the fault for a value of the wrong type or shape;
+        KeyError for a missing key."""
+        dim = _json_count(obj, "dim")
+        n = _json_count(obj, "weight")
         Q = MatrixGQ.from_json(obj["Q"])
+        if (Q.rows, Q.cols) != (dim, dim):
+            raise ValueError("Q is %dx%d, but dim is %d" % (Q.rows, Q.cols, dim))
+        F = obj["F"]
+        if not isinstance(F, dict):
+            raise ValueError("'F' must be an object from steps to rows, got %s"
+                             % reprlib.repr(F))
         steps = []
         for p in range(n + 1):
-            rows = obj["F"].get(str(p))
-            if rows is None or (p == 0 and not rows):
+            # a step left out is the whole space, and so is an empty F^0
+            key = str(p)
+            if key not in F or (p == 0 and F[key] == []):
                 steps.append(Subspace.full(dim))
-            elif not rows:
-                steps.append(Subspace.zero(dim))
             else:
-                steps.append(Subspace(dim, MatrixGQ.from_json(rows)))
+                steps.append(Subspace(dim, MatrixGQ.from_json(F[key])))
         return HodgeDatum(dim, PolarizationForm(n, Q), HodgeFiltration(n, steps))
+
+
+def _json_count(obj, key):
+    """obj[key], which must be a non-negative int (not a bool, float or string)."""
+    v = obj[key]
+    if type(v) is not int or v < 0:
+        raise ValueError("%r must be a non-negative integer, got %s"
+                         % (key, reprlib.repr(v)))
+    return v
 
 
 class HodgeNumbers:

@@ -7,12 +7,14 @@ induced structure on g = End(V,Q), reduced limit filtrations, Hodge-Tate
 predicates, and the diagonal Levi subalgebra.
 """
 
+import reprlib
 from fractions import Fraction
 
 from .gq import (
     GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, I as IMAG, i_power,
     intersect, ssum, conj_space, apply_matrix, preimage, kernel, image,
-    complement_mod, nilpotent_exp, nilpotent_powers, hermitian_pd, rref,
+    complement_mod, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
+    hermitian_pd, rref,
 )
 from .hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs,
@@ -82,32 +84,34 @@ class WeightFiltration:
         return all(self.level(k) == other.level(k) for k in range(lo, hi + 1))
 
 
-def weight_filtration(N, center, powers=None):
+def weight_filtration(N, center, powers=None, kernels=None):
     """Monodromy weight filtration of a nilpotent N, centered at `center`.
 
     Uses W_k = sum_j ker(N^{k+j+1}) cap im(N^j) (centered at 0), then checks
-    the two defining properties.  `powers` is nilpotent_powers(N), when the
-    caller already has it.
+    the defining properties.  The terms come from tables: `powers` =
+    nilpotent_powers(N) and `kernels` = nilpotent_kernels(powers), passed in
+    when the caller has them (an LmhsDatum keeps both), and im N^j, solved
+    once per j.  Terms with k + j + 1 <= 0 (zero kernel) or j >= deg (zero
+    image) vanish.  When k + j + 1 >= deg the kernel is the whole space, and
+    for j = 0 the image is, so gq.intersect returns the other side without a
+    solve.  Each level is summed by one reduction.  No meet is memoized: in
+    one call each pair (k + j + 1, j) occurs once.
     """
     if powers is None:
         powers = nilpotent_powers(N)
+    if kernels is None:
+        kernels = nilpotent_kernels(powers)
     dim = N.rows
     deg = len(powers) - 1
     d = deg - 1  # N^(d+1) = 0, N^d != 0
-
-    kers = {j: kernel(powers[j]) for j in range(1, deg + 1)}
-    ims = {j: image(powers[j]) for j in range(1, deg)}
+    ims = [Subspace.full(dim)] + [image(P) for P in powers[1:deg]]
 
     levels = {}
     for k in range(-d, d + 1):
-        acc = Subspace.zero(dim)
-        # the terms with k + j + 1 <= 0 (zero kernel) or j >= deg (zero image) vanish
+        vecs = []
         for j in range(max(0, -k), deg):
-            ker = kers[min(k + j + 1, deg)]
-            term = intersect(ker, ims[j]) if j else ker
-            if term.dim:
-                acc = ssum(acc, term)
-        levels[center + k] = acc
+            vecs.extend(intersect(kernels[min(k + j + 1, deg)], ims[j]).basis.entries)
+        levels[center + k] = Subspace.from_vectors(dim, vecs)
     W = WeightFiltration(center, levels)
     # defining properties
     for k in range(-d, d + 1):
@@ -126,11 +130,13 @@ def weight_filtration(N, center, powers=None):
 class LmhsDatum:
     """(V, Q, F) plus a real nilpotent N and its weight filtration.
 
-    `powers` is (N^0, ..., N^deg), ending at the first zero power.  The
+    `powers` is (N^0, ..., N^deg), ending at the first zero power, and
+    `kernels` is (ker N^0, ..., ker N^deg), solved on first use and kept.  The
     Deligne splitting is computed on first use and kept (`deligne_splitting`).
     """
 
-    __slots__ = ("hodge", "N", "W", "powers", "_given_W", "_splitting")
+    __slots__ = ("hodge", "N", "W", "powers", "_kernels", "_given_W",
+                 "_splitting")
 
     def __init__(self, hodge, N, W=None):
         dim = hodge.dim
@@ -146,17 +152,17 @@ class LmhsDatum:
         for p in range(1, hodge.n + 1):
             if not F.step(p - 1).contains(apply_matrix(N, F.step(p))):
                 raise ValueError("N F^%d not inside F^%d" % (p, p - 1))
-        # validate_lmhs checks a W given from outside; one computed here has
-        # already passed weight_filtration's own checks
-        given_W = W is not None
-        if W is None:
-            W = weight_filtration(N, hodge.n, powers)
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "W", W)
         object.__setattr__(self, "powers", powers)
-        object.__setattr__(self, "_given_W", given_W)
+        object.__setattr__(self, "_kernels", None)
         object.__setattr__(self, "_splitting", None)
+        # validate_lmhs checks a W given from outside; one computed here has
+        # already passed weight_filtration's own checks
+        object.__setattr__(self, "_given_W", W is not None)
+        if W is None:
+            W = weight_filtration(N, hodge.n, powers, self.kernels)
+        object.__setattr__(self, "W", W)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -177,6 +183,12 @@ class LmhsDatum:
         """N^k, zero past the nilpotency degree."""
         return self.powers[min(k, len(self.powers) - 1)]
 
+    @property
+    def kernels(self):
+        if self._kernels is None:
+            object.__setattr__(self, "_kernels", nilpotent_kernels(self.powers))
+        return self._kernels
+
     def to_json(self):
         obj = self.hodge.to_json()
         obj["N"] = self.N.to_json()
@@ -188,15 +200,19 @@ class LmhsDatum:
         hodge = HodgeDatum.from_json(obj)
         N = MatrixGQ.from_json(obj["N"])
         W = None
-        if "W" in obj and obj["W"]:
-            dim = hodge.dim
+        if "W" in obj:
+            if not isinstance(obj["W"], dict):
+                raise ValueError("'W' must be an object from levels to rows, got %s"
+                                 % reprlib.repr(obj["W"]))
             levels = {}
             for k, rows in obj["W"].items():
-                if rows:
-                    levels[int(k)] = Subspace(dim, MatrixGQ.from_json(rows))
-                else:
-                    levels[int(k)] = Subspace.zero(dim)
-            W = WeightFiltration(hodge.n, levels)
+                try:
+                    level = int(k)
+                except ValueError:
+                    raise ValueError("W level %r is not an integer" % k) from None
+                levels[level] = Subspace(hodge.dim, MatrixGQ.from_json(rows))
+            if levels:
+                W = WeightFiltration(hodge.n, levels)
         return LmhsDatum(hodge, N, W)
 
 
@@ -234,9 +250,6 @@ class Bigrading:
     def total(self):
         return sum(s.dim for _, _, s in self.nodes)
 
-    def triples(self):
-        return sorted([p, q, s.dim] for p, q, s in self.nodes)
-
 
 def deligne_splitting(L):
     """The canonical splitting I^{p,q} of an LMHS, by the standard formula.
@@ -252,11 +265,36 @@ def deligne_splitting(L):
 
 
 def _deligne_splitting(L):
+    """I^{p,q} = F^p cap W_l cap (conj F^q cap W_l
+    + sum_{j>=1} conj F^{q-j} cap W_{l-j-1}), with l = p + q + c - n
+    (Cattani-Kaplan-Schmid 1986), checked to be a direct sum that
+    recovers W and F.
+
+    The conjugate terms come from two tables built once per datum: conj F^a
+    for a = 1..n, and the meets conj F^a cap W_k, memoized by (a, k).  For
+    a <= 0 a meet is W_k and for a > n it is 0.  gq.intersect returns 0 for
+    a level below W, and X itself for a level that is the whole space,
+    without a solve.  The j-sum stops at j = max(q, 1): past it conj F^{q-j}
+    is the whole space, so each later term is a W level inside the last
+    one.  The terms of the sum are reduced once.  F^p cap W_l is needed
+    for one (p, q) only, so it is not memoized.
+    """
     F = L.hodge.filtration
     W = L.W
     n = L.n
     c = L.center
     dim = L.dim
+    conj_steps = ([Subspace.full(dim)]
+                  + [conj_space(F.step(a)) for a in range(1, n + 1)]
+                  + [Subspace.zero(dim)])
+    meets = {}
+
+    def conj_meet(a, k):
+        a = min(max(a, 0), n + 1)
+        if (a, k) not in meets:
+            meets[a, k] = intersect(conj_steps[a], W.level(k))
+        return meets[a, k]
+
     nodes = []
     for p in range(n + 1):
         for q in range(n + 1):
@@ -264,19 +302,10 @@ def _deligne_splitting(L):
             A = intersect(F.step(p), W.level(lev))
             if A.dim == 0:
                 continue
-            B = intersect(conj_space(F.step(q)), W.level(lev))
-            j = 1
-            while True:
-                lower = W.level(lev - j - 1)
-                if lower.dim == 0 and q - j < 0:
-                    break
-                term = intersect(conj_space(F.step(q - j)), lower)
-                if term.dim:
-                    B = ssum(B, term)
-                if lower.dim == 0:
-                    break
-                j += 1
-            piece = intersect(A, B)
+            vecs = list(conj_meet(q, lev).basis.entries)
+            for j in range(1, max(q, 1) + 1):
+                vecs.extend(conj_meet(q - j, lev - j - 1).basis.entries)
+            piece = intersect(A, Subspace.from_vectors(dim, vecs))
             if piece.dim:
                 nodes.append((p, q, piece))
     bg = Bigrading(dim, nodes)
@@ -285,25 +314,37 @@ def _deligne_splitting(L):
 
 
 def _check_reconstruction(L, bg):
+    """Every W_k is the sum of the pieces of weight level <= k, and every F^p
+    the sum of the pieces I^{a,b} with a >= p."""
     dim = L.dim
     if bg.total() != dim:
         raise NotMhs("splitting does not span")
     c, n = L.center, L.n
-    # W_k = sum of pieces with weight level <= k
-    for k in range(L.W.min_level, L.W.max_level + 1):
-        acc = Subspace.zero(dim)
-        for p, q, s in bg.nodes:
-            if c - n + p + q <= k:
-                acc = ssum(acc, s)
-        if acc != L.W.level(k):
+    W = L.W
+    levels = range(W.min_level, W.max_level + 1)
+    sums = _running_sums(dim, bg.nodes, lambda p, q: c - n + p + q, levels)
+    for k in levels:
+        if sums[k] != W.level(k):
             raise NotMhs("weight filtration not recovered at level %d" % k)
+    sums = _running_sums(dim, bg.nodes, lambda p, q: -p, range(-n, 1))
     for p0 in range(n + 1):
-        acc = Subspace.zero(dim)
-        for p, q, s in bg.nodes:
-            if p >= p0:
-                acc = ssum(acc, s)
-        if acc != L.hodge.filtration.step(p0):
+        if sums[-p0] != L.hodge.filtration.step(p0):
             raise NotMhs("Hodge filtration not recovered at step %d" % p0)
+
+
+def _running_sums(dim, nodes, key, bounds):
+    """{b: sum of the pieces with key(p, q) <= b} for ascending `bounds`,
+    one ssum per piece."""
+    order = sorted(nodes, key=lambda t: key(t[0], t[1]))
+    sums = {}
+    acc = Subspace.zero(dim)
+    i = 0
+    for b in bounds:
+        while i < len(order) and key(order[i][0], order[i][1]) <= b:
+            acc = ssum(acc, order[i][2])
+            i += 1
+        sums[b] = acc
+    return sums
 
 
 def is_r_split(bg):
@@ -360,8 +401,9 @@ def _primitive_pieces(L, bg):
     c, n = L.center, L.n
     out = {}
     kmax = L.W.max_level - c
+    kernels = L.kernels
     for k in range(0, kmax + 1):
-        ker_k = kernel(L.power(k + 1))
+        ker_k = kernels[min(k + 1, len(kernels) - 1)]
         pieces = []
         for p, q, s in bg.nodes:
             if (c - n + p + q) - c != k:
@@ -384,7 +426,7 @@ def validate_lmhs(L):
     report = {"weight_filtration": True}
     if L._given_W:
         try:
-            Wcomp = weight_filtration(L.N, L.center, L.powers)
+            Wcomp = weight_filtration(L.N, L.center, L.powers, L.kernels)
             report["weight_filtration"] = (L.W == Wcomp)
         except AssertionError:
             report["weight_filtration"] = False

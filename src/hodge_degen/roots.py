@@ -84,16 +84,16 @@ def _dot(u, v):
 
 class RootSystem:
     __slots__ = ("type_letter", "rank", "simple_roots", "all_roots",
-                 "cartan_matrix", "fundamental_weights", "_orth", "_sq",
+                 "cartan_matrix", "fundamental_weights", "_orth",
                  "_int_roots")
 
     def __init__(self, type_letter, rank, simple_roots, all_roots,
-                 cartan_matrix, fundamental_weights, orth, sq, int_roots):
+                 cartan_matrix, fundamental_weights, orth, int_roots):
         for k, v in (("type_letter", type_letter), ("rank", rank),
                      ("simple_roots", simple_roots), ("all_roots", all_roots),
                      ("cartan_matrix", cartan_matrix),
                      ("fundamental_weights", fundamental_weights),
-                     ("_orth", orth), ("_sq", sq), ("_int_roots", int_roots)):
+                     ("_orth", orth), ("_int_roots", int_roots)):
             object.__setattr__(self, k, v)
 
     def __setattr__(self, *a):
@@ -111,11 +111,6 @@ class RootSystem:
     def square_length(self, coords):
         v = self.orthogonal(coords)
         return _dot(v, v)
-
-    def coroot_pairing(self, coords, j):
-        """<alpha, alpha_j^vee> = 2 (alpha, alpha_j) / (alpha_j, alpha_j)."""
-        v = self.orthogonal(coords)
-        return 2 * _dot(v, self._orth[j]) / self._sq[j]
 
     def pairing_with_coroot_of(self, coords, beta):
         b = self.orthogonal(beta)
@@ -189,7 +184,7 @@ def build_root_system(type_letter, rank):
                              for i in range(rank)])
     fws = tuple(tuple(inv[j][i] for j in range(rank)) for i in range(rank))
     return RootSystem(type_letter, rank, tuple(simples), all_roots,
-                      cartan, fws, [tuple(v) for v in orth], sq, int_roots)
+                      cartan, fws, [tuple(v) for v in orth], int_roots)
 
 
 def _rational_inverse(M):

@@ -20,6 +20,7 @@ from hodge_degen.roots import (
     build_root_system, GradingElement, rep_weights, rep_bigrading,
     adjoint_bigrading,
 )
+from hodge_degen.diagrams import triples
 from hodge_degen import cli
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -33,10 +34,6 @@ def golden(name):
 def report(k, label, ok):
     print("[ACCEPTANCE %d] %s: %s" % (k, label, "PASS" if ok else "FAIL"))
     assert ok, label
-
-
-def triples(dims):
-    return sorted([p, q, d] for (p, q), d in dims.items() if d)
 
 
 def figure_h(n, generic):

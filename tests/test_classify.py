@@ -12,6 +12,7 @@ from hodge_degen.hodge import HodgeNumbers
 from hodge_degen.lmhs import (
     deligne_splitting, validate_lmhs, is_hodge_tate, disc_sample, adjoint_lmhs,
 )
+from hodge_degen.roots import build_root_system, GradingElement, adjoint_bigrading
 from hodge_degen.classify import (
     MinimalType, minimal_types, minimal_witness, ht_gate, ht_plan,
     ht_construct, atomic_block, cp_orb_check, period_closed_check,
@@ -195,6 +196,23 @@ def test_principal_families(family, param, dim, weight):
     assert validate_lmhs(L)["ok"]
     cv = principal_neutral_char(family, param)
     assert set(cv) == {2}
+
+
+ROOT_TYPE = {"sp": "C", "so_odd": "B", "so_even_mm": "D", "so_even_m2m": "D"}
+
+
+@pytest.mark.parametrize("family,param", [
+    ("sp", 1), ("sp", 2), ("sp", 3), ("so_odd", 2), ("so_odd", 3),
+    ("so_even_mm", 2), ("so_even_m2m", 2),
+])
+def test_principal_adjoint_bigrading_matches_roots(family, param):
+    # the same bigrading of g twice: by linear algebra on V, and by roots,
+    # where alpha sits at (alpha(Y) - alpha(L), alpha(L)) with L = Y/2
+    Y = GradingElement(principal_neutral_char(family, param))
+    L = GradingElement([v / 2 for v in Y.values])
+    rs = build_root_system(ROOT_TYPE[family], param)
+    got = adjoint_lmhs(principal_lmhs(family, param)).I_g.dims()
+    assert got == adjoint_bigrading(rs, L, Y)
 
 
 def test_principal_hodge_numbers():

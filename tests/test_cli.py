@@ -1,6 +1,8 @@
 """Command line surface: exit codes, determinism, catalog reproduction."""
 
+import contextlib
 import gc
+import io
 import json
 import os
 import shutil
@@ -11,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hodge_degen
 from hodge_degen import cli
@@ -80,6 +83,123 @@ def test_validate_missing_key(capsys, ht_file, tmp_path, key):
     code, out, _ = run(capsys, "validate", str(p))
     assert code == 2
     assert json.loads(out) == {"error": "missing key %r" % key}
+
+
+@pytest.mark.parametrize("edit, witness", [
+    (lambda o: o.update(F=[["1"]]), "'F' must be an object"),
+    (lambda o: o.update(F=3), "'F' must be an object"),
+    (lambda o: o["Q"][0].__setitem__(0, "1/0"), "zero denominator in scalar '1/0'"),
+    (lambda o: o.update(weight="3"), "'weight' must be a non-negative integer, got '3'"),
+    (lambda o: o.update(W=[]), "'W' must be an object"),
+    (lambda o: o.update(dim=5), "Q is 4x4, but dim is 5"),
+], ids=["F-list", "F-number", "zero-denominator", "weight-string", "W-list", "dim"])
+def test_validate_malformed_values(capsys, ht_file, tmp_path, edit, witness):
+    obj = json.loads(open(ht_file).read())
+    edit(obj)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "validate", str(p))
+    assert code == 2
+    assert witness in json.loads(out)["error"]
+
+
+def test_validate_non_object_file(capsys, tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    code, out, _ = run(capsys, "validate", str(p))
+    assert code == 2
+    assert "must be a JSON object" in json.loads(out)["error"]
+
+
+# One malformation of the Hodge-Tate datum of test_validate_good_file per
+# example: a key of the wrong type, a ragged matrix, a bad scalar or a wrong
+# dimension.  Each must give exit 2 and one line {"error": ...}.
+_HT_DATUM = ht_construct(2, HodgeNumbers(2, (1, 2, 1))).to_json()
+_NOT_COUNT = st.one_of(st.text(max_size=3), st.floats(), st.booleans(), st.none(),
+                       st.lists(st.integers(0, 3), max_size=2),
+                       st.integers(max_value=-1))
+_NOT_OBJECT = st.one_of(st.lists(st.integers(), max_size=2), st.integers(),
+                        st.text(max_size=3), st.booleans(), st.none())
+_NOT_MATRIX = st.one_of(st.integers(), st.text(max_size=3), st.none(),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+                        st.lists(st.sampled_from(["0", "1"]), min_size=1, max_size=3))
+_BAD_SCALAR = st.one_of(
+    st.sampled_from(["1/0", "0/0", "1/0*i", "2/0+i", "x", "", " ", "1//2", "1.5",
+                     "2i", "i*2", "--1", "1/2/3", "1e3", "nan"]),
+    st.integers(), st.floats(), st.none(), st.booleans(),
+    st.lists(st.just("1"), max_size=2))
+
+
+def _matrices(obj):
+    """(getter path, matrix) for every matrix of the datum."""
+    out = [(("Q",), obj["Q"]), (("N",), obj["N"])]
+    out += [(("F", k), rows) for k, rows in sorted(obj["F"].items()) if rows]
+    out += [(("W", k), rows) for k, rows in sorted(obj["W"].items()) if rows]
+    return out
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+@st.composite
+def malformed_datum(draw):
+    obj = json.loads(json.dumps(_HT_DATUM))
+    kind = draw(st.sampled_from(["count", "object", "matrix", "ragged", "scalar",
+                                 "dim", "width", "shape"]))
+    paths = [path for path, _ in _matrices(obj)]
+    if kind == "count":
+        obj[draw(st.sampled_from(["dim", "weight"]))] = draw(_NOT_COUNT)
+    elif kind == "object":
+        obj[draw(st.sampled_from(["F", "W"]))] = draw(_NOT_OBJECT)
+    elif kind == "matrix":
+        _set(obj, draw(st.sampled_from(paths)), draw(_NOT_MATRIX))
+    elif kind in ("ragged", "scalar"):
+        path = draw(st.sampled_from(paths))
+        rows = dict(_matrices(obj))[path]
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "ragged" and len(rows) > 1:
+            rows[i].pop()
+        elif kind == "ragged":
+            rows.append(rows[0][:-1])
+        else:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_BAD_SCALAR)
+    elif kind == "dim":
+        obj["dim"] = draw(st.integers(0, 9).filter(lambda d: d != 4))
+    elif kind == "width":
+        # every row of one matrix one entry short or one too long
+        rows = dict(_matrices(obj))[draw(st.sampled_from(paths))]
+        longer = draw(st.booleans())
+        for row in rows:
+            if longer:
+                row.append("0")
+            else:
+                row.pop()
+    else:
+        # Q or N with a row too few or too many
+        rows = obj[draw(st.sampled_from(["Q", "N"]))]
+        if draw(st.booleans()):
+            rows.append(["0"] * 4)
+        else:
+            rows.pop()
+    return obj
+
+
+@settings(max_examples=120, deadline=None)
+@given(malformed_datum())
+def test_validate_fuzz_malformed_datum_exits_2(tmp_path_factory, obj):
+    p = tmp_path_factory.mktemp("fuzz") / "datum.json"
+    p.write_text(json.dumps(obj))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["validate", str(p)])
+    lines = out.getvalue().splitlines()
+    assert code == 2
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert list(report) == ["error"] and report["error"]
 
 
 def test_validate_wrong_given_weight_filtration(capsys, ht_file, tmp_path):
@@ -266,7 +386,10 @@ def test_catalog_bad_payload(capsys, tmp_path, monkeypatch, edit, witness):
     assert "'G2-split-closed'" in err and witness in err
 
 
-@pytest.mark.parametrize("argv", [[], ["G2"], ["G2-split-codim1-long"], ["nope"]])
+@pytest.mark.parametrize("argv", [
+    ["catalog"], ["catalog", "G2"], ["catalog", "G2-split-codim1-long"],
+    ["catalog", "nope"], ["diagram", "nope"],
+])
 def test_catalog_reads_each_file_once(capsys, monkeypatch, argv):
     opened = []
 
@@ -275,7 +398,7 @@ def test_catalog_reads_each_file_once(capsys, monkeypatch, argv):
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(cli, "open", recording_open, raising=False)
-    run(capsys, "catalog", *argv)
+    run(capsys, *argv)
     assert len(opened) == len(set(opened)) == 17
 
 

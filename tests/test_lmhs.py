@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hodge_degen import cli, lmhs
 from hodge_degen.gq import (
     MatrixGQ, Subspace, gq, ZERO, ONE, apply_matrix, nilpotent_exp, rank,
-    NotNilpotent,
+    NotNilpotent, intersect, ssum, conj_space, kernel, image, nilpotent_powers,
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
@@ -77,6 +77,95 @@ def test_weight_filtration_center_shift():
     W5 = weight_filtration(N, 5)
     assert W5.gr_dim(6) == W0.gr_dim(1) == 1
     assert W5.gr_dim(4) == W0.gr_dim(-1) == 1
+
+
+# ------------------------------------------------------- reference formulas
+
+def reference_weight_filtration(N, center):
+    """W_k = sum_j ker N^{k+j+1} cap im N^j, every term solved afresh."""
+    powers = nilpotent_powers(N)
+    dim, deg = N.rows, len(powers) - 1
+    levels = {}
+    for k in range(1 - deg, deg):
+        acc = Subspace.zero(dim)
+        for j in range(max(0, -k), deg):
+            term = intersect(kernel(powers[min(k + j + 1, deg)]), image(powers[j]))
+            acc = ssum(acc, term)
+        levels[center + k] = acc
+    return WeightFiltration(center, levels)
+
+
+def reference_splitting_nodes(L):
+    """I^{p,q} = F^p cap W_l cap (conj F^q cap W_l + sum_{j>=1}
+    conj F^{q-j} cap W_{l-j-1}), l = p + q + c - n, one (p, q, j) at a time,
+    the j-sum running until W_{l-j-1} = 0."""
+    F, W, n, c = L.hodge.filtration, L.W, L.n, L.center
+    nodes = []
+    for p in range(n + 1):
+        for q in range(n + 1):
+            lev = c - n + p + q
+            A = intersect(F.step(p), W.level(lev))
+            B = intersect(conj_space(F.step(q)), W.level(lev))
+            j = 1
+            while W.level(lev - j - 1).dim:
+                B = ssum(B, intersect(conj_space(F.step(q - j)),
+                                      W.level(lev - j - 1)))
+                j += 1
+            piece = intersect(A, B)
+            if piece.dim:
+                nodes.append((p, q, piece))
+    return nodes
+
+
+def _non_r_split_datum():
+    # weight 1 two-string with F^1 = span(v + i Nv): conj I^{1,1} != I^{1,1}
+    Q = MatrixGQ([[ZERO, ONE], [gq(-1), ZERO]])
+    F1 = Subspace.from_vectors(2, [[ONE, gq("i")]])
+    hodge = HodgeDatum(2, PolarizationForm(1, Q),
+                       HodgeFiltration(1, [Subspace.full(2), F1]))
+    return LmhsDatum(hodge, jordan_sum([2]))
+
+
+def _corpus_datum(cid):
+    return next(t for c, _, _, t in cli.corpus_cases() if c == cid)()
+
+
+def _moved_by_exp_i_n(L):
+    """(e^{iN} F, N): a limiting structure again, and not R-split, whose
+    pieces need the whole j-sum of the formula."""
+    E = nilpotent_exp(L.N, gq("i"))
+    F = L.hodge.filtration
+    steps = [apply_matrix(E, F.step(p)) for p in range(L.n + 1)]
+    hodge = HodgeDatum(L.dim, L.hodge.polarization, HodgeFiltration(L.n, steps))
+    return LmhsDatum(hodge, L.N)
+
+
+ORACLE_DATA = {
+    "minimal": lambda: _corpus_datum("minimal/n=3,h=2,1,1,2,I(0,3)"),
+    "ht": lambda: _corpus_datum("ht/n=3,h=1,1,1,1"),
+    "principal": lambda: _corpus_datum("principal/so_odd(2)"),
+    "non-r-split": _non_r_split_datum,
+    "non-r-split-weight-3": lambda: _moved_by_exp_i_n(_corpus_datum("principal/sp(2)")),
+    "pure": lambda: LmhsDatum(model_phs(HodgeNumbers(2, (1, 1, 1))),
+                              MatrixGQ.zero(3, 3)),
+    "diagonal-levi": lambda: diagonal_levi(
+        adjoint_lmhs(ht_construct(2, HodgeNumbers(2, (1, 2, 1)))))[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DATA))
+def test_splitting_and_weight_filtration_match_reference(name):
+    L = ORACLE_DATA[name]()
+    assert L.W == reference_weight_filtration(L.N, L.center)
+    assert list(deligne_splitting(L).nodes) == reference_splitting_nodes(L)
+    assert validate_lmhs(L)["ok"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(-3, 3))
+def test_weight_filtration_matches_reference(sizes, center):
+    N = jordan_sum(sizes)
+    assert weight_filtration(N, center) == reference_weight_filtration(N, center)
 
 
 # ------------------------------------------------------- Deligne splitting
