@@ -346,6 +346,65 @@ def rank(M):
     return rref(M).rows
 
 
+def solver(vectors):
+    """Coordinates over a list of linearly independent vectors, reduced once.
+
+    The rref of [vectors | I] is [R | E] with R = E * vectors.  The returned
+    function maps v to the tuple c with v = sum c_i vectors_i, or to None
+    when v lies outside their span: c = f E, where f holds v's entries at
+    the pivot columns of R.  ValueError when the vectors are dependent.
+    """
+    t = len(vectors)
+    if t == 0:
+        return lambda v: () if all(e.is_zero() for e in v) else None
+    width = len(vectors[0])
+    R = rref(MatrixGQ([list(v) + [ONE if j == i else ZERO for j in range(t)]
+                       for i, v in enumerate(vectors)]))
+    # per row of R: its pivot, its other nonzero entries left of the bar,
+    # and its nonzero entries right of it
+    rows = []
+    for row in R.entries:
+        piv = next(j for j, e in enumerate(row) if not e.is_zero())
+        if piv >= width:
+            raise ValueError("vectors are linearly dependent")
+        rows.append((piv,
+                     [(j, e) for j, e in enumerate(row[piv + 1:width], piv + 1)
+                      if not e.is_zero()],
+                     [(j, e) for j, e in enumerate(row[width:]) if not e.is_zero()]))
+
+    def coords(v):
+        rest = list(v)
+        c = [ZERO] * t
+        for piv, left, right in rows:
+            f = rest[piv]
+            if f.is_zero():
+                continue
+            rest[piv] = ZERO
+            for j, e in left:
+                rest[j] = rest[j] - f * e
+            for j, e in right:
+                c[j] = c[j] + f * e
+        if any(not e.is_zero() for e in rest):
+            return None
+        return tuple(c)
+
+    return coords
+
+
+def inverse(M):
+    """M^-1, the rows of the coordinate function of M's rows at the unit
+    vectors; ValueError when M is not square or is singular."""
+    n = M.rows
+    if M.cols != n:
+        raise ValueError("matrix not square")
+    try:
+        coords = solver(M.entries)
+    except ValueError:
+        raise ValueError("matrix not invertible") from None
+    return MatrixGQ([coords([ONE if j == i else ZERO for j in range(n)])
+                     for i in range(n)], cols=n)
+
+
 class Subspace:
     """A subspace of C^n, stored as an rref basis (rows).  Equality is structural."""
 

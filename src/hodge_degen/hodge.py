@@ -11,8 +11,8 @@ import reprlib
 from fractions import Fraction
 
 from .gq import (
-    GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, i_power,
-    intersect, ssum, conj_space, rank, hermitian_pd, rref,
+    GaussianRational, MatrixGQ, Subspace, ZERO, ONE, i_power,
+    intersect, conj_space, rank, hermitian_pd,
 )
 
 
@@ -242,17 +242,15 @@ def check_isotropy(d):
     return True
 
 
-def _spans(d):
-    total = 0
-    for _, _, space in hodge_decomposition(d):
-        total += space.dim
-    return total == d.dim
-
-
-def check_hr2(d):
-    if not check_hr1(d):
-        raise Hr1Prerequisite("HR1 fails, decomposition need not span")
-    for p, q, space in hodge_decomposition(d):
+def check_hr2(d, decomposition=None):
+    """HR2 on each V^{p,q}.  `decomposition` is hodge_decomposition(d) from a
+    caller that has checked HR1 already; without it HR1 is checked here, and
+    Hr1Prerequisite raised when it fails."""
+    if decomposition is None:
+        if not check_hr1(d):
+            raise Hr1Prerequisite("HR1 fails, decomposition need not span")
+        decomposition = hodge_decomposition(d)
+    for p, q, space in decomposition:
         if space.dim == 0:
             continue
         basis = space.basis.entries
@@ -267,13 +265,12 @@ def check_hr2(d):
 
 
 def validate_phs(d):
-    """Report {hr1, hr2, spans}; the datum is a PHS iff all three hold."""
+    """Report {hr1, hr2, spans}; the datum is a PHS iff all three hold.  HR1
+    and the Hodge decomposition are each computed once."""
     hr1 = check_hr1(d)
-    spans = _spans(d)
-    if hr1:
-        hr2 = check_hr2(d)
-    else:
-        hr2 = False
+    decomposition = hodge_decomposition(d)
+    spans = sum(space.dim for _, _, space in decomposition) == d.dim
+    hr2 = check_hr2(d, decomposition) if hr1 else False
     return {"hr1": hr1, "hr2": hr2, "spans": spans}
 
 

@@ -11,10 +11,10 @@ import reprlib
 from fractions import Fraction
 
 from .gq import (
-    GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, I as IMAG, i_power,
+    GaussianRational, MatrixGQ, Subspace, ZERO, ONE, i_power,
     intersect, ssum, conj_space, apply_matrix, preimage, kernel, image,
     complement_mod, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
-    hermitian_pd, rref,
+    hermitian_pd, solver, inverse,
 )
 from .hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs,
@@ -503,16 +503,20 @@ class AdjointLmhs:
     """Induced limiting mixed Hodge structure on g = End(V, Q).
 
     Everything is expressed in coordinates over g_basis; the bigrading, the
-    filtrations and the trace form live on that coordinate space.
+    filtrations and the trace form live on that coordinate space.  The
+    reduction of the flattened g_basis is kept (private `_solve`): it maps a
+    flattened matrix to its g-coordinates, or to None outside g.
     """
 
     __slots__ = ("g_basis", "I_g", "W_g", "F_g", "killing_proxy", "N_coords",
-                 "N_ad", "dimV")
+                 "N_ad", "dimV", "_solve")
 
-    def __init__(self, g_basis, I_g, W_g, F_g, killing_proxy, N_coords, N_ad, dimV):
+    def __init__(self, g_basis, I_g, W_g, F_g, killing_proxy, N_coords, N_ad, dimV,
+                 solve):
         for name, val in (("g_basis", g_basis), ("I_g", I_g), ("W_g", W_g),
                           ("F_g", F_g), ("killing_proxy", killing_proxy),
-                          ("N_coords", N_coords), ("N_ad", N_ad), ("dimV", dimV)):
+                          ("N_coords", N_coords), ("N_ad", N_ad), ("dimV", dimV),
+                          ("_solve", solve)):
             object.__setattr__(self, name, val)
 
     def __setattr__(self, *a):
@@ -521,13 +525,6 @@ class AdjointLmhs:
     @property
     def dim_g(self):
         return len(self.g_basis)
-
-    def matrix_of(self, coords):
-        M = MatrixGQ.zero(self.dimV, self.dimV)
-        for c, B in zip(coords, self.g_basis):
-            if not gq(c).is_zero():
-                M = M + B.scale(c)
-        return M
 
 
 def _solve_block_elements(Qp, blocks, sizes, offsets, dim):
@@ -547,7 +544,6 @@ def _solve_block_elements(Qp, blocks, sizes, offsets, dim):
     pos = {rc: idx for idx, rc in enumerate(unknowns)}
     rows = []
     # constraint (Q xi)_{ab} + (xi^T Q)_{ab} = 0; only equations touching unknowns
-    touched_rows = {rc[0] for rc in unknowns}
     touched = set()
     for (r, ccol) in unknowns:
         for a in range(dim):
@@ -568,11 +564,7 @@ def _solve_block_elements(Qp, blocks, sizes, offsets, dim):
                 hit = True
         if hit:
             rows.append(row)
-    if rows:
-        sols = kernel(MatrixGQ(rows))
-        vecs = sols.basis.entries
-    else:
-        vecs = MatrixGQ.identity(len(unknowns)).entries
+    vecs = (kernel(MatrixGQ(rows)) if rows else Subspace.full(len(unknowns))).basis.entries
     mats = []
     for v in vecs:
         ent = [[ZERO] * dim for _ in range(dim)]
@@ -582,27 +574,26 @@ def _solve_block_elements(Qp, blocks, sizes, offsets, dim):
     return mats
 
 
-def _invert(M):
-    n = M.rows
-    aug = [list(row) + list(MatrixGQ.identity(n).entries[i])
-           for i, row in enumerate(M.entries)]
-    R = rref(MatrixGQ(aug))
-    if R.rows != n:
-        raise ValueError("matrix not invertible")
-    return MatrixGQ([row[n:] for row in R.entries])
+def _unit_span(dim, indices):
+    """The span of the unit vectors e_k for ascending `indices`, in rref."""
+    rows = [[ONE if j == k else ZERO for j in range(dim)] for k in indices]
+    return Subspace(dim, MatrixGQ(rows, cols=dim), already_canonical=True)
 
 
-def adjoint_lmhs(L, g_basis=None):
+def adjoint_lmhs(L):
     """Bigrading, filtrations and trace form induced on g = End(V, Q).
 
-    When g_basis is supplied, the computation is restricted to its span
-    (which must be a Q-compatible subalgebra containing N).
+    Each I^{p,q}_g is solved for in the frame adapted to the splitting of V
+    and conjugated back.  g_basis lists the pieces in turn, so every
+    I^{p,q}_g, W_g level and F_g step is a coordinate subspace.  The
+    flattened g_basis is reduced once (gq.solver); that reduction gives N's
+    coordinates and the columns of ad N, and is kept for diagonal_levi.  The
+    trace form is trace(B_i B_j) = sum_{a,b} B_i[a][b] B_j[b][a], for i <= j.
     """
     bg = deligne_splitting(L)
     if not is_r_split(bg):
         raise NonRSplit("adjoint induction implemented for R-split data only")
     dim = L.dim
-    c, n = L.center, L.n
     node_list = [(p, q) for p, q, _ in bg.nodes]
     sizes = {}
     offsets = {}
@@ -614,58 +605,28 @@ def adjoint_lmhs(L, g_basis=None):
         off += s.dim
         cols.extend(s.basis.entries)
     P = MatrixGQ(cols).transpose()  # columns are the adapted basis
-    Pinv = _invert(P)
+    Pinv = inverse(P)
     Qp = P.transpose() * L.hodge.polarization.Q * P  # form in the adapted basis
 
     # candidate bidegrees for nonzero I^{p,q}_g
     deltas = sorted({(p2 - p1, q2 - q1) for p1, q1 in node_list for p2, q2 in node_list})
-    pieces = []  # (p, q, [matrices in original basis])
+    basis = []
+    coord_nodes = []  # (p, q, first coordinate, count)
     for dp, dq in deltas:
-        blocks = []
-        for src in node_list:
-            tgt = (src[0] + dp, src[1] + dq)
-            if tgt in sizes:
-                blocks.append((tgt, src))
+        blocks = [((p + dp, q + dq), (p, q)) for p, q in node_list
+                  if (p + dp, q + dq) in sizes]
         mats_adapted = _solve_block_elements(Qp, blocks, sizes, offsets, dim)
         if mats_adapted:
-            mats = [P * M * Pinv for M in mats_adapted]
-            pieces.append((dp, dq, mats))
-
-    if g_basis is not None:
-        span = Subspace.from_vectors(dim * dim, [B.flatten() for B in g_basis])
-        restricted = []
-        for p, q, mats in pieces:
-            sub = intersect(
-                Subspace.from_vectors(dim * dim, [M.flatten() for M in mats]), span)
-            if sub.dim:
-                restricted.append(
-                    (p, q, [MatrixGQ([v[i * dim:(i + 1) * dim] for i in range(dim)])
-                            for v in sub.basis.entries]))
-        pieces = restricted
-
-    basis = []
-    coord_nodes = []
-    pos = 0
-    for p, q, mats in pieces:
-        basis.extend(mats)
-        coord_nodes.append((p, q, pos, len(mats)))
-        pos += len(mats)
+            coord_nodes.append((dp, dq, len(basis), len(mats_adapted)))
+            basis.extend(P * M * Pinv for M in mats_adapted)
     t = len(basis)
 
     def coord_subspace(selector):
-        vecs = []
-        for p, q, start, count in coord_nodes:
-            if selector(p, q):
-                for i in range(count):
-                    v = [ZERO] * t
-                    v[start + i] = ONE
-                    vecs.append(v)
-        return Subspace.from_vectors(t, vecs) if vecs else Subspace.zero(t)
+        return _unit_span(t, [k for p, q, start, count in coord_nodes if selector(p, q)
+                              for k in range(start, start + count)])
 
-    I_nodes = []
-    for p, q, start, count in coord_nodes:
-        I_nodes.append((p, q, coord_subspace(lambda a, b, p=p, q=q: (a, b) == (p, q))))
-    I_g = Bigrading(t, I_nodes, check_direct=False)
+    I_g = Bigrading(t, [(p, q, coord_subspace(lambda a, b, p=p, q=q: (a, b) == (p, q)))
+                        for p, q, _, _ in coord_nodes], check_direct=False)
 
     degs = sorted({p + q for p, q, _, _ in coord_nodes})
     lo, hi = (min(degs), max(degs)) if degs else (0, 0)
@@ -675,41 +636,33 @@ def adjoint_lmhs(L, g_basis=None):
     F_g = {p0: coord_subspace(lambda a, b, p0=p0: a >= p0)
            for p0 in range(min(ps), max(ps) + 1)}
 
-    killing = MatrixGQ([[ (Bi * Bj).trace() for Bj in basis] for Bi in basis])
+    nonzero = [[(x, e) for x, e in enumerate(B.flatten()) if not e.is_zero()]
+               for B in basis]
+    flipped = [B.transpose().flatten() for B in basis]
+    killing = [[ZERO] * t for _ in range(t)]
+    for i in range(t):
+        for j in range(i, t):
+            killing[i][j] = killing[j][i] = sum(
+                (e * flipped[j][x] for x, e in nonzero[i] if flipped[j][x]), ZERO)
+    killing = MatrixGQ(killing, cols=t)
 
-    flat = Subspace.from_vectors(dim * dim, [B.flatten() for B in basis])
-    if not flat.contains_vector(L.N.flatten()):
+    solve = solver([B.flatten() for B in basis])
+    coeff = solve(L.N.flatten())
+    if coeff is None:
         raise NotMhs("N does not lie in the computed algebra")
-    # coordinates of N over the basis
-    coeff = _solve_coords(basis, L.N, dim)
     # N must sit in bidegree (-1,-1)
-    m1 = I_g.piece(-1, -1)
-    if not m1.contains_vector(coeff):
+    if not I_g.piece(-1, -1).contains_vector(coeff):
         raise NotMhs("N is not of type (-1,-1) in the adjoint bigrading")
 
     # ad(N) in g-coordinates
     ad_cols = []
     for B in basis:
-        br = L.N * B - B * L.N
-        ad_cols.append(_solve_coords(basis, br, dim))
+        col = solve((L.N * B - B * L.N).flatten())
+        if col is None:
+            raise ValueError("[N, B] outside the span of g")
+        ad_cols.append(col)
     N_ad = MatrixGQ(ad_cols).transpose()
-    return AdjointLmhs(basis, I_g, W_g, F_g, killing, coeff, N_ad, dim)
-
-
-def _solve_coords(basis, M, dim):
-    """Coordinates of M over a linearly independent list of matrices."""
-    cols = MatrixGQ([list(B.flatten()) for B in basis]).transpose()
-    aug = MatrixGQ([list(row) + [v] for row, v in
-                    zip(cols.entries, M.flatten())])
-    R = rref(aug)
-    t = len(basis)
-    coords = [ZERO] * t
-    for row in R.entries:
-        piv = next(j for j, e in enumerate(row) if not e.is_zero())
-        if piv == t:
-            raise ValueError("matrix outside the span")
-        coords[piv] = row[t]
-    return tuple(coords)
+    return AdjointLmhs(basis, I_g, W_g, F_g, killing, coeff, N_ad, dim, solve)
 
 
 def reduced_limit(bg, n):
@@ -731,63 +684,52 @@ def diagonal_levi(a):
     """The conjugation-stable Levi s = (+)_p I^{p,p}_g, with its induced LMHS.
 
     Returns (s_basis, datum) where datum is an LmhsDatum on the coordinate
-    space of s (weight shifted to keep filtration indices nonnegative).  The
-    induced splitting is asserted Hodge-Tate and N is asserted to lie in s.
+    space of s (weight shifted to keep filtration indices nonnegative).
+    Every I^{p,q}_g is a coordinate subspace of g, so s is a set of
+    g-coordinate indices and s_basis the g_basis elements at them.  An
+    element lies in s when its g-coordinates (from the reduction kept on `a`)
+    vanish off those indices.  [s, s] inside s (each pair once), conjugation
+    stability and N in s are checked.  N_s is N_ad restricted to s, checked to
+    map s into s; F_s is read off the indices of the pieces, and the trace form
+    is -killing_proxy restricted to s.  The induced splitting is computed
+    afresh and asserted Hodge-Tate.
     """
-    diag_nodes = [(p, q, s) for p, q, s in a.I_g.nodes if p == q]
-    t = a.dim_g
-    coords = []
-    for _, _, s in diag_nodes:
-        coords.extend(s.basis.entries)
-    s_coord_span = Subspace.from_vectors(t, coords) if coords else Subspace.zero(t)
-    s_basis = [a.matrix_of(v) for v in s_coord_span.basis.entries]
-    ts = len(s_basis)
-    dim = a.dimV
+    diag = [(p, [next(j for j, e in enumerate(v) if not e.is_zero())
+                 for v in sub.basis.entries])
+            for p, q, sub in a.I_g.nodes if p == q]
+    idx = sorted(k for _, ks in diag for k in ks)
+    ts = len(idx)
+    pos = {k: i for i, k in enumerate(idx)}
+    outside = [k for k in range(a.dim_g) if k not in pos]
+    s_basis = [a.g_basis[k] for k in idx]
 
-    flat = Subspace.from_vectors(dim * dim, [B.flatten() for B in s_basis])
-    for Bi in s_basis:
-        for Bj in s_basis:
-            br = Bi * Bj - Bj * Bi
-            if not flat.contains_vector(br.flatten()):
+    def in_s(M):
+        coords = a._solve(M.flatten())
+        if coords is None:
+            raise ValueError("matrix outside the span of g")
+        return all(coords[k].is_zero() for k in outside)
+
+    for i, Bi in enumerate(s_basis):
+        for Bj in s_basis[i + 1:]:
+            if not in_s(Bi * Bj - Bj * Bi):
                 raise BracketEscape("[s, s] escapes s")
-        if not flat.contains_vector(Bi.conj().flatten()):
+        if not in_s(Bi.conj()):
             raise BracketEscape("s is not conjugation stable")
-    if not flat.contains_vector(a.matrix_of(a.N_coords).flatten()):
+    if any(not a.N_coords[k].is_zero() for k in outside):
         raise BracketEscape("N escapes the diagonal Levi")
 
     # induced data in s-coordinates
-    ps = sorted({p for p, q, s in diag_nodes})
-    r = max(abs(p) for p in ps) if ps else 0
+    ad = a.N_ad.entries
+    if any(not ad[k][j].is_zero() for k in outside for j in idx):
+        raise ValueError("[N, s] outside the span of s")
+    N_s = MatrixGQ([[ad[k][j] for j in idx] for k in idx], cols=ts)
+    r = max((abs(p) for p, _ in diag), default=0)
     n_s = 2 * r
-    Nmat = a.matrix_of(a.N_coords)
-
-    def s_coords(M):
-        return _solve_coords(s_basis, M, dim)
-
-    ad_cols = [s_coords(Nmat * B - B * Nmat) for B in s_basis]
-    N_s = MatrixGQ(ad_cols).transpose()
-
-    # subspaces of the s-coordinate space from g-coordinate subspaces
-    def to_s(sub_g):
-        vecs = []
-        for v in sub_g.basis.entries:
-            M = a.matrix_of(v)
-            if flat.contains_vector(M.flatten()):
-                vecs.append(s_coords(M))
-        return Subspace.from_vectors(ts, vecs) if vecs else Subspace.zero(ts)
-
-    steps = [Subspace.full(ts)]
-    for p0 in range(1, n_s + 1):
-        want = p0 - r
-        acc_vecs = []
-        for p, q, sub in diag_nodes:
-            if p >= want:
-                piece = to_s(sub)
-                acc_vecs.extend(piece.basis.entries)
-        steps.append(Subspace.from_vectors(ts, acc_vecs)
-                     if acc_vecs else Subspace.zero(ts))
-    F_s = HodgeFiltration(n_s, steps)
-    tracef = MatrixGQ([[(Bi * Bj).trace() for Bj in s_basis] for Bi in s_basis]).scale(-1)
+    F_s = HodgeFiltration(n_s, [Subspace.full(ts)] + [
+        _unit_span(ts, sorted(pos[k] for p, ks in diag if p >= p0 - r for k in ks))
+        for p0 in range(1, n_s + 1)])
+    K = a.killing_proxy.entries
+    tracef = MatrixGQ([[-K[i][j] for j in idx] for i in idx], cols=ts)
     hodge = HodgeDatum(ts, PolarizationForm(n_s, tracef), F_s)
     datum = LmhsDatum(hodge, N_s)
     split = deligne_splitting(datum)

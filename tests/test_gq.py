@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hodge_degen.gq import (
     GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, i_power,
     format_scalar, parse_scalar, rref, rank, intersect, ssum, kernel, image,
     conj_space, apply_matrix, preimage, annihilator, complement_mod,
     nilpotent_exp, nilpotent_powers, determinant, hermitian_pd, NotNilpotent,
-    AmbientMismatch,
+    AmbientMismatch, solver, inverse,
 )
 
 
@@ -101,6 +101,80 @@ def test_rref_idempotent_and_canonical(M):
 @given(small_matrix(3, 3), small_matrix(3, 3))
 def test_matmul_matches_sympy(A, B):
     assert to_sympy(A * B).expand() == (to_sympy(A) * to_sympy(B)).expand()
+
+
+# ---------------------------------------------------------------- solver
+
+sparse_scalars = st.one_of(st.just(ZERO), scalars)
+
+
+def rows(count, dim=4):
+    return st.lists(st.lists(sparse_scalars, min_size=dim, max_size=dim),
+                    min_size=count, max_size=count)
+
+
+def combination(coeffs, vectors, dim=4):
+    out = [ZERO] * dim
+    for c, v in zip(coeffs, vectors):
+        out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
+def full_rank(vectors):
+    return not vectors or rank(MatrixGQ(vectors)) == len(vectors)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda k: st.tuples(rows(k), rows(1, k))))
+def test_solver_coordinates_recombine(data):
+    vectors, (coeffs,) = data
+    assume(full_rank(vectors))
+    solve = solver(vectors)
+    assert solve(combination(coeffs, vectors)) == tuple(coeffs)
+    for i, v in enumerate(vectors):
+        assert solve(v) == tuple(ONE if j == i else ZERO for j in range(len(vectors)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3).flatmap(rows), rows(1))
+def test_solver_outside_the_span_is_none(vectors, extra):
+    assume(full_rank(vectors + extra))
+    assert solver(vectors)(extra[0]) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(rows(k), rows(1, k))))
+def test_solver_rejects_dependent_vectors(data):
+    vectors, (coeffs,) = data
+    assume(full_rank(vectors))
+    with pytest.raises(ValueError, match="dependent"):
+        solver(vectors + [combination(coeffs, vectors)])
+
+
+def test_solver_on_the_empty_list():
+    solve = solver([])
+    assert solve([ZERO] * 3) == () and solve([]) == ()
+    assert solve([ZERO, ONE, ZERO]) is None
+    assert inverse(MatrixGQ.zero(0, 0)) == MatrixGQ.zero(0, 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows(3, 3))
+def test_inverse_is_two_sided(entries):
+    M = MatrixGQ(entries)
+    assume(not determinant(M).is_zero())
+    Minv = inverse(M)
+    assert Minv * M == MatrixGQ.identity(3) == M * Minv
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows(2, 3), rows(1, 2))
+def test_inverse_rejects_singular(top, coeffs):
+    M = MatrixGQ(top + [combination(coeffs[0], top, 3)])
+    with pytest.raises(ValueError, match="not invertible"):
+        inverse(M)
+    with pytest.raises(ValueError, match="not square"):
+        inverse(MatrixGQ(top))
 
 
 # ---------------------------------------------------------------- subspaces

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodge_degen import hodge
 from hodge_degen.gq import MatrixGQ, Subspace, gq, ZERO, ONE
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers,
@@ -90,6 +91,25 @@ def test_hr2_requires_hr1():
         check_hr2(bad)
     rep = validate_phs(bad)
     assert not rep["hr1"] and not rep["hr2"]
+
+
+@pytest.mark.parametrize("flip", [1, -1])
+def test_validate_phs_builds_hr1_and_decomposition_once(flip, monkeypatch):
+    calls = {"check_hr1": 0, "hodge_decomposition": 0}
+    for name in calls:
+        body = getattr(hodge, name)
+
+        def counted(d, _name=name, _body=body):
+            calls[_name] += 1
+            return _body(d)
+
+        monkeypatch.setattr(hodge, name, counted)
+    d = model_phs(HodgeNumbers(3, (1, 2, 2, 1)))
+    d = HodgeDatum(d.dim, PolarizationForm(3, d.polarization.Q.scale(flip)),
+                   d.filtration)
+    rep = validate_phs(d)
+    assert rep == {"hr1": True, "hr2": flip == 1, "spans": True}
+    assert calls == {"check_hr1": 1, "hodge_decomposition": 1}
 
 
 def test_weight1_elliptic_curve_datum():

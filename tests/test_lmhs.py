@@ -10,6 +10,7 @@ from hodge_degen import cli, lmhs
 from hodge_degen.gq import (
     MatrixGQ, Subspace, gq, ZERO, ONE, apply_matrix, nilpotent_exp, rank,
     NotNilpotent, intersect, ssum, conj_space, kernel, image, nilpotent_powers,
+    rref, solver,
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
@@ -19,7 +20,7 @@ from hodge_degen.lmhs import (
     WeightFiltration, weight_filtration, LmhsDatum, Bigrading,
     deligne_splitting, is_r_split, is_hodge_tate, qk_form, primitives,
     validate_lmhs, disc_sample, adjoint_lmhs, reduced_limit, diagonal_levi,
-    NotMhs, NonRSplit,
+    AdjointLmhs, NotMhs, NonRSplit, BracketEscape,
 )
 from hodge_degen.classify import (
     atomic_block, _direct_sum, _phs_block, minimal_types, minimal_witness,
@@ -369,6 +370,290 @@ def test_diagonal_levi_of_hodge_tate():
     bg = deligne_splitting(datum)
     assert is_hodge_tate(bg)
     assert validate_lmhs(datum)["weight_filtration"]
+
+
+# ------------------------------------------- adjoint and Levi: old solves
+
+def _reference_solve_coords(basis, M):
+    """Coordinates of M over independent matrices: one fresh rref of the
+    augmented dim^2 x (t+1) matrix per call."""
+    cols = MatrixGQ([list(B.flatten()) for B in basis]).transpose()
+    R = rref(MatrixGQ([list(row) + [v] for row, v in zip(cols.entries, M.flatten())]))
+    t = len(basis)
+    coords = [ZERO] * t
+    for row in R.entries:
+        piv = next(j for j, e in enumerate(row) if not e.is_zero())
+        if piv == t:
+            raise ValueError("matrix outside the span")
+        coords[piv] = row[t]
+    return tuple(coords)
+
+
+def _reference_invert(M):
+    n = M.rows
+    R = rref(MatrixGQ([list(row) + list(MatrixGQ.identity(n).entries[i])
+                       for i, row in enumerate(M.entries)]))
+    assert R.rows == n
+    return MatrixGQ([row[n:] for row in R.entries])
+
+
+def _matrix_of(basis, coords, dim):
+    M = MatrixGQ.zero(dim, dim)
+    for c, B in zip(coords, basis):
+        if not c.is_zero():
+            M = M + B.scale(c)
+    return M
+
+
+def reference_adjoint(L):
+    """The fields of adjoint_lmhs(L) as first written: coordinate subspaces
+    by rref, the trace form by t^2 matrix products, and N and each column of
+    ad N by a fresh solve."""
+    bg = deligne_splitting(L)
+    dim = L.dim
+    sizes, offsets, cols = {}, {}, []
+    for p, q, s in bg.nodes:
+        sizes[(p, q)], offsets[(p, q)] = s.dim, len(cols)
+        cols.extend(s.basis.entries)
+    P = MatrixGQ(cols).transpose()
+    Pinv = _reference_invert(P)
+    Qp = P.transpose() * L.hodge.polarization.Q * P
+    basis, coord_nodes = [], []
+    for dp, dq in sorted({(b[0] - a[0], b[1] - a[1]) for a in sizes for b in sizes}):
+        blocks = [((p + dp, q + dq), (p, q)) for p, q in sizes if (p + dp, q + dq) in sizes]
+        mats = lmhs._solve_block_elements(Qp, blocks, sizes, offsets, dim)
+        if mats:
+            coord_nodes.append((dp, dq, len(basis), len(mats)))
+            basis.extend(P * M * Pinv for M in mats)
+    t = len(basis)
+
+    def coord_subspace(selector):
+        vecs = [[ONE if j == k else ZERO for j in range(t)]
+                for p, q, start, count in coord_nodes if selector(p, q)
+                for k in range(start, start + count)]
+        return Subspace.from_vectors(t, vecs)
+
+    ps = sorted({p for p, _, _, _ in coord_nodes}) or [0]
+    degs = sorted({p + q for p, q, _, _ in coord_nodes}) or [0]
+    N_coords = _reference_solve_coords(basis, L.N)
+    return {
+        "g_basis": basis,
+        "I_g": tuple((p, q, coord_subspace(lambda a, b, p=p, q=q: (a, b) == (p, q)))
+                     for p, q, _, _ in coord_nodes),
+        "W_g": WeightFiltration(0, {k: coord_subspace(lambda a, b, k=k: a + b <= k)
+                                    for k in range(degs[0], degs[-1] + 1)}),
+        "F_g": {p0: coord_subspace(lambda a, b, p0=p0: a >= p0)
+                for p0 in range(ps[0], ps[-1] + 1)},
+        "killing_proxy": MatrixGQ([[(Bi * Bj).trace() for Bj in basis] for Bi in basis]),
+        "N_coords": N_coords,
+        "N_ad": MatrixGQ([_reference_solve_coords(basis, L.N * B - B * L.N)
+                          for B in basis]).transpose(),
+        "dimV": dim,
+    }
+
+
+def reference_diagonal_levi(ref):
+    """diagonal_levi as first written: s-coordinates by fresh solves over the
+    s basis, membership by flattened dim^2 spans, every bracket pair."""
+    dim, basis = ref["dimV"], ref["g_basis"]
+    t = len(basis)
+    diag = [(p, s) for p, q, s in ref["I_g"] if p == q]
+    span = Subspace.from_vectors(t, [v for _, s in diag for v in s.basis.entries])
+    s_basis = [_matrix_of(basis, v, dim) for v in span.basis.entries]
+    ts = len(s_basis)
+    flat = Subspace.from_vectors(dim * dim, [B.flatten() for B in s_basis])
+    for Bi in s_basis:
+        for Bj in s_basis:
+            assert flat.contains_vector((Bi * Bj - Bj * Bi).flatten())
+        assert flat.contains_vector(Bi.conj().flatten())
+    Nmat = _matrix_of(basis, ref["N_coords"], dim)
+    N_s = MatrixGQ([_reference_solve_coords(s_basis, Nmat * B - B * Nmat)
+                    for B in s_basis]).transpose()
+    r = max((abs(p) for p, _ in diag), default=0)
+    steps = [Subspace.full(ts)]
+    for p0 in range(1, 2 * r + 1):
+        steps.append(Subspace.from_vectors(ts, [
+            _reference_solve_coords(s_basis, _matrix_of(basis, v, dim))
+            for p, sub in diag if p >= p0 - r for v in sub.basis.entries]))
+    tracef = MatrixGQ([[(Bi * Bj).trace() for Bj in s_basis] for Bi in s_basis]).scale(-1)
+    hodge = HodgeDatum(ts, PolarizationForm(2 * r, tracef), HodgeFiltration(2 * r, steps))
+    return s_basis, LmhsDatum(hodge, N_s)
+
+
+ADJOINT_ORACLE_CASES = [
+    "minimal/n=2,h=1,2,1,I(0,2)", "minimal/n=3,h=1,1,1,1,I(0,3)",
+    "ht/n=1,h=3,3", "ht/n=2,h=1,2,1",
+    "principal/sp(2)", "principal/so_even_m2m(2)",
+]
+
+
+@pytest.mark.parametrize("cid", ADJOINT_ORACLE_CASES)
+def test_adjoint_and_diagonal_levi_match_reference(cid):
+    L = _corpus_datum(cid)
+    a = adjoint_lmhs(L)
+    ref = reference_adjoint(L)
+    assert a.g_basis == ref["g_basis"]
+    assert a.I_g.nodes == ref["I_g"]
+    assert a.W_g == ref["W_g"] and a.F_g == ref["F_g"]
+    assert a.killing_proxy == ref["killing_proxy"]
+    assert a.N_coords == ref["N_coords"] and a.N_ad == ref["N_ad"]
+    assert a.dimV == ref["dimV"]
+    s_basis, datum = diagonal_levi(a)
+    ref_basis, ref_datum = reference_diagonal_levi(ref)
+    assert s_basis == ref_basis
+    assert datum.hodge.polarization.Q == ref_datum.hodge.polarization.Q
+    assert datum.hodge.filtration == ref_datum.hodge.filtration
+    assert datum.N == ref_datum.N and datum.W == ref_datum.W
+    assert deligne_splitting(datum).nodes == deligne_splitting(ref_datum).nodes
+
+
+def closed_form_adjoint_dims(dims, n):
+    """dim I^{a,b}_g from the splitting of V: g is Sym^2 V (n odd) or
+    Lambda^2 V (n even), and I^x (x) I^y sits in bidegree x + y - (n, n)."""
+    out = {}
+    nodes = sorted(dims)
+    for i, x in enumerate(nodes):
+        for y in nodes[i:]:
+            h = dims[x]
+            d = dims[x] * dims[y] if x != y else (h * (h + 1) if n % 2 else h * (h - 1)) // 2
+            key = (x[0] + y[0] - n, x[1] + y[1] - n)
+            if d:
+                out[key] = out.get(key, 0) + d
+    return out
+
+
+def test_adjoint_dims_match_closed_form_on_corpus():
+    checked = 0
+    for cid, _, hn, thunk in cli.corpus_cases():
+        if hn is not None and hn.dim > 6:
+            continue
+        L = thunk()
+        bg = deligne_splitting(L)
+        if L.dim > 6 or not is_r_split(bg):
+            continue
+        assert adjoint_lmhs(L).I_g.dims() == closed_form_adjoint_dims(bg.dims(), L.n), cid
+        checked += 1
+    assert checked == 56
+
+
+def test_adjoint_of_zero_algebra():
+    # so(1) = 0: the empty basis
+    a = adjoint_lmhs(_corpus_datum("ht/n=4,h=0,0,1,0,0"))
+    assert a.dim_g == 0 and a.N_coords == ()
+    assert a.killing_proxy == MatrixGQ.zero(0, 0) == a.N_ad
+
+
+# ------------------------------------------------ adjoint and Levi: checks
+
+THREE_STRING = "ht/n=2,h=1,1,1"  # g = sl2 in bidegrees (-1,-1), (0,0), (1,1)
+NON_HT = "minimal/n=2,h=1,2,1,I(0,2)"  # adds I^{-1,1}_g and I^{1,-1}_g
+
+
+def _tampered(a, **fields):
+    """A copy of `a` with some fields replaced."""
+    names = ("g_basis", "I_g", "W_g", "F_g", "killing_proxy", "N_coords",
+             "N_ad", "dimV", "_solve")
+    vals = {name: getattr(a, name) for name in names}
+    vals.update(fields)
+    return AdjointLmhs(*(vals[name] for name in names))
+
+
+def _relabelled(a, labels):
+    """`a` with the pieces of I_g renamed by `labels`, a map of bidegrees."""
+    nodes = [(*labels.get((p, q), (p, q)), s) for p, q, s in a.I_g.nodes]
+    return _tampered(a, I_g=Bigrading(a.dim_g, nodes, check_direct=False))
+
+
+def _first_index(a, p, q):
+    return next(j for j, e in enumerate(a.I_g.piece(p, q).basis.entries[0]) if e)
+
+
+def test_levi_bracket_escape():
+    # s = I^{-1,-1} + I^{1,1}: [N, N^+] lies in I^{0,0}
+    a = adjoint_lmhs(_corpus_datum(THREE_STRING))
+    with pytest.raises(BracketEscape, match=r"\[s, s\] escapes s"):
+        diagonal_levi(_relabelled(a, {(0, 0): (0, 1)}))
+
+
+def test_levi_not_conjugation_stable():
+    # s = I^{-1,1}, abelian since I^{-2,2}_g = 0; its conjugate is I^{1,-1}
+    a = adjoint_lmhs(_corpus_datum(NON_HT))
+    labels = {(p, p): (p, p + 100) for p in (-1, 0, 1)}
+    labels[(-1, 1)] = (5, 5)
+    with pytest.raises(BracketEscape, match="conjugation stable"):
+        diagonal_levi(_relabelled(a, labels))
+
+
+def test_levi_n_escapes():
+    a = adjoint_lmhs(_corpus_datum(NON_HT))
+    k = _first_index(a, -1, 1)
+    coords = tuple(ONE if j == k else ZERO for j in range(a.dim_g))
+    with pytest.raises(BracketEscape, match="N escapes"):
+        diagonal_levi(_tampered(a, N_coords=coords))
+
+
+def test_levi_ad_n_leaves_s():
+    a = adjoint_lmhs(_corpus_datum(NON_HT))
+    k, j = _first_index(a, -1, 1), _first_index(a, 0, 0)
+    ad = [list(row) for row in a.N_ad.entries]
+    ad[k][j] = ONE
+    with pytest.raises(ValueError, match=r"\[N, s\] outside the span"):
+        diagonal_levi(_tampered(a, N_ad=MatrixGQ(ad)))
+
+
+def test_levi_bracket_outside_g():
+    # replace the (0,0) element by a matrix unit, and g's reduction with it
+    a = adjoint_lmhs(_corpus_datum(THREE_STRING))
+    k = _first_index(a, 0, 0)
+    unit = MatrixGQ([[ONE if (r, c) == (0, 0) else ZERO for c in range(a.dimV)]
+                     for r in range(a.dimV)])
+    basis = [unit if j == k else B for j, B in enumerate(a.g_basis)]
+    tampered = _tampered(a, g_basis=basis,
+                         _solve=solver([B.flatten() for B in basis]))
+    with pytest.raises(ValueError, match="outside the span of g"):
+        diagonal_levi(tampered)
+
+
+def test_levi_hodge_tate_assertion(monkeypatch):
+    a = adjoint_lmhs(_corpus_datum(THREE_STRING))
+    monkeypatch.setattr(lmhs, "is_hodge_tate", lambda bg: False)
+    with pytest.raises(BracketEscape, match="not Hodge-Tate"):
+        diagonal_levi(a)
+
+
+def _with_n(L, N):
+    """L with its N replaced after the splitting is computed and kept."""
+    deligne_splitting(L)
+    object.__setattr__(L, "N", N)
+    return L
+
+
+def test_adjoint_n_outside_g():
+    L = _corpus_datum(THREE_STRING)
+    with pytest.raises(NotMhs, match="does not lie in the computed algebra"):
+        adjoint_lmhs(_with_n(L, MatrixGQ.identity(L.dim)))
+
+
+def test_adjoint_n_not_minus_one_minus_one():
+    L = _corpus_datum(THREE_STRING)
+    a = adjoint_lmhs(L)
+    H = a.g_basis[_first_index(a, 0, 0)]
+    with pytest.raises(NotMhs, match=r"not of type \(-1,-1\)"):
+        adjoint_lmhs(_with_n(L, L.N + H))
+
+
+def test_adjoint_bracket_outside_g(monkeypatch):
+    # leave out I^{0,0}_g: then [N, N^+] has no coordinates
+    body = lmhs._solve_block_elements
+
+    def without_degree_zero(Qp, blocks, sizes, offsets, dim):
+        if all(tgt == src for tgt, src in blocks):
+            return []
+        return body(Qp, blocks, sizes, offsets, dim)
+
+    monkeypatch.setattr(lmhs, "_solve_block_elements", without_degree_zero)
+    with pytest.raises(ValueError, match=r"\[N, B\] outside the span of g"):
+        adjoint_lmhs(_corpus_datum(THREE_STRING))
 
 
 # ------------------------------------------------------- serialization
