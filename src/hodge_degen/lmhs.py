@@ -87,8 +87,8 @@ class WeightFiltration:
 def weight_filtration(N, center, powers=None, kernels=None):
     """Monodromy weight filtration of a nilpotent N, centered at `center`.
 
-    Uses W_k = sum_j ker(N^{k+j+1}) cap im(N^j) (centered at 0), then checks
-    the defining properties.  The terms come from tables: `powers` =
+    Uses W_k = sum_j ker(N^{k+j+1}) cap im(N^j) (centered at 0), then
+    certifies it (_check_weight).  The terms come from tables: `powers` =
     nilpotent_powers(N) and `kernels` = nilpotent_kernels(powers), passed in
     when the caller has them (an LmhsDatum keeps both), and im N^j, solved
     once per j.  Terms with k + j + 1 <= 0 (zero kernel) or j >= deg (zero
@@ -113,18 +113,33 @@ def weight_filtration(N, center, powers=None, kernels=None):
             vecs.extend(intersect(kernels[min(k + j + 1, deg)], ims[j]).basis.entries)
         levels[center + k] = Subspace.from_vectors(dim, vecs)
     W = WeightFiltration(center, levels)
-    # defining properties
-    for k in range(-d, d + 1):
-        if not W.level(center + k - 2).contains(apply_matrix(N, W.level(center + k))):
-            raise AssertionError("N W_k not inside W_{k-2}")
-    for k in range(0, d + 1):
-        if W.gr_dim(center + k) != W.gr_dim(center - k):
-            raise AssertionError("graded dims not symmetric")
-        up = W.level(center + k)
-        lowtarget = ssum(apply_matrix(powers[k], up), W.level(center - k - 1))
-        if lowtarget != W.level(center - k):
-            raise AssertionError("N^k not onto Gr_{-k}")
+    _check_weight(N, W, powers)
     return W
+
+
+def _check_weight(N, W, powers):
+    """Certify that W is the monodromy weight filtration of N about W.center.
+
+    With N^(d+1) = 0 and N^d != 0 that is the unique filtration with
+    W_{c+d} = V, W_{c-d-1} = 0, N W_k inside W_{k-2}, and N^k mapping
+    Gr_{c+k} onto Gr_{c-k} of the same dim (Deligne, Weil II 1.6).  Raises
+    AssertionError naming the first level that fails.
+    """
+    c = W.center
+    d = len(powers) - 2
+    if W.level(c + d).dim != N.rows:
+        raise AssertionError("W_%d is not the whole space" % (c + d))
+    if W.level(c - d - 1).dim:
+        raise AssertionError("W_%d is not zero" % (c - d - 1))
+    for k in range(c - d, c + d + 1):
+        if not W.level(k - 2).contains(apply_matrix(N, W.level(k))):
+            raise AssertionError("N W_%d not inside W_%d" % (k, k - 2))
+    for k in range(0, d + 1):
+        if W.gr_dim(c + k) != W.gr_dim(c - k):
+            raise AssertionError("Gr_%d and Gr_%d differ in dim" % (c + k, c - k))
+        lowtarget = ssum(apply_matrix(powers[k], W.level(c + k)), W.level(c - k - 1))
+        if lowtarget != W.level(c - k):
+            raise AssertionError("N^%d not onto Gr_%d" % (k, c - k))
 
 
 class LmhsDatum:
@@ -132,7 +147,8 @@ class LmhsDatum:
 
     `powers` is (N^0, ..., N^deg), ending at the first zero power, and
     `kernels` is (ker N^0, ..., ker N^deg), solved on first use and kept.  The
-    Deligne splitting is computed on first use and kept (`deligne_splitting`).
+    Deligne splitting is computed on first use and kept (`deligne_splitting`);
+    diagonal_levi stores a certified one instead.
     """
 
     __slots__ = ("hodge", "N", "W", "powers", "_kernels", "_given_W",
@@ -158,7 +174,8 @@ class LmhsDatum:
         object.__setattr__(self, "_kernels", None)
         object.__setattr__(self, "_splitting", None)
         # validate_lmhs checks a W given from outside; one computed here has
-        # already passed weight_filtration's own checks
+        # already passed _check_weight (diagonal_levi clears the flag once it
+        # has certified the W it gives)
         object.__setattr__(self, "_given_W", W is not None)
         if W is None:
             W = weight_filtration(N, hodge.n, powers, self.kernels)
@@ -332,6 +349,23 @@ def _check_reconstruction(L, bg):
             raise NotMhs("Hodge filtration not recovered at step %d" % p0)
 
 
+def _check_splitting(L, bg):
+    """Certify that bg is the Deligne splitting of L.
+
+    bg must recover W and F (_check_reconstruction), and conj I^{p,q} must
+    lie in I^{q,p} + sum_{a<q, b<p} I^{a,b}.  Only the Deligne splitting
+    has these properties (Cattani-Kaplan-Schmid 1986, Thm 2.13).  Raises
+    NotMhs naming the first failing piece.
+    """
+    _check_reconstruction(L, bg)
+    for p, q, s in bg.nodes:
+        vecs = [v for a, b, t in bg.nodes if (a, b) == (q, p) or (a < q and b < p)
+                for v in t.basis.entries]
+        if not Subspace.from_vectors(L.dim, vecs).contains(conj_space(s)):
+            raise NotMhs("conj I^{%d,%d} not inside I^{%d,%d} + sum_{a<%d,b<%d} I^{a,b}"
+                         % (p, q, q, p, q, p))
+
+
 def _running_sums(dim, nodes, key, bounds):
     """{b: sum of the pieces with key(p, q) <= b} for ascending `bounds`,
     one ssum per piece."""
@@ -422,14 +456,17 @@ def validate_lmhs(L):
     (b) F induces a Hodge structure on each graded piece
     (c) N has type (-1,-1) for the splitting
     (d) the twisted pairings polarize the primitive pieces
+
+    A W given from outside is certified by _check_weight, not recomputed;
+    when (a) fails, `weight_filtration_witness` names the failing level.
     """
     report = {"weight_filtration": True}
     if L._given_W:
         try:
-            Wcomp = weight_filtration(L.N, L.center, L.powers, L.kernels)
-            report["weight_filtration"] = (L.W == Wcomp)
-        except AssertionError:
+            _check_weight(L.N, L.W, L.powers)
+        except AssertionError as e:
             report["weight_filtration"] = False
+            report["weight_filtration_witness"] = str(e)
     try:
         bg = deligne_splitting(L)
     except NotMhs as e:
@@ -691,8 +728,11 @@ def diagonal_levi(a):
     vanish off those indices.  [s, s] inside s (each pair once), conjugation
     stability and N in s are checked.  N_s is N_ad restricted to s, checked to
     map s into s; F_s is read off the indices of the pieces, and the trace form
-    is -killing_proxy restricted to s.  The induced splitting is computed
-    afresh and asserted Hodge-Tate.
+    is -killing_proxy restricted to s.  The induced W and splitting are read
+    off the indices too: the piece I^{p,p}_g becomes I^{p+r,p+r} at weight
+    level 2(p + r).  Neither is recomputed; W is certified by _check_weight
+    and the splitting by _check_splitting, kept on the datum, and asserted
+    Hodge-Tate.
     """
     diag = [(p, [next(j for j, e in enumerate(v) if not e.is_zero())
                  for v in sub.basis.entries])
@@ -725,14 +765,26 @@ def diagonal_levi(a):
     N_s = MatrixGQ([[ad[k][j] for j in idx] for k in idx], cols=ts)
     r = max((abs(p) for p, _ in diag), default=0)
     n_s = 2 * r
+
+    def span_of(keep):
+        return _unit_span(ts, sorted(pos[k] for p, ks in diag if keep(p) for k in ks))
+
     F_s = HodgeFiltration(n_s, [Subspace.full(ts)] + [
-        _unit_span(ts, sorted(pos[k] for p, ks in diag if p >= p0 - r for k in ks))
-        for p0 in range(1, n_s + 1)])
+        span_of(lambda p: p >= p0 - r) for p0 in range(1, n_s + 1)])
+    levels = [2 * (p + r) for p, _ in diag] or [n_s]
+    W_s = WeightFiltration(n_s, {k: span_of(lambda p: 2 * (p + r) <= k)
+                                 for k in range(min(levels), max(levels) + 1)})
     K = a.killing_proxy.entries
     tracef = MatrixGQ([[-K[i][j] for j in idx] for i in idx], cols=ts)
     hodge = HodgeDatum(ts, PolarizationForm(n_s, tracef), F_s)
-    datum = LmhsDatum(hodge, N_s)
-    split = deligne_splitting(datum)
+    datum = LmhsDatum(hodge, N_s, W_s)
+    _check_weight(N_s, W_s, datum.powers)
+    split = Bigrading(ts, [(p + r, p + r, span_of(lambda x: x == p)) for p, _ in diag],
+                      check_direct=False)
+    _check_splitting(datum, split)
+    # both certified: validate_lmhs and deligne_splitting take them as computed
+    object.__setattr__(datum, "_given_W", False)
+    object.__setattr__(datum, "_splitting", split)
     if not is_hodge_tate(split):
         raise BracketEscape("induced diagonal-Levi structure is not Hodge-Tate")
     return s_basis, datum

@@ -211,6 +211,8 @@ def test_validate_wrong_given_weight_filtration(capsys, ht_file, tmp_path):
     assert code == 1
     rep = json.loads(out)
     assert rep["weight_filtration"] is False and rep["ok"] is False
+    # W_0 .. W_4 about the center 2, moved to W_1 .. W_5: W_4 falls short
+    assert rep["weight_filtration_witness"] == "W_4 is not the whole space"
 
 
 def test_validate_missing_file(capsys, tmp_path):

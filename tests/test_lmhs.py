@@ -10,7 +10,7 @@ from hodge_degen import cli, lmhs
 from hodge_degen.gq import (
     MatrixGQ, Subspace, gq, ZERO, ONE, apply_matrix, nilpotent_exp, rank,
     NotNilpotent, intersect, ssum, conj_space, kernel, image, nilpotent_powers,
-    rref, solver,
+    rref, solver, complement_mod,
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
@@ -160,6 +160,9 @@ def test_splitting_and_weight_filtration_match_reference(name):
     assert L.W == reference_weight_filtration(L.N, L.center)
     assert list(deligne_splitting(L).nodes) == reference_splitting_nodes(L)
     assert validate_lmhs(L)["ok"]
+    # the certificates accept what the formulas computed
+    lmhs._check_weight(L.N, L.W, L.powers)
+    lmhs._check_splitting(L, lmhs._deligne_splitting(L))
 
 
 @settings(max_examples=25, deadline=None)
@@ -193,13 +196,23 @@ def test_check_case_splits_each_datum_once(cid, monkeypatch):
         seen.append(L)
         return body(L)
 
+    certified = []
+    check = lmhs._check_splitting
+
+    def counted_check(L, bg):
+        certified.append(L)
+        return check(L, bg)
+
     monkeypatch.setattr(lmhs, "_deligne_splitting", counted)
+    monkeypatch.setattr(lmhs, "_check_splitting", counted_check)
     thunk = next(t for c, _, _, t in cli.corpus_cases() if c == cid)
     L = thunk()
     assert cli.check_case(cid, L) == cid
-    # L, its JSON round trip, and the diagonal-Levi datum
-    assert len(seen) == 3
+    # L and its JSON round trip; the diagonal-Levi datum's splitting is
+    # read off its coordinates and certified instead
+    assert len(seen) == 2
     assert len({id(x) for x in seen}) == len(seen)
+    assert len(certified) == 1 and certified[0] not in seen
 
 
 def test_splitting_reconstructs_both_filtrations():
@@ -277,6 +290,125 @@ def test_validate_detects_wrong_weight_filtration():
     rep = validate_lmhs(LmhsDatum(L.hodge, L.N, wrong))
     assert not rep["weight_filtration"]
     assert not rep["ok"]
+
+
+# ------------------------------------------------ given-W certificate
+
+def _shifted(W, by):
+    return WeightFiltration(W.center, {k + by: s for k, s in W.levels.items()})
+
+
+def _given_variants(L):
+    """L.W and W's given from outside: shifted up or down one level, the top
+    or bottom level dropped, the whole space added on top, and one level
+    swapped for another subspace of the same dim, where a swap can keep the
+    filtration increasing (two adjacent nonzero graded levels)."""
+    W, dim = L.W, L.dim
+    lv = W.levels
+    out = {
+        "computed": W,
+        "up": _shifted(W, 1),
+        "down": _shifted(W, -1),
+        "top-dropped": WeightFiltration(W.center, {k: s for k, s in lv.items()
+                                                   if k != W.max_level}),
+        "bottom-dropped": WeightFiltration(W.center, {k: s for k, s in lv.items()
+                                                      if k != W.min_level}),
+        "padded": WeightFiltration(W.center, {**lv, W.max_level + 1: Subspace.full(dim)}),
+    }
+    swaps = [k for k in range(W.min_level, W.max_level) if W.gr_dim(k) and W.gr_dim(k + 1)]
+    if swaps:
+        k = swaps[0]
+        lift = complement_mod(W.level(k), W.level(k - 1)).basis.entries
+        above = complement_mod(W.level(k + 1), W.level(k)).basis.entries
+        X = Subspace.from_vectors(dim, list(W.level(k - 1).basis.entries)
+                                  + list(lift[1:]) + [above[0]])
+        out["swapped"] = WeightFiltration(W.center, {**lv, k: X})
+    return out
+
+
+GIVEN_W_CASES = [
+    "minimal/n=1,h=2,2,I(0,1)", "minimal/n=3,h=0,2,2,0,I(1,2)",
+    "minimal/n=3,h=1,1,1,1,I(1,2)", "minimal/n=4,h=1,1,1,1,1,I(0,4)",
+    "ht/n=2,h=1,2,1", "principal/sp(2)",
+]
+
+
+@pytest.mark.parametrize("cid", GIVEN_W_CASES)
+def test_given_weight_certificate_matches_recomputation(cid):
+    L = _corpus_datum(cid)
+    want = weight_filtration(L.N, L.center)
+    variants = _given_variants(L)
+    assert ("swapped" in variants) == cid.startswith("minimal/")
+    for name, W in variants.items():
+        rep = validate_lmhs(LmhsDatum(L.hodge, L.N, W))
+        assert rep["weight_filtration"] == (W == want), name
+        assert ("weight_filtration_witness" in rep) == (W != want), name
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("up", "W_2 is not the whole space"),
+    ("top-dropped", "W_2 is not the whole space"),
+    ("down", "W_-1 is not zero"),
+    ("bottom-dropped", "N W_2 not inside W_0"),
+    ("swapped", "N W_2 not inside W_0"),  # W_0 swapped for a line of W_1
+])
+def test_weight_certificate_names_the_level(name, witness):
+    # W_0 = im N, W_1, W_2 = V of dims 1, 3, 4 about the center 1
+    L = _corpus_datum("minimal/n=1,h=2,2,I(0,1)")
+    W = _given_variants(L)[name]
+    with pytest.raises(AssertionError) as e:
+        lmhs._check_weight(L.N, W, L.powers)
+    assert str(e.value) == witness
+    assert validate_lmhs(LmhsDatum(L.hodge, L.N, W))["weight_filtration_witness"] == witness
+
+
+@pytest.mark.parametrize("sizes, witness", [
+    ([2, 1], "Gr_1 and Gr_-1 differ in dim"),
+    ([2, 1, 1], "N^1 not onto Gr_-1"),
+])
+def test_weight_certificate_graded_clauses(sizes, witness):
+    # N e_0 = e_1 and N kills the rest; W_-1 = W_0 = span(e_1, e_2) holds
+    # N V and is killed by N, but is not im N
+    N = jordan_sum(sizes)
+    dim = N.rows
+    low = Subspace.from_vectors(dim, [[ONE if j == i else ZERO for j in range(dim)]
+                                      for i in (1, 2)])
+    W = WeightFiltration(0, {-1: low, 0: low, 1: Subspace.full(dim)})
+    with pytest.raises(AssertionError) as e:
+        lmhs._check_weight(N, W, nilpotent_powers(N))
+    assert str(e.value) == witness
+
+
+# ------------------------------------------------ splitting certificate
+
+SPLIT_CASE = "minimal/n=1,h=2,2,I(0,1)"  # I^{0,0}, I^{1,0}, I^{0,1}, I^{1,1}
+
+
+@pytest.mark.parametrize("swap, message", [
+    (((1, 0), (0, 1)), "Hodge filtration not recovered at step 1"),
+    (((1, 1), (0, 0)), "weight filtration not recovered at level 0"),
+])
+def test_check_splitting_rejects_relabelled_pieces(swap, message):
+    L = _corpus_datum(SPLIT_CASE)
+    bg = deligne_splitting(L)
+    a, b = swap
+    labels = {a: b, b: a}
+    nodes = [(*labels.get((p, q), (p, q)), s) for p, q, s in bg.nodes]
+    with pytest.raises(NotMhs, match=message):
+        lmhs._check_splitting(L, Bigrading(L.dim, nodes))
+
+
+def test_check_splitting_rejects_unconjugate_piece():
+    # I^{1,1} tilted by a vector of I^{1,0} still recovers W and F, but its
+    # conjugate meets I^{0,1}, outside I^{1,1} + I^{0,0}
+    L = _corpus_datum(SPLIT_CASE)
+    bg = deligne_splitting(L)
+    v, w = bg.piece(1, 1).basis.entries[0], bg.piece(1, 0).basis.entries[0]
+    tilted = Subspace.from_vectors(L.dim, [[x + y for x, y in zip(v, w)]])
+    nodes = [(p, q, tilted if (p, q) == (1, 1) else s) for p, q, s in bg.nodes]
+    lmhs._check_reconstruction(L, Bigrading(L.dim, nodes))
+    with pytest.raises(NotMhs, match=r"conj I\^\{1,1\} not inside I\^\{1,1\}"):
+        lmhs._check_splitting(L, Bigrading(L.dim, nodes))
 
 
 def test_qk_form_symmetric_on_top_primitive():
@@ -522,18 +654,40 @@ def closed_form_adjoint_dims(dims, n):
     return out
 
 
-def test_adjoint_dims_match_closed_form_on_corpus():
-    checked = 0
+@pytest.fixture(scope="module")
+def r_split_corpus():
+    """(cid, L, adjoint_lmhs(L)) for the 56 R-split corpus cases of dim <= 6."""
+    out = []
     for cid, _, hn, thunk in cli.corpus_cases():
         if hn is not None and hn.dim > 6:
             continue
         L = thunk()
-        bg = deligne_splitting(L)
-        if L.dim > 6 or not is_r_split(bg):
+        if L.dim > 6 or not is_r_split(deligne_splitting(L)):
             continue
-        assert adjoint_lmhs(L).I_g.dims() == closed_form_adjoint_dims(bg.dims(), L.n), cid
+        out.append((cid, L, adjoint_lmhs(L)))
+    return out
+
+
+def test_adjoint_dims_match_closed_form_on_corpus(r_split_corpus):
+    for cid, L, a in r_split_corpus:
+        bg = deligne_splitting(L)
+        assert a.I_g.dims() == closed_form_adjoint_dims(bg.dims(), L.n), cid
+    assert len(r_split_corpus) == 56
+
+
+def test_certified_levi_matches_recomputation_on_corpus(r_split_corpus):
+    """The diagonal-Levi W and splitting, read off coordinates and
+    certified, equal the ones weight_filtration and the splitting formula
+    compute."""
+    checked = 0
+    for cid, L, a in r_split_corpus:
+        if a.dim_g == 0:
+            continue
+        _, datum = diagonal_levi(a)
+        assert datum.W == weight_filtration(datum.N, datum.center), cid
+        assert deligne_splitting(datum).nodes == lmhs._deligne_splitting(datum).nodes, cid
         checked += 1
-    assert checked == 56
+    assert checked == 54
 
 
 def test_adjoint_of_zero_algebra():
