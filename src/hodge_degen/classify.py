@@ -8,10 +8,9 @@ for the classical families.
 
 from fractions import Fraction
 
-from .gq import GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, rank
+from .gq import GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE
 from .hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
-    InadmissibleHodgeNumbers,
 )
 from .lmhs import LmhsDatum, Bigrading, deligne_splitting, validate_lmhs, is_hodge_tate
 from .diagrams import triples
@@ -242,17 +241,11 @@ def minimal_witness(t, n, h):
         take(t.q_o, t.p_o)
         take(t.p_o + 1, t.q_o - 1)
         take(t.q_o - 1, t.p_o + 1)
-        # the HR sign depends on the weight and (p_o, q_o); try both
-        last_err = None
-        for sign in (1, -1):
-            cand = blocks + [_string2_pair(n, t.p_o, t.q_o, sign)]
-            if sum(residual):
-                cand.append(_phs_block(HodgeNumbers(n, residual)))
-            L = _direct_sum(n, cand)
-            if validate_lmhs(L)["ok"]:
-                _check_witness(L, t)
-                return L
-        raise InfeasibleType("no polarizable sign choice")
+        # HR2 on the primitive alpha in I^{p_o+1,q_o} asks i^(p_o+1-q_o)
+        # h(alpha, alpha) > 0, and h(alpha, alpha) = 2a + 2ic in
+        # _string2_pair's notation: that fixes the sign
+        sign = (-1) ** ((t.q_o - t.p_o - 1) // 2)
+        blocks.append(_string2_pair(n, t.p_o, t.q_o, sign))
     if sum(residual):
         blocks.append(_phs_block(HodgeNumbers(n, residual)))
     L = _direct_sum(n, blocks)
@@ -438,12 +431,12 @@ def principal_lmhs(family, param):
     so_even_mm / so_even_m2m (m even): dim 2m, weight 2m-2,
         h = (1,...,1,2,1,...,1), with the extra vector w in I^{m-1,m-1}
     """
-    if family == "sp":
-        n = param
-        if n < 1:
-            raise ParityViolation("need n >= 1")
-        dim, weight = 2 * n, 2 * n - 1
-        # b_a = N^a v at I^{weight-a, weight-a}; Q(b_a, b_b) = (-1)^a d_{a+b, 2n-1}
+    if family in ("sp", "so_odd"):
+        if param < 1:
+            raise ParityViolation("need %s >= 1" % ("n" if family == "sp" else "m"))
+        weight = 2 * param - 1 if family == "sp" else 2 * param
+        dim = weight + 1
+        # b_a = N^a v at I^{weight-a, weight-a}; Q(b_a, b_b) = (-1)^a d_{a+b, weight}
         Qe = [[ZERO] * dim for _ in range(dim)]
         Ne = [[ZERO] * dim for _ in range(dim)]
         for a in range(dim):
@@ -451,20 +444,7 @@ def principal_lmhs(family, param):
             if a + 1 < dim:
                 Ne[a + 1][a] = ONE
         steps = _string_steps(dim, weight, top=weight)
-        return _assemble(weight, Qe, Ne, steps)
-    if family == "so_odd":
-        m = param
-        if m < 1:
-            raise ParityViolation("need m >= 1")
-        dim, weight = 2 * m + 1, 2 * m
-        Qe = [[ZERO] * dim for _ in range(dim)]
-        Ne = [[ZERO] * dim for _ in range(dim)]
-        for a in range(dim):
-            Qe[a][dim - 1 - a] = gq((-1) ** a)
-            if a + 1 < dim:
-                Ne[a + 1][a] = ONE
-        steps = _string_steps(dim, weight, top=weight)
-        return _assemble(weight, Qe, Ne, steps)
+        return _direct_sum(weight, [(MatrixGQ(Qe), MatrixGQ(Ne), steps)])
     if family in ("so_even_mm", "so_even_m2m"):
         # the two real forms so(m,m), so(m+2,m) share this normal form
         m = param
@@ -491,7 +471,7 @@ def principal_lmhs(family, param):
                     row[1 + a] = ONE
                     rows.append(row)
             steps.append(rows)
-        return _assemble(weight, Qe, Ne, steps)
+        return _direct_sum(weight, [(MatrixGQ(Qe), MatrixGQ(Ne), steps)])
     raise ParityViolation("unknown family %r" % family)
 
 
@@ -506,17 +486,6 @@ def _string_steps(dim, weight, top):
                 rows.append(row)
         steps.append(rows)
     return steps
-
-
-def _assemble(weight, Qe, Ne, steps):
-    dim = len(Qe)
-    F = [Subspace.full(dim)]
-    for p in range(1, weight + 1):
-        F.append(Subspace.from_vectors(dim, steps[p])
-                 if steps[p] else Subspace.zero(dim))
-    hodge = HodgeDatum(dim, PolarizationForm(weight, MatrixGQ(Qe)),
-                       HodgeFiltration(weight, F))
-    return LmhsDatum(hodge, MatrixGQ(Ne))
 
 
 def principal_neutral_char(family, param):

@@ -13,9 +13,7 @@ import sys
 from fractions import Fraction
 
 from .gq import ONE, nilpotent_exp, apply_matrix
-from .hodge import (
-    HodgeDatum, HodgeNumbers, HodgeFiltration, validate_phs, check_isotropy,
-)
+from .hodge import HodgeDatum, HodgeNumbers, validate_phs, check_isotropy
 from .lmhs import (
     LmhsDatum, deligne_splitting, validate_lmhs, is_hodge_tate, is_r_split,
     disc_sample, adjoint_lmhs, reduced_limit, diagonal_levi, NonRSplit,
@@ -23,8 +21,7 @@ from .lmhs import (
 from . import classify as cls
 from .classify import (
     minimal_types, minimal_witness, ht_gate, ht_plan, ht_construct,
-    cp_orb_check, period_closed_check, principal_lmhs, principal_neutral_char,
-    GateFailed, InfeasibleType,
+    cp_orb_check, period_closed_check, principal_lmhs, GateFailed, InfeasibleType,
 )
 from .diagrams import DiagramSpec, spec_from_dims, render, triples
 
@@ -190,10 +187,9 @@ def cmd_classify(args):
         if args.input:
             try:
                 with open(args.input) as fh:
-                    L = LmhsDatum.from_json(json.load(fh))
-            except KeyError as e:
-                print(json.dumps({"error": "missing key %s" % e}))
-                return 2
+                    L = load_datum(json.load(fh))
+                if not isinstance(L, LmhsDatum):
+                    raise ValueError("missing key 'N'")
             except (OSError, ValueError, TypeError) as e:
                 print(json.dumps({"error": str(e)}))
                 return 2
@@ -409,6 +405,8 @@ def _parse_samples(text):
 def cmd_verify_corpus(args):
     try:
         samples = _parse_samples(args.samples)
+        if args.limit is not None and args.limit < 0:
+            raise ValueError("--limit must be a non-negative count, got %d" % args.limit)
     except ValueError as e:
         print(json.dumps({"error": str(e)}))
         return 2

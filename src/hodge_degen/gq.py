@@ -669,12 +669,23 @@ def determinant(M):
 
 def first_nonpositive_minor(H):
     """Index (1-based) of the first leading principal minor that is not a
-    positive rational, or None if all are positive."""
+    positive rational, or None if all are positive.
+
+    One elimination without row swaps: while the minors before it are
+    nonzero, the k-th leading minor is the product of the first k pivots, so
+    it is positive after positive ones exactly when the k-th pivot is.
+    """
+    work = [list(row) for row in H.entries]
     n = H.rows
-    for k in range(1, n + 1):
-        minor = determinant(MatrixGQ([row[:k] for row in H.entries[:k]]))
-        if not (minor.is_real() and minor.re > 0):
-            return k
+    for k in range(n):
+        piv = work[k][k]
+        if not (piv.is_real() and piv.re > 0):
+            return k + 1
+        inv = piv.inverse()
+        for i in range(k + 1, n):
+            if not work[i][k].is_zero():
+                f = work[i][k] * inv
+                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
     return None
 
 

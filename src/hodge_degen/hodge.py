@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .gq import (
     GaussianRational, MatrixGQ, Subspace, ZERO, ONE, i_power,
-    intersect, conj_space, rank, hermitian_pd,
+    intersect, conj_space, rank, hermitian_pd, _dot,
 )
 
 
@@ -49,12 +49,11 @@ class PolarizationForm:
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
-    def pair(self, u, v):
-        acc = ZERO
-        Mv = self.Q.matvec(v)
-        for a, b in zip(u, Mv):
-            acc = acc + a * b
-        return acc
+    def gram(self, us, vs, M=None):
+        """The matrix [Q(u, M v)] over u in us and v in vs (M = I when None),
+        forming each Q M v once."""
+        Qv = [self.Q.matvec(v if M is None else M.matvec(v)) for v in vs]
+        return MatrixGQ([[_dot(u, w) for w in Qv] for u in us], cols=len(vs))
 
 
 class HodgeFiltration:
@@ -205,40 +204,42 @@ def hodge_decomposition(d):
     return out
 
 
-def check_hr1(d):
-    F = d.filtration
-    n = d.n
-    dim = d.dim
-    for p in range(n + 2):
-        Fp = F.step(p)
-        Fc = F.step(n - p + 1)
-        # isotropy
-        for u in Fp.basis.entries:
-            for v in Fc.basis.entries:
-                if not d.polarization.pair(u, v).is_zero():
-                    return False
-        # directness of F^p (+) conj F^{n-p+1}
-        if Fp.dim + Fc.dim != dim:
-            return False
-        if intersect(Fp, conj_space(Fc)).dim != 0:
+def polarizes(form, pieces, M=None):
+    """Whether h(u, v) = Q(u, M conj v) polarizes the (p, q, subspace) pieces:
+    they are mutually h-orthogonal, and i^(p-q) h is Hermitian positive
+    definite on each.  One Gram matrix over all the piece vectors."""
+    vecs, blocks = [], []
+    for p, q, s in pieces:
+        blocks.append((i_power(p - q), len(vecs), len(vecs) + s.dim))
+        vecs.extend(s.basis.entries)
+    G = form.gram(vecs, [tuple(x.conj() for x in v) for v in vecs], M).entries
+    if any(not G[i][j].is_zero() for _, a, b in blocks for i in range(a, b)
+           for j in range(len(vecs)) if not a <= j < b):
+        return False
+    for c, a, b in blocks:
+        H = MatrixGQ([[c * e for e in row[a:b]] for row in G[a:b]])
+        if H.rows and not (H == H.conj_transpose() and hermitian_pd(H)):
             return False
     return True
+
+
+def check_hr1(d):
+    """HR1: isotropy, and F^p (+) conj F^{n-p+1} = V for every p."""
+    F = d.filtration
+    return check_isotropy(d) and all(
+        intersect(F.step(p), conj_space(F.step(d.n - p + 1))).dim == 0
+        for p in range(d.n + 2))
 
 
 def check_isotropy(d):
     """The pairing half of HR1 alone: Q(F^p, F^{n-p+1}) = 0 with complementary
     step dimensions.  Boundary filtrations satisfy this but not directness."""
     F = d.filtration
-    n = d.n
-    for p in range(n + 2):
-        Fp = F.step(p)
-        Fc = F.step(n - p + 1)
-        if Fp.dim + Fc.dim != d.dim:
+    for p in range(d.n + 2):
+        Fp, Fc = F.step(p), F.step(d.n - p + 1)
+        if Fp.dim + Fc.dim != d.dim or \
+                not d.polarization.gram(Fp.basis.entries, Fc.basis.entries).is_zero():
             return False
-        for u in Fp.basis.entries:
-            for v in Fc.basis.entries:
-                if not d.polarization.pair(u, v).is_zero():
-                    return False
     return True
 
 
@@ -250,18 +251,7 @@ def check_hr2(d, decomposition=None):
         if not check_hr1(d):
             raise Hr1Prerequisite("HR1 fails, decomposition need not span")
         decomposition = hodge_decomposition(d)
-    for p, q, space in decomposition:
-        if space.dim == 0:
-            continue
-        basis = space.basis.entries
-        c = i_power(p - q)
-        H = MatrixGQ(
-            [[c * d.polarization.pair(u, tuple(x.conj() for x in v)) for v in basis]
-             for u in basis]
-        )
-        if not hermitian_pd(H):
-            return False
-    return True
+    return polarizes(d.polarization, decomposition)
 
 
 def validate_phs(d):

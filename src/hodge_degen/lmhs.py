@@ -11,13 +11,13 @@ import reprlib
 from fractions import Fraction
 
 from .gq import (
-    GaussianRational, MatrixGQ, Subspace, ZERO, ONE, i_power,
+    GaussianRational, MatrixGQ, Subspace, ZERO, ONE,
     intersect, ssum, conj_space, apply_matrix, preimage, kernel, image,
     complement_mod, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
-    hermitian_pd, solver, inverse,
+    solver, inverse,
 )
 from .hodge import (
-    HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs,
+    HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs, polarizes,
 )
 
 
@@ -238,17 +238,12 @@ class Bigrading:
 
     __slots__ = ("ambient_dim", "nodes")
 
-    def __init__(self, ambient_dim, nodes, check_direct=True):
+    def __init__(self, ambient_dim, nodes):
         nodes = [(p, q, s) for (p, q, s) in nodes if s.dim > 0]
         nodes.sort(key=lambda t: (t[0], t[1]))
-        if check_direct:
-            total = Subspace.zero(ambient_dim)
-            count = 0
-            for _, _, s in nodes:
-                total = ssum(total, s)
-                count += s.dim
-            if total.dim != count:
-                raise NotMhs("pieces are not in direct sum")
+        vecs = [v for _, _, s in nodes for v in s.basis.entries]
+        if Subspace.from_vectors(ambient_dim, vecs).dim != len(vecs):
+            raise NotMhs("pieces are not in direct sum")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "nodes", tuple(nodes))
 
@@ -404,12 +399,8 @@ def qk_form(L, k):
     """
     assert k >= 0
     lift = complement_mod(L.W.level(L.center + k), L.W.level(L.center + k - 1))
-    Nk = L.power(k)
-    rows = []
-    for u in lift.basis.entries:
-        rows.append([L.hodge.polarization.pair(u, Nk.matvec(v))
-                     for v in lift.basis.entries])
-    return MatrixGQ(rows) if rows else MatrixGQ.zero(0, 0)
+    vecs = lift.basis.entries
+    return L.hodge.polarization.gram(vecs, vecs, L.power(k))
 
 
 def primitives(L):
@@ -491,28 +482,8 @@ def validate_lmhs(L):
               for p, q, s in bg.nodes)
     report["minus_one_minus_one"] = okc
 
-    okd = True
-    prim = _primitive_pieces(L, bg)
-    Qp = L.hodge.polarization
-    for k, pieces in prim.items():
-        Nk = L.power(k)
-        for p, q, s in pieces:
-            # orthogonality against the other primitive pieces of this level
-            for r, t, s2 in pieces:
-                if (r, t) == (p, q):
-                    continue
-                for u in s.basis.entries:
-                    for v in s2.basis.entries:
-                        val = Qp.pair(u, Nk.matvec(tuple(x.conj() for x in v)))
-                        if not val.is_zero():
-                            okd = False
-            coef = i_power(p - q)
-            H = MatrixGQ(
-                [[coef * Qp.pair(u, Nk.matvec(tuple(x.conj() for x in v)))
-                  for v in s.basis.entries] for u in s.basis.entries]
-            )
-            if H.rows and not (H == H.conj_transpose() and hermitian_pd(H)):
-                okd = False
+    okd = all(polarizes(L.hodge.polarization, pieces, L.power(k))
+              for k, pieces in _primitive_pieces(L, bg).items())
     report["polarized_primitives"] = okd
     report["ok"] = report["weight_filtration"] and okb and okc and okd
     return report
@@ -643,7 +614,7 @@ def adjoint_lmhs(L):
         cols.extend(s.basis.entries)
     P = MatrixGQ(cols).transpose()  # columns are the adapted basis
     Pinv = inverse(P)
-    Qp = P.transpose() * L.hodge.polarization.Q * P  # form in the adapted basis
+    Qp = L.hodge.polarization.gram(cols, cols)  # form in the adapted basis
 
     # candidate bidegrees for nonzero I^{p,q}_g
     deltas = sorted({(p2 - p1, q2 - q1) for p1, q1 in node_list for p2, q2 in node_list})
@@ -663,7 +634,7 @@ def adjoint_lmhs(L):
                               for k in range(start, start + count)])
 
     I_g = Bigrading(t, [(p, q, coord_subspace(lambda a, b, p=p, q=q: (a, b) == (p, q)))
-                        for p, q, _, _ in coord_nodes], check_direct=False)
+                        for p, q, _, _ in coord_nodes])
 
     degs = sorted({p + q for p, q, _, _ in coord_nodes})
     lo, hi = (min(degs), max(degs)) if degs else (0, 0)
@@ -707,14 +678,8 @@ def reduced_limit(bg, n):
     if not is_r_split(bg):
         raise NonRSplit("reduced limit needs an R-split splitting")
     dim = bg.ambient_dim
-    steps = [Subspace.full(dim)]
-    for p in range(1, n + 1):
-        acc = Subspace.zero(dim)
-        for _, q, s in bg.nodes:
-            if q <= n - p:
-                acc = ssum(acc, s)
-        steps.append(acc)
-    return HodgeFiltration(n, steps)
+    sums = _running_sums(dim, bg.nodes, lambda p, q: q, range(n))
+    return HodgeFiltration(n, [Subspace.full(dim)] + [sums[n - p] for p in range(1, n + 1)])
 
 
 def diagonal_levi(a):
@@ -779,8 +744,7 @@ def diagonal_levi(a):
     hodge = HodgeDatum(ts, PolarizationForm(n_s, tracef), F_s)
     datum = LmhsDatum(hodge, N_s, W_s)
     _check_weight(N_s, W_s, datum.powers)
-    split = Bigrading(ts, [(p + r, p + r, span_of(lambda x: x == p)) for p, _ in diag],
-                      check_direct=False)
+    split = Bigrading(ts, [(p + r, p + r, span_of(lambda x: x == p)) for p, _ in diag])
     _check_splitting(datum, split)
     # both certified: validate_lmhs and deligne_splitting take them as computed
     object.__setattr__(datum, "_given_W", False)

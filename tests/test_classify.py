@@ -18,6 +18,7 @@ from hodge_degen.classify import (
     ht_construct, atomic_block, cp_orb_check, period_closed_check,
     non_ht_closed_instance, principal_lmhs, principal_neutral_char,
     normal_forms, InfeasibleType, GateFailed, ParityViolation, OddWeightNonHT,
+    _direct_sum, _string2_pair,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -93,6 +94,20 @@ def test_witnesses_validate_and_split_correctly(n):
         assert validate_lmhs(L)["ok"]
         assert deligne_splitting(L).dims() == t.i_table
         assert L.hodge.dim == hn.dim
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_string_pair_sign_is_fixed_by_hr2(n):
+    # the sign (-1)^floor((q_o - p_o - 1) / 2) that minimal_witness uses
+    # validates, and the other one does not
+    kinds = [t for t in minimal_types(n, figure_h(n, diag=True))
+             if t.kind == "I" and t.q_o - t.p_o >= 2]
+    assert len(kinds) == n // 2  # p_o = 0, ..., n // 2 - 1
+    for t in kinds:
+        sign = (-1) ** ((t.q_o - t.p_o - 1) // 2)
+        for s in (sign, -sign):
+            L = _direct_sum(n, [_string2_pair(n, t.p_o, t.q_o, s)])
+            assert validate_lmhs(L)["ok"] == (s == sign), (t, s)
 
 
 def test_witness_rejects_inadmissible_type():

@@ -265,6 +265,20 @@ def test_classify_closed_orbit(capsys):
     assert rep["adjoint_check"]["ok"]
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda o: [o], "a datum must be a JSON object, got [{"),
+    (lambda o: {k: v for k, v in o.items() if k != "N"}, "missing key 'N'"),
+    (lambda o: {k: v for k, v in o.items() if k not in ("N", "W")}, "missing key 'N'"),
+], ids=["list", "no-N", "no-N-no-W"])
+def test_classify_closed_orbit_bad_input(capsys, ht_file, tmp_path, edit, error):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(edit(json.loads(open(ht_file).read()))))
+    code, out, _ = run(capsys, "classify", "2", "1,2,1", "--mode", "closed-orbit",
+                       "--input", str(p))
+    assert code == 2
+    assert json.loads(out)["error"].startswith(error)
+
+
 # ------------------------------------------------------------ diagram
 
 def test_diagram_ht_ascii(capsys):
@@ -417,6 +431,13 @@ def test_verify_corpus_zero(capsys):
     code, out, _ = run(capsys, "verify-corpus", "--limit", "0")
     assert code == 0
     assert json.loads(out)["cases"] == 0
+
+
+@pytest.mark.parametrize("limit", ["-1", "-81"])
+def test_verify_corpus_negative_limit(capsys, limit):
+    code, out, _ = run(capsys, "verify-corpus", "--limit", limit)
+    assert code == 2
+    assert "--limit" in json.loads(out)["error"]
 
 
 def test_verify_corpus_samples(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from hodge_degen.gq import (
     format_scalar, parse_scalar, rref, rank, intersect, ssum, kernel, image,
     conj_space, apply_matrix, preimage, annihilator, complement_mod,
     nilpotent_exp, nilpotent_powers, determinant, hermitian_pd, NotNilpotent,
-    AmbientMismatch, solver, inverse,
+    AmbientMismatch, solver, inverse, first_nonpositive_minor,
 )
 
 
@@ -306,6 +306,31 @@ def test_hermitian_pd_matches_sympy(M):
     H = M * M.conj_transpose() + MatrixGQ.identity(3)  # always hermitian
     S = to_sympy(H)
     assert hermitian_pd(H) == sympy_sylvester_pd(S)
+
+
+def leading_minor_index(H):
+    """The first k whose leading k x k determinant is not a positive rational."""
+    for k in range(1, H.rows + 1):
+        d = determinant(MatrixGQ([row[:k] for row in H.entries[:k]]))
+        if not (d.is_real() and d.re > 0):
+            return k
+    return None
+
+
+# small integer entries make zero and negative minors common; M + M* is a
+# Hermitian input, M itself a general one
+int_scalars = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-1, 1))
+square = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(int_scalars, min_size=n, max_size=n), min_size=n, max_size=n).map(MatrixGQ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square, st.booleans())
+@example(MatrixGQ([[ONE, ONE], [ONE, ONE]]), False)  # second minor zero
+@example(MatrixGQ([[ZERO, ONE], [ONE, ONE]]), False)  # first pivot zero
+def test_first_nonpositive_minor_matches_determinants(M, hermitian):
+    H = M + M.conj_transpose() if hermitian else M
+    assert first_nonpositive_minor(H) == leading_minor_index(H)
 
 
 def test_hermitian_pd_rejects_indefinite():

@@ -14,7 +14,7 @@ from hodge_degen.gq import (
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
-    check_isotropy, is_valid_phs,
+    check_isotropy, is_valid_phs, polarizes,
 )
 from hodge_degen.lmhs import (
     WeightFiltration, weight_filtration, LmhsDatum, Bigrading,
@@ -282,6 +282,25 @@ def test_validate_detects_polarization_sign_flip():
     rep = validate_lmhs(flipped)
     assert not rep["polarized_primitives"]
     assert not rep["ok"]
+
+
+def test_validate_detects_non_orthogonal_primitive_pieces():
+    # weight 1, N = 0, basis x1, x2, y1, y2 with Q(x_i, y_j) = delta_ij and
+    # F^1 = <x1 + i y1, x2 + i y2 + x1>: each Hodge piece is positive (h-block
+    # [[2, 1], [1, 2]]) but Q(F^1, F^1) != 0, so the pieces are not orthogonal
+    i = gq("i")
+    Q = MatrixGQ([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+    F1 = Subspace.from_vectors(4, [[1, 0, i, 0], [1, 1, 0, i]])
+    L = LmhsDatum(HodgeDatum(4, PolarizationForm(1, Q),
+                             HodgeFiltration(1, [Subspace.full(4), F1])),
+                  MatrixGQ.zero(4, 4))
+    pieces = deligne_splitting(L).nodes
+    assert [(p, q) for p, q, _ in pieces] == [(0, 1), (1, 0)]
+    assert all(polarizes(L.hodge.polarization, [piece]) for piece in pieces)
+    assert not polarizes(L.hodge.polarization, pieces)
+    assert validate_lmhs(L) == {"weight_filtration": True, "graded_hodge": True,
+                                "minus_one_minus_one": True,
+                                "polarized_primitives": False, "ok": False}
 
 
 def test_validate_detects_wrong_weight_filtration():
@@ -715,7 +734,7 @@ def _tampered(a, **fields):
 def _relabelled(a, labels):
     """`a` with the pieces of I_g renamed by `labels`, a map of bidegrees."""
     nodes = [(*labels.get((p, q), (p, q)), s) for p, q, s in a.I_g.nodes]
-    return _tampered(a, I_g=Bigrading(a.dim_g, nodes, check_direct=False))
+    return _tampered(a, I_g=Bigrading(a.dim_g, nodes))
 
 
 def _first_index(a, p, q):
