@@ -152,7 +152,18 @@ def cmd_classify(args):
     except (ValueError, TypeError) as e:
         print(json.dumps({"error": str(e)}))
         return 2
-    n = args.n
+    L = None
+    if args.mode == "closed-orbit" and args.input:
+        try:
+            with open(args.input) as fh:
+                L = load_datum(json.load(fh))
+            if not isinstance(L, LmhsDatum):
+                raise ValueError("missing key 'N'")
+            _check_input_datum(L, hn)
+        except (OSError, ValueError, TypeError) as e:
+            print(json.dumps({"error": str(e)}))
+            return 2
+    n = hn.n  # the datum's weight, when a datum is read
     report = {"weight": n, "h": list(hn.h), "mode": args.mode}
     if args.mode == "minimal":
         types = minimal_types(n, hn)
@@ -184,16 +195,7 @@ def cmd_classify(args):
         print(json.dumps(report, sort_keys=True))
         return 0
     if args.mode == "closed-orbit":
-        if args.input:
-            try:
-                with open(args.input) as fh:
-                    L = load_datum(json.load(fh))
-                if not isinstance(L, LmhsDatum):
-                    raise ValueError("missing key 'N'")
-            except (OSError, ValueError, TypeError) as e:
-                print(json.dumps({"error": str(e)}))
-                return 2
-        else:
+        if L is None:
             try:
                 L = ht_construct(n, hn)
             except GateFailed as e:
@@ -216,6 +218,28 @@ def cmd_classify(args):
         return 0 if ok else 1
     print(json.dumps({"error": "unknown mode"}))
     return 2
+
+
+_LMHS_CLAUSES = ("weight_filtration", "graded_hodge", "minus_one_minus_one",
+                 "polarized_primitives")
+
+
+def _check_input_datum(L, hn):
+    """ValueError unless the LMHS datum L has the weight and Hodge numbers of
+    hn (h^{p,n-p} = dim F^p - dim F^{p+1}) and passes validate_lmhs; the
+    message names both (n, h) or the first failing clause."""
+    f = L.hodge.filtration.f_vector() + (0,)
+    h = tuple(f[p] - f[p + 1] for p in range(L.n, -1, -1))
+    if (L.n, h) != (hn.n, hn.h):
+        raise ValueError("the datum has weight %d and h %s; the command line "
+                         "gives weight %d and h %s"
+                         % (L.n, ",".join(map(str, h)), hn.n, ",".join(map(str, hn.h))))
+    rep = validate_lmhs(L)
+    if not rep["ok"]:
+        clause = next(c for c in _LMHS_CLAUSES if not rep[c])
+        detail = rep.get("weight_filtration_witness") or rep.get("error")
+        raise ValueError("the datum is not a limiting mixed Hodge structure: "
+                         "clause %s fails%s" % (clause, ": " + detail if detail else ""))
 
 
 def _spec_from_input(args):

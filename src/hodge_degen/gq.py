@@ -4,9 +4,14 @@ Everything downstream (filtrations, splittings, polarization checks) is built
 on the three types here: GaussianRational scalars, MatrixGQ matrices and
 Subspace (a row space held in reduced row echelon form, which makes subspace
 equality a structural comparison).
+
+A scalar is three ints (x, y, d) standing for (x + y*i)/d, kept in lowest
+terms (d > 0, gcd(x, y, d) == 1): each operation is int arithmetic and one
+gcd, and equal values have equal triples.
 """
 
 from fractions import Fraction
+from math import gcd
 import re as _re
 import reprlib
 
@@ -31,93 +36,155 @@ _SCALAR_RE = _re.compile(
 
 
 class GaussianRational:
-    """A complex number a + b*i with a, b rational."""
+    """A complex number (x + y*i)/d, held as three ints in lowest terms.
 
-    __slots__ = ("re", "im")
+    d > 0 and gcd(x, y, d) == 1, so equal values have equal (x, y, d) and
+    zero is (0, 0, 1).  The constructor takes the real and imaginary parts
+    as ints or Fractions; `re` and `im` return them as Fractions.
+    """
+
+    __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        # bypassing Fraction() for Fractions matters: this is the hot path
-        if type(re) is not Fraction:
-            re = Fraction(re)
-        if type(im) is not Fraction:
-            im = Fraction(im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError("GaussianRational parts must be ints or Fractions, "
+                            "got %r and %r" % (re, im))
+        a, b = re.numerator, re.denominator
+        c, e = im.numerator, im.denominator
+        x, y, d = a * e, c * b, b * e
+        g = gcd(x, y, d)
+        _set_x(self, x // g)
+        _set_y(self, y // g)
+        _set_d(self, d // g)
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
 
-    # arithmetic
+    @property
+    def re(self):
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._y, self._d)
+
+    # arithmetic: int operations, then one gcd in _make
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
             other = gq(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._x + other._x, self._y + other._y, d)
+        return _make(self._x * e + other._x * d, self._y * e + other._y * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self._x, -self._y, self._d)
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
             other = gq(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._x - other._x, self._y - other._y, d)
+        return _make(self._x * e - other._x * d, self._y * e - other._y * d, d * e)
 
     def __rsub__(self, other):
-        return gq(other) + (-self)
+        return gq(other) - self
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             other = gq(other)
-        if self.im or other.im:
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return GaussianRational(self.re * other.re)
+        a, b, c, e = self._x, self._y, other._x, other._y
+        if not e:
+            return _make(a * c, b * c, self._d * other._d)
+        if not b:
+            return _make(a * c, a * e, self._d * other._d)
+        return _make(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        # d / (x + y i) = d (x - y i) / (x^2 + y^2)
+        x, y, d = self._x, self._y, self._d
+        n = x * x + y * y
+        if not n:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _make(d * x, -d * y, n)
 
     def __truediv__(self, other):
-        return self * gq(other).inverse()
+        if type(other) is not GaussianRational:
+            other = gq(other)
+        # (a + b i)/d1 * d2 (c - e i)/(c^2 + e^2)
+        a, b, c, e, d2 = self._x, self._y, other._x, other._y, other._d
+        n = c * c + e * e
+        if not n:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return _make(d2 * (a * c + b * e), d2 * (b * c - a * e), self._d * n)
 
     def __rtruediv__(self, other):
-        return gq(other) * self.inverse()
+        return gq(other) / self
 
     def conj(self):
-        return GaussianRational(self.re, -self.im)
+        return _raw(self._x, -self._y, self._d)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self._x and not self._y
 
     def is_real(self):
-        return self.im == 0
+        return not self._y
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._x == other._x and self._y == other._y and self._d == other._d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._x or self._y)
 
     def __repr__(self):
         return "gq(%s)" % format_scalar(self)
 
     def __str__(self):
         return format_scalar(self)
+
+
+# Results are built through the slots' member descriptors, which skip
+# __init__ and its type checks and are not stopped by __setattr__.
+_new = object.__new__
+_set_x = GaussianRational._x.__set__
+_set_y = GaussianRational._y.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _raw(x, y, d):
+    # (x + y i)/d, already in lowest terms with d > 0
+    z = _new(GaussianRational)
+    _set_x(z, x)
+    _set_y(z, y)
+    _set_d(z, d)
+    return z
+
+
+def _make(x, y, d):
+    # (x + y i)/d for d > 0, reduced to lowest terms
+    g = gcd(x, y, d)
+    if g != 1:
+        x //= g
+        y //= g
+        d //= g
+    z = _new(GaussianRational)
+    _set_x(z, x)
+    _set_y(z, y)
+    _set_d(z, d)
+    return z
 
 
 def gq(x):
@@ -141,21 +208,26 @@ def i_power(k):
     return (ONE, I, -ONE, -I)[k % 4]
 
 
-def _fmt_frac(f):
-    return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
+def _fmt_ratio(n, d):
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
 def format_scalar(x):
     """Serialize as "a/b", "c/d*i" or "a/b+c/d*i" (denominator 1 omitted)."""
     x = gq(x)
-    if x.im == 0:
-        return _fmt_frac(x.re)
-    imtxt = _fmt_frac(x.im) + "*i"
-    if x.re == 0:
+    re_, im_, d = x._x, x._y, x._d
+    if not im_:
+        return _fmt_ratio(re_, d)
+    imtxt = _fmt_ratio(im_, d) + "*i"
+    if not re_:
         return imtxt
-    if x.im > 0:
-        return _fmt_frac(x.re) + "+" + imtxt
-    return _fmt_frac(x.re) + imtxt
+    if im_ > 0:
+        return _fmt_ratio(re_, d) + "+" + imtxt
+    return _fmt_ratio(re_, d) + imtxt
 
 
 def parse_scalar(s):
@@ -170,20 +242,25 @@ def parse_scalar(s):
     m = _SCALAR_RE.match(s)
     if not m or (m.group("re") is None and m.group("im") is None):
         raise ValueError("bad scalar string: %r" % s)
-    try:
-        re_part = Fraction(m.group("re")) if m.group("re") is not None else Fraction(0)
-        im_part = Fraction(0)
-        if m.group("im") is not None:
-            t = m.group("im").replace(" ", "")
-            if t in ("", "+"):
-                im_part = Fraction(1)
-            elif t == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = Fraction(t.rstrip("*"))
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in scalar %r" % s) from None
-    return GaussianRational(re_part, im_part)
+    a, b = _ratio(m.group("re")) if m.group("re") is not None else (0, 1)
+    c, e = 0, 1
+    if m.group("im") is not None:
+        t = "".join(m.group("im").split()).rstrip("*")
+        if t in ("", "+"):
+            c = 1
+        elif t == "-":
+            c = -1
+        else:
+            c, e = _ratio(t)
+    if not b or not e:
+        raise ValueError("zero denominator in scalar %r" % s)
+    return _make(a * e, c * b, b * e)
+
+
+def _ratio(t):
+    # "n" or "n/d", n possibly signed, as the pair of ints (n, d)
+    n, _, d = t.partition("/")
+    return int(n), int(d) if d else 1
 
 
 class MatrixGQ:
@@ -193,7 +270,8 @@ class MatrixGQ:
 
     def __init__(self, entries, cols=None):
         # cols only matters for empty matrices, where it cannot be inferred
-        entries = tuple(tuple(gq(e) for e in row) for row in entries)
+        entries = tuple(tuple(e if type(e) is GaussianRational else gq(e) for e in row)
+                        for row in entries)
         rows = len(entries)
         cols = len(entries[0]) if rows else (cols or 0)
         for row in entries:
@@ -679,7 +757,7 @@ def first_nonpositive_minor(H):
     n = H.rows
     for k in range(n):
         piv = work[k][k]
-        if not (piv.is_real() and piv.re > 0):
+        if piv._y or piv._x <= 0:
             return k + 1
         inv = piv.inverse()
         for i in range(k + 1, n):

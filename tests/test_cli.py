@@ -279,6 +279,45 @@ def test_classify_closed_orbit_bad_input(capsys, ht_file, tmp_path, edit, error)
     assert json.loads(out)["error"].startswith(error)
 
 
+def _weight3_ht_file(tmp_path, negate_Q=False):
+    obj = ht_construct(3, HodgeNumbers(3, (1, 1, 1, 1))).to_json()
+    if negate_Q:
+        obj["Q"] = [[str(-_frac(e)) for e in row] for row in _rows(obj["Q"])]
+    p = tmp_path / "ht3.json"
+    p.write_text(json.dumps(obj, sort_keys=True))
+    return str(p)
+
+
+def test_classify_closed_orbit_input_is_validated(capsys, tmp_path):
+    # Q negated: validate reports polarized_primitives false, so the closed
+    # orbit check must not run on it
+    path = _weight3_ht_file(tmp_path, negate_Q=True)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1 and not json.loads(out)["polarized_primitives"]
+    code, out, _ = run(capsys, "classify", "3", "1,1,1,1", "--mode", "closed-orbit",
+                       "--input", path)
+    assert code == 2
+    assert out.count("\n") == 1
+    assert "clause polarized_primitives fails" in json.loads(out)["error"]
+    # the same datum with Q as built passes
+    code, out, _ = run(capsys, "classify", "3", "1,1,1,1", "--mode", "closed-orbit",
+                       "--input", _weight3_ht_file(tmp_path))
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["weight"], rep["h"]) == (3, [1, 1, 1, 1])
+    assert rep["period_check"]["consistent_with_closed_orbit"]
+
+
+def test_classify_closed_orbit_input_must_match_n_h(capsys, tmp_path):
+    path = _weight3_ht_file(tmp_path)
+    code, out, _ = run(capsys, "classify", "2", "1,2,1", "--mode", "closed-orbit",
+                       "--input", path)
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "the datum has weight 3 and h 1,1,1,1; the command line gives "
+        "weight 2 and h 1,2,1")
+
+
 # ------------------------------------------------------------ diagram
 
 def test_diagram_ht_ascii(capsys):

@@ -1,5 +1,6 @@
 """Exact linear algebra layer: oracles against sympy, plus property tests."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,67 @@ def test_scalar_mul_matches_sympy(a, b):
         (sympy.Rational(a.re) + sympy.I * sympy.Rational(a.im))
         * (sympy.Rational(b.re) + sympy.I * sympy.Rational(b.im)))
     assert sympy.Rational(got.re) + sympy.I * sympy.Rational(got.im) == want
+
+
+def test_constructor_rejects_floats_and_strings():
+    for bad in (0.1, 1.0, "1/2", 1j, None):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+        with pytest.raises(TypeError):
+            GaussianRational(0, bad)
+    with pytest.raises(TypeError):
+        gq(0.1)
+
+
+def _canonical(z):
+    x, y, d = z._x, z._y, z._d
+    assert type(x) is type(y) is type(d) is int
+    assert d > 0 and math.gcd(x, y, d) == 1
+    return x, y, d
+
+
+ints = st.integers(min_value=-40, max_value=40)
+dens = st.integers(min_value=1, max_value=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fracs, fracs, scalars, st.integers(min_value=1, max_value=6))
+def test_equal_values_share_one_canonical_form(re, im, b, k):
+    z = GaussianRational(re, im)
+    # the same value written with both parts over a common denominator,
+    # scaled by k so that nothing in the string is in lowest terms
+    den = re.denominator * im.denominator * k
+    text = "%d/%d%s%d/%d*i" % (re.numerator * den // re.denominator, den,
+                               "+" if im >= 0 else "",
+                               im.numerator * den // im.denominator, den)
+    routes = [z, parse_scalar(text), parse_scalar(format_scalar(z)), z + b - b,
+              b + z - b, GaussianRational(z.re, z.im), z.conj().conj(), -(-z)]
+    if not b.is_zero():
+        routes += [z * b / b, b * z / b, (z / b) * b, z * b * b.inverse()]
+    forms = {_canonical(w) for w in routes}
+    assert len(forms) == 1
+    assert len({hash(w) for w in routes}) == 1
+    assert len({format_scalar(w) for w in routes}) == 1
+    assert all(w == z for w in routes)
+    assert hash(z) == hash((z.re, z.im))
+    assert (z.re, z.im) == (re, im)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ints, ints, dens, ints, ints, dens)
+def test_arithmetic_results_are_canonical(a, b, d, c, e, f):
+    z = GaussianRational(Fraction(a, d), Fraction(b, d))
+    w = GaussianRational(Fraction(c, f), Fraction(e, f))
+    results = [z, w, z + w, z - w, w - z, z * w, -z, z.conj(), z - z, z * ZERO]
+    if not w.is_zero():
+        results += [z / w, w.inverse()]
+    for r in results:
+        _canonical(r)
+        assert GaussianRational(r.re, r.im) == r
+    assert (z - z)._x == (z - z)._y == 0 and (z - z)._d == 1
+    assert _canonical(z * ZERO) == (0, 0, 1)
+    assert _canonical(GaussianRational(0)) == _canonical(ZERO) == (0, 0, 1)
+    assert (z == w) == ((z.re, z.im) == (w.re, w.im))
 
 
 # ---------------------------------------------------------------- matrices
