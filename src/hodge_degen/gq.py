@@ -8,6 +8,14 @@ equality a structural comparison).
 A scalar is three ints (x, y, d) standing for (x + y*i)/d, kept in lowest
 terms (d > 0, gcd(x, y, d) == 1): each operation is int arithmetic and one
 gcd, and equal values have equal triples.
+
+A matrix holds dense row tuples, but the data are sparse, so the kernels
+(rref, products, matvec, the solver, subspace reduction and intersection)
+walk only the nonzero entries of each row, and each row update a -/+ f*b is
+one fused operation with one gcd.  Matrices the kernels build go through a
+trusted private constructor; the public MatrixGQ constructor and from_json
+check every entry.  rref keeps the pivot columns it finds, and a Subspace
+holds them, so no row is scanned again for its pivot.
 """
 
 from fractions import Fraction
@@ -187,6 +195,27 @@ def _make(x, y, d):
     return z
 
 
+# The fused row updates a - f*b and a + f*b: the product is left unreduced
+# and the sum takes the one gcd, in _make.
+
+def _sub_mul(a, f, b):
+    fx, fy, bx, by = f._x, f._y, b._x, b._y
+    px, py, d = fx * bx - fy * by, fx * by + fy * bx, f._d * b._d
+    e = a._d
+    if e == d:
+        return _make(a._x - px, a._y - py, d)
+    return _make(a._x * d - px * e, a._y * d - py * e, d * e)
+
+
+def _add_mul(a, f, b):
+    fx, fy, bx, by = f._x, f._y, b._x, b._y
+    px, py, d = fx * bx - fy * by, fx * by + fy * bx, f._d * b._d
+    e = a._d
+    if e == d:
+        return _make(a._x + px, a._y + py, d)
+    return _make(a._x * d + px * e, a._y * d + py * e, d * e)
+
+
 def gq(x):
     """Coerce ints, Fractions and strings to GaussianRational."""
     if isinstance(x, GaussianRational):
@@ -264,9 +293,17 @@ def _ratio(t):
 
 
 class MatrixGQ:
-    """Dense matrix of GaussianRational entries, immutable."""
+    """Matrix of GaussianRational entries, immutable.
 
-    __slots__ = ("rows", "cols", "entries")
+    `entries` is a tuple of dense row tuples, so equality and hashing are
+    structural.  The public constructor (and `from_json`) checks every entry
+    and the shape.  The kernels below walk only nonzero entries and build
+    their results through `_matrix`, which trusts its input and skips those
+    checks.  A matrix that rref returns also keeps its pivot columns
+    (private `_pivots`, None on a matrix not known to be in rref).
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_pivots")
 
     def __init__(self, entries, cols=None):
         # cols only matters for empty matrices, where it cannot be inferred
@@ -277,20 +314,22 @@ class MatrixGQ:
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
+        _set_pivots(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("MatrixGQ is immutable")
 
     @staticmethod
     def zero(rows, cols):
-        return MatrixGQ([[ZERO] * cols for _ in range(rows)], cols=cols)
+        return _matrix(((ZERO,) * cols,) * rows, cols)
 
     @staticmethod
     def identity(n):
-        return MatrixGQ([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return _matrix(tuple(tuple(ONE if i == j else ZERO for j in range(n))
+                             for i in range(n)), n, tuple(range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -307,52 +346,77 @@ class MatrixGQ:
     def __hash__(self):
         return hash((self.cols, self.entries))
 
-    def __add__(self, other):
+    def _check_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise AmbientMismatch("matrix shapes differ")
-        return MatrixGQ(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+
+    def __add__(self, other):
+        self._check_shape(other)
+        return _matrix(tuple(tuple(a + b if b._x or b._y else a for a, b in zip(r1, r2))
+                             for r1, r2 in zip(self.entries, other.entries)), self.cols)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        self._check_shape(other)
+        return _matrix(tuple(tuple(a - b if b._x or b._y else a for a, b in zip(r1, r2))
+                             for r1, r2 in zip(self.entries, other.entries)), self.cols)
 
     def scale(self, c):
         c = gq(c)
-        return MatrixGQ([[c * e for e in row] for row in self.entries])
+        return _matrix(tuple(tuple(c * e if e._x or e._y else e for e in row)
+                             for row in self.entries), self.cols)
 
     def __mul__(self, other):
-        if isinstance(other, MatrixGQ):
-            if self.cols != other.rows:
-                raise AmbientMismatch("inner dimensions differ")
-            ot = other.transpose().entries
-            return MatrixGQ(
-                [[_dot(r, c) for c in ot] for r in self.entries]
-            )
-        return self.scale(other)
+        if not isinstance(other, MatrixGQ):
+            return self.scale(other)
+        if self.cols != other.rows:
+            raise AmbientMismatch("inner dimensions differ")
+        # each nonzero a = self[i][k] meets the nonzero (j, b) of other's row k
+        cols = other.cols
+        right = [_nonzeros(row) for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [ZERO] * cols
+            for k, a in enumerate(row):
+                if a._x or a._y:
+                    for j, b in right[k]:
+                        acc[j] = _add_mul(acc[j], a, b)
+            out.append(tuple(acc))
+        return _matrix(tuple(out), cols)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def transpose(self):
-        return MatrixGQ(list(zip(*self.entries))) if self.rows else MatrixGQ([])
+        if not self.rows:
+            return _matrix(((),) * self.cols, 0)
+        return _matrix(tuple(zip(*self.entries)), self.rows)
 
     def conj(self):
-        return MatrixGQ([[e.conj() for e in row] for row in self.entries])
+        return _matrix(tuple(tuple(e.conj() if e._y else e for e in row)
+                             for row in self.entries), self.cols)
 
     def conj_transpose(self):
         return self.transpose().conj()
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(e._x or e._y for row in self.entries for e in row)
 
     def is_real(self):
-        return all(e.is_real() for row in self.entries for e in row)
+        return not any(e._y for row in self.entries for e in row)
 
     def matvec(self, v):
         # v a sequence of scalars, returns tuple M v
         assert len(v) == self.cols
-        return tuple(_dot(row, v) for row in self.entries)
+        nz = _nonzeros(v)
+        out = []
+        for row in self.entries:
+            acc = ZERO
+            for j, e in nz:
+                a = row[j]
+                if a._x or a._y:
+                    acc = _add_mul(acc, a, e)
+            out.append(acc)
+        return tuple(out)
 
     def trace(self):
         assert self.rows == self.cols
@@ -379,45 +443,69 @@ class MatrixGQ:
         return "MatrixGQ(%r)" % (self.to_json(),)
 
 
-def _dot(r, c):
-    acc = ZERO
-    for a, b in zip(r, c):
-        if a.is_zero() or b.is_zero():
-            continue
-        acc = acc + a * b
-    return acc
+_set_rows = MatrixGQ.rows.__set__
+_set_cols = MatrixGQ.cols.__set__
+_set_entries = MatrixGQ.entries.__set__
+_set_pivots = MatrixGQ._pivots.__set__
+
+
+def _matrix(entries, cols, pivots=None):
+    # The trusted constructor: entries a tuple of row tuples of
+    # GaussianRational, each of length cols, built by the kernels here.
+    m = _new(MatrixGQ)
+    _set_rows(m, len(entries))
+    _set_cols(m, cols)
+    _set_entries(m, entries)
+    _set_pivots(m, pivots)
+    return m
+
+
+def _nonzeros(row, start=0):
+    # the (column, entry) pairs of the nonzero entries of row from start on
+    return [(j, e) for j, e in enumerate(row[start:], start) if e._x or e._y]
 
 
 def rref(M):
-    """Reduced row echelon form with zero rows dropped (row space canonical form)."""
+    """Reduced row echelon form with zero rows dropped (row space canonical form).
+
+    A row is updated only at the nonzero columns of the pivot row, each by
+    one fused a - f*b.
+    """
     work = [list(row) for row in M.entries]
     nrows, ncols = len(work), M.cols
     pivots = []
     r = 0
     for c in range(ncols):
         # find a pivot in column c at or below row r
-        piv = None
         for i in range(r, nrows):
-            if not work[i][c].is_zero():
-                piv = i
+            e = work[i][c]
+            if e._x or e._y:
                 break
-        if piv is None:
+        else:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c].inverse()
-        if inv != ONE:
-            work[r] = [e if e.is_zero() else inv * e for e in work[r]]
+        prow = work[i]
+        work[r], work[i] = prow, work[r]
+        # the pivot row is zero left of c; scale it to a leading 1
+        p = prow[c]
+        nz = _nonzeros(prow, c + 1)
+        if p._x != 1 or p._y or p._d != 1:
+            inv = p.inverse()
+            nz = [(j, inv * e) for j, e in nz]
+        prow[c] = ONE
+        for j, e in nz:
+            prow[j] = e
         for i in range(nrows):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [a if b.is_zero() else a - f * b
-                           for a, b in zip(work[i], work[r])]
+            row = work[i]
+            f = row[c]
+            if i != r and (f._x or f._y):
+                row[c] = ZERO
+                for j, b in nz:
+                    row[j] = _sub_mul(row[j], f, b)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    kept = [row for row in work[:r]]
-    return MatrixGQ(kept) if kept else MatrixGQ.zero(0, ncols)
+    return _matrix(tuple(tuple(row) for row in work[:r]), ncols, tuple(pivots))
 
 
 def rank(M):
@@ -441,28 +529,26 @@ def solver(vectors):
     # per row of R: its pivot, its other nonzero entries left of the bar,
     # and its nonzero entries right of it
     rows = []
-    for row in R.entries:
-        piv = next(j for j, e in enumerate(row) if not e.is_zero())
+    for row, piv in zip(R.entries, R._pivots):
         if piv >= width:
             raise ValueError("vectors are linearly dependent")
-        rows.append((piv,
-                     [(j, e) for j, e in enumerate(row[piv + 1:width], piv + 1)
-                      if not e.is_zero()],
-                     [(j, e) for j, e in enumerate(row[width:]) if not e.is_zero()]))
+        nz = _nonzeros(row)
+        rows.append((piv, [(j, e) for j, e in nz if piv < j < width],
+                     [(j - width, e) for j, e in nz if j >= width]))
 
     def coords(v):
         rest = list(v)
         c = [ZERO] * t
         for piv, left, right in rows:
             f = rest[piv]
-            if f.is_zero():
+            if not (f._x or f._y):
                 continue
             rest[piv] = ZERO
             for j, e in left:
-                rest[j] = rest[j] - f * e
+                rest[j] = _sub_mul(rest[j], f, e)
             for j, e in right:
-                c[j] = c[j] + f * e
-        if any(not e.is_zero() for e in rest):
+                c[j] = _add_mul(c[j], f, e)
+        if any(e._x or e._y for e in rest):
             return None
         return tuple(c)
 
@@ -479,14 +565,17 @@ def inverse(M):
         coords = solver(M.entries)
     except ValueError:
         raise ValueError("matrix not invertible") from None
-    return MatrixGQ([coords([ONE if j == i else ZERO for j in range(n)])
-                     for i in range(n)], cols=n)
+    return _matrix(tuple(coords([ONE if j == i else ZERO for j in range(n)])
+                         for i in range(n)), n)
 
 
 class Subspace:
-    """A subspace of C^n, stored as an rref basis (rows).  Equality is structural."""
+    """A subspace of C^n, stored as an rref basis (rows).  Equality is structural.
 
-    __slots__ = ("ambient_dim", "basis")
+    `pivots` holds the pivot column of each basis row.
+    """
+
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, basis, already_canonical=False):
         if basis.cols != ambient_dim and basis.rows > 0:
@@ -495,8 +584,12 @@ class Subspace:
             basis = rref(basis)
         if basis.rows == 0:
             basis = MatrixGQ.zero(0, ambient_dim)
+        pivots = basis._pivots
+        if pivots is None:
+            pivots = _leading_columns(basis)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -531,8 +624,7 @@ class Subspace:
         return hash((self.ambient_dim, self.basis))
 
     def contains_vector(self, v):
-        red = _reduce_against(list(v), self.basis)
-        return all(e.is_zero() for e in red)
+        return not any(e._x or e._y for e in _reduce_against(v, self))
 
     def contains(self, other):
         self._check(other)
@@ -549,23 +641,47 @@ class Subspace:
         return self.basis.to_json()
 
 
-def _reduce_against(v, B):
-    # subtract multiples of the rref rows of B to kill pivot coordinates of v
+def _leading_columns(R):
+    # the column of the first nonzero entry of each row of R, a matrix given
+    # as already in rref (the leading columns increase down the rows)
+    out = []
+    j = 0
+    for row in R.entries:
+        while j < R.cols and not (row[j]._x or row[j]._y):
+            j += 1
+        if j == R.cols:
+            raise ValueError("a basis in rref has no zero rows")
+        out.append(j)
+        j += 1
+    return tuple(out)
+
+
+def _span(ambient_dim, vectors):
+    # Subspace.from_vectors for vectors of GaussianRational built here
+    if not vectors:
+        return Subspace.zero(ambient_dim)
+    return Subspace(ambient_dim, _matrix(tuple(map(tuple, vectors)), ambient_dim))
+
+
+def _reduce_against(v, S):
+    # subtract multiples of S's rref rows (pivot entry 1, zero before it) to
+    # kill v's entries at their pivots
     v = list(v)
-    for row in B.entries:
-        piv = next((j for j, e in enumerate(row) if not e.is_zero()), None)
-        if piv is None:
-            continue
-        if not v[piv].is_zero():
-            f = v[piv]  # row has pivot entry 1
-            v = [a - f * b for a, b in zip(v, row)]
+    n = S.ambient_dim
+    for row, p in zip(S.basis.entries, S.pivots):
+        f = v[p]
+        if f._x or f._y:
+            v[p] = ZERO
+            for j in range(p + 1, n):
+                b = row[j]
+                if b._x or b._y:
+                    v[j] = _sub_mul(v[j], f, b)
     return v
 
 
 def ssum(A, B):
     A._check(B)
-    stacked = list(A.basis.entries) + list(B.basis.entries)
-    return Subspace.from_vectors(A.ambient_dim, stacked)
+    return _span(A.ambient_dim, A.basis.entries + B.basis.entries)
 
 
 def intersect(A, B):
@@ -579,44 +695,40 @@ def intersect(A, B):
         return B
     if kb == A.ambient_dim:
         return A
-    # rows (a | b) with a*basisA - b*basisB = 0
-    stacked = MatrixGQ(
-        [list(r) for r in A.basis.entries] + [[-e for e in r] for r in B.basis.entries]
-    ).transpose()
-    ker = kernel(stacked)  # coefficient vectors (a, b)
+    # coefficient vectors (a | b) with a*basisA + b*basisB = 0: then
+    # a*basisA = -b*basisB lies in both
+    stacked = A.basis.entries + B.basis.entries
+    ker = kernel(_matrix(tuple(zip(*stacked)), ka + kb))
+    n = A.ambient_dim
     vecs = []
     for coeff in ker.basis.entries:
-        a = coeff[:ka]
-        v = [ZERO] * A.ambient_dim
-        for c, row in zip(a, A.basis.entries):
-            if c.is_zero():
-                continue
-            v = [x + c * y for x, y in zip(v, row)]
+        v = [ZERO] * n
+        for c, row, p in zip(coeff, A.basis.entries, A.pivots):
+            if c._x or c._y:
+                for j in range(p, n):
+                    e = row[j]
+                    if e._x or e._y:
+                        v[j] = _add_mul(v[j], c, e)
         vecs.append(v)
-    if not vecs:
-        return Subspace.zero(A.ambient_dim)
-    return Subspace.from_vectors(A.ambient_dim, vecs)
+    return _span(n, vecs)
 
 
 def kernel(M):
     """Right kernel {x : M x = 0} as a Subspace of C^cols."""
     R = rref(M)
     n = M.cols
-    pivots = []
-    for row in R.entries:
-        piv = next(j for j, e in enumerate(row) if not e.is_zero())
-        pivots.append(piv)
+    pivots = R._pivots
     free = [j for j in range(n) if j not in pivots]
     vecs = []
     for f in free:
         v = [ZERO] * n
         v[f] = ONE
         for row, piv in zip(R.entries, pivots):
-            v[piv] = -row[f]
+            e = row[f]
+            if e._x or e._y:
+                v[piv] = -e
         vecs.append(v)
-    if not vecs:
-        return Subspace.zero(n)
-    return Subspace.from_vectors(n, vecs)
+    return _span(n, vecs)
 
 
 def image(M):
@@ -634,10 +746,7 @@ def apply_matrix(M, A):
     """Image of subspace A under the linear map M (vectors as columns)."""
     if M.cols != A.ambient_dim:
         raise AmbientMismatch("matrix does not act on this ambient space")
-    if A.dim == 0:
-        return Subspace.zero(M.rows)
-    vecs = [M.matvec(v) for v in A.basis.entries]
-    return Subspace.from_vectors(M.rows, vecs)
+    return _span(M.rows, [M.matvec(v) for v in A.basis.entries])
 
 
 def preimage(M, A):
@@ -670,13 +779,11 @@ def complement_mod(S, U):
     S._check(U)
     vecs = []
     for v in S.basis.entries:
-        red = _reduce_against(list(v), U.basis)
-        if any(not e.is_zero() for e in red):
+        red = _reduce_against(v, U)
+        if any(e._x or e._y for e in red):
             vecs.append(red)
-    if not vecs:
-        return Subspace.zero(S.ambient_dim)
     # reduce within to drop dependents
-    return Subspace.from_vectors(S.ambient_dim, vecs)
+    return _span(S.ambient_dim, vecs)
 
 
 def nilpotent_powers(N):
@@ -722,8 +829,23 @@ def nilpotent_exp(N, z, powers=None):
     return out
 
 
+def _eliminate_below(work, k):
+    # rows below k minus multiples of row k, which has a nonzero pivot at
+    # column k and zeros left of it, to clear column k
+    prow = work[k]
+    inv = prow[k].inverse()
+    nz = _nonzeros(prow, k + 1)
+    for row in work[k + 1:]:
+        e = row[k]
+        if e._x or e._y:
+            f = e * inv
+            row[k] = ZERO
+            for j, b in nz:
+                row[j] = _sub_mul(row[j], f, b)
+
+
 def determinant(M):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant by Gaussian elimination, the product of the pivots."""
     assert M.rows == M.cols
     n = M.rows
     work = [list(row) for row in M.entries]
@@ -736,12 +858,7 @@ def determinant(M):
             work[c], work[piv] = work[piv], work[c]
             det = -det
         det = det * work[c][c]
-        inv = work[c][c].inverse()
-        for i in range(c + 1, n):
-            if work[i][c].is_zero():
-                continue
-            f = work[i][c] * inv
-            work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+        _eliminate_below(work, c)
     return det
 
 
@@ -754,16 +871,11 @@ def first_nonpositive_minor(H):
     it is positive after positive ones exactly when the k-th pivot is.
     """
     work = [list(row) for row in H.entries]
-    n = H.rows
-    for k in range(n):
+    for k in range(H.rows):
         piv = work[k][k]
         if piv._y or piv._x <= 0:
             return k + 1
-        inv = piv.inverse()
-        for i in range(k + 1, n):
-            if not work[i][k].is_zero():
-                f = work[i][k] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
+        _eliminate_below(work, k)
     return None
 
 

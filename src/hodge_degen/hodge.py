@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .gq import (
     GaussianRational, MatrixGQ, Subspace, ZERO, ONE, i_power,
-    intersect, conj_space, rank, hermitian_pd, _dot,
+    intersect, conj_space, rank, hermitian_pd,
 )
 
 
@@ -52,8 +52,9 @@ class PolarizationForm:
     def gram(self, us, vs, M=None):
         """The matrix [Q(u, M v)] over u in us and v in vs (M = I when None),
         forming each Q M v once."""
-        Qv = [self.Q.matvec(v if M is None else M.matvec(v)) for v in vs]
-        return MatrixGQ([[_dot(u, w) for w in Qv] for u in us], cols=len(vs))
+        Qv = MatrixGQ([self.Q.matvec(v if M is None else M.matvec(v)) for v in vs],
+                      cols=self.Q.rows)
+        return MatrixGQ([Qv.matvec(u) for u in us], cols=len(vs))
 
 
 class HodgeFiltration:

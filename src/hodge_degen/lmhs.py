@@ -699,9 +699,7 @@ def diagonal_levi(a):
     and the splitting by _check_splitting, kept on the datum, and asserted
     Hodge-Tate.
     """
-    diag = [(p, [next(j for j, e in enumerate(v) if not e.is_zero())
-                 for v in sub.basis.entries])
-            for p, q, sub in a.I_g.nodes if p == q]
+    diag = [(p, sub.pivots) for p, q, sub in a.I_g.nodes if p == q]
     idx = sorted(k for _, ks in diag for k in ks)
     ts = len(idx)
     pos = {k: i for i, k in enumerate(idx)}

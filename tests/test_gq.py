@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import QQ_I
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hodge_degen.gq import (
@@ -26,8 +28,8 @@ def small_matrix(rows, cols):
 
 
 def to_sympy(M):
-    return sympy.Matrix([[sympy.Rational(e.re) + sympy.I * sympy.Rational(e.im)
-                          for e in row] for row in M.entries])
+    return sympy.Matrix(M.rows, M.cols, [sympy.Rational(e.re) + sympy.I * sympy.Rational(e.im)
+                                         for row in M.entries for e in row])
 
 
 # ---------------------------------------------------------------- scalars
@@ -404,3 +406,167 @@ def test_apply_matrix_image_dim():
     M = MatrixGQ([[ONE, ONE], [ZERO, ZERO]])
     U = Subspace.full(2)
     assert apply_matrix(M, U).dim == 1
+
+
+# ------------------------------------------------- kernels against sympy
+# Differential tests of the sparse kernels on complex matrices with no,
+# about 10% and all entries nonzero, including shapes with no rows or no
+# columns.  The oracle is sympy's exact arithmetic over Q[i] (QQ_I).
+
+nonzero_scalars = scalars.filter(lambda z: not z.is_zero())
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    r = draw(st.integers(0, 6)) if rows is None else rows
+    c = draw(st.integers(0, 7)) if cols is None else cols
+    percent = draw(st.sampled_from((0, 10, 100)))
+
+    def entry():
+        if percent == 100 or (percent == 10 and draw(st.integers(0, 9)) == 9):
+            return draw(nonzero_scalars)
+        return ZERO
+
+    return MatrixGQ([[entry() for _ in range(c)] for _ in range(r)], cols=c)
+
+
+def dm(M):
+    """M as a sympy DomainMatrix over QQ_I."""
+    rows = [[QQ_I.from_sympy(sympy.Rational(e.re) + sympy.I * sympy.Rational(e.im))
+             for e in row] for row in M.entries]
+    return DomainMatrix(rows, (M.rows, M.cols), QQ_I)
+
+
+def from_qq_i(z):
+    return GaussianRational(Fraction(int(z.x.numerator), int(z.x.denominator)),
+                            Fraction(int(z.y.numerator), int(z.y.denominator)))
+
+
+def from_dm(D, cols):
+    return MatrixGQ([[from_qq_i(z) for z in row] for row in D.to_list()], cols=cols)
+
+
+def sympy_rref(M):
+    """(nonzero rows of the rref, pivot columns), by sympy."""
+    R, pivots = dm(M).rref()
+    return from_dm(R, M.cols).entries[:len(pivots)], tuple(pivots)
+
+
+def sympy_rank(rows, cols):
+    return dm(MatrixGQ(rows, cols=cols)).rank()
+
+
+def assert_built(M):
+    """M is a well-formed matrix, as the public constructor would make it."""
+    checked = MatrixGQ(M.entries, cols=M.cols)
+    assert M == checked and hash(M) == hash(checked)
+    assert (M.rows, M.cols) == (checked.rows, checked.cols)
+    assert type(M.entries) is tuple and len(M.entries) == M.rows
+    for row in M.entries:
+        assert type(row) is tuple and len(row) == M.cols
+        assert all(type(e) is GaussianRational for e in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_rref_and_kernel_match_sympy(M):
+    R = rref(M)
+    assert_built(R)
+    rows, pivots = sympy_rref(M)
+    assert R.entries == rows
+    assert R._pivots == pivots
+    S = Subspace(M.cols, M)
+    assert S.basis == R and S.pivots == pivots
+    K = kernel(M)
+    assert_built(K.basis)
+    assert K.dim == M.cols - len(pivots)
+    for v in K.basis.entries:
+        assert all(e.is_zero() for e in M.matvec(v))
+    if K.dim:
+        assert K.basis.entries == sympy_rref(from_dm(dm(M).nullspace(), M.cols))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_and_entrywise_match_sympy(data):
+    A = data.draw(sparse_matrices())
+    B = data.draw(sparse_matrices(rows=A.cols))
+    C = data.draw(sparse_matrices(rows=A.rows, cols=A.cols))
+    v = data.draw(sparse_matrices(rows=1, cols=A.cols)).entries[0]
+    c = data.draw(scalars)
+    sA, sB, sC = to_sympy(A), to_sympy(B), to_sympy(C)
+    results = [(A * B, sA * sB), (A + C, sA + sC), (A - C, sA - sC),
+               (A.scale(c), sA * (sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im))),
+               (A.transpose(), sA.T), (A.conj(), sA.conjugate())]
+    for got, want in results:
+        assert_built(got)
+        assert (got.rows, got.cols) == want.shape
+        assert (to_sympy(got) - want).expand() == sympy.zeros(*want.shape)
+    Mv = A.matvec(v)
+    assert all(type(e) is GaussianRational for e in Mv)
+    want = (sA * to_sympy(MatrixGQ([v], cols=A.cols)).T).expand()
+    assert to_sympy(MatrixGQ([Mv], cols=A.rows)).T == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_intersect_and_contains_vector_match_sympy(data):
+    A = data.draw(sparse_matrices())
+    B = data.draw(sparse_matrices(cols=A.cols))
+    v = data.draw(sparse_matrices(rows=1, cols=A.cols)).entries[0]
+    n = A.cols
+    SA, SB = Subspace(n, A), Subspace(n, B)
+    X = intersect(SA, SB)
+    assert_built(X.basis)
+    ra, rb = sympy_rank(A.entries, n), sympy_rank(B.entries, n)
+    assert X.dim == ra + rb - sympy_rank(A.entries + B.entries, n)
+    for w in X.basis.entries:
+        assert sympy_rank(A.entries + (w,), n) == ra
+        assert sympy_rank(B.entries + (w,), n) == rb
+    assert SA.contains_vector(v) == (sympy_rank(A.entries + (v,), n) == ra)
+    assert all(SA.contains_vector(w) for w in A.entries)
+
+
+def sympy_first_nonpositive_minor(H):
+    D = dm(H)
+    for k in range(1, H.rows + 1):
+        d = D.extract(list(range(k)), list(range(k))).det()
+        if d.y or not d.x > 0:
+            return k
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: sparse_matrices(rows=n, cols=n)),
+       st.booleans())
+def test_determinant_and_minors_match_sympy(M, hermitian):
+    assert determinant(M) == from_qq_i(dm(M).det())
+    H = M + M.conj_transpose() if hermitian else M
+    assert first_nonpositive_minor(H) == sympy_first_nonpositive_minor(H)
+
+
+def test_public_constructor_checks_entries():
+    for bad in (0.5, 1.0, 1j, None, [ONE], (ONE,), object()):
+        with pytest.raises(TypeError):
+            MatrixGQ([[ONE, bad]])
+    with pytest.raises(ValueError, match="ragged"):
+        MatrixGQ([[ONE, ZERO], [ONE]])
+    with pytest.raises(ValueError, match="ragged"):
+        MatrixGQ([[], [ONE]])
+    with pytest.raises(ValueError):
+        MatrixGQ.from_json([["1", "0.5"]])
+
+
+def test_product_with_an_empty_inner_dimension_is_zero():
+    P = MatrixGQ([[], []]) * MatrixGQ.zero(0, 3)
+    assert (P.rows, P.cols) == (2, 3)
+    assert P == MatrixGQ.zero(2, 3)
+    assert_built(P)
+
+
+def test_transpose_keeps_empty_shapes():
+    for rows, cols in ((2, 0), (0, 3), (0, 0)):
+        T = MatrixGQ.zero(rows, cols).transpose()
+        assert (T.rows, T.cols) == (cols, rows)
+        assert T == MatrixGQ.zero(cols, rows)
+        assert_built(T)

@@ -2,6 +2,8 @@
 validation clauses, adjoint structures, reduced limits."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,8 @@ from hodge_degen.classify import (
     atomic_block, _direct_sum, _phs_block, minimal_types, minimal_witness,
     ht_construct,
 )
+
+import cayley
 
 
 def jordan_sum(sizes):
@@ -839,3 +843,51 @@ def test_lmhs_json_roundtrip():
     assert L2.W == L.W
     assert deligne_splitting(L2).dims() == deligne_splitting(L).dims()
     assert json.dumps(L2.to_json(), sort_keys=True) == blob
+
+
+# ------------------------------------------------------- moved corpus
+# Every corpus case of dim <= 6, moved by a seeded dense rational Cayley
+# transform g in Aut(V, Q) (tests/cayley.py): the structure in the new
+# coordinates is the same, so its invariants must be too.  diagonal_levi is
+# left out until it handles a g-basis that is not real: on some moves (the
+# pinned one below among them) the moved I^{p,p}_g get complex bases and it
+# raises "N must be real" (ROADMAP item 2).
+
+SMALL_CORPUS = {cid: thunk for cid, _, hn, thunk in cli.corpus_cases()
+                if (hn.dim if hn is not None else thunk().dim) <= 6}
+
+
+def _invariants(L):
+    bg = deligne_splitting(L)
+    return bg.dims(), is_r_split(bg), is_hodge_tate(bg), adjoint_lmhs(L).I_g.dims()
+
+
+def _check_moved(L, g, with_w):
+    moved = LmhsDatum.from_json(cayley.move(L.to_json(), g, with_w))
+    assert validate_lmhs(moved)["ok"]
+    assert _invariants(moved) == _invariants(L)
+
+
+def test_small_corpus_has_56_cases():
+    assert len(SMALL_CORPUS) == 56
+
+
+@pytest.mark.parametrize("cid", sorted(SMALL_CORPUS))
+def test_moved_corpus_keeps_invariants(cid):
+    L = SMALL_CORPUS[cid]()
+    rng = random.Random("move/" + cid)
+    Q = cayley.real_matrix(L.hodge.polarization.Q.to_json())
+    g = cayley.cayley_element(Q, rng, 4 * L.dim)
+    _check_moved(L, g, with_w=rng.random() < 0.5)
+
+
+def test_moved_witness_of_complex_g_basis():
+    """The move under which the g-basis of minimal_witness(I(0,3)) at n = 3,
+    h = (1,1,1,1) has no real element (ROADMAP item 2)."""
+    L = SMALL_CORPUS["minimal/n=3,h=1,1,1,1,I(0,3)"]()
+    g = [[Fraction(x, 3) for x in row] for row in
+         ((-5, 0, 0, -4), (4, -5, -4, 0), (0, -4, -5, -4), (-4, 0, 0, -5))]
+    Q = cayley.real_matrix(L.hodge.polarization.Q.to_json())
+    assert cayley.matmul(cayley.matmul(cayley.transpose(g), Q), g) == Q
+    for with_w in (False, True):
+        _check_moved(L, g, with_w)
