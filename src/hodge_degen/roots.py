@@ -1,13 +1,22 @@
 """Root systems, grading elements, and real-orbit root counts.
 
-Everything is done in simple-root coordinates with exact rational
-arithmetic.  Conventions fixed here once and for all:
+Everything is done in simple-root coordinates, where roots, Cartan
+integers and the named involutions are integral (Humphreys, Introduction
+to Lie Algebras and Representation Theory, sections 9-11).  So the roots
+are generated by integer simple reflections and involutions are checked
+on int matrices; the only rational set-up is the r x r Gram matrix of the
+simple roots in orthogonal coordinates, which gives the Cartan matrix and
+(scaled to ints) the squared lengths.  Fundamental weights and grading
+elements are exact rationals (Fractions).  Conventions fixed here once
+and for all:
   G2: alpha1 short, alpha2 long, highest root 3a1+2a2
   F4: alpha1, alpha2 long, alpha3, alpha4 short (Bourbaki)
 """
 
 import math
 from fractions import Fraction
+
+from .gq import MatrixGQ, inverse
 
 
 class UnsupportedType(ValueError):
@@ -45,6 +54,8 @@ def _orthogonal_simples(type_letter, rank):
     def sub(u, v):
         return tuple(a - b for a, b in zip(u, v))
     if type_letter == "A":
+        if rank < 1:
+            raise UnsupportedType("A needs rank >= 1")
         m = rank + 1
         return [sub(e(i, m), e(i + 1, m)) for i in range(rank)]
     if type_letter == "B":
@@ -83,17 +94,27 @@ def _dot(u, v):
 
 
 class RootSystem:
+    """A root system in simple-root coordinates.
+
+    `simple_roots` and `all_roots` are int tuples, `all_roots` sorted;
+    `_gram` is the Gram matrix of the simple roots scaled to ints, `_index`
+    maps each root to its all_roots position, and `_level_cache` keeps
+    alpha(L) for every root by L.values (see `_levels`).
+    """
+
     __slots__ = ("type_letter", "rank", "simple_roots", "all_roots",
-                 "cartan_matrix", "fundamental_weights", "_orth",
-                 "_int_roots")
+                 "cartan_matrix", "fundamental_weights", "_orth", "_gram",
+                 "_index", "_level_cache")
 
     def __init__(self, type_letter, rank, simple_roots, all_roots,
-                 cartan_matrix, fundamental_weights, orth, int_roots):
+                 cartan_matrix, fundamental_weights, orth, gram):
         for k, v in (("type_letter", type_letter), ("rank", rank),
                      ("simple_roots", simple_roots), ("all_roots", all_roots),
                      ("cartan_matrix", cartan_matrix),
                      ("fundamental_weights", fundamental_weights),
-                     ("_orth", orth), ("_int_roots", int_roots)):
+                     ("_orth", orth), ("_gram", gram),
+                     ("_index", {a: i for i, a in enumerate(all_roots)}),
+                     ("_level_cache", {})):
             object.__setattr__(self, k, v)
 
     def __setattr__(self, *a):
@@ -108,21 +129,21 @@ class RootSystem:
                 out[i] += c * x
         return tuple(out)
 
-    def square_length(self, coords):
-        v = self.orthogonal(coords)
-        return _dot(v, v)
+    def _form(self, u, v):
+        """The scaled Gram form u G v (an int on int vectors)."""
+        return sum(x * g * y for x, row in zip(u, self._gram) if x
+                   for g, y in zip(row, v))
 
     def pairing_with_coroot_of(self, coords, beta):
-        b = self.orthogonal(beta)
-        v = self.orthogonal(coords)
-        return 2 * _dot(v, b) / _dot(b, b)
+        return Fraction(2 * self._form(coords, beta)) / self._form(beta, beta)
 
     def positive_roots(self):
         return [a for a in self.all_roots if _is_positive(a)]
 
     def short_roots(self):
-        m = min(self.square_length(a) for a in self.all_roots)
-        return [a for a in self.all_roots if self.square_length(a) == m]
+        lengths = [self._form(a, a) for a in self.all_roots]
+        m = min(lengths)
+        return [a for a, n in zip(self.all_roots, lengths) if n == m]
 
     def highest_root(self):
         return max(self.positive_roots(), key=lambda a: (sum(a), a))
@@ -139,68 +160,45 @@ def _is_positive(coords):
 
 def build_root_system(type_letter, rank):
     if type_letter not in _ROOT_COUNTS:
-        raise UnsupportedType("unknown type %r" % type_letter)
+        raise UnsupportedType("unknown type %r" % (type_letter,))
+    if type(rank) is not int:
+        raise UnsupportedType("rank must be an integer, got %r" % (rank,))
     orth = _orthogonal_simples(type_letter, rank)
-    sq = [_dot(v, v) for v in orth]
-    expected = _ROOT_COUNTS[type_letter](rank)
-
-    def orthogonal_of(coords):
-        m = len(orth[0])
-        out = [Fraction(0)] * m
-        for c, root in zip(coords, orth):
-            for i, x in enumerate(root):
-                out[i] += c * x
-        return tuple(out)
-
-    simples = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(rank))
-               for i in range(rank)]
+    gram = [[_dot(u, v) for v in orth] for u in orth]
+    # C[i][j] = <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)
+    cartan = tuple(tuple(int(2 * gram[i][j] / gram[j][j]) for j in range(rank))
+                   for i in range(rank))
+    for i in range(rank):
+        assert cartan[i][i] == 2
+    # s_j(a) = a - <a, alpha_j^vee> alpha_j, with <a, alpha_j^vee> = sum_i a_i C[i][j]
+    simples = tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
     roots = set(simples)
-    frontier = set(simples)
+    frontier = simples
     while frontier:
-        nxt = set()
+        nxt = []
         for a in frontier:
-            v = orthogonal_of(a)
             for j in range(rank):
-                c = 2 * _dot(v, orth[j]) / sq[j]
-                b = tuple(x - (c if i == j else 0) for i, x in enumerate(a))
-                if b not in roots:
-                    roots.add(b)
-                    nxt.add(b)
+                c = sum(x * cartan[i][j] for i, x in enumerate(a) if x)
+                if c:
+                    b = a[:j] + (a[j] - c,) + a[j + 1:]
+                    if b not in roots:
+                        roots.add(b)
+                        nxt.append(b)
         frontier = nxt
     roots |= {tuple(-x for x in a) for a in roots}
+    expected = _ROOT_COUNTS[type_letter](rank)
     if len(roots) != expected:
         raise AssertionError("root count %d != %d" % (len(roots), expected))
     all_roots = tuple(sorted(roots))
     for a in all_roots:
         assert tuple(-x for x in a) in roots
-    int_roots = tuple(tuple(int(x) for x in a) for a in all_roots)
-    assert int_roots == all_roots
-    cartan = tuple(tuple(int(2 * _dot(orthogonal_of(si), orth[j]) / sq[j])
-                         for j in range(rank)) for si in simples)
-    for i in range(rank):
-        assert cartan[i][i] == 2
-    # fundamental weights in simple-root coordinates: columns of (C^T)^{-1}
-    inv = _rational_inverse([[Fraction(cartan[j][i]) for j in range(rank)]
-                             for i in range(rank)])
-    fws = tuple(tuple(inv[j][i] for j in range(rank)) for i in range(rank))
-    return RootSystem(type_letter, rank, tuple(simples), all_roots,
-                      cartan, fws, [tuple(v) for v in orth], int_roots)
-
-
-def _rational_inverse(M):
-    n = len(M)
-    A = [list(row) + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        d = A[col][col]
-        A[col] = [x / d for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
+    scale = math.lcm(*(x.denominator for row in gram for x in row))
+    int_gram = tuple(tuple(int(x * scale) for x in row) for row in gram)
+    # fundamental weights in simple-root coordinates: the rows of C^{-1}
+    inv = inverse(MatrixGQ(cartan))
+    fws = tuple(tuple(inv[i, j].re for j in range(rank)) for i in range(rank))
+    return RootSystem(type_letter, rank, simples, all_roots, cartan, fws,
+                      [tuple(v) for v in orth], int_gram)
 
 
 class GradingElement:
@@ -231,16 +229,25 @@ class GradingElement:
 
 
 def _levels(rs, L):
-    """alpha(L) for every root of rs, in all_roots order, as ints."""
+    """alpha(L) for every root of rs, in all_roots order, as a tuple of ints.
+
+    Kept on rs by L.values, so each (root system, grading) is done once."""
+    lev = rs._level_cache.get(L.values)
+    if lev is not None:
+        return lev
+    if len(L.values) != rs.rank:
+        raise ValueError("grading element on %s%d needs %d values, got %d"
+                         % (rs.type_letter, rs.rank, rs.rank, len(L.values)))
     d = math.lcm(*(v.denominator for v in L.values))
     scaled = [int(v * d) for v in L.values]
     out = []
-    for a in rs._int_roots:
+    for a in rs.all_roots:
         x, r = divmod(sum(c * v for c, v in zip(a, scaled)), d)
         if r:
             raise NonIntegralGrading("alpha(L) not an integer on %s" % (a,))
         out.append(x)
-    return out
+    lev = rs._level_cache[L.values] = tuple(out)
+    return lev
 
 
 class WeightMultiset:
@@ -385,18 +392,23 @@ class InvolutionDatum:
     def __init__(self, sigma, theta, rs):
         sigma = tuple(tuple(Fraction(x) for x in row) for row in sigma)
         theta = tuple(tuple(Fraction(x) for x in row) for row in theta)
-        r = len(sigma)
-        ident = tuple(tuple(Fraction(1) if j == i else Fraction(0)
-                            for j in range(r)) for i in range(r))
-        if _matmul(sigma, sigma) != ident or _matmul(theta, theta) != ident:
+        integral = all(x.denominator == 1 for M in (sigma, theta)
+                       for row in M for x in row)
+        S, T = (_int_matrix(sigma), _int_matrix(theta)) if integral else (sigma, theta)
+        ident = _identity(len(S))
+        if _matmul(S, S) != ident or _matmul(T, T) != ident:
             raise InconsistentInvolutions("sigma or theta is not an involution")
-        if _matmul(sigma, theta) != _matmul(theta, sigma):
+        if _matmul(S, T) != _matmul(T, S):
             raise InconsistentInvolutions("sigma and theta do not commute")
-        index = {a: i for i, a in enumerate(rs.all_roots)}
+        if not integral:
+            # a column with a non-integer entry sends its simple root (a unit
+            # vector) to a vector that is not a root
+            raise InconsistentInvolutions("involution does not permute roots")
+        index = rs._index
         conj, imag = [], []
         for a in rs.all_roots:
-            sa = _matvec(sigma, a)
-            ta = _matvec(theta, a)
+            sa = _matvec(S, a)
+            ta = _matvec(T, a)
             if sa not in index or ta not in index:
                 raise InconsistentInvolutions("involution does not permute roots")
             if ta != tuple(-x for x in sa):
@@ -426,12 +438,16 @@ def _matvec(A, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in A)
 
 
+def _int_matrix(M):
+    return tuple(tuple(int(x) for x in row) for row in M)
+
+
 def _identity(r):
-    return [[1 if j == i else 0 for j in range(r)] for i in range(r)]
+    return tuple(tuple(int(j == i) for j in range(r)) for i in range(r))
 
 
 def _neg(M):
-    return [[-x for x in row] for row in M]
+    return tuple(tuple(-x for x in row) for row in M)
 
 
 def reflection_matrix(rs, beta):
@@ -456,8 +472,15 @@ def split_involution(rs):
 
 def cayley_involution(rs, beta):
     """Cartan obtained from a compact one by a Cayley transform in the root beta."""
+    beta = tuple(beta)
+    if len(beta) != rs.rank:
+        raise UnsupportedType("cayley root %s on %s%d needs %d coordinates, got %d"
+                              % (beta, rs.type_letter, rs.rank, rs.rank, len(beta)))
+    if beta not in rs._index:
+        raise UnsupportedType("cayley root %s is not a root of %s%d"
+                              % (beta, rs.type_letter, rs.rank))
     S = reflection_matrix(rs, beta)
-    return InvolutionDatum(_neg(list(map(list, S))), S, rs)
+    return InvolutionDatum(_neg(S), S, rs)
 
 
 def named_involution(rs, name):
@@ -465,10 +488,15 @@ def named_involution(rs, name):
         return compact_involution(rs)
     if name == "split":
         return split_involution(rs)
-    if name.startswith("cayley:"):
-        beta = tuple(Fraction(x) for x in name.split(":", 1)[1].split(","))
+    if isinstance(name, str) and name.startswith("cayley:"):
+        text = name.split(":", 1)[1]
+        try:
+            beta = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            raise UnsupportedType("cayley root %r is not a list of integers"
+                                  % text) from None
         return cayley_involution(rs, beta)
-    raise UnsupportedType("unknown involution %r" % name)
+    raise UnsupportedType("unknown involution %r" % (name,))
 
 
 def orbit_dims(rs, L, inv):

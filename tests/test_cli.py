@@ -441,6 +441,33 @@ def test_catalog_bad_payload(capsys, tmp_path, monkeypatch, edit, witness):
     assert "'G2-split-closed'" in err and witness in err
 
 
+@pytest.mark.parametrize("edit, witness", [
+    ({"involution": "cayley:0,0"}, "cayley root (0, 0) is not a root of A2"),
+    ({"involution": "cayley:2,0"}, "cayley root (2, 0) is not a root of A2"),
+    ({"involution": "cayley:1"}, "cayley root (1,) on A2 needs 2 coordinates, got 1"),
+    ({"involution": "cayley:1,0,0"},
+     "cayley root (1, 0, 0) on A2 needs 2 coordinates, got 3"),
+    ({"involution": "cayley:a,1"}, "cayley root 'a,1' is not a list of integers"),
+    ({"L": [1]}, "grading element on A2 needs 2 values, got 1"),
+    ({"rank": "2"}, "rank must be an integer, got '2'"),
+    ({"rank": 0}, "A needs rank >= 1"),
+], ids=["zero-root", "not-a-root", "short-root", "long-root", "unparsed-root",
+        "short-L", "string-rank", "rank-0"])
+def test_catalog_bad_root_payload(capsys, tmp_path, monkeypatch, edit, witness):
+    # an A2 orbit entry in a catalog of its own; every edit used to get
+    # through as a traceback or as a wrong "match"
+    payload = {"type": "A", "rank": 2, "L": [1, 1], "involution": "compact"}
+    payload.update(edit)
+    entry = {"name": "A2-test", "kind": "mumford-tate", "payload": payload,
+             "expected": {"closed": False, "dim_C_dual": 3, "dim_KR_orbit": 1,
+                          "dim_R_orbit": 6}}
+    (tmp_path / "a2-test.json").write_text(json.dumps(entry))
+    monkeypatch.setenv(cli.CATALOG_ENV, str(tmp_path))
+    code, out, err = run(capsys, "catalog", "A2-test")
+    assert code == 2 and out == ""
+    assert err == "catalog entry 'A2-test': bad payload: %s\n" % witness
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog"], ["catalog", "G2"], ["catalog", "G2-split-codim1-long"],
     ["catalog", "nope"], ["diagram", "nope"],

@@ -164,6 +164,7 @@ def test_involution_consistency_enforced():
     (((1, 1), (0, 1)), ((1, 0), (0, 1)), "not an involution"),
     (((0, 1), (1, 0)), ((-1, 0), (1, 1)), "do not commute"),
     (((1, 0), (0, -1)), ((-1, 0), (0, 1)), "does not permute roots"),
+    (((1, 0), (0, 1)), ((1, 0), (0, 1)), r"-alpha != theta\(conj alpha\)"),
 ])
 def test_each_involution_check_enforced(sigma, theta, message):
     with pytest.raises(InconsistentInvolutions, match=message):
@@ -302,3 +303,147 @@ def test_orbit_layer_matches_definitions(case):
     dims, closed = reference_orbit_layer(rs, L, inv)
     assert orbit_dims(rs, L, inv) == dims
     assert closed_orbit_criterion(rs, L, inv) == closed
+
+
+# ------------------------------------------------------------ root data oracle
+
+def reference_root_system(letter, rank):
+    """Root data as first written: each root reflected in orthogonal
+    coordinates with Fraction arithmetic, the Cartan matrix from orthogonal
+    dot products, fundamental weights by Gauss-Jordan on [C^T | I], and
+    squared lengths by orthogonal dot products.  `involution(sigma, theta)`
+    gives (_conj, _imag) by Fraction mat-vecs on every root."""
+    orth = roots._orthogonal_simples(letter, rank)
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    def orthogonal(coords):
+        return tuple(sum(c * root[i] for c, root in zip(coords, orth))
+                     for i in range(len(orth[0])))
+
+    def pairing(coords, beta):
+        b = orthogonal(beta)
+        return 2 * dot(orthogonal(coords), b) / dot(b, b)
+
+    simples = [tuple(Fraction(int(j == i)) for j in range(rank)) for i in range(rank)]
+    found, frontier = set(simples), set(simples)
+    while frontier:
+        nxt = set()
+        for a in frontier:
+            for s in simples:
+                c = pairing(a, s)
+                b = tuple(x - c * y for x, y in zip(a, s))
+                if b not in found:
+                    found.add(b)
+                    nxt.add(b)
+        frontier = nxt
+    found |= {tuple(-x for x in a) for a in found}
+    all_roots = tuple(sorted(found))
+    cartan = tuple(tuple(pairing(si, sj) for sj in simples) for si in simples)
+    A = [[cartan[j][i] for j in range(rank)] + [Fraction(int(k == i)) for k in range(rank)]
+         for i in range(rank)]
+    for col in range(rank):
+        piv = next(r for r in range(col, rank) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = [x / A[col][col] for x in A[col]]
+        for r in range(rank):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    fws = tuple(tuple(A[j][rank + i] for j in range(rank)) for i in range(rank))
+    lengths = {a: dot(orthogonal(a), orthogonal(a)) for a in all_roots}
+    positive = [a for a in all_roots if min(a) >= 0]
+
+    def matvec(M, v):
+        return tuple(sum(x * y for x, y in zip(row, v)) for row in M)
+
+    def involution(sigma, theta):
+        conj, imag = [], []
+        for a in all_roots:
+            sa, ta = matvec(sigma, a), matvec(theta, a)
+            assert ta == tuple(-x for x in sa)
+            conj.append(all_roots.index(sa))
+            imag.append(ta == a)
+        return tuple(conj), tuple(imag)
+
+    def reflection(beta):
+        cols = [tuple(x - pairing(s, beta) * y for x, y in zip(s, beta)) for s in simples]
+        return tuple(tuple(col[i] for col in cols) for i in range(rank))
+
+    return {"all_roots": all_roots, "cartan_matrix": cartan, "fundamental_weights": fws,
+            "short_roots": [a for a in all_roots if lengths[a] == min(lengths.values())],
+            "highest_root": max(positive, key=lambda a: (sum(a), a)),
+            "positive_roots": positive, "reflection": reflection, "involution": involution}
+
+
+ORACLE_SYSTEMS = ([("A", r) for r in range(1, 8)] + [(t, r) for t in "BC" for r in range(2, 7)]
+                  + [("D", r) for r in range(3, 7)] + [("G", 2), ("F", 4)])
+
+
+@pytest.mark.parametrize("letter, rank", ORACLE_SYSTEMS)
+def test_root_data_matches_reference(letter, rank):
+    rs = build_root_system(letter, rank)
+    ref = reference_root_system(letter, rank)
+    assert rs.all_roots == ref["all_roots"]
+    assert all(type(x) is int for a in rs.all_roots + rs.simple_roots for x in a)
+    assert rs.cartan_matrix == ref["cartan_matrix"]
+    assert rs.fundamental_weights == ref["fundamental_weights"]
+    assert all(type(x) is Fraction for w in rs.fundamental_weights for x in w)
+    assert rs.short_roots() == ref["short_roots"]
+    assert rs.highest_root() == ref["highest_root"]
+    assert rs.positive_roots() == ref["positive_roots"]
+    one = [[Fraction(int(j == i)) for j in range(rank)] for i in range(rank)]
+    neg = [[-x for x in row] for row in one]
+    cases = [("compact", neg, one), ("split", one, neg)]
+    for beta in ref["positive_roots"][:5]:
+        S = ref["reflection"](beta)
+        cases.append(("cayley:" + ",".join(map(str, beta)),
+                      [[-x for x in row] for row in S], S))
+    for name, sigma, theta in cases:
+        inv = named_involution(rs, name)
+        assert (inv._conj, inv._imag) == ref["involution"](sigma, theta), name
+        assert (inv.sigma, inv.theta) == (tuple(map(tuple, sigma)), tuple(map(tuple, theta)))
+
+
+def test_non_integral_involution_rejected():
+    # an involution pair that commutes, but whose first column sends alpha_1
+    # to (1, 1/2), which is not a root
+    sigma = ((1, 0), (Fraction(1, 2), -1))
+    theta = tuple(tuple(-x for x in row) for row in sigma)
+    with pytest.raises(InconsistentInvolutions, match="does not permute roots"):
+        InvolutionDatum(sigma, theta, build_root_system("A", 2))
+
+
+@pytest.mark.parametrize("rank", [0, -1, "2", 2.0, True])
+def test_bad_rank_rejected(rank):
+    with pytest.raises(UnsupportedType):
+        build_root_system("A", rank)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("cayley:0,0", r"\(0, 0\) is not a root of A2"),
+    ("cayley:2,0", r"\(2, 0\) is not a root of A2"),
+    ("cayley:1", r"needs 2 coordinates, got 1"),
+    ("cayley:1,0,0", r"needs 2 coordinates, got 3"),
+    ("cayley:1/2,1", r"'1/2,1' is not a list of integers"),
+    ("cayley:", r"'' is not a list of integers"),
+])
+def test_bad_cayley_root_rejected(name, message):
+    with pytest.raises(UnsupportedType, match=message):
+        named_involution(build_root_system("A", 2), name)
+
+
+def test_grading_length_must_match_rank():
+    rs = build_root_system("A", 2)
+    for values in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="needs 2 values, got %d" % len(values)):
+            GradingElement(values).check_integral(rs)
+
+
+def test_levels_kept_per_grading():
+    rs = build_root_system("F", 4)
+    L = GradingElement((1, 0, 2, 1))
+    lev = roots._levels(rs, L)
+    assert roots._levels(rs, GradingElement((1, 0, 2, 1))) is lev
+    assert lev == tuple(L(a) for a in rs.all_roots)
