@@ -16,6 +16,14 @@ one fused operation with one gcd.  Matrices the kernels build go through a
 trusted private constructor; the public MatrixGQ constructor and from_json
 check every entry.  rref keeps the pivot columns it finds, and a Subspace
 holds them, so no row is scanned again for its pivot.
+
+Meets and membership tests reduce against the rref basis a Subspace keeps,
+and build no subspace they only test: contains, maps_into (M A inside B,
+with no basis of M A) and intersect (the rows of the smaller space reduced
+against the other, with one rref of the meet at the end, and none when the
+meet is 0 or the smaller space itself).  The conjugate of an rref basis is
+in rref with the same pivots, so conj_space does not reduce again.  The
+zero and whole subspaces of each C^n are made once and shared.
 """
 
 from fractions import Fraction
@@ -392,8 +400,10 @@ class MatrixGQ:
         return _matrix(tuple(zip(*self.entries)), self.rows)
 
     def conj(self):
+        # conjugation keeps the zero pattern, so an rref stays rref with the
+        # same pivots
         return _matrix(tuple(tuple(e.conj() if e._y else e for e in row)
-                             for row in self.entries), self.cols)
+                             for row in self.entries), self.cols, self._pivots)
 
     def conj_transpose(self):
         return self.transpose().conj()
@@ -602,11 +612,19 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim):
-        return Subspace(ambient_dim, MatrixGQ.zero(0, ambient_dim), already_canonical=True)
+        S = _ZEROS.get(ambient_dim)
+        if S is None:
+            S = _ZEROS[ambient_dim] = Subspace(
+                ambient_dim, MatrixGQ.zero(0, ambient_dim), already_canonical=True)
+        return S
 
     @staticmethod
     def full(ambient_dim):
-        return Subspace(ambient_dim, MatrixGQ.identity(ambient_dim), already_canonical=True)
+        S = _FULLS.get(ambient_dim)
+        if S is None:
+            S = _FULLS[ambient_dim] = Subspace(
+                ambient_dim, MatrixGQ.identity(ambient_dim), already_canonical=True)
+        return S
 
     @property
     def dim(self):
@@ -639,6 +657,12 @@ class Subspace:
 
     def to_json(self):
         return self.basis.to_json()
+
+
+# One zero and one whole space per ambient dim, made on first use: a
+# Subspace is immutable, so every caller can share them.
+_ZEROS = {}
+_FULLS = {}
 
 
 def _leading_columns(R):
@@ -685,31 +709,52 @@ def ssum(A, B):
 
 
 def intersect(A, B):
-    """A cap B via the kernel of the stacked coefficient matrix."""
+    """A cap B, by reducing the rref rows of the smaller space against the other.
+
+    Each row a of A reduces against B's rref basis to a residue r, and r - a
+    lies in B.  The residues are eliminated against each other in turn, each
+    elimination applied to the carried a as well: a carried a whose residue
+    vanishes lies in B.  Those carried vectors span A cap B, because the
+    residues that keep a pivot are independent, and they are put in rref
+    once.  When no residue keeps a pivot, A lies in B and A is returned;
+    when every residue does, the meet is 0 and no rref is needed.
+    """
     A._check(B)
-    ka, kb = A.dim, B.dim
-    if ka == 0 or kb == 0:
-        return Subspace.zero(A.ambient_dim)
-    # the whole space meets B in B: no solve needed
-    if ka == A.ambient_dim:
-        return B
-    if kb == A.ambient_dim:
-        return A
-    # coefficient vectors (a | b) with a*basisA + b*basisB = 0: then
-    # a*basisA = -b*basisB lies in both
-    stacked = A.basis.entries + B.basis.entries
-    ker = kernel(_matrix(tuple(zip(*stacked)), ka + kb))
+    if A.dim > B.dim:
+        A, B = B, A
     n = A.ambient_dim
+    if A.dim == 0:
+        return A
+    # the whole space meets A in A
+    if B.dim == n:
+        return A
+    # per residue that keeps a pivot: its pivot column, and the nonzero
+    # entries of the residue (1 at the pivot) and of its carried vector
+    kept = []
     vecs = []
-    for coeff in ker.basis.entries:
-        v = [ZERO] * n
-        for c, row, p in zip(coeff, A.basis.entries, A.pivots):
-            if c._x or c._y:
-                for j in range(p, n):
-                    e = row[j]
-                    if e._x or e._y:
-                        v[j] = _add_mul(v[j], c, e)
-        vecs.append(v)
+    for a in A.basis.entries:
+        r = _reduce_against(a, B)
+        a = list(a)
+        for p, rnz, anz in kept:
+            f = r[p]
+            if f._x or f._y:
+                for j, e in rnz:
+                    r[j] = _sub_mul(r[j], f, e)
+                for j, e in anz:
+                    a[j] = _sub_mul(a[j], f, e)
+        rnz = _nonzeros(r)
+        if not rnz:
+            vecs.append(a)
+            continue
+        p, e = rnz[0]
+        anz = _nonzeros(a)
+        if e._x != 1 or e._y or e._d != 1:
+            inv = e.inverse()
+            rnz = [(j, inv * x) for j, x in rnz]
+            anz = [(j, inv * x) for j, x in anz]
+        kept.append((p, rnz, anz))
+    if not kept:
+        return A
     return _span(n, vecs)
 
 
@@ -737,9 +782,13 @@ def image(M):
 
 
 def conj_space(X):
+    """The conjugate of a matrix, or of a Subspace: the conjugate of an rref
+    basis is in rref with the same pivots, and a real basis is its own."""
     if isinstance(X, MatrixGQ):
         return X.conj()
-    return Subspace(X.ambient_dim, X.basis.conj())
+    if X.basis.is_real():
+        return X
+    return Subspace(X.ambient_dim, X.basis.conj(), already_canonical=True)
 
 
 def apply_matrix(M, A):
@@ -747,6 +796,15 @@ def apply_matrix(M, A):
     if M.cols != A.ambient_dim:
         raise AmbientMismatch("matrix does not act on this ambient space")
     return _span(M.rows, [M.matvec(v) for v in A.basis.entries])
+
+
+def maps_into(M, A, B):
+    """Whether M A lies in B: each M v, for v in A's basis, reduced against B.
+
+    No basis of M A is formed."""
+    if M.cols != A.ambient_dim or M.rows != B.ambient_dim:
+        raise AmbientMismatch("matrix does not map A's ambient space to B's")
+    return all(B.contains_vector(M.matvec(v)) for v in A.basis.entries)
 
 
 def preimage(M, A):

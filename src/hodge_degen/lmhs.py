@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from .gq import (
     GaussianRational, MatrixGQ, Subspace, ZERO, ONE,
-    intersect, ssum, conj_space, apply_matrix, preimage, kernel, image,
-    complement_mod, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
-    solver, inverse,
+    intersect, ssum, conj_space, apply_matrix, maps_into, preimage, kernel,
+    image, complement_mod, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
+    solver, inverse, _matrix,
 )
 from .hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs, polarizes,
@@ -132,7 +132,7 @@ def _check_weight(N, W, powers):
     if W.level(c - d - 1).dim:
         raise AssertionError("W_%d is not zero" % (c - d - 1))
     for k in range(c - d, c + d + 1):
-        if not W.level(k - 2).contains(apply_matrix(N, W.level(k))):
+        if not maps_into(N, W.level(k), W.level(k - 2)):
             raise AssertionError("N W_%d not inside W_%d" % (k, k - 2))
     for k in range(0, d + 1):
         if W.gr_dim(c + k) != W.gr_dim(c - k):
@@ -161,12 +161,14 @@ class LmhsDatum:
         if not N.is_real():
             raise ValueError("N must be real")
         powers = nilpotent_powers(N)
-        Q = hodge.polarization.Q
-        if not (Q * N + N.transpose() * Q).is_zero():
+        # Q^T = (-1)^n Q, so N^T Q = (-1)^n (QN)^T: one product
+        QN = hodge.polarization.Q * N
+        QNt = QN.transpose()
+        if not (QN - QNt if hodge.n % 2 else QN + QNt).is_zero():
             raise ValueError("N is not in End(V, Q)")
         F = hodge.filtration
         for p in range(1, hodge.n + 1):
-            if not F.step(p - 1).contains(apply_matrix(N, F.step(p))):
+            if not maps_into(N, F.step(p), F.step(p - 1)):
                 raise ValueError("N F^%d not inside F^%d" % (p, p - 1))
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "N", N)
@@ -478,8 +480,7 @@ def validate_lmhs(L):
             okb = False
     report["graded_hodge"] = okb
 
-    okc = all(bg.piece(p - 1, q - 1).contains(apply_matrix(L.N, s))
-              for p, q, s in bg.nodes)
+    okc = all(maps_into(L.N, s, bg.piece(p - 1, q - 1)) for p, q, s in bg.nodes)
     report["minus_one_minus_one"] = okc
 
     okd = all(polarizes(L.hodge.polarization, pieces, L.power(k))
@@ -584,8 +585,31 @@ def _solve_block_elements(Qp, blocks, sizes, offsets, dim):
 
 def _unit_span(dim, indices):
     """The span of the unit vectors e_k for ascending `indices`, in rref."""
-    rows = [[ONE if j == k else ZERO for j in range(dim)] for k in indices]
-    return Subspace(dim, MatrixGQ(rows, cols=dim), already_canonical=True)
+    indices = tuple(indices)
+    rows = tuple(tuple(ONE if j == k else ZERO for j in range(dim)) for k in indices)
+    return Subspace(dim, _matrix(rows, dim, indices), already_canonical=True)
+
+
+def _sparse_rows(M):
+    """Per row of M, the (col, entry) pairs of its nonzero entries."""
+    return [[(j, e) for j, e in enumerate(row) if e] for row in M.entries]
+
+
+def _bracket(X, Y):
+    """[X, Y] = XY - YX, flattened, from the nonzero entries of X and Y given
+    per row (_sparse_rows): each nonzero X[i][k] meets the nonzeros of Y's
+    row k, and each nonzero Y[i][k] those of X's row k."""
+    dim = len(X)
+    out = [ZERO] * (dim * dim)
+    for i in range(dim):
+        base = i * dim
+        for k, x in X[i]:
+            for j, y in Y[k]:
+                out[base + j] += x * y
+        for k, y in Y[i]:
+            for j, x in X[k]:
+                out[base + j] -= y * x
+    return out
 
 
 def adjoint_lmhs(L):
@@ -595,7 +619,8 @@ def adjoint_lmhs(L):
     and conjugated back.  g_basis lists the pieces in turn, so every
     I^{p,q}_g, W_g level and F_g step is a coordinate subspace.  The
     flattened g_basis is reduced once (gq.solver); that reduction gives N's
-    coordinates and the columns of ad N, and is kept for diagonal_levi.  The
+    coordinates and the columns of ad N, and is kept for diagonal_levi.  Each
+    [N, B] is formed from the nonzero entries of N and B (_bracket).  The
     trace form is trace(B_i B_j) = sum_{a,b} B_i[a][b] B_j[b][a], for i <= j.
     """
     bg = deligne_splitting(L)
@@ -663,9 +688,10 @@ def adjoint_lmhs(L):
         raise NotMhs("N is not of type (-1,-1) in the adjoint bigrading")
 
     # ad(N) in g-coordinates
+    N_rows = _sparse_rows(L.N)
     ad_cols = []
     for B in basis:
-        col = solve((L.N * B - B * L.N).flatten())
+        col = solve(_bracket(N_rows, _sparse_rows(B)))
         if col is None:
             raise ValueError("[N, B] outside the span of g")
         ad_cols.append(col)
@@ -690,10 +716,11 @@ def diagonal_levi(a):
     Every I^{p,q}_g is a coordinate subspace of g, so s is a set of
     g-coordinate indices and s_basis the g_basis elements at them.  An
     element lies in s when its g-coordinates (from the reduction kept on `a`)
-    vanish off those indices.  [s, s] inside s (each pair once), conjugation
-    stability and N in s are checked.  N_s is N_ad restricted to s, checked to
-    map s into s; F_s is read off the indices of the pieces, and the trace form
-    is -killing_proxy restricted to s.  The induced W and splitting are read
+    vanish off those indices.  [s, s] inside s (each pair once, each bracket
+    formed from the nonzero entries of the pair), conjugation stability and N
+    in s are checked.  N_s is N_ad restricted to s, checked to map s into s;
+    F_s is read off the indices of the pieces, and the trace form is
+    -killing_proxy restricted to s.  The induced W and splitting are read
     off the indices too: the piece I^{p,p}_g becomes I^{p+r,p+r} at weight
     level 2(p + r).  Neither is recomputed; W is certified by _check_weight
     and the splitting by _check_splitting, kept on the datum, and asserted
@@ -706,17 +733,18 @@ def diagonal_levi(a):
     outside = [k for k in range(a.dim_g) if k not in pos]
     s_basis = [a.g_basis[k] for k in idx]
 
-    def in_s(M):
-        coords = a._solve(M.flatten())
+    def in_s(flat):
+        coords = a._solve(flat)
         if coords is None:
             raise ValueError("matrix outside the span of g")
         return all(coords[k].is_zero() for k in outside)
 
+    sparse = [_sparse_rows(B) for B in s_basis]
     for i, Bi in enumerate(s_basis):
-        for Bj in s_basis[i + 1:]:
-            if not in_s(Bi * Bj - Bj * Bi):
+        for Sj in sparse[i + 1:]:
+            if not in_s(_bracket(sparse[i], Sj)):
                 raise BracketEscape("[s, s] escapes s")
-        if not in_s(Bi.conj()):
+        if not in_s(Bi.conj().flatten()):
             raise BracketEscape("s is not conjugation stable")
     if any(not a.N_coords[k].is_zero() for k in outside):
         raise BracketEscape("N escapes the diagonal Levi")

@@ -14,6 +14,7 @@ and for all:
 """
 
 import math
+import reprlib
 from fractions import Fraction
 
 from .gq import MatrixGQ, inverse
@@ -207,7 +208,7 @@ class GradingElement:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
+        object.__setattr__(self, "values", _rationals(values))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -226,6 +227,20 @@ class GradingElement:
     def check_integral(self, rs):
         _levels(rs, self)
         return self
+
+
+def _rationals(values):
+    """values as a tuple of Fractions: a list or tuple of ints, Fractions or
+    strings such as "1/2".  A bare string would be read digit by digit, and
+    bools and floats are not exact rationals."""
+    if isinstance(values, (list, tuple)) and \
+            not any(isinstance(v, (bool, float)) for v in values):
+        try:
+            return tuple(Fraction(v) for v in values)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise ValueError('grading element must be a list of rationals (integers, or '
+                     'strings such as "1/2"), got %s' % reprlib.repr(values))
 
 
 def _levels(rs, L):

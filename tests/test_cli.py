@@ -451,8 +451,12 @@ def test_catalog_bad_payload(capsys, tmp_path, monkeypatch, edit, witness):
     ({"L": [1]}, "grading element on A2 needs 2 values, got 1"),
     ({"rank": "2"}, "rank must be an integer, got '2'"),
     ({"rank": 0}, "A needs rank >= 1"),
+    ({"L": 5}, 'grading element must be a list of rationals (integers, or strings '
+               'such as "1/2"), got 5'),
+    ({"L": "12"}, 'grading element must be a list of rationals (integers, or strings '
+                  'such as "1/2"), got \'12\''),
 ], ids=["zero-root", "not-a-root", "short-root", "long-root", "unparsed-root",
-        "short-L", "string-rank", "rank-0"])
+        "short-L", "string-rank", "rank-0", "number-L", "string-L"])
 def test_catalog_bad_root_payload(capsys, tmp_path, monkeypatch, edit, witness):
     # an A2 orbit entry in a catalog of its own; every edit used to get
     # through as a traceback or as a wrong "match"

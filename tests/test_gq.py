@@ -14,8 +14,9 @@ from hodge_degen.gq import (
     format_scalar, parse_scalar, rref, rank, intersect, ssum, kernel, image,
     conj_space, apply_matrix, preimage, annihilator, complement_mod,
     nilpotent_exp, nilpotent_powers, determinant, hermitian_pd, NotNilpotent,
-    AmbientMismatch, solver, inverse, first_nonpositive_minor,
+    AmbientMismatch, solver, inverse, first_nonpositive_minor, maps_into,
 )
+from hodge_degen import gq as gq_module
 
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -570,3 +571,154 @@ def test_transpose_keeps_empty_shapes():
         assert (T.rows, T.cols) == (cols, rows)
         assert T == MatrixGQ.zero(cols, rows)
         assert_built(T)
+
+
+# ------------------------------------------- meets by reduction
+# intersect reduces the rows of one space against the other's rref basis;
+# the reference is the stacked-kernel meet it replaced.
+
+def reference_intersect(A, B):
+    """A cap B via the kernel of the stacked coefficient matrix."""
+    A._check(B)
+    ka, kb = A.dim, B.dim
+    n = A.ambient_dim
+    if ka == 0 or kb == 0:
+        return Subspace.zero(n)
+    if ka == n:
+        return B
+    if kb == n:
+        return A
+    # coefficient vectors (a | b) with a*basisA + b*basisB = 0: then
+    # a*basisA = -b*basisB lies in both
+    stacked = A.basis.entries + B.basis.entries
+    ker = kernel(MatrixGQ(list(zip(*stacked)), cols=ka + kb))
+    vecs = []
+    for coeff in ker.basis.entries:
+        v = [ZERO] * n
+        for c, row in zip(coeff, A.basis.entries):
+            v = [x + c * e for x, e in zip(v, row)]
+        vecs.append(v)
+    return Subspace.from_vectors(n, vecs)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(A, B) in Q[i]^n, n = 1..6.  A and B share a dense part C and have
+    dense parts apart from it, so that A cap B is C, neither 0 nor A nor B;
+    or B is drawn apart from A, or is 0, the whole space, a smaller space
+    inside A, a larger one around A, or A itself.  The order is drawn too."""
+    kind = draw(st.sampled_from(("shared", "apart", "zero", "full", "inside",
+                                 "around", "equal")))
+    n = draw(st.integers(3 if kind == "shared" else 1, 6))
+
+    def rows(k=None):
+        k = draw(st.integers(0, 3)) if k is None else k
+        return draw(sparse_matrices(rows=k, cols=n)).entries
+
+    def dense(k):
+        # entries with a nonzero real part: such rows are in general position,
+        # and they shrink fast
+        entry = st.builds(GaussianRational, st.sampled_from((1, -1, 2, -2, 3)),
+                          st.integers(-2, 2))
+        return tuple(map(tuple, draw(st.lists(
+            st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))))
+
+    def span(vectors):
+        return Subspace(n, MatrixGQ(vectors, cols=n))
+
+    def combinations(k, S):
+        # k vectors of S, with dense coefficients over its basis
+        coeffs = draw(st.lists(st.lists(scalars, min_size=S.dim, max_size=S.dim),
+                               min_size=k, max_size=k))
+        return (MatrixGQ(coeffs, cols=S.dim) * S.basis).entries
+
+    if kind == "shared":
+        c = draw(st.integers(1, n - 2))
+        a = draw(st.integers(1, n - 1 - c))
+        C = dense(c)
+        A = span(C + dense(a))
+        B = span(C + dense(draw(st.integers(1, n - c - a))))
+    else:
+        A = span(rows())
+    if kind == "apart":
+        B = span(rows())
+    elif kind == "zero":
+        B = Subspace.zero(n)
+    elif kind == "full":
+        B = Subspace.full(n)
+    elif kind == "inside":
+        B = span(combinations(draw(st.integers(0, max(A.dim - 1, 0))), A))
+    elif kind == "around":
+        B = span(A.basis.entries + rows())
+    elif kind == "equal":
+        # the same space from other rows: A's rows, reversed, plus combinations
+        B = span(A.basis.entries[::-1] + combinations(2, A))
+    return (B, A) if draw(st.booleans()) else (A, B)
+
+
+# two 3-spaces of C^5 meeting in a line: each rref row leaves a residue,
+# and the third is eliminated against both earlier ones
+MEET_IN_A_LINE = (Subspace(5, MatrixGQ([[1, 1, 1, 1, 1], [1, 2, 0, 0, 1], [0, 1, 3, 0, "i"]])),
+                  Subspace(5, MatrixGQ([[1, 1, 1, 1, 1], [0, 0, 1, 1, 2], [1, 0, 0, 2, 0]])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(subspace_pairs())
+@example(pair=MEET_IN_A_LINE)
+def test_intersect_matches_stacked_kernel_reference(pair):
+    A, B = pair
+    X = intersect(A, B)
+    assert_built(X.basis)
+    ref = reference_intersect(A, B)
+    assert X == ref and X.pivots == ref.pivots, (A.to_json(), B.to_json())
+    assert intersect(B, A) == X
+    assert A.contains(X) and B.contains(X)
+
+
+def test_intersect_solves_no_kernel(monkeypatch):
+    def no_kernel(M):
+        raise AssertionError("intersect called kernel")
+
+    monkeypatch.setattr(gq_module, "kernel", no_kernel)
+    A = Subspace(4, MatrixGQ([[1, 0, 1, 0], [0, 1, 0, "i"]]))
+    B = Subspace(4, MatrixGQ([[1, 1, 1, "i"], [0, 0, 1, 0]]))
+    assert intersect(A, B) == Subspace(4, MatrixGQ([[1, 1, 1, "i"]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_maps_into_matches_image_containment(data):
+    A, B = data.draw(subspace_pairs())
+    n = A.ambient_dim
+    M = data.draw(sparse_matrices(rows=n, cols=n))
+    assert maps_into(M, A, B) == B.contains(apply_matrix(M, A))
+    # the identity maps A into B exactly when A lies in B
+    assert maps_into(MatrixGQ.identity(n), A, B) == B.contains(A)
+
+
+def test_maps_into_checks_shapes():
+    with pytest.raises(AmbientMismatch):
+        maps_into(MatrixGQ.identity(3), Subspace.full(3), Subspace.full(2))
+    with pytest.raises(AmbientMismatch):
+        maps_into(MatrixGQ.identity(3), Subspace.full(2), Subspace.full(3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(subspace_pairs())
+def test_conj_space_keeps_the_rref_pivots(pair):
+    for X in pair:
+        C = conj_space(X)
+        ref = Subspace(X.ambient_dim, X.basis.conj())
+        assert C == ref and C.pivots == ref.pivots
+        assert_built(C.basis)
+        assert conj_space(C) == X
+        if X.basis.is_real():
+            assert C is X
+
+
+def test_trivial_subspaces_are_shared():
+    for n in range(5):
+        assert Subspace.zero(n) is Subspace.zero(n)
+        assert Subspace.full(n) is Subspace.full(n)
+        assert Subspace.zero(n).dim == 0 and Subspace.full(n).dim == n
+        assert Subspace.full(n).pivots == tuple(range(n))

@@ -677,6 +677,9 @@ def closed_form_adjoint_dims(dims, n):
     return out
 
 
+PAIRS_ON_SMALL_CORPUS = 8657  # (1 + dim g)^2, summed over the 56 cases
+
+
 @pytest.fixture(scope="module")
 def r_split_corpus():
     """(cid, L, adjoint_lmhs(L)) for the 56 R-split corpus cases of dim <= 6."""
@@ -711,6 +714,20 @@ def test_certified_levi_matches_recomputation_on_corpus(r_split_corpus):
         assert deligne_splitting(datum).nodes == lmhs._deligne_splitting(datum).nodes, cid
         checked += 1
     assert checked == 54
+
+
+def test_sparse_bracket_matches_dense_on_corpus(r_split_corpus):
+    """[X, Y] from the nonzero entries of X and Y equals the dense
+    X*Y - Y*X, flattened, for every ordered pair of N and the g-basis."""
+    pairs = 0
+    for cid, L, a in r_split_corpus:
+        elements = [L.N] + list(a.g_basis)
+        sparse = [lmhs._sparse_rows(X) for X in elements]
+        for X, SX in zip(elements, sparse):
+            for Y, SY in zip(elements, sparse):
+                assert lmhs._bracket(SX, SY) == list((X * Y - Y * X).flatten()), cid
+                pairs += 1
+    assert pairs == PAIRS_ON_SMALL_CORPUS
 
 
 def test_adjoint_of_zero_algebra():

@@ -441,6 +441,18 @@ def test_grading_length_must_match_rank():
             GradingElement(values).check_integral(rs)
 
 
+@pytest.mark.parametrize("values", [5, "12", None, [True, 1], [0.5, 1], ["a", 1],
+                                    ["1/0", 1], [None, 1]])
+def test_grading_element_needs_a_list_of_rationals(values):
+    with pytest.raises(ValueError, match="must be a list of rationals"):
+        GradingElement(values)
+
+
+def test_grading_element_reads_rational_strings():
+    assert GradingElement(["1/2", 1, Fraction(3, 2)]).values == \
+        (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+
+
 def test_levels_kept_per_grading():
     rs = build_root_system("F", 4)
     L = GradingElement((1, 0, 2, 1))
