@@ -165,36 +165,32 @@ def cmd_classify(args):
             return 2
     n = hn.n  # the datum's weight, when a datum is read
     report = {"weight": n, "h": list(hn.h), "mode": args.mode}
+    witnesses = []  # (report entry, path, datum) for each --out file
     if args.mode == "minimal":
         types = minimal_types(n, hn)
         report["types"] = [
             {"kind": t.kind, "p_o": t.p_o, "q_o": t.q_o, "nodes": t.triples()}
             for t in types]
         if args.out:
-            for i, t in enumerate(types):
-                L = minimal_witness(t, n, hn)
-                path = "%s.witness%d.json" % (args.out, i)
-                with open(path, "w") as fh:
-                    json.dump(L.to_json(), fh, sort_keys=True)
-                report["types"][i]["witness"] = path
-        print(json.dumps(report, sort_keys=True))
-        return 0
-    if args.mode == "hodge-tate":
+            witnesses = [(report["types"][i], "%s.witness%d.json" % (args.out, i),
+                          minimal_witness(t, n, hn)) for i, t in enumerate(types)]
+    elif args.mode == "hodge-tate":
         report["gate"] = ht_gate(n, hn)
         if not report["gate"]:
             print(json.dumps(report, sort_keys=True))
             return 1
         plan = ht_plan(n, hn)
         report["atomic_multiplicities"] = list(plan.d)
-        L = ht_construct(n, hn)
+        try:
+            L = ht_construct(n, hn)
+        except GateFailed as e:
+            report["error"] = str(e)
+            print(json.dumps(report, sort_keys=True))
+            return 1
         report["nodes"] = triples(deligne_splitting(L).dims())
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(L.to_json(), fh, sort_keys=True)
-            report["witness"] = args.out
-        print(json.dumps(report, sort_keys=True))
-        return 0
-    if args.mode == "closed-orbit":
+            witnesses = [(report, args.out, L)]
+    else:  # closed-orbit, the last mode the parser accepts
         if L is None:
             try:
                 L = ht_construct(n, hn)
@@ -216,8 +212,15 @@ def cmd_classify(args):
         print(json.dumps(report, sort_keys=True))
         ok = report["period_check"].get("consistent_with_closed_orbit", False)
         return 0 if ok else 1
-    print(json.dumps({"error": "unknown mode"}))
-    return 2
+    for entry, path, witness in witnesses:
+        try:
+            _emit(json.dumps(witness.to_json(), sort_keys=True), path)
+        except OSError as e:
+            print(json.dumps({"error": str(e)}))
+            return 2
+        entry["witness"] = path
+    print(json.dumps(report, sort_keys=True))
+    return 0
 
 
 _LMHS_CLAUSES = ("weight_filtration", "graded_hodge", "minus_one_minus_one",
@@ -278,7 +281,11 @@ def cmd_diagram(args):
         print("bad input: %s" % e, file=sys.stderr)
         return 2
     fmt = args.format if args.format != "json" else "ascii"
-    _emit(render(spec, fmt), args.out)
+    try:
+        _emit(render(spec, fmt), args.out)
+    except OSError as e:
+        print("cannot write output: %s" % e, file=sys.stderr)
+        return 2
     return 0
 
 

@@ -21,9 +21,10 @@ Meets and membership tests reduce against the rref basis a Subspace keeps,
 and build no subspace they only test: contains, maps_into (M A inside B,
 with no basis of M A) and intersect (the rows of the smaller space reduced
 against the other, with one rref of the meet at the end, and none when the
-meet is 0 or the smaller space itself).  The conjugate of an rref basis is
-in rref with the same pivots, so conj_space does not reduce again.  The
-zero and whole subspaces of each C^n are made once and shared.
+meet is 0 or the smaller space itself).  A basis already in rref that keeps
+its pivots becomes a Subspace through the trusted private _canonical, with
+no rref: the shared zero and whole spaces of each C^n, a conjugate (which
+has the same pivots) and the spans of unit vectors that lmhs builds.
 """
 
 from fractions import Fraction
@@ -587,19 +588,14 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis", "pivots")
 
-    def __init__(self, ambient_dim, basis, already_canonical=False):
-        if basis.cols != ambient_dim and basis.rows > 0:
-            raise AmbientMismatch("basis width != ambient dim")
-        if not already_canonical:
-            basis = rref(basis)
-        if basis.rows == 0:
+    def __new__(cls, ambient_dim, basis):
+        # the span of basis's rows, put in rref; _canonical skips the rref
+        if basis.cols != ambient_dim:
+            if basis.rows:
+                raise AmbientMismatch("basis width %d != ambient dim %d"
+                                      % (basis.cols, ambient_dim))
             basis = MatrixGQ.zero(0, ambient_dim)
-        pivots = basis._pivots
-        if pivots is None:
-            pivots = _leading_columns(basis)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
+        return _canonical(ambient_dim, rref(basis))
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -614,16 +610,16 @@ class Subspace:
     def zero(ambient_dim):
         S = _ZEROS.get(ambient_dim)
         if S is None:
-            S = _ZEROS[ambient_dim] = Subspace(
-                ambient_dim, MatrixGQ.zero(0, ambient_dim), already_canonical=True)
+            S = _ZEROS[ambient_dim] = _canonical(
+                ambient_dim, _matrix((), ambient_dim, ()))
         return S
 
     @staticmethod
     def full(ambient_dim):
         S = _FULLS.get(ambient_dim)
         if S is None:
-            S = _FULLS[ambient_dim] = Subspace(
-                ambient_dim, MatrixGQ.identity(ambient_dim), already_canonical=True)
+            S = _FULLS[ambient_dim] = _canonical(
+                ambient_dim, MatrixGQ.identity(ambient_dim))
         return S
 
     @property
@@ -665,19 +661,14 @@ _ZEROS = {}
 _FULLS = {}
 
 
-def _leading_columns(R):
-    # the column of the first nonzero entry of each row of R, a matrix given
-    # as already in rref (the leading columns increase down the rows)
-    out = []
-    j = 0
-    for row in R.entries:
-        while j < R.cols and not (row[j]._x or row[j]._y):
-            j += 1
-        if j == R.cols:
-            raise ValueError("a basis in rref has no zero rows")
-        out.append(j)
-        j += 1
-    return tuple(out)
+def _canonical(n, R):
+    # the trusted Subspace constructor, with no rref: R is a basis of a
+    # subspace of C^n already in rref, and keeps its pivots
+    S = _new(Subspace)
+    object.__setattr__(S, "ambient_dim", n)
+    object.__setattr__(S, "basis", R)
+    object.__setattr__(S, "pivots", R._pivots)
+    return S
 
 
 def _span(ambient_dim, vectors):
@@ -788,7 +779,7 @@ def conj_space(X):
         return X.conj()
     if X.basis.is_real():
         return X
-    return Subspace(X.ambient_dim, X.basis.conj(), already_canonical=True)
+    return _canonical(X.ambient_dim, X.basis.conj())
 
 
 def apply_matrix(M, A):

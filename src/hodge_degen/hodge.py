@@ -146,7 +146,10 @@ class HodgeDatum:
             if key not in F or (p == 0 and F[key] == []):
                 steps.append(Subspace.full(dim))
             else:
-                steps.append(Subspace(dim, MatrixGQ.from_json(F[key])))
+                try:
+                    steps.append(Subspace(dim, MatrixGQ.from_json(F[key])))
+                except ValueError as e:
+                    raise ValueError("F^%d: %s" % (p, e)) from None
         return HodgeDatum(dim, PolarizationForm(n, Q), HodgeFiltration(n, steps))
 
 

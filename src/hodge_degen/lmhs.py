@@ -14,7 +14,7 @@ from .gq import (
     GaussianRational, MatrixGQ, Subspace, ZERO, ONE,
     intersect, ssum, conj_space, apply_matrix, maps_into, preimage, kernel,
     image, complement_mod, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
-    solver, inverse, _matrix,
+    solver, inverse, rank, _matrix, _canonical,
 )
 from .hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs, polarizes,
@@ -123,7 +123,10 @@ def _check_weight(N, W, powers):
     With N^(d+1) = 0 and N^d != 0 that is the unique filtration with
     W_{c+d} = V, W_{c-d-1} = 0, N W_k inside W_{k-2}, and N^k mapping
     Gr_{c+k} onto Gr_{c-k} of the same dim (Deligne, Weil II 1.6).  Raises
-    AssertionError naming the first level that fails.
+    AssertionError naming the first level that fails.  The inclusions are
+    tested by reduction (gq.maps_into) and give N^k W_{c+k} inside W_{c-k},
+    so N^k is onto Gr_{c-k} when N^k W_{c+k} and W_{c-k-1} span a space of
+    dim W_{c-k}: one rank, with no subspace built.
     """
     c = W.center
     d = len(powers) - 2
@@ -137,8 +140,9 @@ def _check_weight(N, W, powers):
     for k in range(0, d + 1):
         if W.gr_dim(c + k) != W.gr_dim(c - k):
             raise AssertionError("Gr_%d and Gr_%d differ in dim" % (c + k, c - k))
-        lowtarget = ssum(apply_matrix(powers[k], W.level(c + k)), W.level(c - k - 1))
-        if lowtarget != W.level(c - k):
+        low = W.level(c - k - 1).basis.entries
+        vecs = tuple(powers[k].matvec(v) for v in W.level(c + k).basis.entries)
+        if rank(_matrix(vecs + low, N.rows)) != W.level(c - k).dim:
             raise AssertionError("N^%d not onto Gr_%d" % (k, c - k))
 
 
@@ -229,7 +233,10 @@ class LmhsDatum:
                     level = int(k)
                 except ValueError:
                     raise ValueError("W level %r is not an integer" % k) from None
-                levels[level] = Subspace(hodge.dim, MatrixGQ.from_json(rows))
+                try:
+                    levels[level] = Subspace(hodge.dim, MatrixGQ.from_json(rows))
+                except ValueError as e:
+                    raise ValueError("W_%d: %s" % (level, e)) from None
             if levels:
                 W = WeightFiltration(hodge.n, levels)
         return LmhsDatum(hodge, N, W)
@@ -329,21 +336,24 @@ def _deligne_splitting(L):
 
 def _check_reconstruction(L, bg):
     """Every W_k is the sum of the pieces of weight level <= k, and every F^p
-    the sum of the pieces I^{a,b} with a >= p."""
-    dim = L.dim
-    if bg.total() != dim:
+    the sum of the pieces I^{a,b} with a >= p.  The pieces are in direct sum
+    (Bigrading checks it), so each sum is tested by containment and
+    dimension (_is_sum), and none is built."""
+    if bg.total() != L.dim:
         raise NotMhs("splitting does not span")
     c, n = L.center, L.n
     W = L.W
-    levels = range(W.min_level, W.max_level + 1)
-    sums = _running_sums(dim, bg.nodes, lambda p, q: c - n + p + q, levels)
-    for k in levels:
-        if sums[k] != W.level(k):
+    for k in range(W.min_level, W.max_level + 1):
+        if not _is_sum(W.level(k), [s for p, q, s in bg.nodes if c - n + p + q <= k]):
             raise NotMhs("weight filtration not recovered at level %d" % k)
-    sums = _running_sums(dim, bg.nodes, lambda p, q: -p, range(-n, 1))
     for p0 in range(n + 1):
-        if sums[-p0] != L.hodge.filtration.step(p0):
+        if not _is_sum(L.hodge.filtration.step(p0), [s for p, _, s in bg.nodes if p >= p0]):
             raise NotMhs("Hodge filtration not recovered at step %d" % p0)
+
+
+def _is_sum(X, pieces):
+    # X is the sum of pieces in direct sum when it holds each and has their total dim
+    return X.dim == sum(s.dim for s in pieces) and all(X.contains(s) for s in pieces)
 
 
 def _check_splitting(L, bg):
@@ -361,21 +371,6 @@ def _check_splitting(L, bg):
         if not Subspace.from_vectors(L.dim, vecs).contains(conj_space(s)):
             raise NotMhs("conj I^{%d,%d} not inside I^{%d,%d} + sum_{a<%d,b<%d} I^{a,b}"
                          % (p, q, q, p, q, p))
-
-
-def _running_sums(dim, nodes, key, bounds):
-    """{b: sum of the pieces with key(p, q) <= b} for ascending `bounds`,
-    one ssum per piece."""
-    order = sorted(nodes, key=lambda t: key(t[0], t[1]))
-    sums = {}
-    acc = Subspace.zero(dim)
-    i = 0
-    for b in bounds:
-        while i < len(order) and key(order[i][0], order[i][1]) <= b:
-            acc = ssum(acc, order[i][2])
-            i += 1
-        sums[b] = acc
-    return sums
 
 
 def is_r_split(bg):
@@ -587,7 +582,7 @@ def _unit_span(dim, indices):
     """The span of the unit vectors e_k for ascending `indices`, in rref."""
     indices = tuple(indices)
     rows = tuple(tuple(ONE if j == k else ZERO for j in range(dim)) for k in indices)
-    return Subspace(dim, _matrix(rows, dim, indices), already_canonical=True)
+    return _canonical(dim, _matrix(rows, dim, indices))
 
 
 def _sparse_rows(M):
@@ -704,8 +699,10 @@ def reduced_limit(bg, n):
     if not is_r_split(bg):
         raise NonRSplit("reduced limit needs an R-split splitting")
     dim = bg.ambient_dim
-    sums = _running_sums(dim, bg.nodes, lambda p, q: q, range(n))
-    return HodgeFiltration(n, [Subspace.full(dim)] + [sums[n - p] for p in range(1, n + 1)])
+    return HodgeFiltration(n, [Subspace.full(dim)] + [
+        Subspace.from_vectors(dim, [v for _, q, s in bg.nodes if q <= n - p
+                                    for v in s.basis.entries])
+        for p in range(1, n + 1)])
 
 
 def diagonal_levi(a):

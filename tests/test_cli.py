@@ -92,7 +92,13 @@ def test_validate_missing_key(capsys, ht_file, tmp_path, key):
     (lambda o: o.update(weight="3"), "'weight' must be a non-negative integer, got '3'"),
     (lambda o: o.update(W=[]), "'W' must be an object"),
     (lambda o: o.update(dim=5), "Q is 4x4, but dim is 5"),
-], ids=["F-list", "F-number", "zero-denominator", "weight-string", "W-list", "dim"])
+    (lambda o: o["F"].__setitem__("1", [["1", "0", "0"]]),
+     "F^1: basis width 3 != ambient dim 4"),
+    (lambda o: o["W"].__setitem__("2", [["1", "0"]]),
+     "W_2: basis width 2 != ambient dim 4"),
+    (lambda o: o["F"]["2"][0].__setitem__(0, "x"), "F^2: bad scalar string: 'x'"),
+], ids=["F-list", "F-number", "zero-denominator", "weight-string", "W-list", "dim",
+        "F-width", "W-width", "F-scalar"])
 def test_validate_malformed_values(capsys, ht_file, tmp_path, edit, witness):
     obj = json.loads(open(ht_file).read())
     edit(obj)
@@ -251,6 +257,24 @@ def test_classify_ht_with_witness(capsys, tmp_path):
     assert L.hodge.dim == 4
 
 
+def test_classify_ht_empty_structure(capsys):
+    # the gate passes with every multiplicity zero, but there is nothing to build
+    code, out, err = run(capsys, "classify", "2", "0,0,0", "--mode", "hodge-tate")
+    assert code == 1 and err == ""
+    rep = json.loads(out)
+    assert rep["gate"] is True and rep["error"] == "empty structure"
+
+
+@pytest.mark.parametrize("mode", ["minimal", "hodge-tate"])
+def test_classify_unwritable_out(capsys, tmp_path, mode):
+    path = str(tmp_path / "missing" / "w")
+    code, out, err = run(capsys, "classify", "2", "1,2,1", "--mode", mode, "--out", path)
+    assert code == 2 and err == ""
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert "No such file or directory" in error and path in error
+
+
 def test_classify_bad_h(capsys):
     code, _, _ = run(capsys, "classify", "2", "1,x,1")
     assert code == 2
@@ -347,6 +371,14 @@ def test_diagram_empty_spec_axes_only(capsys, tmp_path):
     code, out, _ = run(capsys, "diagram", str(p))
     assert code == 0
     assert set(out) <= set(". \n")
+
+
+def test_diagram_unwritable_out(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "d.txt")
+    code, out, err = run(capsys, "diagram", "ht-n2-111", "--out", path)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("cannot write output:") and path in err
 
 
 def test_diagram_unknown_input(capsys):

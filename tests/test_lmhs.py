@@ -1,6 +1,8 @@
 """Limiting mixed Hodge structures: weight filtrations, Deligne splittings,
 validation clauses, adjoint structures, reduced limits."""
 
+import collections
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -675,6 +677,90 @@ def closed_form_adjoint_dims(dims, n):
             if d:
                 out[key] = out.get(key, 0) + d
     return out
+
+
+def reference_check_reconstruction(L, bg):
+    """The running-sum certificate: each W level and each F step compared
+    with the sum of its pieces, built one ssum per piece."""
+    dim = L.dim
+    if bg.total() != dim:
+        raise NotMhs("splitting does not span")
+    c, n = L.center, L.n
+    W = L.W
+    levels = range(W.min_level, W.max_level + 1)
+    sums = _running_sums(dim, bg.nodes, lambda p, q: c - n + p + q, levels)
+    for k in levels:
+        if sums[k] != W.level(k):
+            raise NotMhs("weight filtration not recovered at level %d" % k)
+    sums = _running_sums(dim, bg.nodes, lambda p, q: -p, range(-n, 1))
+    for p0 in range(n + 1):
+        if sums[-p0] != L.hodge.filtration.step(p0):
+            raise NotMhs("Hodge filtration not recovered at step %d" % p0)
+
+
+def _running_sums(dim, nodes, key, bounds):
+    """{b: sum of the pieces with key(p, q) <= b} for ascending `bounds`."""
+    order = sorted(nodes, key=lambda t: key(t[0], t[1]))
+    sums = {}
+    acc = Subspace.zero(dim)
+    i = 0
+    for b in bounds:
+        while i < len(order) and key(order[i][0], order[i][1]) <= b:
+            acc = ssum(acc, order[i][2])
+            i += 1
+        sums[b] = acc
+    return sums
+
+
+def _reconstruction_verdict(check, L, nodes):
+    try:
+        check(L, Bigrading(L.dim, nodes))
+    except NotMhs as e:
+        return str(e)
+    return "ok"
+
+
+def _tampered_nodes(nodes):
+    """Each pair of labels swapped, each piece dropped, each piece tilted
+    (its first basis vector plus the first of the next piece), and each
+    piece relabelled (p, q + 1) or (p - 1, q + 1), so that a W level or an
+    F step holds more than the pieces it counts: only the dimension shows
+    that."""
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        out = list(nodes)
+        (p, q, s), (a, b, t) = nodes[i], nodes[j]
+        out[i], out[j] = (a, b, s), (p, q, t)
+        yield out
+    for i in range(len(nodes)):
+        yield nodes[:i] + nodes[i + 1:]
+        p, q, s = nodes[i]
+        yield nodes[:i] + [(p, q + 1, s)] + nodes[i + 1:]
+        yield nodes[:i] + [(p - 1, q + 1, s)] + nodes[i + 1:]
+    for i in range(len(nodes) if len(nodes) > 1 else 0):  # a tilt needs another piece
+        p, q, s = nodes[i]
+        w = nodes[(i + 1) % len(nodes)][2].basis.entries[0]
+        vecs = s.vectors()
+        vecs[0] = tuple(x + y for x, y in zip(vecs[0], w))
+        yield nodes[:i] + [(p, q, Subspace.from_vectors(s.ambient_dim, vecs))] + nodes[i + 1:]
+
+
+def test_reconstruction_matches_running_sums_on_corpus():
+    """Containment and dimension give the verdict and the message of the
+    running sums, on all 82 corpus splittings and on their tamperings."""
+    verdicts = collections.Counter()
+    cases = cli.corpus_cases()
+    for cid, _, _, thunk in cases:
+        L = thunk()
+        nodes = list(deligne_splitting(L).nodes)
+        assert _reconstruction_verdict(lmhs._check_reconstruction, L, nodes) == "ok", cid
+        for bad in _tampered_nodes(nodes):
+            want = _reconstruction_verdict(reference_check_reconstruction, L, bad)
+            assert _reconstruction_verdict(lmhs._check_reconstruction, L, bad) == want, cid
+            verdicts[want.split(" at ")[0]] += 1
+    assert len(cases) == 82
+    assert set(verdicts) == {"ok", "splitting does not span",
+                             "weight filtration not recovered",
+                             "Hodge filtration not recovered"}
 
 
 PAIRS_ON_SMALL_CORPUS = 8657  # (1 + dim g)^2, summed over the 56 cases
