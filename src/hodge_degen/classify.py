@@ -4,15 +4,22 @@ Minimal (codimension-one) degeneration types with explicit low-rank
 witnesses; the Hodge-Tate feasibility gate and atomic-block constructor;
 closed-orbit constraint checkers; principal-nilpotent limiting structures
 for the classical families.
+
+Each constructor states its blocks once, as (Q, N, basis) with every basis
+vector labelled by its Deligne bidegree (p, q).  One assembly path,
+_direct_sum, reads F off the labels (F^p is spanned by the vectors labelled
+(a, b) with a >= p) and certifies the datum it builds: the Deligne
+splitting must have as many dimensions at each (p, q) as there are labels.
 """
 
+from collections import Counter
 from fractions import Fraction
 
-from .gq import GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE
+from .gq import GaussianRational, MatrixGQ, gq, ZERO, ONE, I, unit_vector
 from .hodge import (
-    HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
+    HodgeDatum, PolarizationForm, HodgeNumbers, labelled_filtration, model_basis,
 )
-from .lmhs import LmhsDatum, Bigrading, deligne_splitting, validate_lmhs, is_hodge_tate
+from .lmhs import LmhsDatum, Bigrading, NotMhs, deligne_splitting, validate_lmhs
 from .diagrams import triples
 
 
@@ -118,52 +125,47 @@ def minimal_types(n, h):
 
 
 def _direct_sum(n, blocks):
-    """Assemble an LmhsDatum from (Q, N, steps) blocks; steps = [F^0..F^n] row lists."""
+    """Assemble an LmhsDatum from (Q, N, basis) blocks, `basis` a list of
+    (vector, (p, q)) labelled by Deligne bidegree, and certify that its
+    splitting has one dimension per label."""
     dim = sum(Q.rows for Q, _, _ in blocks)
     Qent = [[ZERO] * dim for _ in range(dim)]
     Nent = [[ZERO] * dim for _ in range(dim)]
-    steps_rows = [[] for _ in range(n + 1)]
+    basis = []
     off = 0
-    for Q, N, steps in blocks:
+    for Q, N, labelled in blocks:
         d = Q.rows
         for i in range(d):
-            for j in range(d):
-                Qent[off + i][off + j] = Q[i, j]
-                Nent[off + i][off + j] = N[i, j]
-        for p in range(n + 1):
-            for row in steps[p]:
-                steps_rows[p].append([ZERO] * off + list(row) + [ZERO] * (dim - off - d))
+            Qent[off + i][off:off + d] = Q.entries[i]
+            Nent[off + i][off:off + d] = N.entries[i]
+        pad = (ZERO,) * (dim - off - d)
+        basis += [((ZERO,) * off + tuple(v) + pad, label) for v, label in labelled]
         off += d
-    F = [Subspace.full(dim)]
-    for p in range(1, n + 1):
-        F.append(Subspace.from_vectors(dim, steps_rows[p])
-                 if steps_rows[p] else Subspace.zero(dim))
     hodge = HodgeDatum(dim, PolarizationForm(n, MatrixGQ(Qent)),
-                       HodgeFiltration(n, F))
-    return LmhsDatum(hodge, MatrixGQ(Nent))
+                       labelled_filtration(n, basis))
+    L = LmhsDatum(hodge, MatrixGQ(Nent))
+    labels = dict(Counter(label for _, label in basis))
+    try:
+        dims = deligne_splitting(L).dims()
+    except NotMhs as e:
+        raise InfeasibleType("no Deligne splitting for labels %s: %s"
+                             % (labels, e)) from None
+    if dims != labels:
+        raise InfeasibleType("splitting %s != labels %s" % (dims, labels))
+    return L
 
 
 def _phs_block(h):
-    datum = model_phs(h)
-    steps = [[list(r) for r in datum.filtration.steps[p].basis.entries]
-             for p in range(h.n + 1)]
-    Z = MatrixGQ.zero(datum.dim, datum.dim)
-    return (datum.polarization.Q, Z, steps)
+    Q, basis = model_basis(h)
+    return (Q, MatrixGQ.zero(Q.rows, Q.rows), basis)
 
 
-def _string2_real(n, top):
+def _string2_real(top):
     # v in I^{top,top}, Nv in I^{top-1,top-1}; Q(v, Nv) = 1, weight n odd
     Q = MatrixGQ([[ZERO, ONE], [gq(-1), ZERO]])
     N = MatrixGQ([[ZERO, ZERO], [ONE, ZERO]])
-    steps = []
-    for p in range(n + 1):
-        rows = []
-        if p <= top:
-            rows.append([ONE, ZERO])
-        if p <= top - 1:
-            rows.append([ZERO, ONE])
-        steps.append(rows)
-    return (Q, N, steps)
+    return (Q, N, [(unit_vector(2, 0), (top, top)),
+                   (unit_vector(2, 1), (top - 1, top - 1))])
 
 
 def _string2_pair(n, p_o, q_o, sign):
@@ -178,87 +180,53 @@ def _string2_pair(n, p_o, q_o, sign):
     Qe[0][2], Qe[1][3], Qe[1][2], Qe[0][3] = a, a, c, ZERO - c
     Qe[2][0], Qe[3][1] = eps * a, eps * a
     Qe[2][1], Qe[3][0] = eps * c, eps * (ZERO - c)
-    Ne = [[ZERO] * 4 for _ in range(4)]
-    Ne[2][0] = ONE
-    Ne[3][1] = ONE
-    i = GaussianRational(0, 1)
-    alpha = (ONE, i, ZERO, ZERO)
-    alphabar = (ONE, ZERO - i, ZERO, ZERO)
-    nalpha = (ZERO, ZERO, ONE, i)
-    nalphabar = (ZERO, ZERO, ONE, ZERO - i)
-    levels = [(alpha, p_o + 1), (alphabar, q_o), (nalpha, p_o), (nalphabar, q_o - 1)]
-    steps = []
-    for p in range(n + 1):
-        steps.append([list(v) for v, top in levels if p <= top])
-    return (MatrixGQ(Qe), MatrixGQ(Ne), steps)
+    # N x = u, N y = w
+    N = MatrixGQ([[ZERO] * 4] * 2 + [unit_vector(4, 0), unit_vector(4, 1)])
+    basis = [((ONE, I, ZERO, ZERO), (p_o + 1, q_o)),    # alpha
+             ((ONE, -I, ZERO, ZERO), (q_o, p_o + 1)),   # conj alpha
+             ((ZERO, ZERO, ONE, I), (p_o, q_o - 1)),    # N alpha
+             ((ZERO, ZERO, ONE, -I), (q_o - 1, p_o))]   # N conj alpha
+    return (MatrixGQ(Qe), N, basis)
 
 
 def _string3_real(n):
     # v, Nv, N^2v with v in I^{m+1,m+1}; Q(v, N^2 v) = 1, Q(Nv, Nv) = -1
     m = n // 2
     Q = MatrixGQ([[ZERO, ZERO, ONE], [ZERO, gq(-1), ZERO], [ONE, ZERO, ZERO]])
-    Ne = [[ZERO] * 3 for _ in range(3)]
-    Ne[1][0] = ONE
-    Ne[2][1] = ONE
-    N = MatrixGQ(Ne)
-    tops = [m + 1, m, m - 1]
-    steps = []
-    for p in range(n + 1):
-        rows = []
-        for i, top in enumerate(tops):
-            if p <= top:
-                row = [ZERO] * 3
-                row[i] = ONE
-                rows.append(row)
-        steps.append(rows)
-    return (Q, N, steps)
+    N = MatrixGQ([[ZERO] * 3, unit_vector(3, 0), unit_vector(3, 1)])
+    return (Q, N, [(unit_vector(3, i), (m + 1 - i, m + 1 - i)) for i in range(3)])
 
 
 def minimal_witness(t, n, h):
     """Explicit LMHS realizing a minimal type: low-rank string block + pure rest."""
     if t.triples() not in [u.triples() for u in minimal_types(n, h)]:
         raise InfeasibleType("type not admissible for these Hodge numbers")
-    residual = list(h.h)
-
-    def take(p, q, count=1):
-        residual[n - p] -= count
-        if residual[n - p] < 0:
-            raise InfeasibleType("not enough classes in V^{%d,%d}" % (p, q))
-
-    blocks = []
     if t.kind == "II":
-        m = n // 2
-        take(m - 1, m + 1)
-        take(m + 1, m - 1)
-        take(m, m)
-        blocks.append(_string3_real(n))
+        block = _string3_real(n)
     elif t.q_o == t.p_o + 1:
-        take(t.p_o, t.q_o)
-        take(t.q_o, t.p_o)
-        blocks.append(_string2_real(n, t.q_o))
+        block = _string2_real(t.q_o)
     else:
-        take(t.p_o, t.q_o)
-        take(t.q_o, t.p_o)
-        take(t.p_o + 1, t.q_o - 1)
-        take(t.q_o - 1, t.p_o + 1)
         # HR2 on the primitive alpha in I^{p_o+1,q_o} asks i^(p_o+1-q_o)
         # h(alpha, alpha) > 0, and h(alpha, alpha) = 2a + 2ic in
         # _string2_pair's notation: that fixes the sign
         sign = (-1) ** ((t.q_o - t.p_o - 1) // 2)
-        blocks.append(_string2_pair(n, t.p_o, t.q_o, sign))
+        block = _string2_pair(n, t.p_o, t.q_o, sign)
+    # a vector labelled (p, q) takes one class of V^{p,n-p} (one dim of Gr_F^p)
+    residual = list(h.h)
+    for _, (p, _) in block[2]:
+        residual[n - p] -= 1
+        if residual[n - p] < 0:
+            raise InfeasibleType("not enough classes in V^{%d,%d}" % (p, n - p))
+    blocks = [block]
     if sum(residual):
         blocks.append(_phs_block(HodgeNumbers(n, residual)))
     L = _direct_sum(n, blocks)
     if not validate_lmhs(L)["ok"]:
         raise InfeasibleType("witness fails the nilpotent-orbit certificate")
-    _check_witness(L, t)
-    return L
-
-
-def _check_witness(L, t):
     dims = deligne_splitting(L).dims()
     if dims != t.i_table:
         raise InfeasibleType("witness splitting %s != table %s" % (dims, t.i_table))
+    return L
 
 
 class HtPlan:
@@ -298,7 +266,9 @@ def ht_plan(n, h):
 
 
 def atomic_block(n, k, d=1):
-    """String block V_{k,d}: d strings e^{n-k} -> ... -> e^k, anti-diagonal Q."""
+    """String block V_{k,d}: d strings e^{n-k} -> ... -> e^k, anti-diagonal Q.
+
+    Level s holds the unit vectors labelled (s, s)."""
     levels = list(range(k, n - k + 1))
     dim = len(levels) * d
 
@@ -313,17 +283,8 @@ def atomic_block(n, k, d=1):
                 Ne[idx(s - 1, a)][idx(s, a)] = ONE
             if k <= n - s <= n - k:
                 Qe[idx(s, a)][idx(n - s, a)] = gq((-1) ** (n - k - s))
-    steps = []
-    for p in range(n + 1):
-        rows = []
-        for s in levels:
-            if s >= p:
-                for a in range(d):
-                    row = [ZERO] * dim
-                    row[idx(s, a)] = ONE
-                    rows.append(row)
-        steps.append(rows)
-    return (MatrixGQ(Qe), MatrixGQ(Ne), steps)
+    basis = [(unit_vector(dim, idx(s, a)), (s, s)) for s in levels for a in range(d)]
+    return (MatrixGQ(Qe), MatrixGQ(Ne), basis)
 
 
 def ht_construct(n, h):
@@ -333,9 +294,7 @@ def ht_construct(n, h):
     if not blocks:
         raise GateFailed("empty structure")
     L = _direct_sum(n, blocks)
-    bg = deligne_splitting(L)
-    assert is_hodge_tate(bg)
-    assert {p: d for (p, q), d in bg.dims().items()} == \
+    assert {p: d for (p, q), d in deligne_splitting(L).dims().items()} == \
         {p: h.hpq(p, n - p) for p in range(n + 1) if h.hpq(p, n - p)}
     return L
 
@@ -443,8 +402,8 @@ def principal_lmhs(family, param):
             Qe[a][dim - 1 - a] = gq((-1) ** a)
             if a + 1 < dim:
                 Ne[a + 1][a] = ONE
-        steps = _string_steps(dim, weight, top=weight)
-        return _direct_sum(weight, [(MatrixGQ(Qe), MatrixGQ(Ne), steps)])
+        basis = [(unit_vector(dim, a), (weight - a, weight - a)) for a in range(dim)]
+        return _direct_sum(weight, [(MatrixGQ(Qe), MatrixGQ(Ne), basis)])
     if family in ("so_even_mm", "so_even_m2m"):
         # the two real forms so(m,m), so(m+2,m) share this normal form
         m = param
@@ -458,34 +417,10 @@ def principal_lmhs(family, param):
             Qe[1 + a][dim - 1 - a] = gq((-1) ** (m + a))
             if a + 1 < dim - 1:
                 Ne[2 + a][1 + a] = ONE
-        steps = []
-        for p in range(weight + 1):
-            rows = []
-            if p <= m - 1:
-                row = [ZERO] * dim
-                row[0] = ONE
-                rows.append(row)
-            for a in range(dim - 1):
-                if weight - a >= p:
-                    row = [ZERO] * dim
-                    row[1 + a] = ONE
-                    rows.append(row)
-            steps.append(rows)
-        return _direct_sum(weight, [(MatrixGQ(Qe), MatrixGQ(Ne), steps)])
+        basis = [(unit_vector(dim, 0), (m - 1, m - 1))] + [
+            (unit_vector(dim, 1 + a), (weight - a, weight - a)) for a in range(dim - 1)]
+        return _direct_sum(weight, [(MatrixGQ(Qe), MatrixGQ(Ne), basis)])
     raise ParityViolation("unknown family %r" % family)
-
-
-def _string_steps(dim, weight, top):
-    steps = []
-    for p in range(weight + 1):
-        rows = []
-        for a in range(dim):
-            if top - a >= p:
-                row = [ZERO] * dim
-                row[a] = ONE
-                rows.append(row)
-        steps.append(rows)
-    return steps
 
 
 def principal_neutral_char(family, param):

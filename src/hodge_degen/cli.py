@@ -280,9 +280,10 @@ def cmd_diagram(args):
     except (OSError, ValueError, TypeError) as e:
         print("bad input: %s" % e, file=sys.stderr)
         return 2
-    fmt = args.format if args.format != "json" else "ascii"
     try:
-        _emit(render(spec, fmt), args.out)
+        _emit(render(spec, args.format), args.out)
+    except BrokenPipeError:
+        raise  # stdout closed early: main's to handle
     except OSError as e:
         print("cannot write output: %s" % e, file=sys.stderr)
         return 2
@@ -502,7 +503,16 @@ def main(argv=None):
     p.set_defaults(fn=cmd_verify_corpus)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: the rest goes to devnull, so exit flushes quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

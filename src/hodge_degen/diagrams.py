@@ -1,10 +1,12 @@
-"""Lattice (p,q)-diagrams: node lists, ASCII and SVG renderers.
+"""Lattice (p,q)-diagrams: node lists, ASCII and SVG renderers, JSON specs.
 
 Rendering is byte-deterministic: nodes are kept as sorted [p, q, dim]
 triples and all geometry is integer. ASCII marks dim-1 nodes '*', dim >= 2
 nodes '@', axes '.'; SVG uses a fixed 20px lattice with filled circles for
 dim 1 and stroked rings for dim >= 2.
 """
+
+import json
 
 CELL = 20  # px per lattice step
 R_FILL = 4
@@ -132,6 +134,8 @@ def render_svg(spec):
 
 
 def render(spec, fmt):
+    if fmt == "json":
+        return json.dumps(spec.to_json(), sort_keys=True) + "\n"
     if fmt == "ascii":
         return render_ascii(spec)
     if fmt == "svg":

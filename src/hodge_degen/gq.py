@@ -241,6 +241,11 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
+def unit_vector(dim, k):
+    """e_k in C^dim, as a tuple."""
+    return tuple(ONE if j == k else ZERO for j in range(dim))
+
+
 def i_power(k):
     # i**k for any integer k
     return (ONE, I, -ONE, -I)[k % 4]
@@ -337,8 +342,7 @@ class MatrixGQ:
 
     @staticmethod
     def identity(n):
-        return _matrix(tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                             for i in range(n)), n, tuple(range(n)))
+        return _matrix(tuple(unit_vector(n, i) for i in range(n)), n, tuple(range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -535,8 +539,7 @@ def solver(vectors):
     if t == 0:
         return lambda v: () if all(e.is_zero() for e in v) else None
     width = len(vectors[0])
-    R = rref(MatrixGQ([list(v) + [ONE if j == i else ZERO for j in range(t)]
-                       for i, v in enumerate(vectors)]))
+    R = rref(MatrixGQ([tuple(v) + unit_vector(t, i) for i, v in enumerate(vectors)]))
     # per row of R: its pivot, its other nonzero entries left of the bar,
     # and its nonzero entries right of it
     rows = []
@@ -576,8 +579,7 @@ def inverse(M):
         coords = solver(M.entries)
     except ValueError:
         raise ValueError("matrix not invertible") from None
-    return _matrix(tuple(coords([ONE if j == i else ZERO for j in range(n)])
-                         for i in range(n)), n)
+    return _matrix(tuple(coords(unit_vector(n, i)) for i in range(n)), n)
 
 
 class Subspace:

@@ -11,7 +11,7 @@ import reprlib
 from fractions import Fraction
 
 from .gq import (
-    GaussianRational, MatrixGQ, Subspace, ZERO, ONE, i_power,
+    GaussianRational, MatrixGQ, Subspace, ZERO, ONE, I, i_power, unit_vector,
     intersect, conj_space, rank, hermitian_pd,
 )
 
@@ -287,56 +287,57 @@ def hodge_numbers(d):
     return hn
 
 
-def model_phs(h):
-    """Canonical PHS with the given Hodge numbers.
+def labelled_filtration(n, basis):
+    """The weight n filtration of a basis of C^dim whose vectors are labelled
+    by bidegree, a list of (vector, (p, q)): F^p is the span of the vectors
+    labelled (a, b) with a >= p, and F^0 the whole space."""
+    dim = len(basis)
+    return HodgeFiltration(n, [Subspace.full(dim)] + [
+        Subspace.from_vectors(dim, [v for v, (a, _) in basis if a >= p])
+        for p in range(1, n + 1)])
 
-    Basis vectors u^{p,q}_a with conj(u^{p,q}_a) = u^{q,p}_a and Q pairing
-    u^{p,q}_a against u^{q,p}_a only; signs arranged so HR2 holds.
+
+def model_basis(h):
+    """Q and the labelled basis [(u^{p,q}_a, (p, q))] of the model PHS.
+
+    conj(u^{p,q}_a) = u^{q,p}_a, and Q pairs u^{p,q}_a against u^{q,p}_a
+    only; signs arranged so HR2 holds.
     """
     n = h.n
     dim = h.dim
     if dim == 0:
         raise InadmissibleHodgeNumbers("empty structure")
-    # allocate real coordinates; record each u^{p,q}_a as a coordinate vector
-    u = {}  # (p, q, a) -> vector
+    basis = []
     Qent = [[ZERO] * dim for _ in range(dim)]
     idx = 0
     half = Fraction(1, 2)
     for p in range(n, -1, -1):
         q = n - p
-        m = h.hpq(p, q)
-        if p < q or m == 0:
-            continue
-        if p == q:
-            for a in range(m):
-                v = [ZERO] * dim
-                v[idx] = ONE
-                u[(p, p, a)] = tuple(v)
+        if p < q:
+            break
+        for a in range(h.hpq(p, q)):
+            if p == q:
+                basis.append((unit_vector(dim, idx), (p, p)))
                 Qent[idx][idx] = ONE
                 idx += 1
-        else:
-            for a in range(m):
-                x, y = idx, idx + 1
-                vp = [ZERO] * dim
-                vp[x] = ONE
-                vp[y] = GaussianRational(0, 1)
-                vq = [ZERO] * dim
-                vq[x] = ONE
-                vq[y] = GaussianRational(0, -1)
-                u[(p, q, a)] = tuple(vp)
-                u[(q, p, a)] = tuple(vq)
-                c = i_power(q - p)  # the required value of Q(u^{pq}, u^{qp})
-                if c.is_real():
-                    Qent[x][x] = GaussianRational(c.re * half)
-                    Qent[y][y] = GaussianRational(c.re * half)
-                else:
-                    Qent[y][x] = GaussianRational(c.im * half)
-                    Qent[x][y] = GaussianRational(-c.im * half)
-                idx += 2
-    Q = MatrixGQ(Qent)
-    steps = [Subspace.full(dim)]
-    for p in range(1, n + 1):
-        vecs = [vec for (r, s, a), vec in sorted(u.items()) if r >= p]
-        steps.append(Subspace.from_vectors(dim, vecs) if vecs else Subspace.zero(dim))
-    datum = HodgeDatum(dim, PolarizationForm(n, Q), HodgeFiltration(n, steps))
-    return datum
+                continue
+            # u^{p,q} = e_x + i e_y and u^{q,p} = e_x - i e_y
+            x, y = idx, idx + 1
+            vp, vq = list(unit_vector(dim, x)), list(unit_vector(dim, x))
+            vp[y], vq[y] = I, -I
+            basis += [(tuple(vp), (p, q)), (tuple(vq), (q, p))]
+            c = i_power(q - p)  # the required value of Q(u^{pq}, u^{qp})
+            if c.is_real():
+                Qent[x][x] = GaussianRational(c.re * half)
+                Qent[y][y] = GaussianRational(c.re * half)
+            else:
+                Qent[y][x] = GaussianRational(c.im * half)
+                Qent[x][y] = GaussianRational(-c.im * half)
+            idx += 2
+    return MatrixGQ(Qent), basis
+
+
+def model_phs(h):
+    """Canonical PHS with the given Hodge numbers, on model_basis(h)."""
+    Q, basis = model_basis(h)
+    return HodgeDatum(h.dim, PolarizationForm(h.n, Q), labelled_filtration(h.n, basis))

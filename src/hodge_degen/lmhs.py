@@ -11,7 +11,7 @@ import reprlib
 from fractions import Fraction
 
 from .gq import (
-    GaussianRational, MatrixGQ, Subspace, ZERO, ONE,
+    GaussianRational, MatrixGQ, Subspace, ZERO, unit_vector,
     intersect, ssum, conj_space, apply_matrix, maps_into, preimage, kernel,
     image, complement_mod, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
     solver, inverse, rank, _matrix, _canonical,
@@ -581,8 +581,8 @@ def _solve_block_elements(Qp, blocks, sizes, offsets, dim):
 def _unit_span(dim, indices):
     """The span of the unit vectors e_k for ascending `indices`, in rref."""
     indices = tuple(indices)
-    rows = tuple(tuple(ONE if j == k else ZERO for j in range(dim)) for k in indices)
-    return _canonical(dim, _matrix(rows, dim, indices))
+    return _canonical(dim, _matrix(tuple(unit_vector(dim, k) for k in indices),
+                                   dim, indices))
 
 
 def _sparse_rows(M):

@@ -13,6 +13,7 @@ from hodge_degen.lmhs import (
     deligne_splitting, validate_lmhs, is_hodge_tate, disc_sample, adjoint_lmhs,
 )
 from hodge_degen.roots import build_root_system, GradingElement, adjoint_bigrading
+from hodge_degen import classify
 from hodge_degen.classify import (
     MinimalType, minimal_types, minimal_witness, ht_gate, ht_plan,
     ht_construct, atomic_block, cp_orb_check, period_closed_check,
@@ -145,9 +146,61 @@ def test_construct_matches_h_and_is_ht():
 
 
 def test_atomic_block_is_self_dual_string():
-    Q, N, steps = atomic_block(3, 1)
+    Q, N, basis = atomic_block(3, 1)
     assert rank(MatrixGQ(N.entries)) == 1
     assert (Q + Q.transpose()).is_zero()  # odd weight: skew
+    assert [label for _, label in basis] == [(1, 1), (2, 2)]
+
+
+# ------------------------------------------------------------ labelled blocks
+
+def test_direct_sum_rejects_a_wrong_label():
+    # (0, 1) for (0, 0) leaves F as it is, so the splitting is computed and
+    # its dims differ from the labels' count
+    Q, N, basis = atomic_block(2, 0)
+    (v, _), rest = basis[0], basis[1:]
+    with pytest.raises(InfeasibleType) as e:
+        _direct_sum(2, [(Q, N, [(v, (0, 1))] + rest)])
+    assert "(0, 0)" in str(e.value) and "(0, 1)" in str(e.value)
+    # a wrong Hodge index moves F itself: F^1 = V has no splitting at all
+    with pytest.raises(InfeasibleType, match="labels"):
+        _direct_sum(2, [(Q, N, [(v, (1, 1))] + rest)])
+
+
+def _certified(monkeypatch, build):
+    """The datum `build` returns, checked to come from one _direct_sum call
+    that left the splitting it certified on the datum."""
+    made = []
+    assemble = classify._direct_sum
+
+    def spy(n, blocks):
+        made.append(assemble(n, blocks))
+        return made[-1]
+
+    monkeypatch.setattr(classify, "_direct_sum", spy)
+    L = build()
+    assert made == [L] and L._splitting is not None
+    return L
+
+
+@pytest.mark.parametrize("family,param,extra", [
+    ("sp", 1, None), ("sp", 3, None), ("so_odd", 1, None), ("so_odd", 3, None),
+    ("so_even_mm", 2, (1, 1)), ("so_even_mm", 4, (3, 3)),
+    ("so_even_m2m", 2, (1, 1)), ("so_even_m2m", 4, (3, 3))])
+def test_principal_families_pass_the_label_certificate(family, param, extra,
+                                                      monkeypatch):
+    L = _certified(monkeypatch, lambda: principal_lmhs(family, param))
+    # one string b_a at (w - a, w - a), plus w at (m - 1, m - 1) for so_even
+    dims = {(a, a): 1 for a in range(L.n + 1)}
+    if extra:
+        dims[extra] += 1
+    assert deligne_splitting(L).dims() == dims
+
+
+def test_non_ht_instance_passes_the_label_certificate(monkeypatch):
+    L = _certified(monkeypatch, non_ht_closed_instance)
+    assert deligne_splitting(L).dims() == {(0, 0): 1, (1, 1): 1, (2, 2): 1,
+                                           (2, 0): 1, (0, 2): 1}
 
 
 # ------------------------------------------------------------ closed orbit

@@ -381,6 +381,19 @@ def test_diagram_unwritable_out(capsys, tmp_path):
     assert err.startswith("cannot write output:") and path in err
 
 
+def test_diagram_json_round_trip(capsys, tmp_path):
+    code, out, _ = run(capsys, "diagram", "ht-n2-111", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["nodes"] == [[0, 0, 1], [1, 1, 1], [2, 2, 1]]
+    # the spec written with --out, read back as input, renders the same
+    path = str(tmp_path / "spec.json")
+    argv = ("diagram", "F4-row1", "--part", "adjoint")
+    assert run(capsys, *argv, "--format", "json", "--out", path) == (0, "", "")
+    want = run(capsys, *argv)
+    assert want[0] == 0 and "@" in want[1]
+    assert run(capsys, "diagram", path) == want
+
+
 def test_diagram_unknown_input(capsys):
     code, _, err = run(capsys, "diagram", "definitely-not-a-thing")
     assert code == 2
@@ -563,6 +576,31 @@ def test_verify_corpus_bad_samples(capsys, bad):
     assert "--samples" in json.loads(out)["error"]
 
 
+def _pkg_env():
+    """The environment with this package's root first on PYTHONPATH."""
+    pkg_root = os.path.dirname(os.path.dirname(hodge_degen.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("argv", [["catalog"],
+                                  ["diagram", "F4-row1", "--part", "adjoint",
+                                   "--format", "svg"]])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # stdout is a pipe whose reader has already gone
+    r, w = os.pipe()
+    os.close(r)
+    code = "import sys; from hodge_degen.cli import main; sys.exit(main(%r))" % argv
+    try:
+        res = subprocess.run([sys.executable, "-c", code], stdout=w,
+                             stderr=subprocess.PIPE, text=True, env=_pkg_env())
+    finally:
+        os.close(w)
+    assert (res.returncode, res.stderr) == (1, "")
+
+
 def test_entry_point_installed(tmp_path):
     argv = ["catalog", "ht-n2-111"]
     if shutil.which("hodge-degen"):
@@ -577,12 +615,8 @@ def test_entry_point_installed(tmp_path):
             target = tomllib.load(fh)["project"]["scripts"]["hodge-degen"]
         module, fn = target.split(":")
         code = f"import sys; from {module} import {fn}; sys.exit({fn}())"
-        pkg_root = os.path.dirname(os.path.dirname(hodge_degen.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
         res = subprocess.run([sys.executable, "-c", code, *argv],
                              capture_output=True, text=True,
-                             cwd=tmp_path, env=env)
+                             cwd=tmp_path, env=_pkg_env())
     assert res.returncode == 0
     assert "match" in res.stdout

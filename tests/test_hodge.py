@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodge_degen import hodge
-from hodge_degen.gq import MatrixGQ, Subspace, gq, ZERO, ONE
+from hodge_degen.gq import MatrixGQ, Subspace, gq, ZERO, ONE, unit_vector
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers,
     hodge_decomposition, check_hr1, check_hr2, check_isotropy, validate_phs,
-    is_valid_phs, hodge_numbers, model_phs,
+    is_valid_phs, hodge_numbers, model_phs, model_basis, labelled_filtration,
     InconsistentFiltration, InadmissibleHodgeNumbers, Hr1Prerequisite,
 )
 
@@ -39,6 +39,27 @@ def test_model_phs_is_valid(nh):
 def test_model_phs_rejects_empty():
     with pytest.raises(InadmissibleHodgeNumbers):
         model_phs(HodgeNumbers(2, (0, 0, 0)))
+
+
+@pytest.mark.parametrize("n,h", [(1, (1, 1)), (2, (2, 3, 2)), (3, (1, 2, 2, 1)),
+                                 (4, (1, 0, 2, 0, 1))])
+def test_model_phs_steps_are_the_filtration_of_its_labels(n, h):
+    hn = HodgeNumbers(n, h)
+    Q, basis = model_basis(hn)
+    d = model_phs(hn)
+    assert d.polarization.Q == Q
+    assert d.filtration == labelled_filtration(n, basis)
+    # each label is its vector's Hodge type
+    for p, q, s in hodge_decomposition(d):
+        assert s == Subspace.from_vectors(d.dim, [v for v, t in basis if t == (p, q)])
+
+
+def test_labelled_filtration_steps():
+    e = [unit_vector(3, k) for k in range(3)]
+    F = labelled_filtration(2, [(e[0], (0, 2)), (e[1], (2, 0)), (e[2], (1, 1))])
+    assert F.steps[0] == Subspace.full(3)
+    assert F.steps[1] == Subspace.from_vectors(3, [e[1], e[2]])
+    assert F.steps[2] == Subspace.from_vectors(3, [e[1]])
 
 
 def test_hodge_numbers_validation():
