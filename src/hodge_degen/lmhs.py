@@ -11,14 +11,17 @@ import reprlib
 from fractions import Fraction
 
 from .gq import (
-    GaussianRational, MatrixGQ, Subspace, ZERO, unit_vector,
-    intersect, ssum, conj_space, apply_matrix, maps_into, preimage, kernel,
+    GaussianRational, MatrixGQ, Subspace, ZERO, ONE, I, gq,
+    intersect, ssum, conj_space, apply_matrix, maps_into, preimage,
     image, complement_mod, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
-    solver, inverse, rank, _matrix, _canonical,
+    inverse, rank, _matrix, _canonical,
 )
 from .hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs, polarizes,
 )
+
+
+HALF = GaussianRational(Fraction(1, 2))
 
 
 class NotMhs(ValueError):
@@ -504,23 +507,23 @@ def disc_sample(L, ys):
 
 
 class AdjointLmhs:
-    """Induced limiting mixed Hodge structure on g = End(V, Q).
+    """The LMHS induced on g = End(V, Q), in the frame of the splitting.
 
-    Everything is expressed in coordinates over g_basis; the bigrading, the
-    filtrations and the trace form live on that coordinate space.  The
-    reduction of the flattened g_basis is kept (private `_solve`): it maps a
-    flattened matrix to its g-coordinates, or to None outside g.
+    `frame` (P) has the rref bases of the pieces I^{p,q} of V as columns,
+    `labels[a]` is the bidegree x_a of column a and `form` is Q' = P^T Q P.
+    g is Lambda^2 V (n even) or S^2 V (n odd) through Q: with e = (-1)^(n+1)
+    the `elements` X_ab = Q'^-1 (E_ab + e E_ba), as sparse rows, for the
+    `pairs` a <= b (a < b for n even) are a basis, and X_ab has bidegree
+    (n, n) - x_a - x_b.  The pairs are sorted by it, so the pieces of I_g,
+    W_g and F_g are coordinate subspaces.  The coordinates of a frame
+    matrix are read off Q'X (_g_coords).  `killing_proxy` is tr(X_i X_j).
     """
 
-    __slots__ = ("g_basis", "I_g", "W_g", "F_g", "killing_proxy", "N_coords",
-                 "N_ad", "dimV", "_solve")
+    __slots__ = ("n", "frame", "frame_inv", "labels", "form", "pairs", "elements",
+                 "I_g", "W_g", "F_g", "killing_proxy", "N_coords", "N_ad")
 
-    def __init__(self, g_basis, I_g, W_g, F_g, killing_proxy, N_coords, N_ad, dimV,
-                 solve):
-        for name, val in (("g_basis", g_basis), ("I_g", I_g), ("W_g", W_g),
-                          ("F_g", F_g), ("killing_proxy", killing_proxy),
-                          ("N_coords", N_coords), ("N_ad", N_ad), ("dimV", dimV),
-                          ("_solve", solve)):
+    def __init__(self, *values):
+        for name, val in zip(AdjointLmhs.__slots__, values, strict=True):
             object.__setattr__(self, name, val)
 
     def __setattr__(self, *a):
@@ -528,170 +531,156 @@ class AdjointLmhs:
 
     @property
     def dim_g(self):
-        return len(self.g_basis)
+        return len(self.pairs)
+
+    def to_v(self, combos):
+        """P X P^-1 on V for X = sum c X_k, one for each list of pairs (k, c) in
+        `combos`: the sum of x (column i of P) (row j of P^-1), x = X[i][j]."""
+        dim = self.frame.rows
+        Pcols, Pinv = _sparse_rows(self.frame.transpose()), _sparse_rows(self.frame_inv)
+        out = []
+        for combo in combos:
+            ent = [[ZERO] * dim for _ in range(dim)]
+            for k, c in combo:
+                for i, row in enumerate(self.elements[k]):
+                    for j, e in row.items():
+                        for r, x in Pcols[i].items():
+                            x = x * e * c
+                            for col, y in Pinv[j].items():
+                                ent[r][col] += x * y
+            out.append(_matrix(tuple(map(tuple, ent)), dim))
+        return out
 
 
-def _solve_block_elements(Qp, blocks, sizes, offsets, dim):
-    """Elements xi of End with the given block support and Q xi + xi^T Q = 0.
+def _g_pairs(labels, n):
+    """(bidegree, a, b) for each basis element X_ab of g, sorted: a <= b for
+    n odd (S^2 V), a < b for n even (Lambda^2 V)."""
+    first = 1 - n % 2
+    return sorted(((n - x[0] - y[0], n - x[1] - y[1]), a, b) for a, x in enumerate(labels)
+                  for b, y in enumerate(labels[a + first:], a + first))
 
-    blocks: list of (target_node, source_node) index pairs; unknowns are the
-    entries of those blocks in the I-adapted basis.  Returns a list of
-    full dim x dim matrices (in the adapted basis).
-    """
-    unknowns = []  # (row, col) in the adapted basis
-    for tgt, src in blocks:
-        for a in range(sizes[tgt]):
-            for b in range(sizes[src]):
-                unknowns.append((offsets[tgt] + a, offsets[src] + b))
-    if not unknowns:
-        return []
-    pos = {rc: idx for idx, rc in enumerate(unknowns)}
-    rows = []
-    # constraint (Q xi)_{ab} + (xi^T Q)_{ab} = 0; only equations touching unknowns
-    touched = set()
-    for (r, ccol) in unknowns:
-        for a in range(dim):
-            if not Qp[a, r].is_zero():
-                touched.add((a, ccol))
-        for b in range(dim):
-            if not Qp[r, b].is_zero():
-                touched.add((ccol, b))
-    for (a, b) in sorted(touched):
-        row = [ZERO] * len(unknowns)
-        hit = False
-        for c in range(dim):
-            if (c, b) in pos and not Qp[a, c].is_zero():
-                row[pos[(c, b)]] = row[pos[(c, b)]] + Qp[a, c]
-                hit = True
-            if (c, a) in pos and not Qp[c, b].is_zero():
-                row[pos[(c, a)]] = row[pos[(c, a)]] + Qp[c, b]
-                hit = True
-        if hit:
-            rows.append(row)
-    vecs = (kernel(MatrixGQ(rows)) if rows else Subspace.full(len(unknowns))).basis.entries
-    mats = []
-    for v in vecs:
-        ent = [[ZERO] * dim for _ in range(dim)]
-        for val, (r, ccol) in zip(v, unknowns):
-            ent[r][ccol] = val
-        mats.append(MatrixGQ(ent))
-    return mats
+
+def _g_coords(QX, index, sign):
+    """The coordinates {k: c} of a frame matrix X, from the rows of Q'X and
+    the index {(a, b): k} of the pairs: its entries on and above the
+    diagonal, halved on it when sign = 1.  None when Q'X is not
+    sign-symmetric (X is not in g) or has an entry at no pair."""
+    c = {}
+    for i, row in enumerate(QX):
+        for j, e in row.items():
+            if e and (QX[j].get(i, ZERO) != (e if sign > 0 else -e)
+                      or i <= j and (i, j) not in index):
+                return None
+            if e and i <= j:
+                c[index[i, j]] = e * HALF if i == j else e
+    return c
 
 
 def _unit_span(dim, indices):
-    """The span of the unit vectors e_k for ascending `indices`, in rref."""
-    indices = tuple(indices)
-    return _canonical(dim, _matrix(tuple(unit_vector(dim, k) for k in indices),
-                                   dim, indices))
+    """The span of the unit vectors e_k for ascending `indices`, in rref; the
+    unit vectors are the rows of the shared Subspace.full(dim)."""
+    indices, units = tuple(indices), Subspace.full(dim).basis.entries
+    return _canonical(dim, _matrix(tuple(units[k] for k in indices), dim, indices))
 
 
 def _sparse_rows(M):
-    """Per row of M, the (col, entry) pairs of its nonzero entries."""
-    return [[(j, e) for j, e in enumerate(row) if e] for row in M.entries]
+    """The sparse rows of M: per row, {col: entry} at its nonzero entries."""
+    return [{j: e for j, e in enumerate(row) if e} for row in M.entries]
 
 
-def _bracket(X, Y):
-    """[X, Y] = XY - YX, flattened, from the nonzero entries of X and Y given
-    per row (_sparse_rows): each nonzero X[i][k] meets the nonzeros of Y's
-    row k, and each nonzero Y[i][k] those of X's row k."""
-    dim = len(X)
-    out = [ZERO] * (dim * dim)
-    for i in range(dim):
-        base = i * dim
-        for k, x in X[i]:
-            for j, y in Y[k]:
-                out[base + j] += x * y
-        for k, y in Y[i]:
-            for j, x in X[k]:
-                out[base + j] -= y * x
+def _product(A, B, out=None, f=1):
+    """out + f A B, all as sparse rows (out = 0 when None)."""
+    out = [{} for _ in A] if out is None else out
+    for row, acc in zip(A, out):
+        for k, x in row.items():
+            for j, y in B[k].items():
+                acc[j] = acc.get(j, ZERO) + (x * y if f > 0 else -(x * y))
     return out
 
 
-def adjoint_lmhs(L):
-    """Bigrading, filtrations and trace form induced on g = End(V, Q).
+def _form_bracket(QX, X, QY, Y):
+    """Q'[X, Y] = (Q'X) Y - (Q'Y) X, all as sparse rows."""
+    return _product(QY, X, _product(QX, Y), -1)
 
-    Each I^{p,q}_g is solved for in the frame adapted to the splitting of V
-    and conjugated back.  g_basis lists the pieces in turn, so every
-    I^{p,q}_g, W_g level and F_g step is a coordinate subspace.  The
-    flattened g_basis is reduced once (gq.solver); that reduction gives N's
-    coordinates and the columns of ad N, and is kept for diagonal_levi.  Each
-    [N, B] is formed from the nonzero entries of N and B (_bracket).  The
-    trace form is trace(B_i B_j) = sum_{a,b} B_i[a][b] B_j[b][a], for i <= j.
+
+def adjoint_lmhs(L):
+    """The AdjointLmhs of an R-split L, with no solve.
+
+    Q pairs I^{p,q} only with I^{n-p,n-q} (Cattani-Kaplan-Schmid 1986), which
+    gives X_ab its bidegree: NotMhs names the first pair of labels that do
+    not sum to (n, n) where Q' is not 0.  N's coordinates are read off
+    Q'N' = P^T (Q N) P, and the columns of ad N off Q'[N', X_ab].  With
+    R = Q'^-1, tr(X_ab X_cd) = -2 (e R_ad R_bc + R_ac R_bd) is formed at the
+    pairs (c, d) met by the nonzero entries of rows a and b of R.
     """
     bg = deligne_splitting(L)
     if not is_r_split(bg):
         raise NonRSplit("adjoint induction implemented for R-split data only")
-    dim = L.dim
-    node_list = [(p, q) for p, q, _ in bg.nodes]
-    sizes = {}
-    offsets = {}
-    cols = []
-    off = 0
+    n, sign = L.n, 1 if L.n % 2 else -1
+    cols, labels = [], []
     for p, q, s in bg.nodes:
-        sizes[(p, q)] = s.dim
-        offsets[(p, q)] = off
-        off += s.dim
         cols.extend(s.basis.entries)
-    P = MatrixGQ(cols).transpose()  # columns are the adapted basis
-    Pinv = inverse(P)
-    Qp = L.hodge.polarization.gram(cols, cols)  # form in the adapted basis
+        labels.extend([(p, q)] * s.dim)
+    pol = L.hodge.polarization
+    Qf = pol.gram(cols, cols)  # Q' = P^T Q P
+    for a, row in enumerate(Qf.entries):
+        for b, e in enumerate(row):
+            if e and (labels[a][0] + labels[b][0], labels[a][1] + labels[b][1]) != (n, n):
+                raise NotMhs("Q pairs I^{%d,%d} with I^{%d,%d}, whose labels do not "
+                             "sum to (%d, %d)" % (labels[a] + labels[b] + (n, n)))
+    keyed = _g_pairs(labels, n)
+    pairs = tuple((a, b) for _, a, b in keyed)
+    index = {ab: k for k, ab in enumerate(pairs)}
+    t = len(pairs)
 
-    # candidate bidegrees for nonzero I^{p,q}_g
-    deltas = sorted({(p2 - p1, q2 - q1) for p1, q1 in node_list for p2, q2 in node_list})
-    basis = []
-    coord_nodes = []  # (p, q, first coordinate, count)
-    for dp, dq in deltas:
-        blocks = [((p + dp, q + dq), (p, q)) for p, q in node_list
-                  if (p + dp, q + dq) in sizes]
-        mats_adapted = _solve_block_elements(Qp, blocks, sizes, offsets, dim)
-        if mats_adapted:
-            coord_nodes.append((dp, dq, len(basis), len(mats_adapted)))
-            basis.extend(P * M * Pinv for M in mats_adapted)
-    t = len(basis)
+    def coord_subspace(keep):
+        return _unit_span(t, [k for k, (deg, _, _) in enumerate(keyed) if keep(*deg)])
 
-    def coord_subspace(selector):
-        return _unit_span(t, [k for p, q, start, count in coord_nodes if selector(p, q)
-                              for k in range(start, start + count)])
-
+    degs = list(dict.fromkeys(deg for deg, _, _ in keyed))
     I_g = Bigrading(t, [(p, q, coord_subspace(lambda a, b, p=p, q=q: (a, b) == (p, q)))
-                        for p, q, _, _ in coord_nodes])
+                        for p, q in degs])
+    ws, ps = sorted(p + q for p, q in degs) or [0], sorted(p for p, _ in degs) or [0]
+    W_g = WeightFiltration(0, {k: coord_subspace(lambda a, b, k=k: a + b <= k)
+                               for k in range(ws[0], ws[-1] + 1)})
+    F_g = {p0: coord_subspace(lambda a, b, p0=p0: a >= p0) for p0 in range(ps[0], ps[-1] + 1)}
 
-    degs = sorted({p + q for p, q, _, _ in coord_nodes})
-    lo, hi = (min(degs), max(degs)) if degs else (0, 0)
-    W_levels = {k: coord_subspace(lambda a, b, k=k: a + b <= k) for k in range(lo, hi + 1)}
-    W_g = WeightFiltration(0, W_levels)
-    ps = sorted({p for p, q, _, _ in coord_nodes}) or [0]
-    F_g = {p0: coord_subspace(lambda a, b, p0=p0: a >= p0)
-           for p0 in range(min(ps), max(ps) + 1)}
-
-    nonzero = [[(x, e) for x, e in enumerate(B.flatten()) if not e.is_zero()]
-               for B in basis]
-    flipped = [B.transpose().flatten() for B in basis]
+    R = inverse(Qf)
+    Rcols, Re = _sparse_rows(R.transpose()), R.entries
+    elements = []  # X_ab: column b is column a of R, column a is e times column b
+    for a, b in pairs:
+        rows = [{} for _ in cols]
+        for i, r in Rcols[a].items():
+            rows[i][b] = r + r if a == b else r
+        for i, r in Rcols[b].items() if a != b else ():
+            rows[i][a] = r if sign > 0 else -r
+        elements.append(tuple(rows))
     killing = [[ZERO] * t for _ in range(t)]
-    for i in range(t):
-        for j in range(i, t):
-            killing[i][j] = killing[j][i] = sum(
-                (e * flipped[j][x] for x, e in nonzero[i] if flipped[j][x]), ZERO)
-    killing = MatrixGQ(killing, cols=t)
+    for k, (a, b) in enumerate(pairs):  # R is e-symmetric: rows and columns meet
+        for l in {index.get((min(x, y), max(x, y))) for x in Rcols[a] for y in Rcols[b]}:
+            if l is not None:
+                c, d = pairs[l]
+                u, v = Re[a][c] * Re[b][d], Re[a][d] * Re[b][c]
+                killing[k][l] = (u + v if sign > 0 else u - v) * -2
 
-    solve = solver([B.flatten() for B in basis])
-    coeff = solve(L.N.flatten())
+    QN = pol.gram(cols, cols, L.N)  # Q'N'
+    coeff = _g_coords(_sparse_rows(QN), index, sign)
     if coeff is None:
         raise NotMhs("N does not lie in the computed algebra")
-    # N must sit in bidegree (-1,-1)
+    coeff = tuple(coeff.get(k, ZERO) for k in range(t))
     if not I_g.piece(-1, -1).contains_vector(coeff):
         raise NotMhs("N is not of type (-1,-1) in the adjoint bigrading")
-
-    # ad(N) in g-coordinates
-    N_rows = _sparse_rows(L.N)
-    ad_cols = []
-    for B in basis:
-        col = solve(_bracket(N_rows, _sparse_rows(B)))
+    Nf, QN, Qrows = _sparse_rows(R * QN), _sparse_rows(QN), _sparse_rows(Qf)
+    ad = [[ZERO] * t for _ in range(t)]
+    for k, X in enumerate(elements):
+        col = _g_coords(_form_bracket(QN, Nf, _product(Qrows, X), X), index, sign)
         if col is None:
             raise ValueError("[N, B] outside the span of g")
-        ad_cols.append(col)
-    N_ad = MatrixGQ(ad_cols).transpose()
-    return AdjointLmhs(basis, I_g, W_g, F_g, killing, coeff, N_ad, dim, solve)
+        for r, e in col.items():
+            ad[r][k] = e
+    Pt = MatrixGQ(cols)  # P^T, and P^-1 = Q'^-1 P^T Q
+    return AdjointLmhs(n, Pt.transpose(), R * (Pt * pol.Q), tuple(labels), Qf, pairs,
+                       tuple(elements), I_g, W_g, F_g, _matrix(tuple(map(tuple, killing)), t),
+                       coeff, _matrix(tuple(map(tuple, ad)), t))
 
 
 def reduced_limit(bg, n):
@@ -706,64 +695,75 @@ def reduced_limit(bg, n):
 
 
 def diagonal_levi(a):
-    """The conjugation-stable Levi s = (+)_p I^{p,p}_g, with its induced LMHS.
-
-    Returns (s_basis, datum) where datum is an LmhsDatum on the coordinate
-    space of s (weight shifted to keep filtration indices nonnegative).
-    Every I^{p,q}_g is a coordinate subspace of g, so s is a set of
-    g-coordinate indices and s_basis the g_basis elements at them.  An
-    element lies in s when its g-coordinates (from the reduction kept on `a`)
-    vanish off those indices.  [s, s] inside s (each pair once, each bracket
-    formed from the nonzero entries of the pair), conjugation stability and N
-    in s are checked.  N_s is N_ad restricted to s, checked to map s into s;
-    F_s is read off the indices of the pieces, and the trace form is
-    -killing_proxy restricted to s.  The induced W and splitting are read
-    off the indices too: the piece I^{p,p}_g becomes I^{p+r,p+r} at weight
-    level 2(p + r).  Neither is recomputed; W is certified by _check_weight
-    and the splitting by _check_splitting, kept on the datum, and asserted
-    Hodge-Tate.
+    """The conjugation-stable Levi s = (+)_p I^{p,p}_g and its induced LMHS,
+    in a real basis: (s_basis as matrices on V, an LmhsDatum on its
+    coordinates, weight shifted by r to keep indices nonnegative).
+    [s, s] inside s is read off Q'[X, Y].  For R-split data the rref basis
+    of I^{q,p} is the conjugate of that of I^{p,q}, so conjugation permutes
+    the frame (sigma) and takes X_ab to +-X_{sigma(a) sigma(b)}: each piece
+    of s must be closed under that permutation.  It gets the real basis X
+    (conj X = X), iX (conj X = -X), and X + conj X, i(X - conj X), in which
+    N_s = ad N (N in s, mapping s into s) and -killing_proxy are real, and
+    F_s, W_s and the splitting (I^{p,p}_g at I^{p+r,p+r}) are unit spans;
+    the last two are certified, kept on the datum and asserted Hodge-Tate.
     """
+    sign = 1 if a.n % 2 else -1
+    index = {ab: k for k, ab in enumerate(a.pairs)}
     diag = [(p, sub.pivots) for p, q, sub in a.I_g.nodes if p == q]
-    idx = sorted(k for _, ks in diag for k in ks)
-    ts = len(idx)
-    pos = {k: i for i, k in enumerate(idx)}
+    s_idx = [k for _, ks in diag for k in ks]
+    pos = {k: i for i, k in enumerate(s_idx)}
     outside = [k for k in range(a.dim_g) if k not in pos]
-    s_basis = [a.g_basis[k] for k in idx]
-
-    def in_s(flat):
-        coords = a._solve(flat)
-        if coords is None:
-            raise ValueError("matrix outside the span of g")
-        return all(coords[k].is_zero() for k in outside)
-
-    sparse = [_sparse_rows(B) for B in s_basis]
-    for i, Bi in enumerate(s_basis):
-        for Sj in sparse[i + 1:]:
-            if not in_s(_bracket(sparse[i], Sj)):
+    X, Qrows = a.elements, _sparse_rows(a.form)
+    QX = {k: _product(Qrows, X[k]) for k in s_idx}
+    for x, i in enumerate(s_idx):
+        for j in s_idx[x + 1:]:
+            c = _g_coords(_form_bracket(QX[i], X[i], QX[j], X[j]), index, sign)
+            if c is None:
+                raise ValueError("matrix outside the span of g")
+            if any(k not in pos for k in c):
                 raise BracketEscape("[s, s] escapes s")
-        if not in_s(Bi.conj().flatten()):
-            raise BracketEscape("s is not conjugation stable")
-    if any(not a.N_coords[k].is_zero() for k in outside):
-        raise BracketEscape("N escapes the diagonal Levi")
 
-    # induced data in s-coordinates
-    ad = a.N_ad.entries
-    if any(not ad[k][j].is_zero() for k in outside for j in idx):
+    ts, first = len(s_idx), a.labels.index
+    sigma = [first((q, p)) + i - first((p, q)) for i, (p, q) in enumerate(a.labels)]
+    basis, read = [], []  # the real basis and the rows of its inverse, over g
+    for _, ks in diag:
+        for k in ks:
+            c, d = (sigma[e] for e in a.pairs[k])
+            ck = index.get((min(c, d), max(c, d)))
+            if ck not in ks:
+                raise BracketEscape("s is not conjugation stable")
+            s = 1 if c <= d else sign  # conj X_k = s X_ck
+            if ck == k:
+                basis.append([(k, ONE if s > 0 else I)])
+                read.append([(k, ONE if s > 0 else -I)])
+            elif ck > k:
+                basis += [[(k, ONE), (ck, gq(s))], [(k, I), (ck, I * -s)]]
+                read += [[(k, HALF), (ck, HALF * s)], [(k, -I * HALF), (ck, I * HALF * s)]]
+    if any(a.N_coords[k] for k in outside):
+        raise BracketEscape("N escapes the diagonal Levi")
+    ad, K = a.N_ad.entries, a.killing_proxy.entries
+    if any(ad[k][j] for k in outside for j in s_idx):
         raise ValueError("[N, s] outside the span of s")
-    N_s = MatrixGQ([[ad[k][j] for j in idx] for k in idx], cols=ts)
+
+    def over_s(rows):  # the matrix over s of rows of (g-index, entry) pairs
+        return MatrixGQ([[dict(row).get(k, ZERO) for k in s_idx] for row in rows], cols=ts)
+
+    T = over_s(basis).transpose()
+    N_s = over_s(read) * MatrixGQ([[ad[k][j] for j in s_idx] for k in s_idx], cols=ts) * T
+    tracef = (T.transpose() * MatrixGQ([[K[k][j] for j in s_idx] for k in s_idx], cols=ts)
+              * T).scale(-1)
+
     r = max((abs(p) for p, _ in diag), default=0)
     n_s = 2 * r
 
     def span_of(keep):
-        return _unit_span(ts, sorted(pos[k] for p, ks in diag if keep(p) for k in ks))
+        return _unit_span(ts, [pos[k] for p, ks in diag if keep(p) for k in ks])
 
     F_s = HodgeFiltration(n_s, [Subspace.full(ts)] + [
         span_of(lambda p: p >= p0 - r) for p0 in range(1, n_s + 1)])
     levels = [2 * (p + r) for p, _ in diag] or [n_s]
     W_s = WeightFiltration(n_s, {k: span_of(lambda p: 2 * (p + r) <= k)
                                  for k in range(min(levels), max(levels) + 1)})
-    K = a.killing_proxy.entries
-    tracef = MatrixGQ([[-K[i][j] for j in idx] for i in idx], cols=ts)
     hodge = HodgeDatum(ts, PolarizationForm(n_s, tracef), F_s)
     datum = LmhsDatum(hodge, N_s, W_s)
     _check_weight(N_s, W_s, datum.powers)
@@ -774,4 +774,4 @@ def diagonal_levi(a):
     object.__setattr__(datum, "_splitting", split)
     if not is_hodge_tate(split):
         raise BracketEscape("induced diagonal-Levi structure is not Hodge-Tate")
-    return s_basis, datum
+    return a.to_v(basis), datum

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from hodge_degen import cli, lmhs
 from hodge_degen.gq import (
-    MatrixGQ, Subspace, gq, ZERO, ONE, apply_matrix, nilpotent_exp, rank,
-    NotNilpotent, intersect, ssum, conj_space, kernel, image, nilpotent_powers,
-    rref, solver, complement_mod,
+    GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, apply_matrix, nilpotent_exp,
+    rank, NotNilpotent, intersect, ssum, conj_space, kernel, image, nilpotent_powers,
+    rref, complement_mod,
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
@@ -562,10 +562,58 @@ def _matrix_of(basis, coords, dim):
     return M
 
 
+def _solve_block_elements(Qp, blocks, sizes, offsets, dim):
+    """Elements xi of End with the given block support and Q xi + xi^T Q = 0.
+
+    blocks: list of (target_node, source_node) index pairs; unknowns are the
+    entries of those blocks in the I-adapted basis.  Returns a list of
+    full dim x dim matrices (in the adapted basis).
+    """
+    unknowns = []  # (row, col) in the adapted basis
+    for tgt, src in blocks:
+        for a in range(sizes[tgt]):
+            for b in range(sizes[src]):
+                unknowns.append((offsets[tgt] + a, offsets[src] + b))
+    if not unknowns:
+        return []
+    pos = {rc: idx for idx, rc in enumerate(unknowns)}
+    rows = []
+    # constraint (Q xi)_{ab} + (xi^T Q)_{ab} = 0; only equations touching unknowns
+    touched = set()
+    for (r, ccol) in unknowns:
+        for a in range(dim):
+            if not Qp[a, r].is_zero():
+                touched.add((a, ccol))
+        for b in range(dim):
+            if not Qp[r, b].is_zero():
+                touched.add((ccol, b))
+    for (a, b) in sorted(touched):
+        row = [ZERO] * len(unknowns)
+        hit = False
+        for c in range(dim):
+            if (c, b) in pos and not Qp[a, c].is_zero():
+                row[pos[(c, b)]] = row[pos[(c, b)]] + Qp[a, c]
+                hit = True
+            if (c, a) in pos and not Qp[c, b].is_zero():
+                row[pos[(c, a)]] = row[pos[(c, a)]] + Qp[c, b]
+                hit = True
+        if hit:
+            rows.append(row)
+    vecs = (kernel(MatrixGQ(rows)) if rows else Subspace.full(len(unknowns))).basis.entries
+    mats = []
+    for v in vecs:
+        ent = [[ZERO] * dim for _ in range(dim)]
+        for val, (r, ccol) in zip(v, unknowns):
+            ent[r][ccol] = val
+        mats.append(MatrixGQ(ent))
+    return mats
+
+
 def reference_adjoint(L):
-    """The fields of adjoint_lmhs(L) as first written: coordinate subspaces
-    by rref, the trace form by t^2 matrix products, and N and each column of
-    ad N by a fresh solve."""
+    """The fields of adjoint_lmhs(L) as first written: a basis of each
+    I^{p,q}_g solved for block by block in the frame of the splitting and
+    taken back to V, coordinate subspaces by rref, the trace form by t^2
+    matrix products, and N and each column of ad N by a fresh solve."""
     bg = deligne_splitting(L)
     dim = L.dim
     sizes, offsets, cols = {}, {}, []
@@ -578,7 +626,7 @@ def reference_adjoint(L):
     basis, coord_nodes = [], []
     for dp, dq in sorted({(b[0] - a[0], b[1] - a[1]) for a in sizes for b in sizes}):
         blocks = [((p + dp, q + dq), (p, q)) for p, q in sizes if (p + dp, q + dq) in sizes]
-        mats = lmhs._solve_block_elements(Qp, blocks, sizes, offsets, dim)
+        mats = _solve_block_elements(Qp, blocks, sizes, offsets, dim)
         if mats:
             coord_nodes.append((dp, dq, len(basis), len(mats)))
             basis.extend(P * M * Pinv for M in mats)
@@ -610,14 +658,24 @@ def reference_adjoint(L):
 
 
 def reference_diagonal_levi(ref):
-    """diagonal_levi as first written: s-coordinates by fresh solves over the
-    s basis, membership by flattened dim^2 spans, every bracket pair."""
+    """diagonal_levi as first written, but on a real basis of s (the rref of
+    the real and imaginary parts of its elements, which span s as it is
+    conjugation stable): s-coordinates by fresh solves over that basis,
+    membership by flattened dim^2 spans, every bracket pair."""
     dim, basis = ref["dimV"], ref["g_basis"]
     t = len(basis)
     diag = [(p, s) for p, q, s in ref["I_g"] if p == q]
     span = Subspace.from_vectors(t, [v for _, s in diag for v in s.basis.entries])
-    s_basis = [_matrix_of(basis, v, dim) for v in span.basis.entries]
+    parts = []
+    for v in span.basis.entries:
+        B = _matrix_of(basis, v, dim)
+        parts += [(B + B.conj()).scale(GaussianRational(Fraction(1, 2))),
+                  (B - B.conj()).scale(GaussianRational(0, Fraction(-1, 2)))]
+    real = Subspace.from_vectors(dim * dim, [B.flatten() for B in parts])
+    s_basis = [MatrixGQ([row[i * dim:(i + 1) * dim] for i in range(dim)])
+               for row in real.basis.entries]
     ts = len(s_basis)
+    assert ts == span.dim and all(B.is_real() for B in s_basis)
     flat = Subspace.from_vectors(dim * dim, [B.flatten() for B in s_basis])
     for Bi in s_basis:
         for Bj in s_basis:
@@ -644,24 +702,49 @@ ADJOINT_ORACLE_CASES = [
 ]
 
 
+def _v_span(a, coords):
+    """The span, as flattened matrices on V, of the elements of g whose
+    coordinates are the basis vectors of the Subspace `coords`."""
+    mats = a.to_v([[(k, e) for k, e in enumerate(v) if e] for v in coords.basis.entries])
+    return Subspace.from_vectors(a.frame.rows ** 2, [M.flatten() for M in mats])
+
+
+def _ref_span(ref, coords):
+    vecs = [_matrix_of(ref["g_basis"], v, ref["dimV"]).flatten()
+            for v in coords.basis.entries]
+    return Subspace.from_vectors(ref["dimV"] ** 2, vecs)
+
+
 @pytest.mark.parametrize("cid", ADJOINT_ORACLE_CASES)
 def test_adjoint_and_diagonal_levi_match_reference(cid):
+    """The frame basis and the solved one give the same structure: the same
+    span on V in each bidegree, W_g level and F_g step, trace forms and ad N
+    of the same rank, N rebuilt from its coordinates, and Levi data with
+    the same splitting and validation report."""
     L = _corpus_datum(cid)
     a = adjoint_lmhs(L)
     ref = reference_adjoint(L)
-    assert a.g_basis == ref["g_basis"]
-    assert a.I_g.nodes == ref["I_g"]
-    assert a.W_g == ref["W_g"] and a.F_g == ref["F_g"]
-    assert a.killing_proxy == ref["killing_proxy"]
-    assert a.N_coords == ref["N_coords"] and a.N_ad == ref["N_ad"]
-    assert a.dimV == ref["dimV"]
+    assert [(p, q) for p, q, _ in a.I_g.nodes] == [(p, q) for p, q, _ in ref["I_g"]]
+    for (p, q, sub), (_, _, ref_sub) in zip(a.I_g.nodes, ref["I_g"]):
+        assert _v_span(a, sub) == _ref_span(ref, ref_sub), (p, q)
+    assert sorted(a.W_g.levels) == sorted(ref["W_g"].levels)
+    for k, sub in a.W_g.levels.items():
+        assert _v_span(a, sub) == _ref_span(ref, ref["W_g"].levels[k]), k
+    assert sorted(a.F_g) == sorted(ref["F_g"])
+    for p, sub in a.F_g.items():
+        assert _v_span(a, sub) == _ref_span(ref, ref["F_g"][p]), p
+    assert rank(a.killing_proxy) == rank(ref["killing_proxy"])
+    assert rank(a.N_ad) == rank(ref["N_ad"])
+    assert a.to_v([[(k, e) for k, e in enumerate(a.N_coords) if e]]) == [L.N]
     s_basis, datum = diagonal_levi(a)
     ref_basis, ref_datum = reference_diagonal_levi(ref)
-    assert s_basis == ref_basis
-    assert datum.hodge.polarization.Q == ref_datum.hodge.polarization.Q
-    assert datum.hodge.filtration == ref_datum.hodge.filtration
-    assert datum.N == ref_datum.N and datum.W == ref_datum.W
-    assert deligne_splitting(datum).nodes == deligne_splitting(ref_datum).nodes
+    assert all(B.is_real() for B in s_basis)
+    dim = L.dim
+    assert Subspace.from_vectors(dim * dim, [B.flatten() for B in s_basis]) == \
+        Subspace.from_vectors(dim * dim, [B.flatten() for B in ref_basis])
+    assert deligne_splitting(datum).dims() == deligne_splitting(ref_datum).dims()
+    assert validate_lmhs(datum) == validate_lmhs(ref_datum)
+    assert validate_lmhs(datum)["ok"]
 
 
 def closed_form_adjoint_dims(dims, n):
@@ -802,18 +885,45 @@ def test_certified_levi_matches_recomputation_on_corpus(r_split_corpus):
     assert checked == 54
 
 
+def _dense(rows):
+    """The matrix of sparse rows ({col: entry} per row)."""
+    return MatrixGQ([[row.get(j, ZERO) for j in range(len(rows))] for row in rows])
+
+
 def test_sparse_bracket_matches_dense_on_corpus(r_split_corpus):
-    """[X, Y] from the nonzero entries of X and Y equals the dense
-    X*Y - Y*X, flattened, for every ordered pair of N and the g-basis."""
+    """Q'[X, Y] from the nonzero entries of Q'X, X, Q'Y and Y equals the
+    dense Q'(X*Y - Y*X), for every ordered pair of N and the g-basis, all in
+    the frame."""
     pairs = 0
     for cid, L, a in r_split_corpus:
-        elements = [L.N] + list(a.g_basis)
-        sparse = [lmhs._sparse_rows(X) for X in elements]
-        for X, SX in zip(elements, sparse):
-            for Y, SY in zip(elements, sparse):
-                assert lmhs._bracket(SX, SY) == list((X * Y - Y * X).flatten()), cid
+        elements = [a.frame_inv * L.N * a.frame] + [_dense(X) for X in a.elements]
+        sparse = [(lmhs._sparse_rows(a.form * X), lmhs._sparse_rows(X)) for X in elements]
+        for X, (QX, SX) in zip(elements, sparse):
+            for Y, (QY, SY) in zip(elements, sparse):
+                got = _dense(lmhs._form_bracket(QX, SX, QY, SY))
+                assert got == a.form * (X * Y - Y * X), cid
                 pairs += 1
     assert pairs == PAIRS_ON_SMALL_CORPUS
+
+
+def test_frame_forms_match_dense_on_corpus(r_split_corpus):
+    """The index arithmetic of adjoint_lmhs against dense frame matrices:
+    the trace form is tr(X_i X_j), N' = sum N_coords[k] X_k, and column k
+    of N_ad gives [N', X_k]."""
+    for cid, L, a in r_split_corpus:
+        X = [_dense(rows) for rows in a.elements]
+        K = a.killing_proxy.entries
+        assert all(K[i][j] == (Xi * Xj).trace() for i, Xi in enumerate(X)
+                   for j, Xj in enumerate(X)), cid
+        dim, t = L.dim, a.dim_g
+        Nf = a.frame_inv * L.N * a.frame
+
+        def combo(coords):
+            return sum((Xk.scale(c) for Xk, c in zip(X, coords) if c), MatrixGQ.zero(dim, dim))
+
+        assert combo(a.N_coords) == Nf, cid
+        for k, Xk in enumerate(X):
+            assert combo([a.N_ad[r, k] for r in range(t)]) == Nf * Xk - Xk * Nf, cid
 
 
 def test_adjoint_of_zero_algebra():
@@ -831,11 +941,9 @@ NON_HT = "minimal/n=2,h=1,2,1,I(0,2)"  # adds I^{-1,1}_g and I^{1,-1}_g
 
 def _tampered(a, **fields):
     """A copy of `a` with some fields replaced."""
-    names = ("g_basis", "I_g", "W_g", "F_g", "killing_proxy", "N_coords",
-             "N_ad", "dimV", "_solve")
-    vals = {name: getattr(a, name) for name in names}
+    vals = {name: getattr(a, name) for name in AdjointLmhs.__slots__}
     vals.update(fields)
-    return AdjointLmhs(*(vals[name] for name in names))
+    return AdjointLmhs(*(vals[name] for name in AdjointLmhs.__slots__))
 
 
 def _relabelled(a, labels):
@@ -882,14 +990,12 @@ def test_levi_ad_n_leaves_s():
 
 
 def test_levi_bracket_outside_g():
-    # replace the (0,0) element by a matrix unit, and g's reduction with it
+    # replace the (0,0) element by the frame matrix unit E_00, which is not in g
     a = adjoint_lmhs(_corpus_datum(THREE_STRING))
     k = _first_index(a, 0, 0)
-    unit = MatrixGQ([[ONE if (r, c) == (0, 0) else ZERO for c in range(a.dimV)]
-                     for r in range(a.dimV)])
-    basis = [unit if j == k else B for j, B in enumerate(a.g_basis)]
-    tampered = _tampered(a, g_basis=basis,
-                         _solve=solver([B.flatten() for B in basis]))
+    unit = tuple({0: ONE} if r == 0 else {} for r in range(a.frame.rows))
+    elements = tuple(unit if j == k else X for j, X in enumerate(a.elements))
+    tampered = _tampered(a, elements=elements)
     with pytest.raises(ValueError, match="outside the span of g"):
         diagonal_levi(tampered)
 
@@ -917,23 +1023,45 @@ def test_adjoint_n_outside_g():
 def test_adjoint_n_not_minus_one_minus_one():
     L = _corpus_datum(THREE_STRING)
     a = adjoint_lmhs(L)
-    H = a.g_basis[_first_index(a, 0, 0)]
+    H = a.to_v([[(_first_index(a, 0, 0), ONE)]])[0]
     with pytest.raises(NotMhs, match=r"not of type \(-1,-1\)"):
         adjoint_lmhs(_with_n(L, L.N + H))
 
 
 def test_adjoint_bracket_outside_g(monkeypatch):
     # leave out I^{0,0}_g: then [N, N^+] has no coordinates
-    body = lmhs._solve_block_elements
+    body = lmhs._g_pairs
 
-    def without_degree_zero(Qp, blocks, sizes, offsets, dim):
-        if all(tgt == src for tgt, src in blocks):
-            return []
-        return body(Qp, blocks, sizes, offsets, dim)
+    def without_degree_zero(labels, n):
+        return [key for key in body(labels, n) if key[0] != (0, 0)]
 
-    monkeypatch.setattr(lmhs, "_solve_block_elements", without_degree_zero)
+    monkeypatch.setattr(lmhs, "_g_pairs", without_degree_zero)
     with pytest.raises(ValueError, match=r"\[N, B\] outside the span of g"):
         adjoint_lmhs(_corpus_datum(THREE_STRING))
+
+
+def test_adjoint_rejects_a_form_that_pairs_the_wrong_pieces():
+    """Weight 1, N = 0, F^1 = span(e0 + i e2, e1 + i e3): isotropic for
+    e0^e2 + e1^e3 (a polarized Hodge structure), but not for e0^e1 - e2^e3,
+    which pairs I^{1,0} with itself and I^{0,1} with itself.  The frame
+    lists I^{0,1} first, so that pair is named."""
+    ent = [[ZERO] * 4 for _ in range(4)]
+    for a, b, x in ((0, 1, 1), (2, 3, -1)):
+        ent[a][b], ent[b][a] = gq(x), gq(-x)
+    F1 = Subspace.from_vectors(4, [[ONE, ZERO, gq("i"), ZERO], [ZERO, ONE, ZERO, gq("i")]])
+    hodge = HodgeDatum(4, PolarizationForm(1, MatrixGQ(ent)),
+                       HodgeFiltration(1, [Subspace.full(4), F1]))
+    L = LmhsDatum(hodge, MatrixGQ.zero(4, 4))
+    assert deligne_splitting(L).dims() == {(1, 0): 2, (0, 1): 2}
+    assert is_r_split(deligne_splitting(L))
+    with pytest.raises(NotMhs, match=r"Q pairs I\^\{0,1\} with I\^\{0,1\}, whose labels "
+                                     r"do not sum to \(1, 1\)"):
+        adjoint_lmhs(L)
+    good = [[ZERO] * 4 for _ in range(4)]
+    for a, b in ((0, 2), (1, 3)):
+        good[a][b], good[b][a] = ONE, gq(-1)
+    hodge = HodgeDatum(4, PolarizationForm(1, MatrixGQ(good)), hodge.filtration)
+    assert adjoint_lmhs(LmhsDatum(hodge, MatrixGQ.zero(4, 4))).dim_g == 10
 
 
 # ------------------------------------------------------- serialization
@@ -951,10 +1079,11 @@ def test_lmhs_json_roundtrip():
 # ------------------------------------------------------- moved corpus
 # Every corpus case of dim <= 6, moved by a seeded dense rational Cayley
 # transform g in Aut(V, Q) (tests/cayley.py): the structure in the new
-# coordinates is the same, so its invariants must be too.  diagonal_levi is
-# left out until it handles a g-basis that is not real: on some moves (the
-# pinned one below among them) the moved I^{p,p}_g get complex bases and it
-# raises "N must be real" (ROADMAP item 2).
+# coordinates is the same, so its invariants must be too, the diagonal Levi's
+# splitting among them.  On some moves (the pinned one below among them) the
+# rref bases of the pieces I^{p,q} with p != q are complex, so the elements
+# X_ab of g are not all real; diagonal_levi gives s the real basis X + conj X,
+# i(X - conj X) on each conjugate pair.
 
 SMALL_CORPUS = {cid: thunk for cid, _, hn, thunk in cli.corpus_cases()
                 if (hn.dim if hn is not None else thunk().dim) <= 6}
@@ -962,7 +1091,13 @@ SMALL_CORPUS = {cid: thunk for cid, _, hn, thunk in cli.corpus_cases()
 
 def _invariants(L):
     bg = deligne_splitting(L)
-    return bg.dims(), is_r_split(bg), is_hodge_tate(bg), adjoint_lmhs(L).I_g.dims()
+    a = adjoint_lmhs(L)
+    levi = None
+    if a.dim_g:
+        s_basis, datum = diagonal_levi(a)
+        levi = deligne_splitting(datum).dims(), all(B.is_real() for B in s_basis)
+    return (bg.dims(), is_r_split(bg), is_hodge_tate(bg), a.I_g.dims(),
+            rank(a.killing_proxy), rank(a.N_ad), levi)
 
 
 def _check_moved(L, g, with_w):
@@ -985,8 +1120,9 @@ def test_moved_corpus_keeps_invariants(cid):
 
 
 def test_moved_witness_of_complex_g_basis():
-    """The move under which the g-basis of minimal_witness(I(0,3)) at n = 3,
-    h = (1,1,1,1) has no real element (ROADMAP item 2)."""
+    """A move under which the rref bases of the pieces I^{p,q}, p != q, of
+    minimal_witness(I(0,3)) at n = 3, h = (1,1,1,1) are complex: the
+    diagonal Levi, in its real basis, keeps its splitting."""
     L = SMALL_CORPUS["minimal/n=3,h=1,1,1,1,I(0,3)"]()
     g = [[Fraction(x, 3) for x in row] for row in
          ((-5, 0, 0, -4), (4, -5, -4, 0), (0, -4, -5, -4), (-4, 0, 0, -5))]
