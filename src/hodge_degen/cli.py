@@ -377,17 +377,17 @@ def check_case(cid, L, heavy=True, samples=(1, 2)):
     """Run every module invariant on one corpus element; returns failure id.
 
     `samples` are the values y > 0 at which disc_sample checks e^{iyN} F.
+    The JSON round trip must give back Q, N, F and W (hence the splitting),
+    and the certified diagonal-Levi datum must pass validate_lmhs too.
     """
     n = L.hodge.n
     report = validate_lmhs(L)
     if not report["ok"]:
         return cid + "/validate:" + ",".join(k for k, v in report.items() if not v)
-    bg = deligne_splitting(L)
-    if bg.total() != L.hodge.dim:
-        return cid + "/splitting-total"
-    # round trip through JSON
+    bg = deligne_splitting(L)  # it spans: validate_lmhs certified it
     L2 = LmhsDatum.from_json(json.loads(json.dumps(L.to_json())))
-    if deligne_splitting(L2).dims() != bg.dims():
+    if (L2.hodge.polarization.Q != L.hodge.polarization.Q or L2.N != L.N
+            or L2.hodge.filtration != L.hodge.filtration or L2.W != L.W):
         return cid + "/json-roundtrip"
     if not disc_sample(L, samples)["ok"]:
         return cid + "/disc-sample"
@@ -417,9 +417,11 @@ def check_case(cid, L, heavy=True, samples=(1, 2)):
     elif all(p == q for (p, q), d2 in adims.items() if d2):
         return cid + "/adjoint-hodge-tate-converse"
     try:
-        diagonal_levi(a)
+        report = validate_lmhs(diagonal_levi(a)[1])
     except Exception as e:
         return cid + "/diagonal-levi:" + type(e).__name__
+    if not report["ok"]:
+        return cid + "/diagonal-levi-validate:" + ",".join(k for k, v in report.items() if not v)
     return cid
 
 

@@ -246,16 +246,20 @@ class LmhsDatum:
 
 
 class Bigrading:
-    """Finite collection of bigraded pieces that sum directly to the ambient space."""
+    """Finite collection of bigraded pieces in direct sum.  Rows with pairwise
+    distinct leading columns are independent, so the sum is reduced only
+    when the rref pivots of the pieces collide (unit spans never do)."""
 
     __slots__ = ("ambient_dim", "nodes")
 
     def __init__(self, ambient_dim, nodes):
         nodes = [(p, q, s) for (p, q, s) in nodes if s.dim > 0]
         nodes.sort(key=lambda t: (t[0], t[1]))
-        vecs = [v for _, _, s in nodes for v in s.basis.entries]
-        if Subspace.from_vectors(ambient_dim, vecs).dim != len(vecs):
-            raise NotMhs("pieces are not in direct sum")
+        pivots = [c for _, _, s in nodes for c in s.pivots]
+        if len(set(pivots)) != len(pivots):
+            vecs = [v for _, _, s in nodes for v in s.basis.entries]
+            if Subspace.from_vectors(ambient_dim, vecs).dim != len(vecs):
+                raise NotMhs("pieces are not in direct sum")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "nodes", tuple(nodes))
 
@@ -357,23 +361,6 @@ def _check_reconstruction(L, bg):
 def _is_sum(X, pieces):
     # X is the sum of pieces in direct sum when it holds each and has their total dim
     return X.dim == sum(s.dim for s in pieces) and all(X.contains(s) for s in pieces)
-
-
-def _check_splitting(L, bg):
-    """Certify that bg is the Deligne splitting of L.
-
-    bg must recover W and F (_check_reconstruction), and conj I^{p,q} must
-    lie in I^{q,p} + sum_{a<q, b<p} I^{a,b}.  Only the Deligne splitting
-    has these properties (Cattani-Kaplan-Schmid 1986, Thm 2.13).  Raises
-    NotMhs naming the first failing piece.
-    """
-    _check_reconstruction(L, bg)
-    for p, q, s in bg.nodes:
-        vecs = [v for a, b, t in bg.nodes if (a, b) == (q, p) or (a < q and b < p)
-                for v in t.basis.entries]
-        if not Subspace.from_vectors(L.dim, vecs).contains(conj_space(s)):
-            raise NotMhs("conj I^{%d,%d} not inside I^{%d,%d} + sum_{a<%d,b<%d} I^{a,b}"
-                         % (p, q, q, p, q, p))
 
 
 def is_r_split(bg):
@@ -514,13 +501,13 @@ class AdjointLmhs:
     g is Lambda^2 V (n even) or S^2 V (n odd) through Q: with e = (-1)^(n+1)
     the `elements` X_ab = Q'^-1 (E_ab + e E_ba), as sparse rows, for the
     `pairs` a <= b (a < b for n even) are a basis, and X_ab has bidegree
-    (n, n) - x_a - x_b.  The pairs are sorted by it, so the pieces of I_g,
-    W_g and F_g are coordinate subspaces.  The coordinates of a frame
-    matrix are read off Q'X (_g_coords).  `killing_proxy` is tr(X_i X_j).
+    (n, n) - x_a - x_b.  The pairs are sorted by it, so the pieces of I_g
+    are coordinate subspaces, and W_k and F^p on g are sums of them.  Frame
+    coordinates are read off Q'X (_g_coords).  `killing_proxy` is tr(X_i X_j).
     """
 
     __slots__ = ("n", "frame", "frame_inv", "labels", "form", "pairs", "elements",
-                 "I_g", "W_g", "F_g", "killing_proxy", "N_coords", "N_ad")
+                 "I_g", "killing_proxy", "N_coords", "N_ad")
 
     def __init__(self, *values):
         for name, val in zip(AdjointLmhs.__slots__, values, strict=True):
@@ -632,17 +619,10 @@ def adjoint_lmhs(L):
     pairs = tuple((a, b) for _, a, b in keyed)
     index = {ab: k for k, ab in enumerate(pairs)}
     t = len(pairs)
-
-    def coord_subspace(keep):
-        return _unit_span(t, [k for k, (deg, _, _) in enumerate(keyed) if keep(*deg)])
-
-    degs = list(dict.fromkeys(deg for deg, _, _ in keyed))
-    I_g = Bigrading(t, [(p, q, coord_subspace(lambda a, b, p=p, q=q: (a, b) == (p, q)))
-                        for p, q in degs])
-    ws, ps = sorted(p + q for p, q in degs) or [0], sorted(p for p, _ in degs) or [0]
-    W_g = WeightFiltration(0, {k: coord_subspace(lambda a, b, k=k: a + b <= k)
-                               for k in range(ws[0], ws[-1] + 1)})
-    F_g = {p0: coord_subspace(lambda a, b, p0=p0: a >= p0) for p0 in range(ps[0], ps[-1] + 1)}
+    spans = {}  # bidegree -> its coordinates, ascending
+    for k, (deg, _, _) in enumerate(keyed):
+        spans.setdefault(deg, []).append(k)
+    I_g = Bigrading(t, [(p, q, _unit_span(t, ks)) for (p, q), ks in spans.items()])
 
     R = inverse(Qf)
     Rcols, Re = _sparse_rows(R.transpose()), R.entries
@@ -679,8 +659,27 @@ def adjoint_lmhs(L):
             ad[r][k] = e
     Pt = MatrixGQ(cols)  # P^T, and P^-1 = Q'^-1 P^T Q
     return AdjointLmhs(n, Pt.transpose(), R * (Pt * pol.Q), tuple(labels), Qf, pairs,
-                       tuple(elements), I_g, W_g, F_g, _matrix(tuple(map(tuple, killing)), t),
+                       tuple(elements), I_g, _matrix(tuple(map(tuple, killing)), t),
                        coeff, _matrix(tuple(map(tuple, ad)), t))
+
+
+def _check_levi(L, S, r):
+    """Certify the Levi datum L whose piece I^{p+r,p+r} is the unit span of the
+    coordinates S[p]; W and F are unions of the same disjoint real spans, so
+    the pieces are in direct sum, recover W and F and are conjugation stable.
+    W is N's weight filtration (Deligne, Weil II 1.6) if N maps S_p into S_{p-1}
+    (so N F^p is in F^{p-1}, of type (-1,-1)) and each block S_{-j} x S_j of
+    N^{2j} is square of full rank.  Raises AssertionError as _check_weight."""
+    part, N, c = {i: p for p, idx in S.items() for i in idx}, L.N.entries, 2 * r
+    for p in sorted(S):
+        if any(N[i][j] and part[i] != p - 1 for j in S[p] for i in range(L.dim)):
+            raise AssertionError("N W_%d not inside W_%d" % (c + 2 * p, c + 2 * p - 2))
+    for j in range(1, r + 1):
+        top, low, P = S.get(j, []), S.get(-j, []), L.power(2 * j).entries
+        if len(top) != len(low):
+            raise AssertionError("Gr_%d and Gr_%d differ in dim" % (c + 2 * j, c - 2 * j))
+        if top and rank(MatrixGQ([[P[i][m] for m in top] for i in low])) != len(top):
+            raise AssertionError("N^%d not onto Gr_%d" % (2 * j, c - 2 * j))
 
 
 def reduced_limit(bg, n):
@@ -705,7 +704,7 @@ def diagonal_levi(a):
     (conj X = X), iX (conj X = -X), and X + conj X, i(X - conj X), in which
     N_s = ad N (N in s, mapping s into s) and -killing_proxy are real, and
     F_s, W_s and the splitting (I^{p,p}_g at I^{p+r,p+r}) are unit spans;
-    the last two are certified, kept on the datum and asserted Hodge-Tate.
+    the last two are certified by _check_levi, kept and asserted Hodge-Tate.
     """
     sign = 1 if a.n % 2 else -1
     index = {ab: k for k, ab in enumerate(a.pairs)}
@@ -766,9 +765,8 @@ def diagonal_levi(a):
                                  for k in range(min(levels), max(levels) + 1)})
     hodge = HodgeDatum(ts, PolarizationForm(n_s, tracef), F_s)
     datum = LmhsDatum(hodge, N_s, W_s)
-    _check_weight(N_s, W_s, datum.powers)
+    _check_levi(datum, {p: [pos[k] for k in ks] for p, ks in diag}, r)
     split = Bigrading(ts, [(p + r, p + r, span_of(lambda x: x == p)) for p, _ in diag])
-    _check_splitting(datum, split)
     # both certified: validate_lmhs and deligne_splitting take them as computed
     object.__setattr__(datum, "_given_W", False)
     object.__setattr__(datum, "_splitting", split)
