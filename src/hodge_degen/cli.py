@@ -227,6 +227,11 @@ _LMHS_CLAUSES = ("weight_filtration", "graded_hodge", "minus_one_minus_one",
                  "polarized_primitives")
 
 
+def _failed_clauses(report):
+    # the false clauses of a validate_lmhs report, comma separated
+    return ",".join(c for c in _LMHS_CLAUSES if not report[c])
+
+
 def _check_input_datum(L, hn):
     """ValueError unless the LMHS datum L has the weight and Hodge numbers of
     hn (h^{p,n-p} = dim F^p - dim F^{p+1}) and passes validate_lmhs; the
@@ -378,12 +383,13 @@ def check_case(cid, L, heavy=True, samples=(1, 2)):
 
     `samples` are the values y > 0 at which disc_sample checks e^{iyN} F.
     The JSON round trip must give back Q, N, F and W (hence the splitting),
-    and the certified diagonal-Levi datum must pass validate_lmhs too.
+    and the certified diagonal-Levi datum must pass validate_lmhs too.  A
+    failed validate_lmhs lists its false clauses (_LMHS_CLAUSES) in the id.
     """
     n = L.hodge.n
     report = validate_lmhs(L)
     if not report["ok"]:
-        return cid + "/validate:" + ",".join(k for k, v in report.items() if not v)
+        return cid + "/validate:" + _failed_clauses(report)
     bg = deligne_splitting(L)  # it spans: validate_lmhs certified it
     L2 = LmhsDatum.from_json(json.loads(json.dumps(L.to_json())))
     if (L2.hodge.polarization.Q != L.hodge.polarization.Q or L2.N != L.N
@@ -421,7 +427,7 @@ def check_case(cid, L, heavy=True, samples=(1, 2)):
     except Exception as e:
         return cid + "/diagonal-levi:" + type(e).__name__
     if not report["ok"]:
-        return cid + "/diagonal-levi-validate:" + ",".join(k for k, v in report.items() if not v)
+        return cid + "/diagonal-levi-validate:" + _failed_clauses(report)
     return cid
 
 

@@ -21,10 +21,13 @@ Meets and membership tests reduce against the rref basis a Subspace keeps,
 and build no subspace they only test: contains, maps_into (M A inside B,
 with no basis of M A) and intersect (the rows of the smaller space reduced
 against the other, with one rref of the meet at the end, and none when the
-meet is 0 or the smaller space itself).  A basis already in rref that keeps
-its pivots becomes a Subspace through the trusted private _canonical, with
-no rref: the shared zero and whole spaces of each C^n, a conjugate (which
-has the same pivots) and the spans of unit vectors that lmhs builds.
+meet is 0 or the smaller space itself).  A test against the whole space is
+answered without a reduction or a product.  from_json parses each distinct
+scalar string once per ScalarTable, which the matrices of one JSON datum
+share.  A basis already in rref that keeps its pivots becomes a Subspace
+through the trusted private _canonical, with no rref: the shared zero and
+whole spaces of each C^n, a conjugate (which has the same pivots) and the
+spans of unit vectors that lmhs builds.
 """
 
 from fractions import Fraction
@@ -300,6 +303,16 @@ def parse_scalar(s):
     return _make(a * e, c * b, b * e)
 
 
+class ScalarTable(dict):
+    """parse_scalar of each string looked up, parsed on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, s):
+        x = self[s] = parse_scalar(s)
+        return x
+
+
 def _ratio(t):
     # "n" or "n/d", n possibly signed, as the pair of ints (n, d)
     n, _, d = t.partition("/")
@@ -447,12 +460,19 @@ class MatrixGQ:
         return [[format_scalar(e) for e in row] for row in self.entries]
 
     @staticmethod
-    def from_json(rows):
-        """The matrix of a JSON array of rows, each an array of scalar strings."""
+    def from_json(rows, scalars=None):
+        """The matrix of a JSON array of rows, each an array of scalar strings.
+
+        `scalars` (a ScalarTable) is shared by the matrices of one datum, so
+        each distinct string is parsed once; any other entry goes to
+        parse_scalar, which rejects it with its own message."""
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("a matrix must be an array of rows, each an array "
                              "of scalar strings; got %s" % reprlib.repr(rows))
-        return MatrixGQ([[parse_scalar(e) for e in row] for row in rows])
+        if scalars is None:
+            scalars = ScalarTable()
+        return MatrixGQ([[scalars[e] if type(e) is str else parse_scalar(e) for e in row]
+                         for row in rows])
 
     def __repr__(self):
         return "MatrixGQ(%r)" % (self.to_json(),)
@@ -643,7 +663,11 @@ class Subspace:
         return not any(e._x or e._y for e in _reduce_against(v, self))
 
     def contains(self, other):
+        """Each row of other's basis reduced against this rref basis; True at
+        once for the whole space or other itself."""
         self._check(other)
+        if other is self or self.dim == self.ambient_dim:
+            return True
         return all(self.contains_vector(v) for v in other.basis.entries)
 
     def _check(self, other):
@@ -794,9 +818,12 @@ def apply_matrix(M, A):
 def maps_into(M, A, B):
     """Whether M A lies in B: each M v, for v in A's basis, reduced against B.
 
-    No basis of M A is formed."""
+    No basis of M A is formed, and no product at all when B is the whole
+    space, as F^0 = V is in the test N F^1 inside F^0."""
     if M.cols != A.ambient_dim or M.rows != B.ambient_dim:
         raise AmbientMismatch("matrix does not map A's ambient space to B's")
+    if B.dim == B.ambient_dim:
+        return True
     return all(B.contains_vector(M.matvec(v)) for v in A.basis.entries)
 
 
@@ -893,24 +920,6 @@ def _eliminate_below(work, k):
             row[k] = ZERO
             for j, b in nz:
                 row[j] = _sub_mul(row[j], f, b)
-
-
-def determinant(M):
-    """Exact determinant by Gaussian elimination, the product of the pivots."""
-    assert M.rows == M.cols
-    n = M.rows
-    work = [list(row) for row in M.entries]
-    det = ONE
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not work[i][c].is_zero()), None)
-        if piv is None:
-            return ZERO
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            det = -det
-        det = det * work[c][c]
-        _eliminate_below(work, c)
-    return det
 
 
 def first_nonpositive_minor(H):

@@ -11,7 +11,7 @@ import reprlib
 from fractions import Fraction
 
 from .gq import (
-    GaussianRational, MatrixGQ, Subspace, ZERO, ONE, I, i_power, unit_vector,
+    GaussianRational, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, i_power, unit_vector,
     intersect, conj_space, rank, hermitian_pd,
 )
 
@@ -127,12 +127,16 @@ class HodgeDatum:
         }
 
     @staticmethod
-    def from_json(obj):
+    def from_json(obj, scalars=None):
         """ValueError naming the fault for a value of the wrong type or shape;
-        KeyError for a missing key."""
+        KeyError for a missing key.  Q and every F step share one ScalarTable
+        (`scalars`, new when None), so each distinct scalar string of the
+        datum is parsed once."""
+        if scalars is None:
+            scalars = ScalarTable()
         dim = _json_count(obj, "dim")
         n = _json_count(obj, "weight")
-        Q = MatrixGQ.from_json(obj["Q"])
+        Q = MatrixGQ.from_json(obj["Q"], scalars)
         if (Q.rows, Q.cols) != (dim, dim):
             raise ValueError("Q is %dx%d, but dim is %d" % (Q.rows, Q.cols, dim))
         F = obj["F"]
@@ -147,7 +151,7 @@ class HodgeDatum:
                 steps.append(Subspace.full(dim))
             else:
                 try:
-                    steps.append(Subspace(dim, MatrixGQ.from_json(F[key])))
+                    steps.append(Subspace(dim, MatrixGQ.from_json(F[key], scalars)))
                 except ValueError as e:
                     raise ValueError("F^%d: %s" % (p, e)) from None
         return HodgeDatum(dim, PolarizationForm(n, Q), HodgeFiltration(n, steps))

@@ -11,7 +11,7 @@ import reprlib
 from fractions import Fraction
 
 from .gq import (
-    GaussianRational, MatrixGQ, Subspace, ZERO, ONE, I, gq,
+    GaussianRational, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, gq,
     intersect, ssum, conj_space, apply_matrix, maps_into, preimage,
     image, complement_mod, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
     inverse, rank, _matrix, _canonical,
@@ -223,8 +223,12 @@ class LmhsDatum:
 
     @staticmethod
     def from_json(obj):
-        hodge = HodgeDatum.from_json(obj)
-        N = MatrixGQ.from_json(obj["N"])
+        """The datum of its JSON form; Q, N and every F step and W level share
+        one ScalarTable, local to the call, so each distinct scalar string is
+        parsed once."""
+        scalars = ScalarTable()
+        hodge = HodgeDatum.from_json(obj, scalars)
+        N = MatrixGQ.from_json(obj["N"], scalars)
         W = None
         if "W" in obj:
             if not isinstance(obj["W"], dict):
@@ -237,7 +241,7 @@ class LmhsDatum:
                 except ValueError:
                     raise ValueError("W level %r is not an integer" % k) from None
                 try:
-                    levels[level] = Subspace(hodge.dim, MatrixGQ.from_json(rows))
+                    levels[level] = Subspace(hodge.dim, MatrixGQ.from_json(rows, scalars))
                 except ValueError as e:
                     raise ValueError("W_%d: %s" % (level, e)) from None
             if levels:
@@ -298,45 +302,56 @@ def _deligne_splitting(L):
     (Cattani-Kaplan-Schmid 1986), checked to be a direct sum that
     recovers W and F.
 
-    The conjugate terms come from two tables built once per datum: conj F^a
-    for a = 1..n, and the meets conj F^a cap W_k, memoized by (a, k).  For
-    a <= 0 a meet is W_k and for a > n it is 0.  gq.intersect returns 0 for
-    a level below W, and X itself for a level that is the whole space,
-    without a solve.  The j-sum stops at j = max(q, 1): past it conj F^{q-j}
-    is the whole space, so each later term is a W level inside the last
-    one.  The terms of the sum are reduced once.  F^p cap W_l is needed
-    for one (p, q) only, so it is not memoized.
+    The formula is solved only where the piece can be nonzero.  In a mixed
+    Hodge structure dim I^{p,q} = dim Gr_F^p Gr^W_l, which is
+    d = dim(F^p cap W_l) - dim(F^{p+1} cap W_l) - dim(F^p cap W_{l-1})
+    + dim(F^{p+1} cap W_{l-1}); the meets F^a cap W_k are memoized by (a, k)
+    within the call, and a (p, q) with d = 0 gets no conjugate sum and no
+    meet.  This is exact: where the full formula's pieces pass Bigrading and
+    _check_reconstruction, F^a and W_k are sums of them, so each piece has
+    dim d, the skipped ones were 0 and the Bigrading is the same.  Where
+    they fail, the datum is no mixed Hodge structure, and this splitting
+    fails too (with the same or another NotMhs message), or it passes and
+    clause (b) of validate_lmhs fails: pieces that recover W and F and pass
+    (b) make each Gr^W a Hodge structure.  So validate_lmhs gives the same
+    "ok" either way.
+
+    The conjugate terms are the meets conj F^a cap W_k, memoized the same
+    way.  For a <= 0 a meet is W_k and for a > n it is 0.  gq.intersect
+    returns 0 for a level below W, and X itself for a level that is the
+    whole space, without a solve.  The j-sum stops at j = max(q, 1): past it
+    conj F^{q-j} is the whole space, so each later term is a W level inside
+    the last one.  The terms of the sum are reduced once.
     """
-    F = L.hodge.filtration
     W = L.W
     n = L.n
     c = L.center
     dim = L.dim
-    conj_steps = ([Subspace.full(dim)]
-                  + [conj_space(F.step(a)) for a in range(1, n + 1)]
-                  + [Subspace.zero(dim)])
-    meets = {}
+    steps = [L.hodge.filtration.step(a) for a in range(n + 2)]  # F^{n+1} = 0
 
-    def conj_meet(a, k):
-        a = min(max(a, 0), n + 1)
-        if (a, k) not in meets:
-            meets[a, k] = intersect(conj_steps[a], W.level(k))
-        return meets[a, k]
+    def meets(steps):  # (a, k) -> steps[a] cap W_k, memoized, a clamped to 0..n+1
+        table = {}
 
+        def meet(a, k):
+            a = min(max(a, 0), n + 1)
+            if (a, k) not in table:
+                table[a, k] = intersect(steps[a], W.level(k))
+            return table[a, k]
+        return meet
+
+    meet, conj_meet = meets(steps), meets([conj_space(X) for X in steps])
     nodes = []
     for p in range(n + 1):
         for q in range(n + 1):
             lev = c - n + p + q  # weight level of I^{p,q} relative to W's center
-            A = intersect(F.step(p), W.level(lev))
-            if A.dim == 0:
+            if not (meet(p, lev).dim - meet(p + 1, lev).dim
+                    - meet(p, lev - 1).dim + meet(p + 1, lev - 1).dim):
                 continue
             vecs = list(conj_meet(q, lev).basis.entries)
             for j in range(1, max(q, 1) + 1):
                 vecs.extend(conj_meet(q - j, lev - j - 1).basis.entries)
-            piece = intersect(A, Subspace.from_vectors(dim, vecs))
-            if piece.dim:
-                nodes.append((p, q, piece))
-    bg = Bigrading(dim, nodes)
+            nodes.append((p, q, intersect(meet(p, lev), Subspace.from_vectors(dim, vecs))))
+    bg = Bigrading(dim, nodes)  # it drops the zero pieces
     _check_reconstruction(L, bg)
     return bg
 

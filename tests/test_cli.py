@@ -109,6 +109,25 @@ def test_validate_malformed_values(capsys, ht_file, tmp_path, edit, witness):
     assert witness in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("bad, error", [
+    ("x", "bad scalar string: 'x'"),
+    (1, "scalar must be a string such as \"1/2+3*i\", got 1"),
+    (None, "scalar must be a string such as \"1/2+3*i\", got None"),
+    (["1"], "scalar must be a string such as \"1/2+3*i\", got ['1']"),
+    ({"1": "0"}, "scalar must be a string such as \"1/2+3*i\", got {'1': '0'}"),
+])
+def test_validate_bad_scalar_exits_2_with_one_line(capsys, ht_file, tmp_path, bad, error):
+    # the strings of a datum are parsed once each; a bad entry, string or
+    # not, still names its step and exits 2 with one line
+    obj = json.loads(open(ht_file).read())
+    obj["F"]["2"][0][0] = obj["F"]["2"][0][2] = bad
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", str(p))
+    assert (code, err) == (2, "")
+    assert out.count("\n") == 1 and json.loads(out) == {"error": "F^2: " + error}
+
+
 def test_validate_non_object_file(capsys, tmp_path):
     p = tmp_path / "list.json"
     p.write_text("[1, 2]")

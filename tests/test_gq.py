@@ -13,8 +13,9 @@ from hodge_degen.gq import (
     GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, i_power,
     format_scalar, parse_scalar, rref, rank, intersect, ssum, kernel, image,
     conj_space, apply_matrix, preimage, annihilator, complement_mod,
-    nilpotent_exp, nilpotent_powers, determinant, hermitian_pd, NotNilpotent,
+    nilpotent_exp, nilpotent_powers, hermitian_pd, NotNilpotent,
     AmbientMismatch, solver, inverse, first_nonpositive_minor, maps_into,
+    _eliminate_below,
 )
 from hodge_degen import gq as gq_module
 
@@ -31,6 +32,26 @@ def small_matrix(rows, cols):
 def to_sympy(M):
     return sympy.Matrix(M.rows, M.cols, [sympy.Rational(e.re) + sympy.I * sympy.Rational(e.im)
                                          for row in M.entries for e in row])
+
+
+def determinant(M):
+    """Exact determinant by Gaussian elimination, the product of the pivots:
+    an oracle for the minors that first_nonpositive_minor reads off its
+    pivots, checked against sympy below."""
+    assert M.rows == M.cols
+    n = M.rows
+    work = [list(row) for row in M.entries]
+    det = ONE
+    for c in range(n):
+        piv = next((i for i in range(c, n) if not work[i][c].is_zero()), None)
+        if piv is None:
+            return ZERO
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            det = -det
+        det = det * work[c][c]
+        _eliminate_below(work, c)
+    return det
 
 
 # ---------------------------------------------------------------- scalars
@@ -706,6 +727,49 @@ def test_maps_into_checks_shapes():
         maps_into(MatrixGQ.identity(3), Subspace.full(3), Subspace.full(2))
     with pytest.raises(AmbientMismatch):
         maps_into(MatrixGQ.identity(3), Subspace.full(2), Subspace.full(3))
+
+
+def test_maps_into_the_whole_space_makes_no_product(monkeypatch):
+    def no_matvec(M, v):
+        raise AssertionError("maps_into formed a product")
+
+    monkeypatch.setattr(MatrixGQ, "matvec", no_matvec)
+    M = MatrixGQ([[0, 1, "i"], [0, 0, 2], [0, 0, 0]])
+    assert maps_into(M, Subspace.full(3), Subspace.full(3))
+    with pytest.raises(AmbientMismatch):
+        maps_into(M, Subspace.full(3), Subspace.full(4))
+    with pytest.raises(AmbientMismatch):
+        maps_into(M, Subspace.full(2), Subspace.full(3))
+
+
+def test_contains_answers_the_whole_space_and_itself_without_reduction(monkeypatch):
+    def no_reduction(S, v):
+        raise AssertionError("contains reduced a vector")
+
+    A = Subspace(3, MatrixGQ([[1, "i", 0]]))
+    monkeypatch.setattr(Subspace, "contains_vector", no_reduction)
+    assert Subspace.full(3).contains(A) and A.contains(A)
+    with pytest.raises(AmbientMismatch):
+        Subspace.full(3).contains(Subspace.full(2))
+
+
+def test_from_json_parses_each_distinct_string_once(monkeypatch):
+    calls = []
+    parse = gq_module.parse_scalar
+    want = MatrixGQ([[1, 0, Fraction(1, 2)], [0, 1, "i"]])
+
+    def counted(s):
+        calls.append(s)
+        return parse(s)
+
+    monkeypatch.setattr(gq_module, "parse_scalar", counted)
+    assert MatrixGQ.from_json([["1", "0", "1/2"], ["0", "1", "i"]]) == want
+    assert sorted(calls) == ["0", "1", "1/2", "i"]
+    # a shared table parses a string once across matrices
+    table = gq_module.ScalarTable()
+    MatrixGQ.from_json([["1", "-i"]], table)
+    MatrixGQ.from_json([["-i", "1"], ["2", "1"]], table)
+    assert sorted(calls[4:]) == ["-i", "1", "2"]
 
 
 @settings(max_examples=80, deadline=None)

@@ -14,7 +14,7 @@ from hodge_degen import cli, gq as gq_module, lmhs
 from hodge_degen.gq import (
     GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, apply_matrix, nilpotent_exp,
     rank, NotNilpotent, intersect, ssum, conj_space, kernel, image, nilpotent_powers,
-    rref, complement_mod,
+    rref, complement_mod, preimage,
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
@@ -122,6 +122,40 @@ def reference_splitting_nodes(L):
             if piece.dim:
                 nodes.append((p, q, piece))
     return nodes
+
+
+def reference_deligne_splitting(L):
+    """The full formula of lmhs._deligne_splitting, with no dimension table:
+    for every (p, q) with F^p cap W_l != 0 the conjugate-meet sum is solved
+    and met with F^p cap W_l, then certified as lmhs does.  It has the
+    signature of the body, so a test can put it in the body's place."""
+    F, W, n, c, dim = L.hodge.filtration, L.W, L.n, L.center, L.dim
+    conj_steps = ([Subspace.full(dim)] + [conj_space(F.step(a)) for a in range(1, n + 1)]
+                  + [Subspace.zero(dim)])
+    meets = {}
+
+    def conj_meet(a, k):
+        a = min(max(a, 0), n + 1)
+        if (a, k) not in meets:
+            meets[a, k] = intersect(conj_steps[a], W.level(k))
+        return meets[a, k]
+
+    nodes = []
+    for p in range(n + 1):
+        for q in range(n + 1):
+            lev = c - n + p + q
+            A = intersect(F.step(p), W.level(lev))
+            if A.dim == 0:
+                continue
+            vecs = list(conj_meet(q, lev).basis.entries)
+            for j in range(1, max(q, 1) + 1):
+                vecs.extend(conj_meet(q - j, lev - j - 1).basis.entries)
+            piece = intersect(A, Subspace.from_vectors(dim, vecs))
+            if piece.dim:
+                nodes.append((p, q, piece))
+    bg = Bigrading(dim, nodes)
+    lmhs._check_reconstruction(L, bg)
+    return bg
 
 
 def _non_r_split_datum():
@@ -240,19 +274,35 @@ def test_check_case_compares_the_json_round_trip(key, changed, monkeypatch):
     assert cli.check_case(cid, L) == cid + "/json-roundtrip"
 
 
+def _with_form(hodge, c):
+    # the Hodge datum with its form scaled by c
+    return HodgeDatum(hodge.dim, PolarizationForm(hodge.n, hodge.polarization.Q.scale(c)),
+                      hodge.filtration)
+
+
 def test_check_case_validates_the_levi_datum(monkeypatch):
     cid = THREE_STRING
     L = _corpus_datum(cid)
 
     def negated_form(a):
         basis, datum = diagonal_levi(a)
-        hodge = HodgeDatum(datum.dim, PolarizationForm(datum.n, datum.hodge.polarization.Q
-                                                       .scale(-1)), datum.hodge.filtration)
-        return basis, LmhsDatum(hodge, datum.N, datum.W)
+        return basis, LmhsDatum(_with_form(datum.hodge, -1), datum.N, datum.W)
 
     monkeypatch.setattr(cli, "diagonal_levi", negated_form)
-    # the false keys of the report, as the /validate: id lists them
-    assert cli.check_case(cid, L) == cid + "/diagonal-levi-validate:polarized_primitives,ok"
+    # the false clauses of the report, as the /validate: id lists them
+    assert cli.check_case(cid, L) == cid + "/diagonal-levi-validate:polarized_primitives"
+
+
+@pytest.mark.parametrize("cid, tamper, clauses", [
+    ("principal/sp(2)", lambda L: LmhsDatum(_with_form(L.hodge, -1), L.N),
+     "polarized_primitives"),
+    ("ht/n=2,h=1,1,1", lambda L: LmhsDatum(L.hodge, L.N, _shifted(L.W, 1)),
+     "weight_filtration,graded_hodge,minus_one_minus_one,polarized_primitives"),
+])
+def test_check_case_names_the_failed_clauses(cid, tamper, clauses):
+    # only clauses are named, not the summary key "ok"
+    L = tamper(_corpus_datum(cid))
+    assert cli.check_case(cid, L) == cid + "/validate:" + clauses
 
 
 # gq.rref calls and Deligne splitting bodies in one verify-corpus pass over
@@ -260,8 +310,10 @@ def test_check_case_validates_the_levi_datum(monkeypatch):
 # construction of each datum and verify-corpus's own cut of the adjoint and
 # Levi work.  A change that moves a count updates it here and says why; the
 # rref figure was 1,670 and the bodies 40 before the JSON round trip was
-# compared by equality and the Levi datum certified by support.
-SLICE_RREF_CALLS = 1319
+# compared by equality and the Levi datum certified by support, and the rref
+# figure 1,319 before the splitting skipped the zero pieces (those with
+# dim Gr_F^p Gr^W_l = 0) instead of solving their conjugate-meet sums.
+SLICE_RREF_CALLS = 1211
 SLICE_SPLITTING_BODIES = 20
 
 
@@ -1241,6 +1293,36 @@ def test_lmhs_json_roundtrip():
     assert json.dumps(L2.to_json(), sort_keys=True) == blob
 
 
+def _strings_of(obj):
+    # every string value in a JSON value
+    if isinstance(obj, str):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return [x for v in obj for x in _strings_of(v)] if isinstance(obj, list) else []
+
+
+@pytest.mark.parametrize("with_w", [False, True])
+def test_from_json_parses_each_distinct_string_once(with_w, monkeypatch):
+    # Q, N and every F step and W level of a datum share one table
+    obj = _corpus_datum("principal/sp(2)").to_json()
+    if not with_w:
+        del obj["W"]
+    calls = []
+    parse = gq_module.parse_scalar
+
+    def counted(s):
+        calls.append(s)
+        return parse(s)
+
+    monkeypatch.setattr(gq_module, "parse_scalar", counted)
+    for from_json, keys in ((LmhsDatum.from_json, ("Q", "F", "N", "W")),
+                            (HodgeDatum.from_json, ("Q", "F"))):
+        calls.clear()
+        from_json(obj)
+        assert sorted(calls) == sorted(set(_strings_of([obj.get(k, []) for k in keys])))
+
+
 # ------------------------------------------------------- moved corpus
 # Every corpus case of dim <= 6, moved by a seeded dense rational Cayley
 # transform g in Aut(V, Q) (tests/cayley.py): the structure in the new
@@ -1275,13 +1357,56 @@ def test_small_corpus_has_56_cases():
     assert len(SMALL_CORPUS) == 56
 
 
-@pytest.mark.parametrize("cid", sorted(SMALL_CORPUS))
-def test_moved_corpus_keeps_invariants(cid):
-    L = SMALL_CORPUS[cid]()
+def _seeded_move(L, cid):
+    """(g, with_w) for the corpus case cid: a seeded Cayley transform, and
+    whether W goes into the moved JSON."""
     rng = random.Random("move/" + cid)
     Q = cayley.real_matrix(L.hodge.polarization.Q.to_json())
     g = cayley.cayley_element(Q, rng, 4 * L.dim)
-    _check_moved(L, g, with_w=rng.random() < 0.5)
+    return g, rng.random() < 0.5
+
+
+@pytest.mark.parametrize("cid", sorted(SMALL_CORPUS))
+def test_moved_corpus_keeps_invariants(cid):
+    L = SMALL_CORPUS[cid]()
+    _check_moved(L, *_seeded_move(L, cid))
+
+
+# gq.rref and gq.parse_scalar calls of `validate` on moved corpus data, each
+# written with and without its W.  A change that moves a count updates it
+# here and says why; they were 335 and 935 before zero Deligne pieces were
+# decided by dimension and each scalar string was parsed once per datum.
+VALIDATE_MOVED_CASES = ("ht/n=2,h=1,2,1", "minimal/n=3,h=1,1,1,1,I(0,3)",
+                        "principal/so_odd(2)", "principal/sp(2)")
+VALIDATE_RREF_CALLS = 295
+VALIDATE_PARSE_CALLS = 238
+
+
+def test_validate_count_budget_on_moved_data(monkeypatch, tmp_path, capsys):
+    paths = []
+    for i, cid in enumerate(VALIDATE_MOVED_CASES):
+        L = SMALL_CORPUS[cid]()
+        g, _ = _seeded_move(L, cid)
+        for with_w in (False, True):
+            paths.append(tmp_path / ("%d-%d.json" % (i, with_w)))
+            paths[-1].write_text(json.dumps(cayley.move(L.to_json(), g, with_w)))
+    counts = collections.Counter()
+    rref, parse = gq_module.rref, gq_module.parse_scalar
+
+    def counted_rref(M):
+        counts["rref"] += 1
+        return rref(M)
+
+    def counted_parse(s):
+        counts["parse_scalar"] += 1
+        return parse(s)
+
+    monkeypatch.setattr(gq_module, "rref", counted_rref)
+    monkeypatch.setattr(gq_module, "parse_scalar", counted_parse)
+    for path in paths:
+        assert cli.main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+    assert counts == {"rref": VALIDATE_RREF_CALLS, "parse_scalar": VALIDATE_PARSE_CALLS}
 
 
 def test_moved_witness_of_complex_g_basis():
@@ -1295,3 +1420,106 @@ def test_moved_witness_of_complex_g_basis():
     assert cayley.matmul(cayley.matmul(cayley.transpose(g), Q), g) == Q
     for with_w in (False, True):
         _check_moved(L, g, with_w)
+
+
+# ------------------------------------------------------- splitting oracle
+# lmhs._deligne_splitting solves the formula only where dim Gr_F^p Gr^W_l is
+# not 0; reference_deligne_splitting solves it wherever F^p cap W_l is not 0.
+# On mixed Hodge structures they must give the same nodes: the corpus, its
+# moved data and its twists e^{iN} F, which are not R-split.  Off them, the
+# validate command must give the same "ok" and exit code either way.
+
+ALL_CORPUS = {cid: thunk for cid, _, _, thunk in cli.corpus_cases()}
+
+
+def _same_splitting(L):
+    nodes = list(reference_deligne_splitting(L).nodes)
+    assert list(lmhs._deligne_splitting(L).nodes) == nodes
+
+
+def test_corpus_has_82_cases():
+    assert len(ALL_CORPUS) == 82
+
+
+@pytest.mark.parametrize("cid", sorted(ALL_CORPUS))
+def test_splitting_matches_full_formula_on_corpus_and_twists(cid):
+    L = ALL_CORPUS[cid]()
+    _same_splitting(L)
+    if L.N.is_zero():
+        return  # e^{iN} F = F
+    twisted = _moved_by_exp_i_n(L)
+    assert validate_lmhs(twisted)["ok"] and not is_r_split(deligne_splitting(twisted))
+    _same_splitting(twisted)
+
+
+@pytest.mark.parametrize("cid", sorted(SMALL_CORPUS))
+def test_splitting_matches_full_formula_on_moved_corpus(cid):
+    L = SMALL_CORPUS[cid]()
+    g, with_w = _seeded_move(L, cid)
+    _same_splitting(LmhsDatum.from_json(cayley.move(L.to_json(), g, with_w)))
+
+
+def _random_f_step(L, rng, real):
+    """(p, S): a random S of the dim of F^p, with F^{p+1} + N F^{p+1} in S
+    and S in F^{p-1} cap N^-1 F^{p-1}, so that N still respects F; S is real
+    when `real`, which often breaks the Hodge symmetry of a graded piece.
+    None when no step p = 1..n leaves room for a change."""
+    F, N, dim = L.hodge.filtration, L.N, L.dim
+    for p in rng.sample(range(1, L.n + 1), L.n):
+        low = ssum(F.step(p + 1), apply_matrix(N, F.step(p + 1)))
+        room = intersect(F.step(p - 1), preimage(N, F.step(p - 1)))
+        if real:
+            room = intersect(room, conj_space(room))
+        if not (room.dim > F.step(p).dim > low.dim and room.contains(low)):
+            continue
+        S = low
+        while S.dim < F.step(p).dim:
+            v = [ZERO] * dim
+            for row in room.basis.entries:
+                c = GaussianRational(rng.randint(-2, 2), 0 if real else rng.randint(-1, 1))
+                v = [x + c * y for x, y in zip(v, row)]
+            S = ssum(S, Subspace.from_vectors(dim, [v]))
+        return p, S
+    return None
+
+
+def _off_mhs(L, rng):
+    """JSON forms of L with W given one level up, with Q negated, and with
+    a random complex and a random real F step (_random_f_step) where there
+    is room for one."""
+    obj = L.to_json()
+    out = {"W-up": {**obj, "W": {str(int(k) + 1): rows for k, rows in obj["W"].items()}},
+           "Q-negated": {**obj, "Q": L.hodge.polarization.Q.scale(-1).to_json()}}
+    for name, real in (("F-step", False), ("F-step-real", True)):
+        step = _random_f_step(L, rng, real)
+        if step is not None:
+            out[name] = {**obj, "F": {**obj["F"], str(step[0]): step[1].to_json()}}
+    return out
+
+
+# (case, perturbation) whose report differs from the full formula's, with
+# the splitting error of each: (this one, the full formula's).  The pieces
+# with d > 0 are in direct sum but too few; the full formula's are not.
+OFF_MHS_PINNED = {
+    ("principal/sp(1)", "F-step-real"): ("splitting does not span",
+                                         "pieces are not in direct sum"),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(ALL_CORPUS))
+def test_validate_agrees_with_full_formula_off_mhs(cid, monkeypatch, tmp_path, capsys):
+    L = ALL_CORPUS[cid]()
+    body = lmhs._deligne_splitting
+    for name, obj in _off_mhs(L, random.Random("off-mhs/" + cid)).items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(obj))
+        runs = []
+        for splitting in (body, reference_deligne_splitting):
+            monkeypatch.setattr(lmhs, "_deligne_splitting", splitting)
+            code = cli.main(["validate", str(path)])
+            runs.append((code, json.loads(capsys.readouterr().out)))
+        (code, rep), (ref_code, ref) = runs
+        # the report's "ok" is validate_lmhs's
+        assert (code, rep["ok"]) == (ref_code, ref["ok"]), name
+        if rep != ref:
+            assert OFF_MHS_PINNED.get((cid, name)) == (rep.get("error"), ref["error"])
