@@ -130,15 +130,9 @@ def cmd_validate(args):
     except (OSError, ValueError, TypeError) as e:
         print(json.dumps({"error": str(e)}))
         return 2
-    if isinstance(datum, LmhsDatum):
-        report = validate_lmhs(datum)
-        ok = report["ok"]
-    else:
-        report = validate_phs(datum)
-        ok = report["hr1"] and report["hr2"] and report["spans"]
-        report["ok"] = ok
+    report = validate_lmhs(datum) if isinstance(datum, LmhsDatum) else validate_phs(datum)
     print(json.dumps(report, sort_keys=True))
-    return 0 if ok else 1
+    return 0 if report["ok"] else 1
 
 
 def _parse_h(args):
@@ -416,11 +410,11 @@ def check_case(cid, L, heavy=True, samples=(1, 2)):
         return cid
     adims = a.I_g.dims()
     if is_hodge_tate(bg):
-        if not all(p == q for (p, q), d2 in adims.items() if d2):
+        if not is_hodge_tate(adims):
             return cid + "/adjoint-hodge-tate"
         if not cp_orb_check(adims)["ok"]:
             return cid + "/adjoint-cp-orb"
-    elif all(p == q for (p, q), d2 in adims.items() if d2):
+    elif is_hodge_tate(adims):
         return cid + "/adjoint-hodge-tate-converse"
     try:
         report = validate_lmhs(diagonal_levi(a)[1])

@@ -10,9 +10,9 @@ terms (d > 0, gcd(x, y, d) == 1): each operation is int arithmetic and one
 gcd, and equal values have equal triples.
 
 A matrix holds dense row tuples, but the data are sparse, so the kernels
-(rref, products, matvec, the solver, subspace reduction and intersection)
-walk only the nonzero entries of each row, and each row update a -/+ f*b is
-one fused operation with one gcd.  Matrices the kernels build go through a
+(rref, products, matvec, subspace reduction and intersection) walk only the
+nonzero entries of each row, and each row update a -/+ f*b is one fused
+operation with one gcd.  Matrices the kernels build go through a
 trusted private constructor; the public MatrixGQ constructor and from_json
 check every entry.  rref keeps the pivot columns it finds, and a Subspace
 holds them, so no row is scanned again for its pivot.
@@ -547,59 +547,16 @@ def rank(M):
     return rref(M).rows
 
 
-def solver(vectors):
-    """Coordinates over a list of linearly independent vectors, reduced once.
-
-    The rref of [vectors | I] is [R | E] with R = E * vectors.  The returned
-    function maps v to the tuple c with v = sum c_i vectors_i, or to None
-    when v lies outside their span: c = f E, where f holds v's entries at
-    the pivot columns of R.  ValueError when the vectors are dependent.
-    """
-    t = len(vectors)
-    if t == 0:
-        return lambda v: () if all(e.is_zero() for e in v) else None
-    width = len(vectors[0])
-    R = rref(MatrixGQ([tuple(v) + unit_vector(t, i) for i, v in enumerate(vectors)]))
-    # per row of R: its pivot, its other nonzero entries left of the bar,
-    # and its nonzero entries right of it
-    rows = []
-    for row, piv in zip(R.entries, R._pivots):
-        if piv >= width:
-            raise ValueError("vectors are linearly dependent")
-        nz = _nonzeros(row)
-        rows.append((piv, [(j, e) for j, e in nz if piv < j < width],
-                     [(j - width, e) for j, e in nz if j >= width]))
-
-    def coords(v):
-        rest = list(v)
-        c = [ZERO] * t
-        for piv, left, right in rows:
-            f = rest[piv]
-            if not (f._x or f._y):
-                continue
-            rest[piv] = ZERO
-            for j, e in left:
-                rest[j] = _sub_mul(rest[j], f, e)
-            for j, e in right:
-                c[j] = _add_mul(c[j], f, e)
-        if any(e._x or e._y for e in rest):
-            return None
-        return tuple(c)
-
-    return coords
-
-
 def inverse(M):
-    """M^-1, the rows of the coordinate function of M's rows at the unit
-    vectors; ValueError when M is not square or is singular."""
+    """M^-1, the right half of rref([M | I]); ValueError when M is not square,
+    or singular: then a pivot of the rref falls in the I half."""
     n = M.rows
     if M.cols != n:
         raise ValueError("matrix not square")
-    try:
-        coords = solver(M.entries)
-    except ValueError:
-        raise ValueError("matrix not invertible") from None
-    return _matrix(tuple(coords(unit_vector(n, i)) for i in range(n)), n)
+    R = rref(_matrix(tuple(row + unit_vector(n, i) for i, row in enumerate(M.entries)), 2 * n))
+    if any(c >= n for c in R._pivots):
+        raise ValueError("matrix not invertible")
+    return _matrix(tuple(row[n:] for row in R.entries), n)
 
 
 class Subspace:
@@ -825,43 +782,6 @@ def maps_into(M, A, B):
     if B.dim == B.ambient_dim:
         return True
     return all(B.contains_vector(M.matvec(v)) for v in A.basis.entries)
-
-
-def preimage(M, A):
-    """{x : M x in A}, a Subspace of the domain."""
-    if M.rows != A.ambient_dim:
-        raise AmbientMismatch("target space mismatch")
-    ann = annihilator(A)
-    if ann.rows == 0:
-        return Subspace.full(M.cols)
-    return kernel(ann * M)
-
-
-def annihilator(A):
-    """Matrix whose kernel is exactly A (rows are linear constraints)."""
-    if A.dim == 0:
-        return MatrixGQ.identity(A.ambient_dim)
-    # rows x with basis . x^T = 0, i.e. kernel of the basis matrix
-    ker = kernel(A.basis)
-    if ker.dim == 0:
-        return MatrixGQ.zero(0, A.ambient_dim)
-    return ker.basis
-
-
-def complement_mod(S, U):
-    """Canonical lift of S/(S cap U): rref of the basis of S reduced against U.
-
-    U need not be contained in S.  The span of the returned subspace plus
-    (S cap U) is S, and it meets U in 0.
-    """
-    S._check(U)
-    vecs = []
-    for v in S.basis.entries:
-        red = _reduce_against(v, U)
-        if any(e._x or e._y for e in red):
-            vecs.append(red)
-    # reduce within to drop dependents
-    return _span(S.ambient_dim, vecs)
 
 
 def nilpotent_powers(N):

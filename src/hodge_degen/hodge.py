@@ -263,18 +263,18 @@ def check_hr2(d, decomposition=None):
 
 
 def validate_phs(d):
-    """Report {hr1, hr2, spans}; the datum is a PHS iff all three hold.  HR1
-    and the Hodge decomposition are each computed once."""
+    """Report {hr1, hr2, spans, ok}; the datum is a PHS iff all three hold,
+    and ok says whether they do.  HR1 and the Hodge decomposition are each
+    computed once."""
     hr1 = check_hr1(d)
     decomposition = hodge_decomposition(d)
     spans = sum(space.dim for _, _, space in decomposition) == d.dim
     hr2 = check_hr2(d, decomposition) if hr1 else False
-    return {"hr1": hr1, "hr2": hr2, "spans": spans}
+    return {"hr1": hr1, "hr2": hr2, "spans": spans, "ok": hr1 and hr2 and spans}
 
 
 def is_valid_phs(d):
-    r = validate_phs(d)
-    return r["hr1"] and r["hr2"] and r["spans"]
+    return validate_phs(d)["ok"]
 
 
 def hodge_numbers(d):

@@ -12,12 +12,13 @@ from fractions import Fraction
 
 from .gq import (
     GaussianRational, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, gq,
-    intersect, ssum, conj_space, apply_matrix, maps_into, preimage,
-    image, complement_mod, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
+    intersect, ssum, conj_space, apply_matrix, maps_into,
+    image, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
     inverse, rank, _matrix, _canonical,
 )
 from .hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs, polarizes,
+    labelled_filtration,
 )
 
 
@@ -394,33 +395,26 @@ def is_hodge_tate(bg_or_dims):
 
 
 def qk_form(L, k):
-    """Gram matrix of Q_k(v, w) = Q(v, N^k w) on a lift of Gr_{center+k}.
+    """Gram matrix of Q_k(v, w) = Q(v, N^k w) over the vectors of the pieces
+    I^{p,q} with p + q - n = k, the splitting's lift of Gr^W_{center+k};
+    NotMhs when L has no Deligne splitting.
 
     With the conventions of the constructors in this package the polarization
     direction on every primitive piece comes out positive with no extra sign.
     """
     assert k >= 0
-    lift = complement_mod(L.W.level(L.center + k), L.W.level(L.center + k - 1))
-    vecs = lift.basis.entries
+    vecs = [v for p, q, s in deligne_splitting(L).nodes if p + q - L.n == k
+            for v in s.basis.entries]
     return L.hodge.polarization.gram(vecs, vecs, L.power(k))
 
 
 def primitives(L):
-    """Primitive subspaces, one lift per k >= 0.
-
-    Gr_{c+k,prim} = ker(N^{k+1}: Gr_{c+k} -> Gr_{c-k-2}); returned as the
-    canonical lift inside W_{c+k} (rows reduced against W_{c+k-1}).
-    """
-    c = L.center
-    out = []
-    kmax = L.W.max_level - c
-    for k in range(0, kmax + 1):
-        upstairs = L.W.level(c + k)
-        target = L.W.level(c - k - 3)
-        S = intersect(upstairs, preimage(L.power(k + 1), target))
-        P = complement_mod(S, L.W.level(c + k - 1))
-        out.append((k, P))
-    return out
+    """Primitive subspaces, one per k >= 0: the span of the pieces
+    I^{p,q} cap ker N^{k+1} with p + q - n = k (_primitive_pieces), the
+    splitting's lift of ker(N^{k+1}: Gr_{c+k} -> Gr_{c-k-2}); NotMhs when L
+    has no Deligne splitting."""
+    return [(k, Subspace.from_vectors(L.dim, [v for _, _, s in pieces for v in s.basis.entries]))
+            for k, pieces in _primitive_pieces(L, deligne_splitting(L)).items()]
 
 
 def _primitive_pieces(L, bg):
@@ -433,7 +427,7 @@ def _primitive_pieces(L, bg):
         ker_k = kernels[min(k + 1, len(kernels) - 1)]
         pieces = []
         for p, q, s in bg.nodes:
-            if (c - n + p + q) - c != k:
+            if p + q - n != k:
                 continue
             piece = intersect(s, ker_k)
             if piece.dim:
@@ -501,9 +495,8 @@ def disc_sample(L, ys):
             steps.append(apply_matrix(E, L.hodge.filtration.step(p)))
         moved = HodgeDatum(L.dim, L.hodge.polarization, HodgeFiltration(n, steps))
         rep = validate_phs(moved)
-        good = rep["hr1"] and rep["hr2"] and rep["spans"]
-        out["samples"].append({"y": str(y), "ok": good, "clauses": rep})
-        if not good:
+        out["samples"].append({"y": str(y), "ok": rep["ok"], "clauses": rep})
+        if not rep["ok"]:
             out["ok"] = False
     return out
 
@@ -698,14 +691,15 @@ def _check_levi(L, S, r):
 
 
 def reduced_limit(bg, n):
-    """Limit filtration F_inf^p = (+)_{q <= n-p} I^{.,q} of an R-split splitting."""
+    """Limit filtration F_inf^p = (+)_{q <= n-p} I^{.,q} of an R-split
+    splitting that spans: the filtration of the pieces' vectors, each
+    labelled (n - q, q)."""
     if not is_r_split(bg):
         raise NonRSplit("reduced limit needs an R-split splitting")
-    dim = bg.ambient_dim
-    return HodgeFiltration(n, [Subspace.full(dim)] + [
-        Subspace.from_vectors(dim, [v for _, q, s in bg.nodes if q <= n - p
-                                    for v in s.basis.entries])
-        for p in range(1, n + 1)])
+    if bg.total() != bg.ambient_dim:
+        raise NotMhs("splitting does not span")
+    return labelled_filtration(n, [(v, (n - q, q)) for _, q, s in bg.nodes
+                                   for v in s.basis.entries])
 
 
 def diagonal_levi(a):

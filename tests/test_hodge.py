@@ -32,7 +32,7 @@ def test_model_phs_is_valid(nh):
     hn = HodgeNumbers(n, h)
     d = model_phs(hn)
     rep = validate_phs(d)
-    assert rep == {"hr1": True, "hr2": True, "spans": True}
+    assert rep == {"hr1": True, "hr2": True, "spans": True, "ok": True}
     assert hodge_numbers(d) == hn
 
 
@@ -129,7 +129,7 @@ def test_validate_phs_builds_hr1_and_decomposition_once(flip, monkeypatch):
     d = HodgeDatum(d.dim, PolarizationForm(3, d.polarization.Q.scale(flip)),
                    d.filtration)
     rep = validate_phs(d)
-    assert rep == {"hr1": True, "hr2": flip == 1, "spans": True}
+    assert rep == {"hr1": True, "hr2": flip == 1, "spans": True, "ok": flip == 1}
     assert calls == {"check_hr1": 1, "hodge_decomposition": 1}
 
 

@@ -14,7 +14,7 @@ from hodge_degen import cli, gq as gq_module, lmhs
 from hodge_degen.gq import (
     GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, apply_matrix, nilpotent_exp,
     rank, NotNilpotent, intersect, ssum, conj_space, kernel, image, nilpotent_powers,
-    rref, complement_mod, preimage,
+    rref, inverse,
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
@@ -460,8 +460,9 @@ def _given_variants(L):
     swaps = [k for k in range(W.min_level, W.max_level) if W.gr_dim(k) and W.gr_dim(k + 1)]
     if swaps:
         k = swaps[0]
-        lift = complement_mod(W.level(k), W.level(k - 1)).basis.entries
-        above = complement_mod(W.level(k + 1), W.level(k)).basis.entries
+        bg, shift = deligne_splitting(L), L.center - L.n
+        lift, above = ([v for p, q, s in bg.nodes if shift + p + q == lev
+                        for v in s.basis.entries] for lev in (k, k + 1))
         X = Subspace.from_vectors(dim, list(W.level(k - 1).basis.entries)
                                   + list(lift[1:]) + [above[0]])
         out["swapped"] = WeightFiltration(W.center, {**lv, k: X})
@@ -578,6 +579,31 @@ def test_qk_form_symmetric_on_top_primitive():
     assert H == H.transpose()  # even k: symmetric twisted pairing
 
 
+def test_primitives_and_qk_forms_on_the_corpus():
+    # dim P_k = dim Gr_{c+k} - dim Gr_{c+k+2}, read off W alone, and Q_k is
+    # (-1)^(n+k)-symmetric, on every corpus case
+    for cid, _, _, thunk in cli.corpus_cases():
+        L = thunk()
+        c, W = L.center, L.W
+        prim = primitives(L)
+        assert [k for k, _ in prim] == list(range(W.max_level - c + 1)), cid
+        for k, P in prim:
+            assert P.dim == W.gr_dim(c + k) - W.gr_dim(c + k + 2), (cid, k)
+            H = qk_form(L, k)
+            assert H.transpose() == H.scale((-1) ** (L.n + k)), (cid, k)
+
+
+def test_inverse_of_the_adjoint_form_on_the_corpus_slice():
+    # Q' = P^T Q P on the frame of the splitting, as adjoint_lmhs inverts it
+    for cid, _, _, thunk in cli.corpus_cases()[2::4]:
+        L = thunk()
+        cols = [v for _, _, s in deligne_splitting(L).nodes for v in s.basis.entries]
+        Qf = L.hodge.polarization.gram(cols, cols)
+        assert inverse(Qf) * Qf == MatrixGQ.identity(L.dim), cid
+        with pytest.raises(ValueError, match="not invertible"):
+            inverse(MatrixGQ(Qf.entries[:-1] + ((ZERO,) * L.dim,)))
+
+
 # ------------------------------------------------------- nilpotent orbit
 
 def test_disc_sample_accepts_and_moves():
@@ -651,6 +677,14 @@ def test_reduced_limit_fixed_and_isotropic():
         assert apply_matrix(E, F.step(p)) == F.step(p)
     # boundary point: the full direct-sum condition fails
     assert not is_valid_phs(d)
+
+
+def test_reduced_limit_needs_a_spanning_splitting():
+    bg = deligne_splitting(ht_construct(3, HodgeNumbers(3, (1, 1, 1, 1))))
+    for p0, q0, _ in bg.nodes:  # each Hodge-Tate piece is real: still R-split
+        part = Bigrading(bg.ambient_dim, [t for t in bg.nodes if t[:2] != (p0, q0)])
+        with pytest.raises(NotMhs, match="does not span"):
+            reduced_limit(part, 3)
 
 
 def test_diagonal_levi_of_hodge_tate():
@@ -1459,6 +1493,11 @@ def test_splitting_matches_full_formula_on_moved_corpus(cid):
     _same_splitting(LmhsDatum.from_json(cayley.move(L.to_json(), g, with_w)))
 
 
+def _preimage(M, A):
+    # {x : M x in A}: A is cut out by the rows of the kernel of its basis
+    return kernel(kernel(A.basis).basis * M)
+
+
 def _random_f_step(L, rng, real):
     """(p, S): a random S of the dim of F^p, with F^{p+1} + N F^{p+1} in S
     and S in F^{p-1} cap N^-1 F^{p-1}, so that N still respects F; S is real
@@ -1467,7 +1506,7 @@ def _random_f_step(L, rng, real):
     F, N, dim = L.hodge.filtration, L.N, L.dim
     for p in rng.sample(range(1, L.n + 1), L.n):
         low = ssum(F.step(p + 1), apply_matrix(N, F.step(p + 1)))
-        room = intersect(F.step(p - 1), preimage(N, F.step(p - 1)))
+        room = intersect(F.step(p - 1), _preimage(N, F.step(p - 1)))
         if real:
             room = intersect(room, conj_space(room))
         if not (room.dim > F.step(p).dim > low.dim and room.contains(low)):

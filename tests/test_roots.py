@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hodge_degen import roots
+from hodge_degen.gq import MatrixGQ, inverse
 from hodge_degen.roots import (
     build_root_system, GradingElement, rep_weights, grading_from_sigma,
     sigma_from_grading, l_decomposition, compactness, adjoint_bigrading,
@@ -42,6 +43,16 @@ def test_cartan_matrices_standard():
     assert C[0][0] == C[1][1] == 2
     C4 = build_root_system("F", 4).cartan_matrix
     assert C4 == ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+
+
+@pytest.mark.parametrize("letter, rank", [(t, r) for t in "ABCD" for r in (3, 4, 5)]
+                         + [("G", 2), ("F", 4)])
+def test_cartan_inverse(letter, rank):
+    # the fundamental weights are the rows of the inverse Cartan matrix
+    C = MatrixGQ(build_root_system(letter, rank).cartan_matrix)
+    assert inverse(C) * C == MatrixGQ.identity(rank)
+    with pytest.raises(ValueError, match="not invertible"):
+        inverse(MatrixGQ(C.entries[:-1] + C.entries[:1]))
 
 
 def test_highest_root_g2():

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used, and
-every private module-level function or class is referenced."""
+"""Source hygiene: every name a module of the package imports is used, every
+private module-level function or class is referenced, and so is every public
+one of the kernel module gq."""
 
 import ast
 from pathlib import Path
@@ -31,19 +32,18 @@ def test_unused_import_is_found():
     assert unused_imports(tree) == ["orbit_dims", "os", "rank"]
 
 
-def unreferenced_private(trees):
-    """Private (one leading underscore) module-level functions and classes
-    that no top-level statement of any module but their own definition
-    names, as a Name or an attribute."""
+def definitions_and_references(trees):
+    """The module-level functions and classes, as (tree index, name), and the
+    names that the top-level statements read, as a Name or an attribute,
+    where a definition's reads of its own name do not count."""
     defined = []
     referenced = set()
-    for tree in trees:
+    for t, tree in enumerate(trees):
         for stmt in tree.body:
             own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
-                    stmt.name.startswith("_") and not stmt.name.startswith("__"):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 own = stmt.name
-                defined.append(own)
+                defined.append((t, own))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -53,7 +53,24 @@ def unreferenced_private(trees):
                     continue
                 if name != own:
                     referenced.add(name)
-    return sorted(set(defined) - referenced)
+    return defined, referenced
+
+
+def unreferenced_private(trees):
+    """Private (one leading underscore) module-level functions and classes
+    that no top-level statement of any module but their own definition
+    names."""
+    defined, referenced = definitions_and_references(trees)
+    return sorted({name for _, name in defined
+                   if name.startswith("_") and not name.startswith("__")} - referenced)
+
+
+def unreferenced_public(trees, module):
+    """Public module-level functions and classes of trees[module] that no
+    top-level statement of any module but their own definition names."""
+    defined, referenced = definitions_and_references(trees)
+    return sorted({name for t, name in defined
+                   if t == module and not name.startswith("_")} - referenced)
 
 
 def test_every_private_definition_is_referenced():
@@ -69,3 +86,21 @@ def test_unreferenced_private_is_found():
     b = ast.parse("from .a import _helper\nx = _helper()\n"
                   "def _helper():\n    return 2\n")
     assert unreferenced_private([a, b]) == ["_Gone", "_dead"]
+
+
+def test_every_public_gq_definition_is_used_in_the_package():
+    # the tests alone keep no kernel helper alive
+    paths = sorted(SRC.glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths]
+    assert unreferenced_public(trees, paths.index(SRC / "gq.py")) == []
+
+
+def test_unreferenced_public_is_found():
+    a = ast.parse("class Used:\n    pass\n"
+                  "def dead(k):\n    return dead(k - 1) if k else Used()\n"
+                  "def inner():\n    return 1\n"
+                  "def outer():\n    return inner()\n"
+                  "def _private():\n    pass\n")
+    b = ast.parse("from .a import outer\nx = outer()\n"
+                  "def spare():\n    return 2\n")
+    assert unreferenced_public([a, b], 0) == ["dead"]
