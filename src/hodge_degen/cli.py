@@ -5,6 +5,7 @@ byte-deterministic (sorted node lists, canonical scalar strings).
 """
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -372,13 +373,15 @@ def corpus_cases(limit=None):
     return cases
 
 
-def check_case(cid, L, heavy=True, samples=(1, 2)):
+def check_case(cid, L, samples=(1, 2)):
     """Run every module invariant on one corpus element; returns failure id.
 
     `samples` are the values y > 0 at which disc_sample checks e^{iyN} F.
-    The JSON round trip must give back Q, N, F and W (hence the splitting),
-    and the certified diagonal-Levi datum must pass validate_lmhs too.  A
-    failed validate_lmhs lists its false clauses (_LMHS_CLAUSES) in the id.
+    The JSON round trip must give back Q, N, F and W (hence the splitting).
+    An R-split L also gets the reduced-limit checks and, when g != 0, the
+    adjoint ones (Hodge-Tate both ways, cp_orb_check) and the certified
+    diagonal-Levi datum, which must pass validate_lmhs too.  A failed
+    validate_lmhs lists its false clauses (_LMHS_CLAUSES) in the id.
     """
     n = L.hodge.n
     report = validate_lmhs(L)
@@ -403,8 +406,6 @@ def check_case(cid, L, heavy=True, samples=(1, 2)):
         # E = exp(N) is invertible, so E F^p inside F^p is E F^p = F^p
         if not maps_into(E, F.step(p), F.step(p)):
             return cid + "/reduced-limit-exp-fixed"
-    if not heavy:
-        return cid
     a = adjoint_lmhs(L)
     if a.dim_g == 0:
         return cid
@@ -454,8 +455,7 @@ def cmd_verify_corpus(args):
         except (InfeasibleType, GateFailed) as e:
             failures.append(cid + "/construct:" + str(e))
             break
-        heavy = L.hodge.dim <= 6
-        res = check_case(cid, L, heavy=heavy, samples=samples)
+        res = check_case(cid, L, samples=samples)
         ran += 1
         if res != cid:
             failures.append(res)
@@ -467,7 +467,9 @@ def cmd_verify_corpus(args):
     return 0 if not failures else 1
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="hodge-degen",
         description="Exact computation with degenerations of polarized "
@@ -503,8 +505,11 @@ def main(argv=None):
     p.add_argument("--samples", default="1,2",
                    help="comma separated y > 0 for the disc samples e^{iyN} F")
     p.set_defaults(fn=cmd_verify_corpus)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()

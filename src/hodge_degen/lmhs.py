@@ -402,7 +402,8 @@ def qk_form(L, k):
     With the conventions of the constructors in this package the polarization
     direction on every primitive piece comes out positive with no extra sign.
     """
-    assert k >= 0
+    if k < 0:
+        raise ValueError("qk_form needs k >= 0, got k = %d" % k)
     vecs = [v for p, q, s in deligne_splitting(L).nodes if p + q - L.n == k
             for v in s.basis.entries]
     return L.hodge.polarization.gram(vecs, vecs, L.power(k))
@@ -514,8 +515,8 @@ class AdjointLmhs:
     coordinates are read off Q'X (_g_coords).  `killing_proxy` is tr(X_i X_j).
     """
 
-    __slots__ = ("n", "frame", "frame_inv", "labels", "form", "pairs", "elements",
-                 "I_g", "killing_proxy", "N_coords", "N_ad")
+    __slots__ = ("n", "frame", "labels", "form", "pairs", "elements", "I_g",
+                 "killing_proxy", "N_coords", "N_ad")
 
     def __init__(self, *values):
         for name, val in zip(AdjointLmhs.__slots__, values, strict=True):
@@ -532,7 +533,7 @@ class AdjointLmhs:
         """P X P^-1 on V for X = sum c X_k, one for each list of pairs (k, c) in
         `combos`: the sum of x (column i of P) (row j of P^-1), x = X[i][j]."""
         dim = self.frame.rows
-        Pcols, Pinv = _sparse_rows(self.frame.transpose()), _sparse_rows(self.frame_inv)
+        Pcols, Pinv = _sparse_rows(self.frame.transpose()), _sparse_rows(inverse(self.frame))
         out = []
         for combo in combos:
             ent = [[ZERO] * dim for _ in range(dim)]
@@ -665,8 +666,7 @@ def adjoint_lmhs(L):
             raise ValueError("[N, B] outside the span of g")
         for r, e in col.items():
             ad[r][k] = e
-    Pt = MatrixGQ(cols)  # P^T, and P^-1 = Q'^-1 P^T Q
-    return AdjointLmhs(n, Pt.transpose(), R * (Pt * pol.Q), tuple(labels), Qf, pairs,
+    return AdjointLmhs(n, MatrixGQ(cols).transpose(), tuple(labels), Qf, pairs,
                        tuple(elements), I_g, _matrix(tuple(map(tuple, killing)), t),
                        coeff, _matrix(tuple(map(tuple, ad)), t))
 
@@ -704,16 +704,17 @@ def reduced_limit(bg, n):
 
 def diagonal_levi(a):
     """The conjugation-stable Levi s = (+)_p I^{p,p}_g and its induced LMHS,
-    in a real basis: (s_basis as matrices on V, an LmhsDatum on its
-    coordinates, weight shifted by r to keep indices nonnegative).
+    in a real basis: (basis, an LmhsDatum on its coordinates, weight shifted
+    by r to keep indices nonnegative); `basis` holds lists of pairs (k, c),
+    each the element sum c X_k of g (a.to_v(basis) gives them on V).
     [s, s] inside s is read off Q'[X, Y].  For R-split data the rref basis
     of I^{q,p} is the conjugate of that of I^{p,q}, so conjugation permutes
     the frame (sigma) and takes X_ab to +-X_{sigma(a) sigma(b)}: each piece
     of s must be closed under that permutation.  It gets the real basis X
     (conj X = X), iX (conj X = -X), and X + conj X, i(X - conj X), in which
     N_s = ad N (N in s, mapping s into s) and -killing_proxy are real, and
-    F_s, W_s and the splitting (I^{p,p}_g at I^{p+r,p+r}) are unit spans;
-    the last two are certified by _check_levi, kept and asserted Hodge-Tate.
+    F_s, W_s and the splitting (I^{p,p}_g at I^{p+r,p+r}, Hodge-Tate by its
+    labels) are unit spans; the last two are certified by _check_levi and kept.
     """
     sign = 1 if a.n % 2 else -1
     index = {ab: k for k, ab in enumerate(a.pairs)}
@@ -779,6 +780,4 @@ def diagonal_levi(a):
     # both certified: validate_lmhs and deligne_splitting take them as computed
     object.__setattr__(datum, "_given_W", False)
     object.__setattr__(datum, "_splitting", split)
-    if not is_hodge_tate(split):
-        raise BracketEscape("induced diagonal-Levi structure is not Hodge-Tate")
-    return a.to_v(basis), datum
+    return basis, datum

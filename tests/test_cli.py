@@ -1,5 +1,6 @@
 """Command line surface: exit codes, determinism, catalog reproduction."""
 
+import argparse
 import contextlib
 import gc
 import io
@@ -593,6 +594,23 @@ def test_verify_corpus_bad_samples(capsys, bad):
     code, out, _ = run(capsys, "verify-corpus", "--limit", "1", "--samples", bad)
     assert code == 2
     assert "--samples" in json.loads(out)["error"]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, ht_file):
+    # two subcommands in one process: one top-level ArgumentParser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "hodge-degen":  # not a subcommand's parser
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()  # as in a fresh process
+    assert run(capsys, "validate", ht_file)[0] == 0
+    assert run(capsys, "catalog", "ht-n2-111")[0] == 0
+    assert len(built) == 1
 
 
 def _pkg_env():

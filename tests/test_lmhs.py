@@ -305,21 +305,25 @@ def test_check_case_names_the_failed_clauses(cid, tamper, clauses):
     assert cli.check_case(cid, L) == cid + "/validate:" + clauses
 
 
-# gq.rref calls and Deligne splitting bodies in one verify-corpus pass over
-# the 20 cases of the perfbench corpus slice (corpus_cases()[2::4]), with the
-# construction of each datum and verify-corpus's own cut of the adjoint and
-# Levi work.  A change that moves a count updates it here and says why; the
-# rref figure was 1,670 and the bodies 40 before the JSON round trip was
-# compared by equality and the Levi datum certified by support, and the rref
-# figure 1,319 before the splitting skipped the zero pieces (those with
-# dim Gr_F^p Gr^W_l = 0) instead of solving their conjugate-meet sums.
-SLICE_RREF_CALLS = 1211
+# gq.rref calls, Deligne splitting bodies and diagonal_levi calls in one
+# verify-corpus pass over the 20 cases of the perfbench corpus slice
+# (corpus_cases()[2::4]), with the construction of each datum; every case
+# with g != 0 (all but ht/n=4,h=0,0,1,0,0, where g = so(1) = 0) gets the
+# adjoint and Levi work.  A change that moves a count updates it here and
+# says why; the rref figure was 1,670 and the bodies 40 before the JSON round
+# trip was compared by equality and the Levi datum certified by support, the
+# rref figure 1,319 before the splitting skipped the zero pieces (those with
+# dim Gr_F^p Gr^W_l = 0) instead of solving their conjugate-meet sums, and
+# 1,211 with 14 Levi data while verify-corpus skipped the adjoint and Levi
+# work on cases of dim > 6.
+SLICE_RREF_CALLS = 1269
 SLICE_SPLITTING_BODIES = 20
+SLICE_LEVI_CALLS = 19
 
 
 def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
     counts = collections.Counter()
-    rref, body = gq_module.rref, lmhs._deligne_splitting
+    rref, body, levi = gq_module.rref, lmhs._deligne_splitting, cli.diagonal_levi
 
     def counted_rref(M):
         counts["rref"] += 1
@@ -329,13 +333,19 @@ def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
         counts["bodies"] += 1
         return body(L)
 
+    def counted_levi(a):
+        counts["levi"] += 1
+        return levi(a)
+
     cases = cli.corpus_cases()[2::4]
     monkeypatch.setattr(gq_module, "rref", counted_rref)
     monkeypatch.setattr(lmhs, "_deligne_splitting", counted_body)
+    monkeypatch.setattr(cli, "diagonal_levi", counted_levi)
     monkeypatch.setattr(cli, "corpus_cases", lambda limit=None: cases)
     assert cli.main(["verify-corpus"]) == 0
     assert json.loads(capsys.readouterr().out) == {"cases": 20, "ok": True}
-    assert counts == {"rref": SLICE_RREF_CALLS, "bodies": SLICE_SPLITTING_BODIES}
+    assert counts == {"rref": SLICE_RREF_CALLS, "bodies": SLICE_SPLITTING_BODIES,
+                      "levi": SLICE_LEVI_CALLS}
 
 
 def test_splitting_reconstructs_both_filtrations():
@@ -577,6 +587,13 @@ def test_qk_form_symmetric_on_top_primitive():
     assert [(k, s.dim) for k, s in prim] == [(0, 0), (1, 0), (2, 1)]
     H = qk_form(L, 2)
     assert H == H.transpose()  # even k: symmetric twisted pairing
+
+
+def test_qk_form_rejects_a_negative_level():
+    # a ValueError, which python -O keeps: an assert would give way to the
+    # zero power N^-1 and a zero Gram matrix
+    with pytest.raises(ValueError, match="k = -1"):
+        qk_form(_corpus_datum("ht/n=3,h=1,1,1,1"), -1)
 
 
 def test_primitives_and_qk_forms_on_the_corpus():
@@ -908,7 +925,8 @@ def test_adjoint_and_diagonal_levi_match_reference(cid):
     assert rank(a.killing_proxy) == rank(ref["killing_proxy"])
     assert rank(a.N_ad) == rank(ref["N_ad"])
     assert a.to_v([[(k, e) for k, e in enumerate(a.N_coords) if e]]) == [L.N]
-    s_basis, datum = diagonal_levi(a)
+    basis, datum = diagonal_levi(a)
+    s_basis = a.to_v(basis)
     ref_basis, ref_datum = reference_diagonal_levi(ref)
     assert all(B.is_real() for B in s_basis)
     dim = L.dim
@@ -1018,19 +1036,16 @@ def test_reconstruction_matches_running_sums_on_corpus():
                              "Hodge filtration not recovered"}
 
 
-PAIRS_ON_SMALL_CORPUS = 8657  # (1 + dim g)^2, summed over the 56 cases
+PAIRS_ON_CORPUS = 34441  # (1 + dim g)^2, summed over the 82 cases
 
 
 @pytest.fixture(scope="module")
 def r_split_corpus():
-    """(cid, L, adjoint_lmhs(L)) for the 56 R-split corpus cases of dim <= 6."""
+    """(cid, L, adjoint_lmhs(L)) for the 82 corpus cases, all R-split."""
     out = []
-    for cid, _, hn, thunk in cli.corpus_cases():
-        if hn is not None and hn.dim > 6:
-            continue
+    for cid, _, _, thunk in cli.corpus_cases():
         L = thunk()
-        if L.dim > 6 or not is_r_split(deligne_splitting(L)):
-            continue
+        assert is_r_split(deligne_splitting(L)), cid
         out.append((cid, L, adjoint_lmhs(L)))
     return out
 
@@ -1039,7 +1054,7 @@ def test_adjoint_dims_match_closed_form_on_corpus(r_split_corpus):
     for cid, L, a in r_split_corpus:
         bg = deligne_splitting(L)
         assert a.I_g.dims() == closed_form_adjoint_dims(bg.dims(), L.n), cid
-    assert len(r_split_corpus) == 56
+    assert len(r_split_corpus) == 82
 
 
 def test_certified_levi_matches_recomputation_on_corpus(r_split_corpus):
@@ -1054,12 +1069,12 @@ def test_certified_levi_matches_recomputation_on_corpus(r_split_corpus):
         assert datum.W == weight_filtration(datum.N, datum.center), cid
         assert deligne_splitting(datum).nodes == lmhs._deligne_splitting(datum).nodes, cid
         checked += 1
-    assert checked == 54
+    assert checked == 80
 
 
 def test_generic_certificates_accept_the_certified_levi_on_corpus(r_split_corpus):
     """_check_weight and the splitting oracle accept the W and splitting
-    that diagonal_levi certified by support, on the 54 small cases with
+    that diagonal_levi certified by support, on the 80 corpus cases with
     g != 0."""
     checked = 0
     for cid, L, a in r_split_corpus:
@@ -1069,7 +1084,7 @@ def test_generic_certificates_accept_the_certified_levi_on_corpus(r_split_corpus
         lmhs._check_weight(datum.N, datum.W, datum.powers)
         reference_check_splitting(datum, deligne_splitting(datum))
         checked += 1
-    assert checked == 54
+    assert checked == 80
 
 
 def _dense(rows):
@@ -1083,14 +1098,14 @@ def test_sparse_bracket_matches_dense_on_corpus(r_split_corpus):
     the frame."""
     pairs = 0
     for cid, L, a in r_split_corpus:
-        elements = [a.frame_inv * L.N * a.frame] + [_dense(X) for X in a.elements]
+        elements = [inverse(a.frame) * L.N * a.frame] + [_dense(X) for X in a.elements]
         sparse = [(lmhs._sparse_rows(a.form * X), lmhs._sparse_rows(X)) for X in elements]
         for X, (QX, SX) in zip(elements, sparse):
             for Y, (QY, SY) in zip(elements, sparse):
                 got = _dense(lmhs._form_bracket(QX, SX, QY, SY))
                 assert got == a.form * (X * Y - Y * X), cid
                 pairs += 1
-    assert pairs == PAIRS_ON_SMALL_CORPUS
+    assert pairs == PAIRS_ON_CORPUS
 
 
 def test_frame_forms_match_dense_on_corpus(r_split_corpus):
@@ -1103,7 +1118,7 @@ def test_frame_forms_match_dense_on_corpus(r_split_corpus):
         assert all(K[i][j] == (Xi * Xj).trace() for i, Xi in enumerate(X)
                    for j, Xj in enumerate(X)), cid
         dim, t = L.dim, a.dim_g
-        Nf = a.frame_inv * L.N * a.frame
+        Nf = inverse(a.frame) * L.N * a.frame
 
         def combo(coords):
             return sum((Xk.scale(c) for Xk, c in zip(X, coords) if c), MatrixGQ.zero(dim, dim))
@@ -1185,13 +1200,6 @@ def test_levi_bracket_outside_g():
     tampered = _tampered(a, elements=elements)
     with pytest.raises(ValueError, match="outside the span of g"):
         diagonal_levi(tampered)
-
-
-def test_levi_hodge_tate_assertion(monkeypatch):
-    a = adjoint_lmhs(_corpus_datum(THREE_STRING))
-    monkeypatch.setattr(lmhs, "is_hodge_tate", lambda bg: False)
-    with pytest.raises(BracketEscape, match="not Hodge-Tate"):
-        diagonal_levi(a)
 
 
 LEVI_GL3 = "ht/n=1,h=3,3"  # s = g = sp(6), I^{0,0}_g = gl(3), r = 1, N_s = ad N
@@ -1358,14 +1366,15 @@ def test_from_json_parses_each_distinct_string_once(with_w, monkeypatch):
 
 
 # ------------------------------------------------------- moved corpus
-# Every corpus case of dim <= 6, moved by a seeded dense rational Cayley
-# transform g in Aut(V, Q) (tests/cayley.py): the structure in the new
-# coordinates is the same, so its invariants must be too, the diagonal Levi's
-# splitting among them.  On some moves (the pinned one below among them) the
+# Every corpus case, moved by a seeded dense rational Cayley transform g in
+# Aut(V, Q) (tests/cayley.py): the structure in the new coordinates is the
+# same, so its invariants must be too, the diagonal Levi's splitting among
+# them.  The splitting oracle below takes the cases of dim <= 6.  On some moves (the pinned one below among them) the
 # rref bases of the pieces I^{p,q} with p != q are complex, so the elements
 # X_ab of g are not all real; diagonal_levi gives s the real basis X + conj X,
 # i(X - conj X) on each conjugate pair.
 
+ALL_CORPUS = {cid: thunk for cid, _, _, thunk in cli.corpus_cases()}
 SMALL_CORPUS = {cid: thunk for cid, _, hn, thunk in cli.corpus_cases()
                 if (hn.dim if hn is not None else thunk().dim) <= 6}
 
@@ -1375,8 +1384,8 @@ def _invariants(L):
     a = adjoint_lmhs(L)
     levi = None
     if a.dim_g:
-        s_basis, datum = diagonal_levi(a)
-        levi = deligne_splitting(datum).dims(), all(B.is_real() for B in s_basis)
+        basis, datum = diagonal_levi(a)
+        levi = deligne_splitting(datum).dims(), all(B.is_real() for B in a.to_v(basis))
     return (bg.dims(), is_r_split(bg), is_hodge_tate(bg), a.I_g.dims(),
             rank(a.killing_proxy), rank(a.N_ad), levi)
 
@@ -1400,9 +1409,9 @@ def _seeded_move(L, cid):
     return g, rng.random() < 0.5
 
 
-@pytest.mark.parametrize("cid", sorted(SMALL_CORPUS))
+@pytest.mark.parametrize("cid", sorted(ALL_CORPUS))
 def test_moved_corpus_keeps_invariants(cid):
-    L = SMALL_CORPUS[cid]()
+    L = ALL_CORPUS[cid]()
     _check_moved(L, *_seeded_move(L, cid))
 
 
@@ -1462,9 +1471,6 @@ def test_moved_witness_of_complex_g_basis():
 # On mixed Hodge structures they must give the same nodes: the corpus, its
 # moved data and its twists e^{iN} F, which are not R-split.  Off them, the
 # validate command must give the same "ok" and exit code either way.
-
-ALL_CORPUS = {cid: thunk for cid, _, _, thunk in cli.corpus_cases()}
-
 
 def _same_splitting(L):
     nodes = list(reference_deligne_splitting(L).nodes)
