@@ -1,23 +1,24 @@
 """Classifiers and constructors for extremal degenerations.
 
 Minimal (codimension-one) degeneration types with explicit low-rank
-witnesses; the Hodge-Tate feasibility gate and atomic-block constructor;
-closed-orbit constraint checkers; principal-nilpotent limiting structures
-for the classical families.
+witnesses; the Hodge-Tate feasibility gate and constructor; closed-orbit
+constraint checkers; principal-nilpotent limiting structures for the
+classical families.
 
-Each constructor states its blocks once, as (Q, N, basis) with every basis
-vector labelled by its Deligne bidegree (p, q).  One assembly path,
-_direct_sum, reads F off the labels (F^p is spanned by the vectors labelled
-(a, b) with a >= p) and certifies the datum it builds: the Deligne
-splitting must have as many dimensions at each (p, q) as there are labels.
+Every constructor is a sum of N-strings, each one hodge.string_block: a
+(Q, N, basis) block with every basis vector labelled by its Deligne bidegree
+(p, q).  One assembly path, _direct_sum, reads F off the labels (F^p is
+spanned by the vectors labelled (a, b) with a >= p) and certifies the datum
+it builds: the Deligne splitting must have as many dimensions at each (p, q)
+as there are labels.
 """
 
 from collections import Counter
-from fractions import Fraction
 
-from .gq import GaussianRational, MatrixGQ, gq, ZERO, ONE, I, unit_vector
+from .gq import MatrixGQ, gq, ZERO, ONE
 from .hodge import (
-    HodgeDatum, PolarizationForm, HodgeNumbers, labelled_filtration, model_basis,
+    HodgeDatum, PolarizationForm, HodgeNumbers, labelled_filtration, string_block,
+    block_sum, pure_blocks,
 )
 from .lmhs import LmhsDatum, Bigrading, NotMhs, deligne_splitting, validate_lmhs
 from .diagrams import triples
@@ -128,22 +129,9 @@ def _direct_sum(n, blocks):
     """Assemble an LmhsDatum from (Q, N, basis) blocks, `basis` a list of
     (vector, (p, q)) labelled by Deligne bidegree, and certify that its
     splitting has one dimension per label."""
-    dim = sum(Q.rows for Q, _, _ in blocks)
-    Qent = [[ZERO] * dim for _ in range(dim)]
-    Nent = [[ZERO] * dim for _ in range(dim)]
-    basis = []
-    off = 0
-    for Q, N, labelled in blocks:
-        d = Q.rows
-        for i in range(d):
-            Qent[off + i][off:off + d] = Q.entries[i]
-            Nent[off + i][off:off + d] = N.entries[i]
-        pad = (ZERO,) * (dim - off - d)
-        basis += [((ZERO,) * off + tuple(v) + pad, label) for v, label in labelled]
-        off += d
-    hodge = HodgeDatum(dim, PolarizationForm(n, MatrixGQ(Qent)),
-                       labelled_filtration(n, basis))
-    L = LmhsDatum(hodge, MatrixGQ(Nent))
+    Q, N, basis = block_sum(blocks)
+    hodge = HodgeDatum(Q.rows, PolarizationForm(n, Q), labelled_filtration(n, basis))
+    L = LmhsDatum(hodge, N)
     labels = dict(Counter(label for _, label in basis))
     try:
         dims = deligne_splitting(L).dims()
@@ -155,72 +143,22 @@ def _direct_sum(n, blocks):
     return L
 
 
-def _phs_block(h):
-    Q, basis = model_basis(h)
-    return (Q, MatrixGQ.zero(Q.rows, Q.rows), basis)
-
-
-def _string2_real(top):
-    # v in I^{top,top}, Nv in I^{top-1,top-1}; Q(v, Nv) = 1, weight n odd
-    Q = MatrixGQ([[ZERO, ONE], [gq(-1), ZERO]])
-    N = MatrixGQ([[ZERO, ZERO], [ONE, ZERO]])
-    return (Q, N, [(unit_vector(2, 0), (top, top)),
-                   (unit_vector(2, 1), (top - 1, top - 1))])
-
-
-def _string2_pair(n, p_o, q_o, sign):
-    # basis x, y, u = Nx, w = Ny; alpha = x + iy in I^{p_o+1, q_o}
-    half = Fraction(1, 2)
-    if n % 2:
-        a, c = GaussianRational(sign * half), ZERO
-    else:
-        a, c = ZERO, GaussianRational(sign * half)
-    eps = gq((-1) ** n)
-    Qe = [[ZERO] * 4 for _ in range(4)]
-    Qe[0][2], Qe[1][3], Qe[1][2], Qe[0][3] = a, a, c, ZERO - c
-    Qe[2][0], Qe[3][1] = eps * a, eps * a
-    Qe[2][1], Qe[3][0] = eps * c, eps * (ZERO - c)
-    # N x = u, N y = w
-    N = MatrixGQ([[ZERO] * 4] * 2 + [unit_vector(4, 0), unit_vector(4, 1)])
-    basis = [((ONE, I, ZERO, ZERO), (p_o + 1, q_o)),    # alpha
-             ((ONE, -I, ZERO, ZERO), (q_o, p_o + 1)),   # conj alpha
-             ((ZERO, ZERO, ONE, I), (p_o, q_o - 1)),    # N alpha
-             ((ZERO, ZERO, ONE, -I), (q_o - 1, p_o))]   # N conj alpha
-    return (MatrixGQ(Qe), N, basis)
-
-
-def _string3_real(n):
-    # v, Nv, N^2v with v in I^{m+1,m+1}; Q(v, N^2 v) = 1, Q(Nv, Nv) = -1
-    m = n // 2
-    Q = MatrixGQ([[ZERO, ZERO, ONE], [ZERO, gq(-1), ZERO], [ONE, ZERO, ZERO]])
-    N = MatrixGQ([[ZERO] * 3, unit_vector(3, 0), unit_vector(3, 1)])
-    return (Q, N, [(unit_vector(3, i), (m + 1 - i, m + 1 - i)) for i in range(3)])
-
-
 def minimal_witness(t, n, h):
     """Explicit LMHS realizing a minimal type: low-rank string block + pure rest."""
     if t.triples() not in [u.triples() for u in minimal_types(n, h)]:
         raise InfeasibleType("type not admissible for these Hodge numbers")
     if t.kind == "II":
-        block = _string3_real(n)
-    elif t.q_o == t.p_o + 1:
-        block = _string2_real(t.q_o)
+        block = string_block(n, (n // 2 + 1, n // 2 + 1), 3)
     else:
-        # HR2 on the primitive alpha in I^{p_o+1,q_o} asks i^(p_o+1-q_o)
-        # h(alpha, alpha) > 0, and h(alpha, alpha) = 2a + 2ic in
-        # _string2_pair's notation: that fixes the sign
-        sign = (-1) ** ((t.q_o - t.p_o - 1) // 2)
-        block = _string2_pair(n, t.p_o, t.q_o, sign)
+        # a real 2-string when p_o + 1 = q_o, else a conjugate pair
+        block = string_block(n, (t.p_o + 1, t.q_o), 2)
     # a vector labelled (p, q) takes one class of V^{p,n-p} (one dim of Gr_F^p)
     residual = list(h.h)
     for _, (p, _) in block[2]:
         residual[n - p] -= 1
         if residual[n - p] < 0:
             raise InfeasibleType("not enough classes in V^{%d,%d}" % (p, n - p))
-    blocks = [block]
-    if sum(residual):
-        blocks.append(_phs_block(HodgeNumbers(n, residual)))
-    L = _direct_sum(n, blocks)
+    L = _direct_sum(n, [block] + pure_blocks(HodgeNumbers(n, residual)))
     if not validate_lmhs(L)["ok"]:
         raise InfeasibleType("witness fails the nilpotent-orbit certificate")
     dims = deligne_splitting(L).dims()
@@ -230,7 +168,8 @@ def minimal_witness(t, n, h):
 
 
 class HtPlan:
-    """Multiplicities of the atomic string blocks realizing a Hodge-Tate limit."""
+    """Multiplicities d_k of the real strings e^{n-k} -> ... -> e^k realizing
+    a Hodge-Tate limit, k = 0, ..., n // 2."""
 
     __slots__ = ("n", "d")
 
@@ -265,32 +204,11 @@ def ht_plan(n, h):
     return HtPlan(n, d)
 
 
-def atomic_block(n, k, d=1):
-    """String block V_{k,d}: d strings e^{n-k} -> ... -> e^k, anti-diagonal Q.
-
-    Level s holds the unit vectors labelled (s, s)."""
-    levels = list(range(k, n - k + 1))
-    dim = len(levels) * d
-
-    def idx(s, a):
-        return (s - k) * d + a
-
-    Ne = [[ZERO] * dim for _ in range(dim)]
-    Qe = [[ZERO] * dim for _ in range(dim)]
-    for s in levels:
-        for a in range(d):
-            if s - 1 >= k:
-                Ne[idx(s - 1, a)][idx(s, a)] = ONE
-            if k <= n - s <= n - k:
-                Qe[idx(s, a)][idx(n - s, a)] = gq((-1) ** (n - k - s))
-    basis = [(unit_vector(dim, idx(s, a)), (s, s)) for s in levels for a in range(d)]
-    return (MatrixGQ(Qe), MatrixGQ(Ne), basis)
-
-
 def ht_construct(n, h):
-    """Hodge-Tate degeneration as a direct sum of atomic string blocks."""
+    """Hodge-Tate degeneration as a direct sum of real strings, top first."""
     plan = ht_plan(n, h)
-    blocks = [atomic_block(n, k, dk) for k, dk in enumerate(plan.d) if dk]
+    blocks = [string_block(n, (n - k, n - k), n - 2 * k + 1)
+              for k, dk in enumerate(plan.d) for _ in range(dk)]
     if not blocks:
         raise GateFailed("empty structure")
     L = _direct_sum(n, blocks)
@@ -378,8 +296,7 @@ def period_closed_check(bg, n):
 
 def non_ht_closed_instance():
     """Weight 2, h = (2,1,2): a closed-orbit-consistent limit that is not HT."""
-    blocks = [atomic_block(2, 0), _phs_block(HodgeNumbers(2, (1, 0, 1)))]
-    return _direct_sum(2, blocks)
+    return _direct_sum(2, [string_block(2, (2, 2), 3), string_block(2, (2, 0), 1)])
 
 
 def principal_lmhs(family, param):
@@ -394,32 +311,16 @@ def principal_lmhs(family, param):
         if param < 1:
             raise ParityViolation("need %s >= 1" % ("n" if family == "sp" else "m"))
         weight = 2 * param - 1 if family == "sp" else 2 * param
-        dim = weight + 1
-        # b_a = N^a v at I^{weight-a, weight-a}; Q(b_a, b_b) = (-1)^a d_{a+b, weight}
-        Qe = [[ZERO] * dim for _ in range(dim)]
-        Ne = [[ZERO] * dim for _ in range(dim)]
-        for a in range(dim):
-            Qe[a][dim - 1 - a] = gq((-1) ** a)
-            if a + 1 < dim:
-                Ne[a + 1][a] = ONE
-        basis = [(unit_vector(dim, a), (weight - a, weight - a)) for a in range(dim)]
-        return _direct_sum(weight, [(MatrixGQ(Qe), MatrixGQ(Ne), basis)])
+        # b_a = N^a v at I^{weight-a, weight-a}
+        return _direct_sum(weight, [string_block(weight, (weight, weight), weight + 1)])
     if family in ("so_even_mm", "so_even_m2m"):
         # the two real forms so(m,m), so(m+2,m) share this normal form
         m = param
         if m < 2 or m % 2:
             raise ParityViolation("need m even, m >= 2")
-        dim, weight = 2 * m, 2 * m - 2
-        Qe = [[ZERO] * dim for _ in range(dim)]
-        Ne = [[ZERO] * dim for _ in range(dim)]
-        Qe[0][0] = ONE  # w
-        for a in range(dim - 1):
-            Qe[1 + a][dim - 1 - a] = gq((-1) ** (m + a))
-            if a + 1 < dim - 1:
-                Ne[2 + a][1 + a] = ONE
-        basis = [(unit_vector(dim, 0), (m - 1, m - 1))] + [
-            (unit_vector(dim, 1 + a), (weight - a, weight - a)) for a in range(dim - 1)]
-        return _direct_sum(weight, [(MatrixGQ(Qe), MatrixGQ(Ne), basis)])
+        weight = 2 * m - 2
+        return _direct_sum(weight, [string_block(weight, (m - 1, m - 1), 1),
+                                    string_block(weight, (weight, weight), weight + 1)])
     raise ParityViolation("unknown family %r" % family)
 
 

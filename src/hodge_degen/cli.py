@@ -379,7 +379,8 @@ def check_case(cid, L, samples=(1, 2)):
     `samples` are the values y > 0 at which disc_sample checks e^{iyN} F.
     The JSON round trip must give back Q, N, F and W (hence the splitting).
     An R-split L also gets the reduced-limit checks and, when g != 0, the
-    adjoint ones (Hodge-Tate both ways, cp_orb_check) and the certified
+    adjoint ones (V Hodge-Tate implies g is, and the converse for g
+    semisimple; cp_orb_check) and the certified
     diagonal-Levi datum, which must pass validate_lmhs too.  A failed
     validate_lmhs lists its false clauses (_LMHS_CLAUSES) in the id.
     """
@@ -415,7 +416,9 @@ def check_case(cid, L, samples=(1, 2)):
             return cid + "/adjoint-hodge-tate"
         if not cp_orb_check(adims)["ok"]:
             return cid + "/adjoint-cp-orb"
-    elif is_hodge_tate(adims):
+    elif a.dim_g > 1 and is_hodge_tate(adims):
+        # the converse needs g semisimple; the one g = so(V, Q) or sp(V, Q)
+        # that is not is so(2), dim g = 1, which lies in I^{0,0}_g
         return cid + "/adjoint-hodge-tate-converse"
     try:
         report = validate_lmhs(diagonal_levi(a)[1])
@@ -478,7 +481,6 @@ def _parser():
 
     p = sub.add_parser("validate", help="validate a (limiting) Hodge datum file")
     p.add_argument("path")
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("classify", help="classify degenerations for (n, h)")
     p.add_argument("n", type=int)
@@ -487,31 +489,28 @@ def _parser():
                    default="minimal")
     p.add_argument("--input", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("diagram", help="render a (p,q) lattice diagram")
     p.add_argument("input", help="JSON file or catalog entry name")
     p.add_argument("--format", choices=("json", "ascii", "svg"), default="ascii")
     p.add_argument("--part", choices=("V", "adjoint"), default="V")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_diagram)
 
     p = sub.add_parser("catalog", help="list or reproduce golden entries")
     p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("verify-corpus", help="run all invariants on the corpus")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--samples", default="1,2",
                    help="comma separated y > 0 for the disc samples e^{iyN} F")
-    p.set_defaults(fn=cmd_verify_corpus)
     return ap
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        # looked up now, so that a cmd_* function replaced on the module runs
+        code = globals()["cmd_" + args.cmd.replace("-", "_")](args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: the rest goes to devnull, so exit flushes quietly

@@ -1,4 +1,5 @@
-"""Polarized Hodge structures: validation, decomposition, model construction.
+"""Polarized Hodge structures: validation, decomposition, N-string blocks and
+the model structures built from them.
 
 A weight n structure is a triple (V, Q, F) with Q a real (-1)^n-symmetric
 nondegenerate form and F a decreasing filtration with F^0 = V.  The two
@@ -301,44 +302,83 @@ def labelled_filtration(n, basis):
         for p in range(1, n + 1)])
 
 
-def model_basis(h):
-    """Q and the labelled basis [(u^{p,q}_a, (p, q))] of the model PHS.
+def string_block(n, top, length):
+    """One N-string of weight n as a (Q, N, labelled basis) block: u at
+    top = (p, q) and N^a u at (p - a, q - a) for a < length = p + q - n + 1.
 
-    conj(u^{p,q}_a) = u^{q,p}_a, and Q pairs u^{p,q}_a against u^{q,p}_a
-    only; signs arranged so HR2 holds.
+    A real string (p = q) has the basis e_a = N^a u.  Otherwise u = x + iy
+    comes with its conjugate, the basis is x_a, y_a with N^a u = x_a + i y_a,
+    and the labelled vectors are N^a u and N^a conj(u), level by level.  Q
+    pairs N^a u with N^b conj(u) only, a + b = length - 1, where it takes the
+    value (-1)^a i^(q-p); this sign makes HR2 hold on the primitive u.
     """
-    n = h.n
-    dim = h.dim
-    if dim == 0:
-        raise InadmissibleHodgeNumbers("empty structure")
-    basis = []
-    Qent = [[ZERO] * dim for _ in range(dim)]
-    idx = 0
+    p, q = top
+    if length < 1 or p + q - n + 1 != length:
+        raise ValueError("weight %d has no string of length %d at %s"
+                         % (n, length, top))
+    c = i_power(q - p)
+    # [[Q(x_0, x_b), Q(x_0, y_b)], [Q(y_0, x_b), Q(y_0, y_b)]], b = length - 1,
+    # the real form of Q(u, N^b conj u) = c
     half = Fraction(1, 2)
-    for p in range(n, -1, -1):
-        q = n - p
-        if p < q:
-            break
-        for a in range(h.hpq(p, q)):
-            if p == q:
-                basis.append((unit_vector(dim, idx), (p, p)))
-                Qent[idx][idx] = ONE
-                idx += 1
-                continue
-            # u^{p,q} = e_x + i e_y and u^{q,p} = e_x - i e_y
-            x, y = idx, idx + 1
-            vp, vq = list(unit_vector(dim, x)), list(unit_vector(dim, x))
-            vp[y], vq[y] = I, -I
-            basis += [(tuple(vp), (p, q)), (tuple(vq), (q, p))]
-            c = i_power(q - p)  # the required value of Q(u^{pq}, u^{qp})
-            if c.is_real():
-                Qent[x][x] = GaussianRational(c.re * half)
-                Qent[y][y] = GaussianRational(c.re * half)
-            else:
-                Qent[y][x] = GaussianRational(c.im * half)
-                Qent[x][y] = GaussianRational(-c.im * half)
-            idx += 2
-    return MatrixGQ(Qent), basis
+    pair = [[c]] if p == q else [
+        [GaussianRational(c.re * half), GaussianRational(-c.im * half)],
+        [GaussianRational(c.im * half), GaussianRational(c.re * half)]]
+    r = len(pair)  # real vectors per level
+    dim = r * length
+    Qent = [[ZERO] * dim for _ in range(dim)]
+    Nent = [[ZERO] * dim for _ in range(dim)]
+    basis = []
+    for a in range(length):
+        b = length - 1 - a
+        for j in range(r):
+            for k in range(r):
+                Qent[r * a + j][r * b + k] = -pair[j][k] if a % 2 else pair[j][k]
+            if a + 1 < length:
+                Nent[r * (a + 1) + j][r * a + j] = ONE
+        x = unit_vector(dim, r * a)
+        if r == 1:
+            basis.append((x, (p - a, q - a)))
+        else:
+            for y, label in ((I, (p - a, q - a)), (-I, (q - a, p - a))):
+                basis.append((x[:r * a + 1] + (y,) + x[r * a + 2:], label))
+    return MatrixGQ(Qent), MatrixGQ(Nent), basis
+
+
+def block_sum(blocks):
+    """The block-diagonal (Q, N, basis) of (Q, N, basis) blocks, each block's
+    labelled vectors padded out to its own coordinates."""
+    dim = sum(Q.rows for Q, _, _ in blocks)
+    Qent = [[ZERO] * dim for _ in range(dim)]
+    Nent = [[ZERO] * dim for _ in range(dim)]
+    basis = []
+    off = 0
+    for Q, N, labelled in blocks:
+        d = Q.rows
+        for i in range(d):
+            Qent[off + i][off:off + d] = Q.entries[i]
+            Nent[off + i][off:off + d] = N.entries[i]
+        pad = (ZERO,) * (dim - off - d)
+        basis += [((ZERO,) * off + tuple(v) + pad, label) for v, label in labelled]
+        off += d
+    return MatrixGQ(Qent), MatrixGQ(Nent), basis
+
+
+def pure_blocks(h):
+    """The length-1 string blocks of the model PHS: h^{p,q} of them at each
+    (p, q) with p >= q, p from n down."""
+    n = h.n
+    return [string_block(n, (p, n - p), 1)
+            for p in range(n, (n - 1) // 2, -1) for _ in range(h.hpq(p, n - p))]
+
+
+def model_basis(h):
+    """Q and the labelled basis [(u^{p,q}_a, (p, q))] of the model PHS, the
+    sum of pure_blocks(h): conj(u^{p,q}_a) = u^{q,p}_a, and Q pairs
+    u^{p,q}_a against u^{q,p}_a only."""
+    if h.dim == 0:
+        raise InadmissibleHodgeNumbers("empty structure")
+    Q, _, basis = block_sum(pure_blocks(h))
+    return Q, basis
 
 
 def model_phs(h):

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from hodge_degen.gq import MatrixGQ, rank
-from hodge_degen.hodge import HodgeNumbers
+from hodge_degen.hodge import HodgeNumbers, string_block
 from hodge_degen.lmhs import (
     deligne_splitting, validate_lmhs, is_hodge_tate, disc_sample, adjoint_lmhs,
 )
@@ -16,10 +16,10 @@ from hodge_degen.roots import build_root_system, GradingElement, adjoint_bigradi
 from hodge_degen import classify
 from hodge_degen.classify import (
     MinimalType, minimal_types, minimal_witness, ht_gate, ht_plan,
-    ht_construct, atomic_block, cp_orb_check, period_closed_check,
+    ht_construct, cp_orb_check, period_closed_check,
     non_ht_closed_instance, principal_lmhs, principal_neutral_char,
     normal_forms, InfeasibleType, GateFailed, ParityViolation, OddWeightNonHT,
-    _direct_sum, _string2_pair,
+    _direct_sum,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -99,16 +99,36 @@ def test_witnesses_validate_and_split_correctly(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_string_pair_sign_is_fixed_by_hr2(n):
-    # the sign (-1)^floor((q_o - p_o - 1) / 2) that minimal_witness uses
-    # validates, and the other one does not
+    # the pair 2-string of each kind I type, with the sign string_block gives
+    # Q(u, N conj u) = i^(q-p), validates, and with Q negated it does not
     kinds = [t for t in minimal_types(n, figure_h(n, diag=True))
              if t.kind == "I" and t.q_o - t.p_o >= 2]
     assert len(kinds) == n // 2  # p_o = 0, ..., n // 2 - 1
     for t in kinds:
-        sign = (-1) ** ((t.q_o - t.p_o - 1) // 2)
-        for s in (sign, -sign):
-            L = _direct_sum(n, [_string2_pair(n, t.p_o, t.q_o, s)])
-            assert validate_lmhs(L)["ok"] == (s == sign), (t, s)
+        Q, N, basis = string_block(n, (t.p_o + 1, t.q_o), 2)
+        for s in (1, -1):
+            L = _direct_sum(n, [(Q.scale(s), N, basis)])
+            assert validate_lmhs(L)["ok"] == (s == 1), (t, s)
+
+
+def test_every_small_string_block_is_an_lmhs():
+    # every string top (p, q), p >= q, of weight n <= 6 whose bottom
+    # (n - q, n - p) is a bidegree: 49 blocks
+    tops = [(n, (p, q)) for n in range(1, 7) for p in range(n + 1)
+            for q in range(p + 1) if p + q >= n]
+    assert len(tops) == 49
+    for n, (p, q) in tops:
+        length = p + q - n + 1
+        Q, N, basis = string_block(n, (p, q), length)
+        L = _direct_sum(n, [(Q, N, basis)])  # the label certificate
+        assert validate_lmhs(L)["ok"], (n, p, q)
+        assert Q.rows == (1 if p == q else 2) * length
+
+
+def test_string_block_rejects_a_wrong_length():
+    # the length of a string is p + q - n + 1: 3 here
+    with pytest.raises(ValueError, match="no string of length 2"):
+        string_block(2, (2, 2), 2)
 
 
 def test_witness_rejects_inadmissible_type():
@@ -146,10 +166,11 @@ def test_construct_matches_h_and_is_ht():
 
 
 def test_atomic_block_is_self_dual_string():
-    Q, N, basis = atomic_block(3, 1)
+    # the real 2-string e^2 -> e^1 of weight 3, listed top first
+    Q, N, basis = string_block(3, (2, 2), 2)
     assert rank(MatrixGQ(N.entries)) == 1
     assert (Q + Q.transpose()).is_zero()  # odd weight: skew
-    assert [label for _, label in basis] == [(1, 1), (2, 2)]
+    assert [label for _, label in basis] == [(2, 2), (1, 1)]
 
 
 # ------------------------------------------------------------ labelled blocks
@@ -157,14 +178,14 @@ def test_atomic_block_is_self_dual_string():
 def test_direct_sum_rejects_a_wrong_label():
     # (0, 1) for (0, 0) leaves F as it is, so the splitting is computed and
     # its dims differ from the labels' count
-    Q, N, basis = atomic_block(2, 0)
-    (v, _), rest = basis[0], basis[1:]
+    Q, N, basis = string_block(2, (2, 2), 3)
+    rest, (v, _) = basis[:-1], basis[-1]  # v at the bottom, (0, 0)
     with pytest.raises(InfeasibleType) as e:
-        _direct_sum(2, [(Q, N, [(v, (0, 1))] + rest)])
+        _direct_sum(2, [(Q, N, rest + [(v, (0, 1))])])
     assert "(0, 0)" in str(e.value) and "(0, 1)" in str(e.value)
     # a wrong Hodge index moves F itself: F^1 = V has no splitting at all
     with pytest.raises(InfeasibleType, match="labels"):
-        _direct_sum(2, [(Q, N, [(v, (1, 1))] + rest)])
+        _direct_sum(2, [(Q, N, rest + [(v, (1, 1))])])
 
 
 def _certified(monkeypatch, build):

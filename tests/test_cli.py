@@ -613,6 +613,16 @@ def test_main_builds_its_parser_once(capsys, monkeypatch, ht_file):
     assert len(built) == 1
 
 
+def test_main_runs_the_cmd_function_the_module_holds_now(capsys, monkeypatch, ht_file):
+    # a cmd_* function replaced after the parser was built, as a tracer
+    # wraps it, is the one main calls
+    cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args.path) or 7)
+    assert run(capsys, "validate", ht_file)[0] == 7
+    assert calls == [ht_file]
+
+
 def _pkg_env():
     """The environment with this package's root first on PYTHONPATH."""
     pkg_root = os.path.dirname(os.path.dirname(hodge_degen.__file__))

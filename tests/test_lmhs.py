@@ -18,7 +18,7 @@ from hodge_degen.gq import (
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
-    check_isotropy, is_valid_phs, polarizes,
+    check_isotropy, is_valid_phs, polarizes, string_block,
 )
 from hodge_degen.lmhs import (
     WeightFiltration, weight_filtration, LmhsDatum, Bigrading,
@@ -27,8 +27,7 @@ from hodge_degen.lmhs import (
     AdjointLmhs, NotMhs, NonRSplit, BracketEscape,
 )
 from hodge_degen.classify import (
-    atomic_block, _direct_sum, _phs_block, minimal_types, minimal_witness,
-    ht_construct,
+    _direct_sum, minimal_types, minimal_witness, ht_construct,
 )
 
 import cayley
@@ -215,8 +214,8 @@ def test_weight_filtration_matches_reference(sizes, center):
 # ------------------------------------------------------- Deligne splitting
 
 def test_atomic_block_splitting_nodes():
-    n, k = 4, 1
-    L = _direct_sum(n, [atomic_block(n, k, 2)])
+    # two real 3-strings e^3 -> e^2 -> e^1 of weight 4
+    L = _direct_sum(4, [string_block(4, (3, 3), 3)] * 2)
     bg = deligne_splitting(L)
     assert bg.dims() == {(1, 1): 2, (2, 2): 2, (3, 3): 2}
     assert is_r_split(bg) and is_hodge_tate(bg)
@@ -303,6 +302,19 @@ def test_check_case_names_the_failed_clauses(cid, tamper, clauses):
     # only clauses are named, not the summary key "ok"
     L = tamper(_corpus_datum(cid))
     assert cli.check_case(cid, L) == cid + "/validate:" + clauses
+
+
+@pytest.mark.parametrize("n, top", [(2, (2, 0)), (4, (3, 1)), (4, (4, 0))])
+def test_check_case_states_the_converse_for_semisimple_g(n, top):
+    # N = 0 on dim V = 2 in even weight: g = so(2) has dim 1 and lies in
+    # I^{0,0}_g, so g is Hodge-Tate while V is not.  g is not semisimple, so
+    # the converse does not apply, and every other clause holds, the
+    # diagonal-Levi datum's included
+    L = _direct_sum(n, [string_block(n, top, 1)])
+    a = adjoint_lmhs(L)
+    assert a.dim_g == 1 and a.I_g.dims() == {(0, 0): 1}
+    assert not is_hodge_tate(deligne_splitting(L))
+    assert cli.check_case("so2", L) == "so2"
 
 
 # gq.rref calls, Deligne splitting bodies and diagonal_levi calls in one
@@ -582,7 +594,7 @@ def test_check_splitting_rejects_unconjugate_piece():
 
 
 def test_qk_form_symmetric_on_top_primitive():
-    L = _direct_sum(2, [atomic_block(2, 0)])
+    L = _direct_sum(2, [string_block(2, (2, 2), 3)])
     prim = primitives(L)
     assert [(k, s.dim) for k, s in prim] == [(0, 0), (1, 0), (2, 1)]
     H = qk_form(L, 2)
@@ -642,7 +654,7 @@ def test_disc_sample_flags_bad_orbit():
 # ------------------------------------------------------- adjoint structure
 
 def test_adjoint_of_three_string():
-    L = _direct_sum(2, [atomic_block(2, 0)])
+    L = _direct_sum(2, [string_block(2, (2, 2), 3)])
     a = adjoint_lmhs(L)
     assert a.dim_g == 3  # sl2 inside sp(Q)
     assert a.I_g.dims() == {(-1, -1): 1, (0, 0): 1, (1, 1): 1}
