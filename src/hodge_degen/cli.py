@@ -240,7 +240,7 @@ def _check_input_datum(L, hn):
     rep = validate_lmhs(L)
     if not rep["ok"]:
         clause = next(c for c in _LMHS_CLAUSES if not rep[c])
-        detail = rep.get("weight_filtration_witness") or rep.get("error")
+        detail = rep.get(clause + "_witness") or rep.get("error")
         raise ValueError("the datum is not a limiting mixed Hodge structure: "
                          "clause %s fails%s" % (clause, ": " + detail if detail else ""))
 

@@ -155,14 +155,23 @@ class LmhsDatum:
 
     `powers` is (N^0, ..., N^deg), ending at the first zero power, and
     `kernels` is (ker N^0, ..., ker N^deg), solved on first use and kept.  The
-    Deligne splitting is computed on first use and kept (`deligne_splitting`);
-    diagonal_levi stores a certified one instead.
+    Deligne splitting is computed on first use and kept (`deligne_splitting`).
+    The constructor checks that N is real, nilpotent, in End(V, Q) and maps
+    each F^p into F^{p-1}; diagonal_levi builds its datum by `_fill` with the
+    W and splitting that _check_levi certifies, and so with no F^p test.
     """
 
     __slots__ = ("hodge", "N", "W", "powers", "_kernels", "_given_W",
                  "_splitting")
 
     def __init__(self, hodge, N, W=None):
+        self._fill(hodge, N, W, None)
+
+    def _fill(self, hodge, N, W, splitting):
+        # Check N and set every field.  validate_lmhs checks a W given from
+        # outside; one computed here has passed _check_weight.  A splitting
+        # comes with the W it certifies (diagonal_levi's, by _check_levi,
+        # whose support rule implies N F^p inside F^{p-1}): no F step is tested
         dim = hodge.dim
         if N.rows != dim or N.cols != dim:
             raise ValueError("N has wrong shape")
@@ -175,18 +184,13 @@ class LmhsDatum:
         if not (QN - QNt if hodge.n % 2 else QN + QNt).is_zero():
             raise ValueError("N is not in End(V, Q)")
         F = hodge.filtration
-        for p in range(1, hodge.n + 1):
+        for p in range(1, hodge.n + 1) if splitting is None else ():
             if not maps_into(N, F.step(p), F.step(p - 1)):
                 raise ValueError("N F^%d not inside F^%d" % (p, p - 1))
-        object.__setattr__(self, "hodge", hodge)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "powers", powers)
-        object.__setattr__(self, "_kernels", None)
-        object.__setattr__(self, "_splitting", None)
-        # validate_lmhs checks a W given from outside; one computed here has
-        # already passed _check_weight (diagonal_levi clears the flag once it
-        # has certified the W it gives)
-        object.__setattr__(self, "_given_W", W is not None)
+        for name, val in (("hodge", hodge), ("N", N), ("powers", powers), ("_kernels", None),
+                          ("_given_W", W is not None and splitting is None),
+                          ("_splitting", splitting)):
+            object.__setattr__(self, name, val)
         if W is None:
             W = weight_filtration(N, hodge.n, powers, self.kernels)
         object.__setattr__(self, "W", W)
@@ -446,7 +450,9 @@ def validate_lmhs(L):
     (d) the twisted pairings polarize the primitive pieces
 
     A W given from outside is certified by _check_weight, not recomputed;
-    when (a) fails, `weight_filtration_witness` names the failing level.
+    when (a) fails, `weight_filtration_witness` names the failing level, and
+    when (b) or (c) fails, `graded_hodge_witness` or
+    `minus_one_minus_one_witness` names the first failing piece I^{p,q}.
     """
     report = {"weight_filtration": True}
     if L._given_W:
@@ -466,17 +472,22 @@ def validate_lmhs(L):
         return report
 
     # (b): each graded level decomposes, with conjugation symmetry mod lower weight
-    okb = True
     c, n = L.center, L.n
     for p, q, s in bg.nodes:
         lower = L.W.level(c - n + p + q - 1)
         target = ssum(bg.piece(q, p), lower) if lower.dim else bg.piece(q, p)
         if not target.contains(conj_space(s)):
-            okb = False
-    report["graded_hodge"] = okb
+            report["graded_hodge_witness"] = ("conj I^{%d,%d} not inside I^{%d,%d} + W_%d"
+                                              % (p, q, q, p, c - n + p + q - 1))
+            break
+    okb = report["graded_hodge"] = "graded_hodge_witness" not in report
 
-    okc = all(maps_into(L.N, s, bg.piece(p - 1, q - 1)) for p, q, s in bg.nodes)
-    report["minus_one_minus_one"] = okc
+    for p, q, s in bg.nodes:
+        if not maps_into(L.N, s, bg.piece(p - 1, q - 1)):
+            report["minus_one_minus_one_witness"] = ("N I^{%d,%d} not inside I^{%d,%d}"
+                                                     % (p, q, p - 1, q - 1))
+            break
+    okc = report["minus_one_minus_one"] = "minus_one_minus_one_witness" not in report
 
     okd = all(polarizes(L.hodge.polarization, pieces, L.power(k))
               for k, pieces in _primitive_pieces(L, bg).items())
@@ -584,30 +595,18 @@ def _sparse_rows(M):
     return [{j: e for j, e in enumerate(row) if e} for row in M.entries]
 
 
-def _product(A, B, out=None, f=1):
-    """out + f A B, all as sparse rows (out = 0 when None)."""
-    out = [{} for _ in A] if out is None else out
-    for row, acc in zip(A, out):
-        for k, x in row.items():
-            for j, y in B[k].items():
-                acc[j] = acc.get(j, ZERO) + (x * y if f > 0 else -(x * y))
-    return out
-
-
-def _form_bracket(QX, X, QY, Y):
-    """Q'[X, Y] = (Q'X) Y - (Q'Y) X, all as sparse rows."""
-    return _product(QY, X, _product(QX, Y), -1)
-
-
 def adjoint_lmhs(L):
     """The AdjointLmhs of an R-split L, with no solve.
 
     Q pairs I^{p,q} only with I^{n-p,n-q} (Cattani-Kaplan-Schmid 1986), which
     gives X_ab its bidegree: NotMhs names the first pair of labels that do
     not sum to (n, n) where Q' is not 0.  N's coordinates are read off
-    Q'N' = P^T (Q N) P, and the columns of ad N off Q'[N', X_ab].  With
-    R = Q'^-1, tr(X_ab X_cd) = -2 (e R_ad R_bc + R_ac R_bd) is formed at the
-    pairs (c, d) met by the nonzero entries of rows a and b of R.
+    Q'N' = P^T (Q N) P.  With R = Q'^-1, Q'X_ab = E_ab + e E_ba, so the
+    column of ad N at X_ab is read by index off Q'[N', X_ab] =
+    M (E_ab + e E_ba) - (E_ab + e E_ba) N', M = Q'N'R formed once: columns a
+    and b of M and rows a and b of N'.  tr(X_ab X_cd) =
+    -2 (e R_ad R_bc + R_ac R_bd) is formed at the pairs (c, d) met by the
+    nonzero entries of rows a and b of R.
     """
     bg = deligne_splitting(L)
     if not is_r_split(bg):
@@ -658,10 +657,16 @@ def adjoint_lmhs(L):
     coeff = tuple(coeff.get(k, ZERO) for k in range(t))
     if not I_g.piece(-1, -1).contains_vector(coeff):
         raise NotMhs("N is not of type (-1,-1) in the adjoint bigrading")
-    Nf, QN, Qrows = _sparse_rows(R * QN), _sparse_rows(QN), _sparse_rows(Qf)
+    Mcols, Nrows = _sparse_rows((QN * R).transpose()), _sparse_rows(R * QN)
     ad = [[ZERO] * t for _ in range(t)]
-    for k, X in enumerate(elements):
-        col = _g_coords(_form_bracket(QN, Nf, _product(Qrows, X), X), index, sign)
+    for k, (a, b) in enumerate(pairs):
+        QB = [{} for _ in cols]  # Q'[N', X_ab]
+        for x, y, f in ((a, b, 1), (b, a, sign)):  # f (M E_xy - E_xy N')
+            for i, m in Mcols[x].items():
+                QB[i][y] = QB[i].get(y, ZERO) + (m if f > 0 else -m)
+            for j, m in Nrows[y].items():
+                QB[x][j] = QB[x].get(j, ZERO) - (m if f > 0 else -m)
+        col = _g_coords(QB, index, sign)
         if col is None:
             raise ValueError("[N, B] outside the span of g")
         for r, e in col.items():
@@ -707,7 +712,9 @@ def diagonal_levi(a):
     in a real basis: (basis, an LmhsDatum on its coordinates, weight shifted
     by r to keep indices nonnegative); `basis` holds lists of pairs (k, c),
     each the element sum c X_k of g (a.to_v(basis) gives them on V).
-    [s, s] inside s is read off Q'[X, Y].  For R-split data the rref basis
+    [s, s] inside s needs no bracket: adjoint_lmhs certifies the bidegree of
+    each X_k, and [I^{a,b}_g, I^{c,d}_g] lies in I^{a+c,b+d}_g
+    (Cattani-Kaplan-Schmid 1986).  For R-split data the rref basis
     of I^{q,p} is the conjugate of that of I^{p,q}, so conjugation permutes
     the frame (sigma) and takes X_ab to +-X_{sigma(a) sigma(b)}: each piece
     of s must be closed under that permutation.  It gets the real basis X
@@ -722,16 +729,6 @@ def diagonal_levi(a):
     s_idx = [k for _, ks in diag for k in ks]
     pos = {k: i for i, k in enumerate(s_idx)}
     outside = [k for k in range(a.dim_g) if k not in pos]
-    X, Qrows = a.elements, _sparse_rows(a.form)
-    QX = {k: _product(Qrows, X[k]) for k in s_idx}
-    for x, i in enumerate(s_idx):
-        for j in s_idx[x + 1:]:
-            c = _g_coords(_form_bracket(QX[i], X[i], QX[j], X[j]), index, sign)
-            if c is None:
-                raise ValueError("matrix outside the span of g")
-            if any(k not in pos for k in c):
-                raise BracketEscape("[s, s] escapes s")
-
     ts, first = len(s_idx), a.labels.index
     sigma = [first((q, p)) + i - first((p, q)) for i, (p, q) in enumerate(a.labels)]
     basis, read = [], []  # the real basis and the rows of its inverse, over g
@@ -774,10 +771,10 @@ def diagonal_levi(a):
     W_s = WeightFiltration(n_s, {k: span_of(lambda p: 2 * (p + r) <= k)
                                  for k in range(min(levels), max(levels) + 1)})
     hodge = HodgeDatum(ts, PolarizationForm(n_s, tracef), F_s)
-    datum = LmhsDatum(hodge, N_s, W_s)
-    _check_levi(datum, {p: [pos[k] for k in ks] for p, ks in diag}, r)
     split = Bigrading(ts, [(p + r, p + r, span_of(lambda x: x == p)) for p, _ in diag])
-    # both certified: validate_lmhs and deligne_splitting take them as computed
-    object.__setattr__(datum, "_given_W", False)
-    object.__setattr__(datum, "_splitting", split)
+    # W_s and the splitting, certified by _check_levi, are taken as computed
+    # by validate_lmhs and deligne_splitting
+    datum = object.__new__(LmhsDatum)
+    datum._fill(hodge, N_s, W_s, split)
+    _check_levi(datum, {p: [pos[k] for k in ks] for p, ks in diag}, r)
     return basis, datum

@@ -66,7 +66,8 @@ def cayley_element(Q, rng, nonzeros):
         if inv is None:
             continue
         g = matmul(inv, [[I[i][j] + X[i][j] for j in range(n)] for i in range(n)])
-        assert matmul(matmul(transpose(g), Q), g) == Q
+        if matmul(matmul(transpose(g), Q), g) != Q:  # explicit, so it runs under python -O
+            raise AssertionError("the Cayley element does not preserve Q")
         return g
 
 

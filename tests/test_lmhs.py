@@ -327,15 +327,20 @@ def test_check_case_states_the_converse_for_semisimple_g(n, top):
 # rref figure 1,319 before the splitting skipped the zero pieces (those with
 # dim Gr_F^p Gr^W_l = 0) instead of solving their conjugate-meet sums, and
 # 1,211 with 14 Levi data while verify-corpus skipped the adjoint and Levi
-# work on cases of dim > 6.
+# work on cases of dim > 6.  lmhs._g_coords runs once for N per adjoint and
+# once per element of g for its column of ad N (sum of dim g = 275 on the
+# slice); it was 956 while diagonal_levi also read every bracket [X, Y] of
+# two elements of s.
 SLICE_RREF_CALLS = 1269
 SLICE_SPLITTING_BODIES = 20
 SLICE_LEVI_CALLS = 19
+SLICE_G_COORDS_CALLS = 295
 
 
 def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
     counts = collections.Counter()
     rref, body, levi = gq_module.rref, lmhs._deligne_splitting, cli.diagonal_levi
+    g_coords = lmhs._g_coords
 
     def counted_rref(M):
         counts["rref"] += 1
@@ -349,15 +354,20 @@ def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
         counts["levi"] += 1
         return levi(a)
 
+    def counted_g_coords(QX, index, sign):
+        counts["g_coords"] += 1
+        return g_coords(QX, index, sign)
+
     cases = cli.corpus_cases()[2::4]
     monkeypatch.setattr(gq_module, "rref", counted_rref)
     monkeypatch.setattr(lmhs, "_deligne_splitting", counted_body)
     monkeypatch.setattr(cli, "diagonal_levi", counted_levi)
+    monkeypatch.setattr(lmhs, "_g_coords", counted_g_coords)
     monkeypatch.setattr(cli, "corpus_cases", lambda limit=None: cases)
     assert cli.main(["verify-corpus"]) == 0
     assert json.loads(capsys.readouterr().out) == {"cases": 20, "ok": True}
     assert counts == {"rref": SLICE_RREF_CALLS, "bodies": SLICE_SPLITTING_BODIES,
-                      "levi": SLICE_LEVI_CALLS}
+                      "levi": SLICE_LEVI_CALLS, "g_coords": SLICE_G_COORDS_CALLS}
 
 
 def test_splitting_reconstructs_both_filtrations():
@@ -454,6 +464,46 @@ def test_validate_detects_wrong_weight_filtration():
     rep = validate_lmhs(LmhsDatum(L.hodge, L.N, wrong))
     assert not rep["weight_filtration"]
     assert not rep["ok"]
+
+
+def _with_tilted_piece(cid, target, by):
+    """The corpus datum cid whose kept splitting has the piece `target`
+    replaced by the span of the sum of the first vectors of `target` and
+    `by`: still a direct sum, read by validate_lmhs as the splitting."""
+    L = _corpus_datum(cid)
+    bg = deligne_splitting(L)
+    u, x = bg.piece(*target).basis.entries[0], bg.piece(*by).basis.entries[0]
+    tilted = Subspace.from_vectors(L.dim, [[a + b for a, b in zip(u, x)]])
+    nodes = [(p, q, tilted if (p, q) == target else s) for p, q, s in bg.nodes]
+    object.__setattr__(L, "_splitting", Bigrading(L.dim, nodes))
+    return L
+
+
+@pytest.mark.parametrize("target, by, clause, witness", [
+    # I^{1,0} tilted by I^{0,1}: conj I^{0,1} = the old I^{1,0}, not in the new
+    ((1, 0), (0, 1), "graded_hodge", "conj I^{0,1} not inside I^{1,0} + W_0"),
+    # I^{0,0} tilted by the real I^{1,1}: N maps it onto N I^{1,1}, not into 0
+    ((0, 0), (1, 1), "minus_one_minus_one", "N I^{0,0} not inside I^{-1,-1}"),
+])
+def test_validate_names_the_first_failing_piece(target, by, clause, witness):
+    L = _with_tilted_piece(SPLIT_CASE, target, by)
+    rep = validate_lmhs(L)
+    assert rep[clause] is False and rep[clause + "_witness"] == witness
+    # the other clause of the two holds and has no witness
+    other = ({"graded_hodge", "minus_one_minus_one"} - {clause}).pop()
+    assert rep[other] is True and other + "_witness" not in rep
+    # the closed-orbit input check names the first failing clause and its piece
+    with pytest.raises(ValueError) as e:
+        cli._check_input_datum(L, HodgeNumbers(1, (2, 2)))
+    assert str(e.value) == ("the datum is not a limiting mixed Hodge structure: "
+                            "clause %s fails: %s" % (clause, witness))
+
+
+@pytest.mark.parametrize("cid", ["ht/n=2,h=1,1,1", "minimal/n=2,h=1,2,1,I(0,2)"])
+def test_valid_reports_have_no_witness(cid):
+    assert list(validate_lmhs(_corpus_datum(cid))) == [
+        "weight_filtration", "graded_hodge", "minus_one_minus_one",
+        "polarized_primitives", "ok"]
 
 
 # ------------------------------------------------ given-W certificate
@@ -673,6 +723,20 @@ def test_adjoint_requires_r_split():
     assert not is_r_split(deligne_splitting(L))
     with pytest.raises(NonRSplit):
         adjoint_lmhs(L)
+
+
+def test_closed_orbit_input_that_is_not_r_split(tmp_path, capsys):
+    # the e^{iN} twist of the three-string is a valid limit, not R-split: the
+    # period check runs, and the adjoint check is null (NonRSplit)
+    L = _moved_by_exp_i_n(_corpus_datum("ht/n=2,h=1,1,1"))
+    assert validate_lmhs(L)["ok"] and not is_r_split(deligne_splitting(L))
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(L.to_json()))
+    code = cli.main(["classify", "2", "1,1,1", "--mode", "closed-orbit", "--input", str(path)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert rep["adjoint_check"] is None
+    assert rep["period_check"]["consistent_with_closed_orbit"]
 
 
 def test_complex_pair_witness_is_still_r_split():
@@ -1104,6 +1168,50 @@ def _dense(rows):
     return MatrixGQ([[row.get(j, ZERO) for j in range(len(rows))] for row in rows])
 
 
+def _product(A, B, out=None, f=1):
+    """out + f A B, all as sparse rows (out = 0 when None)."""
+    out = [{} for _ in A] if out is None else out
+    for row, acc in zip(A, out):
+        for k, x in row.items():
+            for j, y in B[k].items():
+                acc[j] = acc.get(j, ZERO) + (x * y if f > 0 else -(x * y))
+    return out
+
+
+def _form_bracket(QX, X, QY, Y):
+    """Q'[X, Y] = (Q'X) Y - (Q'Y) X, all as sparse rows."""
+    return _product(QY, X, _product(QX, Y), -1)
+
+
+def levi_closure_oracle(a):
+    """[s, s] inside s for s = (+)_p I^{p,p}_g, bracket by bracket: the
+    coordinates of each Q'[X, Y] over the pieces' elements.  AssertionError
+    names the first bracket outside g or outside s.  diagonal_levi takes the
+    closure from the bidegrees that adjoint_lmhs certifies instead."""
+    sign = 1 if a.n % 2 else -1
+    index = {ab: k for k, ab in enumerate(a.pairs)}
+    s_idx = [k for p, q, sub in a.I_g.nodes if p == q for k in sub.pivots]
+    X, Qrows = a.elements, lmhs._sparse_rows(a.form)
+    QX = {k: _product(Qrows, X[k]) for k in s_idx}
+    for x, i in enumerate(s_idx):
+        for j in s_idx[x + 1:]:
+            c = lmhs._g_coords(_form_bracket(QX[i], X[i], QX[j], X[j]), index, sign)
+            if c is None:
+                raise AssertionError("matrix outside the span of g")
+            if any(k not in s_idx for k in c):
+                raise AssertionError("[s, s] escapes s")
+
+
+def test_levi_closure_oracle_accepts_the_corpus(r_split_corpus):
+    """Every R-split corpus adjoint with g != 0 has [s, s] inside s."""
+    checked = 0
+    for cid, L, a in r_split_corpus:
+        if a.dim_g:
+            levi_closure_oracle(a)
+            checked += 1
+    assert checked == 80
+
+
 def test_sparse_bracket_matches_dense_on_corpus(r_split_corpus):
     """Q'[X, Y] from the nonzero entries of Q'X, X, Q'Y and Y equals the
     dense Q'(X*Y - Y*X), for every ordered pair of N and the g-basis, all in
@@ -1114,7 +1222,7 @@ def test_sparse_bracket_matches_dense_on_corpus(r_split_corpus):
         sparse = [(lmhs._sparse_rows(a.form * X), lmhs._sparse_rows(X)) for X in elements]
         for X, (QX, SX) in zip(elements, sparse):
             for Y, (QY, SY) in zip(elements, sparse):
-                got = _dense(lmhs._form_bracket(QX, SX, QY, SY))
+                got = _dense(_form_bracket(QX, SX, QY, SY))
                 assert got == a.form * (X * Y - Y * X), cid
                 pairs += 1
     assert pairs == PAIRS_ON_CORPUS
@@ -1171,10 +1279,14 @@ def _first_index(a, p, q):
 
 
 def test_levi_bracket_escape():
-    # s = I^{-1,-1} + I^{1,1}: [N, N^+] lies in I^{0,0}
-    a = adjoint_lmhs(_corpus_datum(THREE_STRING))
-    with pytest.raises(BracketEscape, match=r"\[s, s\] escapes s"):
-        diagonal_levi(_relabelled(a, {(0, 0): (0, 1)}))
+    # s = I^{-1,-1} + I^{1,1}: [N, N^+] lies in I^{0,0}.  The bracket oracle
+    # finds it; diagonal_levi, which takes [s, s] inside s from the
+    # bidegrees, finds that ad N maps N^+ in I^{1,1} out of s
+    a = _relabelled(adjoint_lmhs(_corpus_datum(THREE_STRING)), {(0, 0): (0, 1)})
+    with pytest.raises(AssertionError, match=r"\[s, s\] escapes s"):
+        levi_closure_oracle(a)
+    with pytest.raises(ValueError, match=r"\[N, s\] outside the span of s"):
+        diagonal_levi(a)
 
 
 def test_levi_not_conjugation_stable():
@@ -1210,8 +1322,12 @@ def test_levi_bracket_outside_g():
     unit = tuple({0: ONE} if r == 0 else {} for r in range(a.frame.rows))
     elements = tuple(unit if j == k else X for j, X in enumerate(a.elements))
     tampered = _tampered(a, elements=elements)
-    with pytest.raises(ValueError, match="outside the span of g"):
-        diagonal_levi(tampered)
+    with pytest.raises(AssertionError, match="outside the span of g"):
+        levi_closure_oracle(tampered)
+    # diagonal_levi reads no element, so it gives what it gives on a
+    basis, datum = diagonal_levi(tampered)
+    want_basis, want = diagonal_levi(a)
+    assert basis == want_basis and datum.to_json() == want.to_json()
 
 
 LEVI_GL3 = "ht/n=1,h=3,3"  # s = g = sp(6), I^{0,0}_g = gl(3), r = 1, N_s = ad N
