@@ -212,8 +212,9 @@ def ht_construct(n, h):
     if not blocks:
         raise GateFailed("empty structure")
     L = _direct_sum(n, blocks)
-    assert {p: d for (p, q), d in deligne_splitting(L).dims().items()} == \
-        {p: h.hpq(p, n - p) for p in range(n + 1) if h.hpq(p, n - p)}
+    if {p: d for (p, q), d in deligne_splitting(L).dims().items()} != \
+            {p: h.hpq(p, n - p) for p in range(n + 1) if h.hpq(p, n - p)}:
+        raise AssertionError("Hodge-Tate witness misses the Hodge numbers %s" % (h.h,))
     return L
 
 
@@ -412,7 +413,8 @@ def normal_forms(n, d):
     for tag, N in forms:
         if N.is_zero():
             continue
-        assert (Q * N + N.transpose() * Q).is_zero(), tag
+        if not (Q * N + N.transpose() * Q).is_zero():
+            raise AssertionError("form %s is not in g" % tag)
         out.append((tag, N))
     return Q, out
 

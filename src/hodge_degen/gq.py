@@ -434,7 +434,8 @@ class MatrixGQ:
 
     def matvec(self, v):
         # v a sequence of scalars, returns tuple M v
-        assert len(v) == self.cols
+        if len(v) != self.cols:
+            raise AmbientMismatch("vector of length %d for %d columns" % (len(v), self.cols))
         nz = _nonzeros(v)
         out = []
         for row in self.entries:
@@ -447,7 +448,8 @@ class MatrixGQ:
         return tuple(out)
 
     def trace(self):
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise ValueError("matrix not square")
         t = ZERO
         for i in range(self.rows):
             t = t + self.entries[i][i]

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .gq import (
     GaussianRational, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, i_power, unit_vector,
-    intersect, conj_space, rank, hermitian_pd,
+    intersect, conj_space, rank, hermitian_pd, NotHermitian,
+    _matrix, _span, _nonzeros, _add_mul,
 )
 
 
@@ -30,9 +31,12 @@ class Hr1Prerequisite(ValueError):
 
 
 class PolarizationForm:
-    """Weight n pairing Q on V, real entries, Q^T = (-1)^n Q, nondegenerate."""
+    """Weight n pairing Q on V, real entries, Q^T = (-1)^n Q, nondegenerate.
 
-    __slots__ = ("n", "Q")
+    `_rows` holds the nonzero (column, entry) pairs of each row of Q, read
+    once: Q is immutable, and sparse on every datum the package builds."""
+
+    __slots__ = ("n", "Q", "_rows")
 
     def __init__(self, n, Q):
         if n < 0:
@@ -46,16 +50,35 @@ class PolarizationForm:
             raise ValueError("Q is degenerate")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "_rows", tuple(_nonzeros(row) for row in Q.entries))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
     def gram(self, us, vs, M=None):
-        """The matrix [Q(u, M v)] over u in us and v in vs (M = I when None),
-        forming each Q M v once."""
-        Qv = MatrixGQ([self.Q.matvec(v if M is None else M.matvec(v)) for v in vs],
-                      cols=self.Q.rows)
-        return MatrixGQ([Qv.matvec(u) for u in us], cols=len(vs))
+        """The matrix [Q(u, M v)] over u in us and v in vs (M = I when None).
+
+        Sparse on both sides: each u^T Q is formed once, over the nonzero
+        entries of u and of Q's rows, and dotted with each M v over the
+        nonzero entries of M v, each M v formed once."""
+        vnz = [_nonzeros(v if M is None else M.matvec(v)) for v in vs]
+        rows = self._rows
+        out = []
+        for u in us:
+            uQ = [ZERO] * len(rows)
+            for i, a in _nonzeros(u):
+                for j, e in rows[i]:
+                    uQ[j] = _add_mul(uQ[j], a, e)
+            line = []
+            for nz in vnz:
+                acc = ZERO
+                for j, e in nz:
+                    a = uQ[j]
+                    if a._x or a._y:
+                        acc = _add_mul(acc, a, e)
+                line.append(acc)
+            out.append(tuple(line))
+        return _matrix(tuple(out), len(vs))
 
 
 class HodgeFiltration:
@@ -204,19 +227,24 @@ class HodgeNumbers:
 
 
 def hodge_decomposition(d):
-    """List of (p, q, V^{p,q} = F^p cap conj F^q) over p+q = n, p = n..0."""
-    out = []
+    """List of (p, q, V^{p,q} = F^p cap conj F^q) over p+q = n, p = n..0.
+
+    Only the pieces with p >= q are meets: V^{q,p} is conj V^{p,q}, and
+    conj_space of the rref basis of V^{p,q} is the rref basis of V^{q,p},
+    so the Subspace is the same as the meet would give."""
+    n = d.n
     F = d.filtration
-    for p in range(d.n, -1, -1):
-        q = d.n - p
-        out.append((p, q, intersect(F.step(p), conj_space(F.step(q)))))
-    return out
+    upper = {p: intersect(F.step(p), conj_space(F.step(n - p)))
+             for p in range(n, (n - 1) // 2, -1)}
+    return [(p, n - p, upper[p] if p in upper else conj_space(upper[n - p]))
+            for p in range(n, -1, -1)]
 
 
 def polarizes(form, pieces, M=None):
     """Whether h(u, v) = Q(u, M conj v) polarizes the (p, q, subspace) pieces:
     they are mutually h-orthogonal, and i^(p-q) h is Hermitian positive
-    definite on each.  One Gram matrix over all the piece vectors."""
+    definite on each.  One Gram matrix over all the piece vectors, and one
+    Hermitian test per piece, hermitian_pd's own."""
     vecs, blocks = [], []
     for p, q, s in pieces:
         blocks.append((i_power(p - q), len(vecs), len(vecs) + s.dim))
@@ -226,25 +254,34 @@ def polarizes(form, pieces, M=None):
            for j in range(len(vecs)) if not a <= j < b):
         return False
     for c, a, b in blocks:
-        H = MatrixGQ([[c * e for e in row[a:b]] for row in G[a:b]])
-        if H.rows and not (H == H.conj_transpose() and hermitian_pd(H)):
+        H = _matrix(tuple(tuple(c * e for e in row[a:b]) for row in G[a:b]), b - a)
+        try:
+            if not hermitian_pd(H):
+                return False
+        except NotHermitian:
             return False
     return True
 
 
 def check_hr1(d):
-    """HR1: isotropy, and F^p (+) conj F^{n-p+1} = V for every p."""
+    """HR1: isotropy, and F^p (+) conj F^{n-p+1} = V for every p.
+
+    Directness is tested for p <= (n+1)/2 only: the meet at n+1-p is the
+    conjugate of the meet at p, so the two are zero together."""
     F = d.filtration
     return check_isotropy(d) and all(
         intersect(F.step(p), conj_space(F.step(d.n - p + 1))).dim == 0
-        for p in range(d.n + 2))
+        for p in range((d.n + 1) // 2 + 1))
 
 
 def check_isotropy(d):
     """The pairing half of HR1 alone: Q(F^p, F^{n-p+1}) = 0 with complementary
-    step dimensions.  Boundary filtrations satisfy this but not directness."""
+    step dimensions.  Boundary filtrations satisfy this but not directness.
+
+    Tested for p <= (n+1)/2 only: Q^T = (-1)^n Q, so the pair at n+1-p has
+    the transposed Gram matrix up to sign, and the same step dimensions."""
     F = d.filtration
-    for p in range(d.n + 2):
+    for p in range((d.n + 1) // 2 + 1):
         Fp, Fc = F.step(p), F.step(d.n - p + 1)
         if Fp.dim + Fc.dim != d.dim or \
                 not d.polarization.gram(Fp.basis.entries, Fc.basis.entries).is_zero():
@@ -266,7 +303,8 @@ def check_hr2(d, decomposition=None):
 def validate_phs(d):
     """Report {hr1, hr2, spans, ok}; the datum is a PHS iff all three hold,
     and ok says whether they do.  HR1 and the Hodge decomposition are each
-    computed once."""
+    computed once, and each tests half the pairs (p, n+1-p) or (p, q), the
+    other half following from Q's parity and conjugation."""
     hr1 = check_hr1(d)
     decomposition = hodge_decomposition(d)
     spans = sum(space.dim for _, _, space in decomposition) == d.dim
@@ -298,7 +336,7 @@ def labelled_filtration(n, basis):
     labelled (a, b) with a >= p, and F^0 the whole space."""
     dim = len(basis)
     return HodgeFiltration(n, [Subspace.full(dim)] + [
-        Subspace.from_vectors(dim, [v for v, (a, _) in basis if a >= p])
+        _span(dim, [v for v, (a, _) in basis if a >= p])
         for p in range(1, n + 1)])
 
 

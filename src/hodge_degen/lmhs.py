@@ -14,7 +14,7 @@ from .gq import (
     GaussianRational, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, gq,
     intersect, ssum, conj_space, apply_matrix, maps_into,
     image, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
-    inverse, rank, _matrix, _canonical,
+    inverse, rank, _matrix, _canonical, _span,
 )
 from .hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs, polarizes,
@@ -115,7 +115,7 @@ def weight_filtration(N, center, powers=None, kernels=None):
         vecs = []
         for j in range(max(0, -k), deg):
             vecs.extend(intersect(kernels[min(k + j + 1, deg)], ims[j]).basis.entries)
-        levels[center + k] = Subspace.from_vectors(dim, vecs)
+        levels[center + k] = _span(dim, vecs)
     W = WeightFiltration(center, levels)
     _check_weight(N, W, powers)
     return W
@@ -267,7 +267,7 @@ class Bigrading:
         pivots = [c for _, _, s in nodes for c in s.pivots]
         if len(set(pivots)) != len(pivots):
             vecs = [v for _, _, s in nodes for v in s.basis.entries]
-            if Subspace.from_vectors(ambient_dim, vecs).dim != len(vecs):
+            if _span(ambient_dim, vecs).dim != len(vecs):
                 raise NotMhs("pieces are not in direct sum")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "nodes", tuple(nodes))
@@ -355,7 +355,7 @@ def _deligne_splitting(L):
             vecs = list(conj_meet(q, lev).basis.entries)
             for j in range(1, max(q, 1) + 1):
                 vecs.extend(conj_meet(q - j, lev - j - 1).basis.entries)
-            nodes.append((p, q, intersect(meet(p, lev), Subspace.from_vectors(dim, vecs))))
+            nodes.append((p, q, intersect(meet(p, lev), _span(dim, vecs))))
     bg = Bigrading(dim, nodes)  # it drops the zero pieces
     _check_reconstruction(L, bg)
     return bg
@@ -418,7 +418,7 @@ def primitives(L):
     I^{p,q} cap ker N^{k+1} with p + q - n = k (_primitive_pieces), the
     splitting's lift of ker(N^{k+1}: Gr_{c+k} -> Gr_{c-k-2}); NotMhs when L
     has no Deligne splitting."""
-    return [(k, Subspace.from_vectors(L.dim, [v for _, _, s in pieces for v in s.basis.entries]))
+    return [(k, _span(L.dim, [v for _, _, s in pieces for v in s.basis.entries]))
             for k, pieces in _primitive_pieces(L, deligne_splitting(L)).items()]
 
 

@@ -169,8 +169,8 @@ def build_root_system(type_letter, rank):
     # C[i][j] = <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)
     cartan = tuple(tuple(int(2 * gram[i][j] / gram[j][j]) for j in range(rank))
                    for i in range(rank))
-    for i in range(rank):
-        assert cartan[i][i] == 2
+    if any(cartan[i][i] != 2 for i in range(rank)):
+        raise AssertionError("Cartan matrix diagonal is not 2")
     # s_j(a) = a - <a, alpha_j^vee> alpha_j, with <a, alpha_j^vee> = sum_i a_i C[i][j]
     simples = tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
     roots = set(simples)
@@ -191,8 +191,8 @@ def build_root_system(type_letter, rank):
     if len(roots) != expected:
         raise AssertionError("root count %d != %d" % (len(roots), expected))
     all_roots = tuple(sorted(roots))
-    for a in all_roots:
-        assert tuple(-x for x in a) in roots
+    if any(tuple(-x for x in a) not in roots for a in all_roots):
+        raise AssertionError("root set not closed under negation")
     scale = math.lcm(*(x.denominator for row in gram for x in row))
     int_gram = tuple(tuple(int(x * scale) for x in row) for row in gram)
     # fundamental weights in simple-root coordinates: the rows of C^{-1}
@@ -288,7 +288,8 @@ def rep_weights(rs, name):
         ws = [(a, 1) for a in rs.short_roots()]
         ws.append((tuple(Fraction(0) for _ in range(2)), 1))
         W = WeightMultiset(ws)
-        assert W.total() == 7
+        if W.total() != 7:
+            raise AssertionError("g2-7 has %d weights" % W.total())
         return W
     if name == "f4-26":
         if (rs.type_letter, rs.rank) != ("F", 4):
@@ -296,7 +297,8 @@ def rep_weights(rs, name):
         ws = [(a, 1) for a in rs.short_roots()]
         ws.append((tuple(Fraction(0) for _ in range(4)), 2))
         W = WeightMultiset(ws)
-        assert W.total() == 26
+        if W.total() != 26:
+            raise AssertionError("f4-26 has %d weights" % W.total())
         return W
     raise UnsupportedType("unknown representation %r" % name)
 
@@ -544,7 +546,8 @@ def orbit_dims(rs, L, inv):
             # theta-pair {a, theta a} enters k; it survives modulo p unless
             # both members lie in p, i.e. alpha(L) <= 0 and conj-alpha(L) >= 0
             half_count += 1
-    assert half_count % 2 == 0
+    if half_count % 2:
+        raise AssertionError("odd count %d of theta-pair roots" % half_count)
     dim_KR += half_count // 2
     return {"dim_R_orbit": len(sets["O"]), "dim_KR_orbit": dim_KR,
             "dim_C_dual": dim_C, "sets": sets}

@@ -1,19 +1,25 @@
 """Pure polarized Hodge structures: model construction, the two bilinear
-relations, JSON round trips."""
+relations, JSON round trips, and oracles for the Hodge-Riemann checks."""
 
+import functools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodge_degen import hodge
-from hodge_degen.gq import MatrixGQ, Subspace, gq, ZERO, ONE, unit_vector
+from hodge_degen import cli, hodge
+from hodge_degen.gq import (
+    GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, unit_vector, i_power,
+    intersect, conj_space, apply_matrix, nilpotent_exp, hermitian_pd,
+)
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers,
     hodge_decomposition, check_hr1, check_hr2, check_isotropy, validate_phs,
     is_valid_phs, hodge_numbers, model_phs, model_basis, labelled_filtration,
-    InconsistentFiltration, InadmissibleHodgeNumbers, Hr1Prerequisite,
+    polarizes, InconsistentFiltration, InadmissibleHodgeNumbers, Hr1Prerequisite,
 )
+from hodge_degen.lmhs import deligne_splitting, is_r_split, reduced_limit
 
 
 def sym_h(n, max_entry=3):
@@ -169,3 +175,159 @@ def test_step_clamping():
     assert F.step(-3) == Subspace.full(2)
     assert F.step(5).dim == 0
     assert F.f_vector() == (2, 1)
+
+
+# ------------------------------------------------- Hodge-Riemann oracles
+# PolarizationForm.gram walks only nonzero entries, check_isotropy and
+# check_hr1 test p <= (n+1)/2 only, and hodge_decomposition meets only the
+# pieces with p >= q: the other pairs follow from Q^T = (-1)^n Q and from
+# conjugation.  The dense Gram matrix, the full p-loops and polarizes with
+# its own Hermitian test are kept here as oracles, and must give the same
+# matrices, subspaces and verdicts, on failing data too.
+
+def dense_gram(form, us, vs, M=None):
+    Qv = MatrixGQ([form.Q.matvec(v if M is None else M.matvec(v)) for v in vs],
+                  cols=form.Q.rows)
+    return MatrixGQ([Qv.matvec(u) for u in us], cols=len(vs))
+
+
+def isotropy_oracle(d):
+    F = d.filtration
+    for p in range(d.n + 2):
+        Fp, Fc = F.step(p), F.step(d.n - p + 1)
+        if Fp.dim + Fc.dim != d.dim or \
+                not dense_gram(d.polarization, Fp.basis.entries, Fc.basis.entries).is_zero():
+            return False
+    return True
+
+
+def hr1_oracle(d):
+    F = d.filtration
+    return isotropy_oracle(d) and all(
+        intersect(F.step(p), conj_space(F.step(d.n - p + 1))).dim == 0
+        for p in range(d.n + 2))
+
+
+def decomposition_oracle(d):
+    F = d.filtration
+    return [(p, d.n - p, intersect(F.step(p), conj_space(F.step(d.n - p))))
+            for p in range(d.n, -1, -1)]
+
+
+def polarizes_oracle(form, pieces, M=None):
+    vecs, blocks = [], []
+    for p, q, s in pieces:
+        blocks.append((i_power(p - q), len(vecs), len(vecs) + s.dim))
+        vecs.extend(s.basis.entries)
+    G = dense_gram(form, vecs, [tuple(x.conj() for x in v) for v in vecs], M).entries
+    if any(not G[i][j].is_zero() for _, a, b in blocks for i in range(a, b)
+           for j in range(len(vecs)) if not a <= j < b):
+        return False
+    for c, a, b in blocks:
+        H = MatrixGQ([[c * e for e in row[a:b]] for row in G[a:b]])
+        if H.rows and not (H == H.conj_transpose() and hermitian_pd(H)):
+            return False
+    return True
+
+
+def phs_report_oracle(d):
+    hr1 = hr1_oracle(d)
+    decomposition = decomposition_oracle(d)
+    spans = sum(s.dim for _, _, s in decomposition) == d.dim
+    hr2 = hr1 and polarizes_oracle(d.polarization, decomposition)
+    return {"hr1": hr1, "hr2": hr2, "spans": spans, "ok": hr1 and hr2 and spans}
+
+
+def assert_matches_oracles(d, what):
+    """The new checks against the oracles on d; returns the report."""
+    assert check_isotropy(d) == isotropy_oracle(d), what
+    assert hodge_decomposition(d) == decomposition_oracle(d), what
+    report = validate_phs(d)
+    assert report == phs_report_oracle(d), what
+    return report
+
+
+@functools.cache
+def corpus():
+    return tuple((cid, thunk()) for cid, _, _, thunk in cli.corpus_cases())
+
+
+def with_form(d, Q):
+    return HodgeDatum(d.dim, PolarizationForm(d.n, Q), d.filtration)
+
+
+def moved(d, g):
+    """g F with the same Q: g need not preserve Q."""
+    return HodgeDatum(d.dim, d.polarization, HodgeFiltration(
+        d.n, [apply_matrix(g, X) for X in d.filtration.steps]))
+
+
+def tilt(dim):
+    # I plus ones above the diagonal: F stays a filtration, Q(F^p, F^{n+1-p})
+    # is no longer zero in general
+    return MatrixGQ([[ONE if j >= i else ZERO for j in range(dim)] for i in range(dim)])
+
+
+def corpus_hodge_data():
+    """Per corpus case: the disc samples e^{iyN} F at y = 1 and 2 (the data
+    disc_sample checks) and the reduced limit filtration (R-split data)."""
+    for cid, L in corpus():
+        for y in (1, 2):
+            E = nilpotent_exp(L.N, GaussianRational(0, Fraction(y)), L.powers)
+            yield "%s/y=%d" % (cid, y), moved(L.hodge, E)
+        bg = deligne_splitting(L)
+        if is_r_split(bg):
+            yield cid + "/reduced-limit", HodgeDatum(
+                L.dim, L.hodge.polarization, reduced_limit(bg, L.n))
+
+
+def test_hr_checks_match_the_oracles_on_the_corpus():
+    samples = boundary = non_isotropic = 0
+    for what, d in corpus_hodge_data():
+        report = assert_matches_oracles(d, what)
+        negated = assert_matches_oracles(with_form(d, d.polarization.Q.scale(-1)), what + "/-Q")
+        tilted = moved(d, tilt(d.dim))
+        assert_matches_oracles(tilted, what + "/tilted")
+        if what.endswith("/reduced-limit"):
+            boundary += check_isotropy(d) and not report["hr1"]
+        else:
+            # each disc sample is a PHS; Q negated keeps HR1 and breaks HR2
+            assert report["ok"] and negated["hr1"] and not negated["hr2"], what
+            samples += 1
+            non_isotropic += not check_isotropy(tilted)
+    assert samples == 2 * len(corpus()) == 164
+    # reduced limits that pass isotropy and fail directness, and tilted
+    # samples that fail isotropy, are among the data
+    assert boundary and non_isotropic
+
+
+@pytest.mark.parametrize("flip", [1, -1])
+def test_hr_checks_match_the_oracles_on_tilted_model_data(flip):
+    d = model_phs(HodgeNumbers(3, (1, 2, 2, 1)))
+    d = with_form(d, d.polarization.Q.scale(flip))
+    assert assert_matches_oracles(d, "model")["hr2"] == (flip == 1)
+    tilted = moved(d, tilt(d.dim))
+    assert not check_isotropy(tilted)
+    assert assert_matches_oracles(tilted, "tilted") == {
+        "hr1": False, "hr2": False, "spans": True, "ok": False}
+
+
+def test_sparse_gram_matches_dense_on_the_corpus():
+    # M in {None, N, N^2}, over the splitting's vectors and their conjugates
+    for cid, L in corpus():
+        form = L.hodge.polarization
+        vecs = [v for _, _, s in deligne_splitting(L).nodes for v in s.basis.entries]
+        conj = [tuple(x.conj() for x in v) for v in vecs]
+        for M in (None, L.N, L.power(2)):
+            for us, vs in ((vecs, vecs), (vecs, conj), (conj, vecs[:2])):
+                assert form.gram(us, vs, M) == dense_gram(form, us, vs, M), cid
+
+
+def test_polarizes_rejects_a_block_that_is_not_hermitian():
+    # weight 0, Q = I on C^2, one piece (0, 0): the block is M itself
+    form = PolarizationForm(0, MatrixGQ.identity(2))
+    pieces = [(0, 0, Subspace.full(2))]
+    for M, ok in (([[1, 1], [0, 1]], False), ([[2, 1], [1, 1]], True),
+                  ([[1, 2], [2, 1]], False)):
+        M = MatrixGQ(M)
+        assert polarizes(form, pieces, M) == polarizes_oracle(form, pieces, M) == ok

@@ -330,17 +330,24 @@ def test_check_case_states_the_converse_for_semisimple_g(n, top):
 # work on cases of dim > 6.  lmhs._g_coords runs once for N per adjoint and
 # once per element of g for its column of ad N (sum of dim g = 275 on the
 # slice); it was 956 while diagonal_levi also read every bracket [X, Y] of
-# two elements of s.
-SLICE_RREF_CALLS = 1269
+# two elements of s.  The rref figure was 1,269 before hodge_decomposition
+# met only the pieces V^{p,q} with p >= q and took V^{q,p} as the conjugate:
+# each meet with a nonzero result puts its vectors in rref once (the
+# directness meets of check_hr1, halved too, are zero on the disc samples
+# and need none).  PolarizationForm.gram runs once per Gram matrix of
+# the Hodge-Riemann checks, qk_form and adjoint_lmhs; it was 522 while
+# check_isotropy paired F^p with F^{n+1-p} for every p, not p <= (n+1)/2.
+SLICE_RREF_CALLS = 1251
 SLICE_SPLITTING_BODIES = 20
 SLICE_LEVI_CALLS = 19
 SLICE_G_COORDS_CALLS = 295
+SLICE_GRAM_CALLS = 381
 
 
 def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
     counts = collections.Counter()
     rref, body, levi = gq_module.rref, lmhs._deligne_splitting, cli.diagonal_levi
-    g_coords = lmhs._g_coords
+    g_coords, gram = lmhs._g_coords, PolarizationForm.gram
 
     def counted_rref(M):
         counts["rref"] += 1
@@ -358,16 +365,22 @@ def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
         counts["g_coords"] += 1
         return g_coords(QX, index, sign)
 
+    def counted_gram(form, us, vs, M=None):
+        counts["gram"] += 1
+        return gram(form, us, vs, M)
+
     cases = cli.corpus_cases()[2::4]
     monkeypatch.setattr(gq_module, "rref", counted_rref)
     monkeypatch.setattr(lmhs, "_deligne_splitting", counted_body)
     monkeypatch.setattr(cli, "diagonal_levi", counted_levi)
     monkeypatch.setattr(lmhs, "_g_coords", counted_g_coords)
+    monkeypatch.setattr(PolarizationForm, "gram", counted_gram)
     monkeypatch.setattr(cli, "corpus_cases", lambda limit=None: cases)
     assert cli.main(["verify-corpus"]) == 0
     assert json.loads(capsys.readouterr().out) == {"cases": 20, "ok": True}
     assert counts == {"rref": SLICE_RREF_CALLS, "bodies": SLICE_SPLITTING_BODIES,
-                      "levi": SLICE_LEVI_CALLS, "g_coords": SLICE_G_COORDS_CALLS}
+                      "levi": SLICE_LEVI_CALLS, "g_coords": SLICE_G_COORDS_CALLS,
+                      "gram": SLICE_GRAM_CALLS}
 
 
 def test_splitting_reconstructs_both_filtrations():

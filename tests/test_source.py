@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used, every
 private module-level function or class is referenced, and so is every public
-one of the kernel module gq."""
+one of the kernel module gq.  No module certifies by `assert`, which
+`python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -104,3 +105,20 @@ def test_unreferenced_public_is_found():
     b = ast.parse("from .a import outer\nx = outer()\n"
                   "def spare():\n    return 2\n")
     assert unreferenced_public([a, b], 0) == ["dead"]
+
+
+def assert_lines(tree):
+    """Line numbers of the assert statements anywhere in the module."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    # every certificate must still raise under python -O
+    assert assert_lines(ast.parse(path.read_text())) == []
+
+
+def test_assert_statement_is_found():
+    tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'neg'\n"
+                     "    raise AssertionError('no assert statement')\n")
+    assert assert_lines(tree) == [3]
