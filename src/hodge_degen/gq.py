@@ -787,19 +787,32 @@ def maps_into(M, A, B):
 
 
 def nilpotent_powers(N):
-    """(N^0, N^1, ..., N^deg) of a nilpotent N, one product per step.
+    """(N^0, N^1, ..., N^deg) of a nilpotent N, through one rank factorization.
 
     The tuple ends at the first zero power N^deg, with deg >= 1; NotNilpotent
-    when N is not square or N^dim is not zero.
+    when N is not square or N^dim is not zero.  With R = rref(N), of r = rank N
+    rows, and C the columns of N at R's pivots, N = C R.  So with T_k = R N^k
+    = T_{k-1} N, an r x dim matrix, N^{k+1} = C T_k: two products of about
+    r dim^2 operations per power, not one of dim^3.  C has full column rank,
+    so N^{k+1} = 0 exactly when T_k = 0, and the last, zero power takes no
+    product.
     """
     if N.rows != N.cols:
         raise NotNilpotent("not square")
-    powers = [MatrixGQ.identity(N.rows), N]
-    while not powers[-1].is_zero():
-        if len(powers) > N.rows:
+    dim = N.rows
+    R = rref(N)
+    powers = [MatrixGQ.identity(dim), N]
+    if not R.rows:
+        return tuple(powers)
+    C = _matrix(tuple(tuple(row[j] for j in R._pivots) for row in N.entries), R.rows)
+    T = R * N
+    while True:
+        if len(powers) > dim:
             raise NotNilpotent("N^dim != 0")
-        powers.append(powers[-1] * N)
-    return tuple(powers)
+        if T.is_zero():
+            return tuple(powers) + (MatrixGQ.zero(dim, dim),)
+        powers.append(C * T)
+        T = T * N
 
 
 def nilpotent_kernels(powers):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .gq import (
     GaussianRational, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, i_power, unit_vector,
-    intersect, conj_space, rank, hermitian_pd, NotHermitian,
+    intersect, conj_space, rank, hermitian_pd, first_nonpositive_minor, NotHermitian,
     _matrix, _span, _nonzeros, _add_mul,
 )
 
@@ -241,26 +241,40 @@ def hodge_decomposition(d):
 
 
 def polarizes(form, pieces, M=None):
-    """Whether h(u, v) = Q(u, M conj v) polarizes the (p, q, subspace) pieces:
-    they are mutually h-orthogonal, and i^(p-q) h is Hermitian positive
-    definite on each.  One Gram matrix over all the piece vectors, and one
-    Hermitian test per piece, hermitian_pd's own."""
+    """Whether h(u, v) = Q(u, M conj v) polarizes the (p, q, subspace) pieces
+    (polarization_fault finds no fault)."""
+    return polarization_fault(form, pieces, M) is None
+
+
+def polarization_fault(form, pieces, M=None, name="h"):
+    """The first reason h(u, v) = Q(u, M conj v) does not polarize the
+    (p, q, subspace) pieces, as a sentence that calls the form `name`, or
+    None when it does: they are mutually h-orthogonal, and i^(p-q) h is
+    Hermitian positive definite on each.  One Gram matrix over all the piece
+    vectors, and one Hermitian test per piece, hermitian_pd's own; on a
+    piece that fails it, first_nonpositive_minor names the minor."""
     vecs, blocks = [], []
     for p, q, s in pieces:
-        blocks.append((i_power(p - q), len(vecs), len(vecs) + s.dim))
+        blocks.append((p, q, len(vecs), len(vecs) + s.dim))
         vecs.extend(s.basis.entries)
     G = form.gram(vecs, [tuple(x.conj() for x in v) for v in vecs], M).entries
-    if any(not G[i][j].is_zero() for _, a, b in blocks for i in range(a, b)
-           for j in range(len(vecs)) if not a <= j < b):
-        return False
-    for c, a, b in blocks:
+    for p, q, a, b in blocks:
+        for i in range(a, b):
+            j = next((j for j, e in enumerate(G[i]) if (e._x or e._y) and not a <= j < b),
+                     None)
+            if j is not None:
+                x, y = next((x, y) for x, y, lo, hi in blocks if lo <= j < hi)
+                return "I^{%d,%d} not %s-orthogonal to I^{%d,%d}" % (p, q, name, x, y)
+    for p, q, a, b in blocks:
+        c = i_power(p - q)
         H = _matrix(tuple(tuple(c * e for e in row[a:b]) for row in G[a:b]), b - a)
         try:
             if not hermitian_pd(H):
-                return False
+                return ("leading minor %d of i^(p-q) %s on I^{%d,%d} not positive"
+                        % (first_nonpositive_minor(H), name, p, q))
         except NotHermitian:
-            return False
-    return True
+            return "i^(p-q) %s not Hermitian on I^{%d,%d}" % (name, p, q)
+    return None
 
 
 def check_hr1(d):
@@ -379,7 +393,7 @@ def string_block(n, top, length):
         else:
             for y, label in ((I, (p - a, q - a)), (-I, (q - a, p - a))):
                 basis.append((x[:r * a + 1] + (y,) + x[r * a + 2:], label))
-    return MatrixGQ(Qent), MatrixGQ(Nent), basis
+    return _matrix(tuple(map(tuple, Qent)), dim), _matrix(tuple(map(tuple, Nent)), dim), basis
 
 
 def block_sum(blocks):
@@ -398,7 +412,7 @@ def block_sum(blocks):
         pad = (ZERO,) * (dim - off - d)
         basis += [((ZERO,) * off + tuple(v) + pad, label) for v, label in labelled]
         off += d
-    return MatrixGQ(Qent), MatrixGQ(Nent), basis
+    return _matrix(tuple(map(tuple, Qent)), dim), _matrix(tuple(map(tuple, Nent)), dim), basis
 
 
 def pure_blocks(h):

@@ -17,7 +17,7 @@ from .gq import (
     inverse, rank, _matrix, _canonical, _span,
 )
 from .hodge import (
-    HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs, polarizes,
+    HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs, polarization_fault,
     labelled_filtration,
 )
 
@@ -127,27 +127,41 @@ def _check_weight(N, W, powers):
     With N^(d+1) = 0 and N^d != 0 that is the unique filtration with
     W_{c+d} = V, W_{c-d-1} = 0, N W_k inside W_{k-2}, and N^k mapping
     Gr_{c+k} onto Gr_{c-k} of the same dim (Deligne, Weil II 1.6).  Raises
-    AssertionError naming the first level that fails.  The inclusions are
-    tested by reduction (gq.maps_into) and give N^k W_{c+k} inside W_{c-k},
-    so N^k is onto Gr_{c-k} when N^k W_{c+k} and W_{c-k-1} span a space of
+    AssertionError naming the first level that fails.
+
+    Each test runs on the vectors new_k that level k adds: the rows of W_k's
+    rref basis whose pivot is not one of W_{k-1}'s.  The pivots of nested
+    rref bases are nested and rows with distinct leading columns are
+    independent, so W_k = W_{k-1} + span(new_k).  With W_{c-d-1} = 0 tested
+    first, N W_k lies in W_{k-2} for every k exactly when N new_k does, by
+    induction from the bottom, and the first failing level is the same.  The
+    inclusions, tested by reduction, give N^k W_{c+k-1} inside W_{c-k-1}, so
+    N^k is onto Gr_{c-k} when N^k new_{c+k} and W_{c-k-1} span a space of
     dim W_{c-k}: one rank, with no subspace built.
     """
-    c = W.center
+    c, dim = W.center, N.rows
     d = len(powers) - 2
-    if W.level(c + d).dim != N.rows:
+    if W.level(c + d).dim != dim:
         raise AssertionError("W_%d is not the whole space" % (c + d))
     if W.level(c - d - 1).dim:
         raise AssertionError("W_%d is not zero" % (c - d - 1))
+    new = {}
     for k in range(c - d, c + d + 1):
-        if not maps_into(N, W.level(k), W.level(k - 2)):
+        new[k], target = _new_rows(W, k), W.level(k - 2)
+        if target.dim < dim and not all(target.contains_vector(N.matvec(v)) for v in new[k]):
             raise AssertionError("N W_%d not inside W_%d" % (k, k - 2))
-    for k in range(0, d + 1):
+    for k in range(1, d + 1):
         if W.gr_dim(c + k) != W.gr_dim(c - k):
             raise AssertionError("Gr_%d and Gr_%d differ in dim" % (c + k, c - k))
-        low = W.level(c - k - 1).basis.entries
-        vecs = tuple(powers[k].matvec(v) for v in W.level(c + k).basis.entries)
-        if rank(_matrix(vecs + low, N.rows)) != W.level(c - k).dim:
+        vecs = tuple(powers[k].matvec(v) for v in new[c + k])
+        if rank(_matrix(vecs + W.level(c - k - 1).basis.entries, dim)) != W.level(c - k).dim:
             raise AssertionError("N^%d not onto Gr_%d" % (k, c - k))
+
+
+def _new_rows(W, k):
+    """The rows of W_k's rref basis whose pivot is not one of W_{k-1}'s."""
+    below, S = set(W.level(k - 1).pivots), W.level(k)
+    return [v for v, p in zip(S.basis.entries, S.pivots) if p not in below]
 
 
 class LmhsDatum:
@@ -321,30 +335,39 @@ def _deligne_splitting(L):
     (b) make each Gr^W a Hodge structure.  So validate_lmhs gives the same
     "ok" either way.
 
-    The conjugate terms are the meets conj F^a cap W_k, memoized the same
-    way.  For a <= 0 a meet is W_k and for a > n it is 0.  gq.intersect
-    returns 0 for a level below W, and X itself for a level that is the
-    whole space, without a solve.  The j-sum stops at j = max(q, 1): past it
-    conj F^{q-j} is the whole space, so each later term is a W level inside
-    the last one.  The terms of the sum are reduced once.
+    The conjugate terms are the meets conj F^a cap W_k.  When W_k is real,
+    conj F^a cap W_k = conj(F^a cap W_k): the conjugate of the memoized meet,
+    with no solve.  W is real once _check_weight has passed, since N is; a
+    given W that fails it may have a level that is not, and there the meet
+    is solved.  Each level is tested for realness once.  For a <= 0 a meet
+    is W_k and for a > n it is 0.  gq.intersect returns 0 for a level below
+    W, and X itself for a level that is the whole space, without a solve.
+    The j-sum stops at j = max(q, 1): past it conj F^{q-j} is the whole
+    space, so each later term is a W level inside the last one.  The terms
+    of the sum are reduced once.
     """
     W = L.W
     n = L.n
     c = L.center
     dim = L.dim
     steps = [L.hodge.filtration.step(a) for a in range(n + 2)]  # F^{n+1} = 0
+    table, conj_table, real = {}, {}, {}
 
-    def meets(steps):  # (a, k) -> steps[a] cap W_k, memoized, a clamped to 0..n+1
-        table = {}
+    def meet(a, k):  # F^a cap W_k, memoized, a clamped to 0..n+1
+        key = min(max(a, 0), n + 1), k
+        if key not in table:
+            table[key] = intersect(steps[key[0]], W.level(k))
+        return table[key]
 
-        def meet(a, k):
-            a = min(max(a, 0), n + 1)
-            if (a, k) not in table:
-                table[a, k] = intersect(steps[a], W.level(k))
-            return table[a, k]
-        return meet
+    def conj_meet(a, k):  # conj F^a cap W_k, memoized the same way
+        key = min(max(a, 0), n + 1), k
+        if key not in conj_table:
+            if k not in real:
+                real[k] = W.level(k).basis.is_real()
+            conj_table[key] = (conj_space(meet(a, k)) if real[k] else
+                               intersect(conj_space(steps[key[0]]), W.level(k)))
+        return conj_table[key]
 
-    meet, conj_meet = meets(steps), meets([conj_space(X) for X in steps])
     nodes = []
     for p in range(n + 1):
         for q in range(n + 1):
@@ -453,6 +476,13 @@ def validate_lmhs(L):
     when (a) fails, `weight_filtration_witness` names the failing level, and
     when (b) or (c) fails, `graded_hodge_witness` or
     `minus_one_minus_one_witness` names the first failing piece I^{p,q}.
+    (b) is read as an equality first: where conj I^{p,q} = I^{q,p}, as on
+    every R-split datum, no sum with W_{l-1} is built.  When (d) fails,
+    `polarized_primitives_witness` names the first primitive level k and
+    piece I^{p,q}, and why Q_k does not polarize it
+    (hodge.polarization_fault): the piece is not Q_k-orthogonal to another,
+    its block is not Hermitian, or a leading minor (by index) is not
+    positive.
     """
     report = {"weight_filtration": True}
     if L._given_W:
@@ -471,12 +501,16 @@ def validate_lmhs(L):
         report["ok"] = False
         return report
 
-    # (b): each graded level decomposes, with conjugation symmetry mod lower weight
+    # (b): each graded level decomposes, with conjugation symmetry mod lower
+    # weight; conj I^{p,q} = I^{q,p} (every R-split datum) needs no sum
     c, n = L.center, L.n
     for p, q, s in bg.nodes:
+        conj, other = conj_space(s), bg.piece(q, p)
+        if conj == other:
+            continue
         lower = L.W.level(c - n + p + q - 1)
-        target = ssum(bg.piece(q, p), lower) if lower.dim else bg.piece(q, p)
-        if not target.contains(conj_space(s)):
+        target = ssum(other, lower) if lower.dim else other
+        if not target.contains(conj):
             report["graded_hodge_witness"] = ("conj I^{%d,%d} not inside I^{%d,%d} + W_%d"
                                               % (p, q, q, p, c - n + p + q - 1))
             break
@@ -489,9 +523,12 @@ def validate_lmhs(L):
             break
     okc = report["minus_one_minus_one"] = "minus_one_minus_one_witness" not in report
 
-    okd = all(polarizes(L.hodge.polarization, pieces, L.power(k))
-              for k, pieces in _primitive_pieces(L, bg).items())
-    report["polarized_primitives"] = okd
+    for k, pieces in _primitive_pieces(L, bg).items():
+        fault = polarization_fault(L.hodge.polarization, pieces, L.power(k), "Q_%d" % k)
+        if fault:
+            report["polarized_primitives_witness"] = fault
+            break
+    okd = report["polarized_primitives"] = "polarized_primitives_witness" not in report
     report["ok"] = report["weight_filtration"] and okb and okc and okd
     return report
 
@@ -671,7 +708,7 @@ def adjoint_lmhs(L):
             raise ValueError("[N, B] outside the span of g")
         for r, e in col.items():
             ad[r][k] = e
-    return AdjointLmhs(n, MatrixGQ(cols).transpose(), tuple(labels), Qf, pairs,
+    return AdjointLmhs(n, _matrix(tuple(cols), L.dim).transpose(), tuple(labels), Qf, pairs,
                        tuple(elements), I_g, _matrix(tuple(map(tuple, killing)), t),
                        coeff, _matrix(tuple(map(tuple, ad)), t))
 
@@ -691,7 +728,8 @@ def _check_levi(L, S, r):
         top, low, P = S.get(j, []), S.get(-j, []), L.power(2 * j).entries
         if len(top) != len(low):
             raise AssertionError("Gr_%d and Gr_%d differ in dim" % (c + 2 * j, c - 2 * j))
-        if top and rank(MatrixGQ([[P[i][m] for m in top] for i in low])) != len(top):
+        if top and rank(_matrix(tuple(tuple(P[i][m] for m in top) for i in low),
+                                len(top))) != len(top):
             raise AssertionError("N^%d not onto Gr_%d" % (2 * j, c - 2 * j))
 
 
@@ -752,12 +790,14 @@ def diagonal_levi(a):
         raise ValueError("[N, s] outside the span of s")
 
     def over_s(rows):  # the matrix over s of rows of (g-index, entry) pairs
-        return MatrixGQ([[dict(row).get(k, ZERO) for k in s_idx] for row in rows], cols=ts)
+        return _matrix(tuple(tuple(dict(row).get(k, ZERO) for k in s_idx) for row in rows), ts)
+
+    def block(M):  # the s x s block of a matrix over g
+        return _matrix(tuple(tuple(M[k][j] for j in s_idx) for k in s_idx), ts)
 
     T = over_s(basis).transpose()
-    N_s = over_s(read) * MatrixGQ([[ad[k][j] for j in s_idx] for k in s_idx], cols=ts) * T
-    tracef = (T.transpose() * MatrixGQ([[K[k][j] for j in s_idx] for k in s_idx], cols=ts)
-              * T).scale(-1)
+    N_s = over_s(read) * block(ad) * T
+    tracef = (T.transpose() * block(K) * T).scale(-1)
 
     r = max((abs(p) for p, _ in diag), default=0)
     n_s = 2 * r

@@ -17,7 +17,8 @@ from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers,
     hodge_decomposition, check_hr1, check_hr2, check_isotropy, validate_phs,
     is_valid_phs, hodge_numbers, model_phs, model_basis, labelled_filtration,
-    polarizes, InconsistentFiltration, InadmissibleHodgeNumbers, Hr1Prerequisite,
+    polarizes, polarization_fault, InconsistentFiltration, InadmissibleHodgeNumbers,
+    Hr1Prerequisite,
 )
 from hodge_degen.lmhs import deligne_splitting, is_r_split, reduced_limit
 
@@ -331,3 +332,20 @@ def test_polarizes_rejects_a_block_that_is_not_hermitian():
                   ([[1, 2], [2, 1]], False)):
         M = MatrixGQ(M)
         assert polarizes(form, pieces, M) == polarizes_oracle(form, pieces, M) == ok
+
+
+def test_polarization_fault_names_the_piece_and_why():
+    # weight 0, Q = I on C^2: on the piece (0, 0) = C^2 the block is M itself
+    form = PolarizationForm(0, MatrixGQ.identity(2))
+    whole = [(0, 0, Subspace.full(2))]
+    for M, fault in (([[2, 1], [1, 1]], None),
+                     ([[1, 1], [0, 1]], "i^(p-q) h not Hermitian on I^{0,0}"),
+                     ([[-1, 0], [0, 1]], "leading minor 1 of i^(p-q) h on I^{0,0} not positive"),
+                     ([[1, 2], [2, 1]], "leading minor 2 of i^(p-q) h on I^{0,0} not positive")):
+        assert polarization_fault(form, whole, MatrixGQ(M)) == fault
+        assert polarizes(form, whole, MatrixGQ(M)) == (fault is None)
+    # two lines that Q pairs: the orthogonality fault comes first, and names
+    # the form as the caller does
+    lines = [(0, 0, Subspace.from_vectors(2, [[1, 0]])),
+             (1, -1, Subspace.from_vectors(2, [[1, 1]]))]
+    assert polarization_fault(form, lines, None, "Q_0") == "I^{0,0} not Q_0-orthogonal to I^{1,-1}"

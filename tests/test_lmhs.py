@@ -337,17 +337,27 @@ def test_check_case_states_the_converse_for_semisimple_g(n, top):
 # and need none).  PolarizationForm.gram runs once per Gram matrix of
 # the Hodge-Riemann checks, qk_form and adjoint_lmhs; it was 522 while
 # check_isotropy paired F^p with F^{n+1-p} for every p, not p <= (n+1)/2.
-SLICE_RREF_CALLS = 1251
+# The rref figure was 1,251 before clause (b) of validate_lmhs tested
+# conj I^{p,q} = I^{q,p} before building I^{q,p} + W_{l-1} (-149), the
+# conjugate meets conj F^a cap W_k of a real W were read as conjugates of
+# the meets F^a cap W_k (-37) and _check_weight dropped its rank test at
+# k = 0, where N^0 = I is onto Gr_c (-20); nilpotent_powers adds one, the
+# rref of N, per datum (+59).  The public MatrixGQ constructor checks each entry;
+# on the slice it runs only in MatrixGQ.from_json (the JSON round trip): it
+# was 444 while hodge.string_block, hodge.block_sum, adjoint_lmhs,
+# _check_levi and diagonal_levi built their own entries through it.
+SLICE_RREF_CALLS = 1104
 SLICE_SPLITTING_BODIES = 20
 SLICE_LEVI_CALLS = 19
 SLICE_G_COORDS_CALLS = 295
 SLICE_GRAM_CALLS = 381
+SLICE_PUBLIC_MATRICES = 204
 
 
 def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
     counts = collections.Counter()
     rref, body, levi = gq_module.rref, lmhs._deligne_splitting, cli.diagonal_levi
-    g_coords, gram = lmhs._g_coords, PolarizationForm.gram
+    g_coords, gram, init = lmhs._g_coords, PolarizationForm.gram, MatrixGQ.__init__
 
     def counted_rref(M):
         counts["rref"] += 1
@@ -369,18 +379,23 @@ def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
         counts["gram"] += 1
         return gram(form, us, vs, M)
 
+    def counted_init(M, entries, cols=None):
+        counts["public"] += 1
+        init(M, entries, cols)
+
     cases = cli.corpus_cases()[2::4]
     monkeypatch.setattr(gq_module, "rref", counted_rref)
     monkeypatch.setattr(lmhs, "_deligne_splitting", counted_body)
     monkeypatch.setattr(cli, "diagonal_levi", counted_levi)
     monkeypatch.setattr(lmhs, "_g_coords", counted_g_coords)
     monkeypatch.setattr(PolarizationForm, "gram", counted_gram)
+    monkeypatch.setattr(MatrixGQ, "__init__", counted_init)
     monkeypatch.setattr(cli, "corpus_cases", lambda limit=None: cases)
     assert cli.main(["verify-corpus"]) == 0
     assert json.loads(capsys.readouterr().out) == {"cases": 20, "ok": True}
     assert counts == {"rref": SLICE_RREF_CALLS, "bodies": SLICE_SPLITTING_BODIES,
                       "levi": SLICE_LEVI_CALLS, "g_coords": SLICE_G_COORDS_CALLS,
-                      "gram": SLICE_GRAM_CALLS}
+                      "gram": SLICE_GRAM_CALLS, "public": SLICE_PUBLIC_MATRICES}
 
 
 def test_splitting_reconstructs_both_filtrations():
@@ -450,6 +465,9 @@ def test_validate_detects_polarization_sign_flip():
     rep = validate_lmhs(flipped)
     assert not rep["polarized_primitives"]
     assert not rep["ok"]
+    # the top string's primitive line u at I^{2,2} has Q(u, N^2 u) < 0
+    assert rep["polarized_primitives_witness"] == (
+        "leading minor 1 of i^(p-q) Q_2 on I^{2,2} not positive")
 
 
 def test_validate_detects_non_orthogonal_primitive_pieces():
@@ -468,6 +486,8 @@ def test_validate_detects_non_orthogonal_primitive_pieces():
     assert not polarizes(L.hodge.polarization, pieces)
     assert validate_lmhs(L) == {"weight_filtration": True, "graded_hodge": True,
                                 "minus_one_minus_one": True,
+                                "polarized_primitives_witness":
+                                    "I^{0,1} not Q_0-orthogonal to I^{1,0}",
                                 "polarized_primitives": False, "ok": False}
 
 
@@ -1556,14 +1576,24 @@ def test_moved_corpus_keeps_invariants(cid):
     _check_moved(L, *_seeded_move(L, cid))
 
 
-# gq.rref and gq.parse_scalar calls of `validate` on moved corpus data, each
-# written with and without its W.  A change that moves a count updates it
-# here and says why; they were 335 and 935 before zero Deligne pieces were
-# decided by dimension and each scalar string was parsed once per datum.
+# gq.rref, gq.parse_scalar, MatrixGQ.matvec and MatrixGQ.__mul__ calls of
+# `validate` on moved corpus data, each written with and without its W.  A
+# change that moves a count updates it here and says why; the first two
+# were 335 and 935 before zero Deligne pieces were decided by dimension and
+# each scalar string was parsed once per datum.  The rref figure was 295
+# before clause (b) tested conj I^{p,q} = I^{q,p} first, the conjugate meets
+# of a real W were read as conjugates and _check_weight dropped its rank
+# test at k = 0, less the rref of N that nilpotent_powers now makes per
+# datum.  The matvec figure was 288 while _check_weight mapped
+# every vector of every level, not the vectors each level adds, and the
+# product figure 28 while nilpotent_powers made one dense product N^k N per
+# power, not two thin ones, T_k = T_{k-1} N and N^{k+1} = C T_k.
 VALIDATE_MOVED_CASES = ("ht/n=2,h=1,2,1", "minimal/n=3,h=1,1,1,1,I(0,3)",
                         "principal/so_odd(2)", "principal/sp(2)")
-VALIDATE_RREF_CALLS = 295
+VALIDATE_RREF_CALLS = 251
 VALIDATE_PARSE_CALLS = 238
+VALIDATE_MATVEC_CALLS = 120
+VALIDATE_MUL_CALLS = 40
 
 
 def test_validate_count_budget_on_moved_data(monkeypatch, tmp_path, capsys):
@@ -1576,6 +1606,7 @@ def test_validate_count_budget_on_moved_data(monkeypatch, tmp_path, capsys):
             paths[-1].write_text(json.dumps(cayley.move(L.to_json(), g, with_w)))
     counts = collections.Counter()
     rref, parse = gq_module.rref, gq_module.parse_scalar
+    matvec, mul = MatrixGQ.matvec, MatrixGQ.__mul__
 
     def counted_rref(M):
         counts["rref"] += 1
@@ -1585,12 +1616,23 @@ def test_validate_count_budget_on_moved_data(monkeypatch, tmp_path, capsys):
         counts["parse_scalar"] += 1
         return parse(s)
 
+    def counted_matvec(M, v):
+        counts["matvec"] += 1
+        return matvec(M, v)
+
+    def counted_mul(M, other):
+        counts["mul"] += 1
+        return mul(M, other)
+
     monkeypatch.setattr(gq_module, "rref", counted_rref)
     monkeypatch.setattr(gq_module, "parse_scalar", counted_parse)
+    monkeypatch.setattr(MatrixGQ, "matvec", counted_matvec)
+    monkeypatch.setattr(MatrixGQ, "__mul__", counted_mul)
     for path in paths:
         assert cli.main(["validate", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"]
-    assert counts == {"rref": VALIDATE_RREF_CALLS, "parse_scalar": VALIDATE_PARSE_CALLS}
+    assert counts == {"rref": VALIDATE_RREF_CALLS, "parse_scalar": VALIDATE_PARSE_CALLS,
+                      "matvec": VALIDATE_MATVEC_CALLS, "mul": VALIDATE_MUL_CALLS}
 
 
 def test_moved_witness_of_complex_g_basis():
@@ -1709,3 +1751,237 @@ def test_validate_agrees_with_full_formula_off_mhs(cid, monkeypatch, tmp_path, c
         assert (code, rep["ok"]) == (ref_code, ref["ok"]), name
         if rep != ref:
             assert OFF_MHS_PINNED.get((cid, name)) == (rep.get("error"), ref["error"])
+
+
+# ------------------------------------------------ rank-cost oracles
+# nilpotent_powers goes through one rank factorization N = C R,
+# _check_weight tests the vectors each level adds, and _deligne_splitting
+# reads conj F^a cap W_k of a real level as the conjugate of F^a cap W_k.
+# The loops they replace live on here: every power by a dense product, every
+# vector of every level, and every conjugate meet solved by intersect.  Each
+# pair must give the same result, or raise the same error with the same
+# message, on the corpus, its moved data and tampered W and N.
+
+def dense_nilpotent_powers(N):
+    """(N^0, ..., N^deg), one dense product P N per power."""
+    if N.rows != N.cols:
+        raise NotNilpotent("not square")
+    powers = [MatrixGQ.identity(N.rows), N]
+    while not powers[-1].is_zero():
+        if len(powers) > N.rows:
+            raise NotNilpotent("N^dim != 0")
+        powers.append(powers[-1] * N)
+    return tuple(powers)
+
+
+def reference_check_weight(N, W, powers):
+    """The weight certificate on every vector of every level."""
+    c = W.center
+    d = len(powers) - 2
+    if W.level(c + d).dim != N.rows:
+        raise AssertionError("W_%d is not the whole space" % (c + d))
+    if W.level(c - d - 1).dim:
+        raise AssertionError("W_%d is not zero" % (c - d - 1))
+    for k in range(c - d, c + d + 1):
+        if not gq_module.maps_into(N, W.level(k), W.level(k - 2)):
+            raise AssertionError("N W_%d not inside W_%d" % (k, k - 2))
+    for k in range(0, d + 1):
+        if W.gr_dim(c + k) != W.gr_dim(c - k):
+            raise AssertionError("Gr_%d and Gr_%d differ in dim" % (c + k, c - k))
+        low = W.level(c - k - 1).basis.entries
+        vecs = tuple(powers[k].matvec(v) for v in W.level(c + k).basis.entries)
+        if rank(MatrixGQ(vecs + low, N.rows)) != W.level(c - k).dim:
+            raise AssertionError("N^%d not onto Gr_%d" % (k, c - k))
+
+
+def reference_conj_meet_splitting(L):
+    """lmhs._deligne_splitting with each conjugate meet conj F^a cap W_k
+    solved by intersect, real level or not."""
+    W, n, c, dim = L.W, L.n, L.center, L.dim
+    steps = [L.hodge.filtration.step(a) for a in range(n + 2)]
+
+    def meets(steps):
+        table = {}
+
+        def meet(a, k):
+            a = min(max(a, 0), n + 1)
+            if (a, k) not in table:
+                table[a, k] = intersect(steps[a], W.level(k))
+            return table[a, k]
+        return meet
+
+    meet, conj_meet = meets(steps), meets([conj_space(X) for X in steps])
+    nodes = []
+    for p in range(n + 1):
+        for q in range(n + 1):
+            lev = c - n + p + q
+            if not (meet(p, lev).dim - meet(p + 1, lev).dim
+                    - meet(p, lev - 1).dim + meet(p + 1, lev - 1).dim):
+                continue
+            vecs = list(conj_meet(q, lev).basis.entries)
+            for j in range(1, max(q, 1) + 1):
+                vecs.extend(conj_meet(q - j, lev - j - 1).basis.entries)
+            nodes.append((p, q, intersect(meet(p, lev), Subspace.from_vectors(dim, vecs))))
+    bg = Bigrading(dim, nodes)
+    lmhs._check_reconstruction(L, bg)
+    return bg
+
+
+def _outcome(f, *args):
+    """(f(*args), None), or (None, (error type, message))."""
+    try:
+        return f(*args), None
+    except (AssertionError, NotNilpotent, NotMhs) as e:
+        return None, (type(e), str(e))
+
+
+def _nodes_outcome(f, L):
+    bg, err = _outcome(f, L)
+    return (bg.nodes if bg is not None else None), err
+
+
+def _same_as_oracles(L):
+    """nilpotent_powers, _check_weight on L.W and the splitting body agree
+    with their oracles on L; the weight verdict, as a bool."""
+    assert _outcome(nilpotent_powers, L.N) == _outcome(dense_nilpotent_powers, L.N)
+    got = _outcome(lmhs._check_weight, L.N, L.W, L.powers)
+    assert got == _outcome(reference_check_weight, L.N, L.W, L.powers)
+    assert (_nodes_outcome(lmhs._deligne_splitting, L)
+            == _nodes_outcome(reference_conj_meet_splitting, L))
+    return got[1] is None
+
+
+def _level_tilted(W, by):
+    """W with the first row that some level k adds tilted by `by` times a row
+    that the next nonzero level j adds, at levels k..j-1; None when W has
+    no two nonzero graded levels."""
+    graded = [k for k in range(W.min_level, W.max_level + 1) if W.gr_dim(k)]
+    if len(graded) < 2:
+        return None
+    k, j = graded[:2]
+    new_k, new_j = (lmhs._new_rows(W, lev) for lev in (k, j))
+    tilted = [a + by * b for a, b in zip(new_k[0], new_j[0])]
+    X = Subspace.from_vectors(W.ambient_dim, list(W.level(k - 1).basis.entries)
+                              + [tilted] + new_k[1:])
+    return WeightFiltration(W.center, {**W.levels, **{m: X for m in range(k, j)}})
+
+
+def _tampered_ws(L):
+    """W given from outside: shifted up one level, W_c replaced by W_{c+1}
+    (where they differ), a row tilted (real), a level made non-real."""
+    W, c = L.W, L.center
+    out = {"shifted": _shifted(W, 1)}
+    if W.gr_dim(c + 1):
+        out["raised"] = WeightFiltration(c, {**W.levels, c: W.level(c + 1)})
+    for name, by in (("tilted", ONE), ("non-real", gq("i"))):
+        tilted = _level_tilted(W, by)
+        if tilted is not None:
+            out[name] = tilted
+    return out
+
+
+def _validate_with_oracles(L, monkeypatch):
+    """validate_lmhs of a copy of L with every oracle in place of its loop."""
+    with monkeypatch.context() as m:
+        m.setattr(lmhs, "nilpotent_powers", dense_nilpotent_powers)
+        m.setattr(lmhs, "_check_weight", reference_check_weight)
+        m.setattr(lmhs, "_deligne_splitting", reference_conj_meet_splitting)
+        return validate_lmhs(LmhsDatum(L.hodge, L.N, L.W))
+
+
+@pytest.mark.parametrize("cid", sorted(ALL_CORPUS))
+def test_rank_cost_paths_match_their_oracles_on_the_corpus(cid):
+    assert _same_as_oracles(ALL_CORPUS[cid]())
+
+
+@pytest.mark.parametrize("cid", sorted(SMALL_CORPUS))
+def test_rank_cost_paths_match_their_oracles_on_moved_and_tampered_data(cid, monkeypatch):
+    L = SMALL_CORPUS[cid]()
+    g, _ = _seeded_move(L, cid)
+    assert _same_as_oracles(LmhsDatum.from_json(cayley.move(L.to_json(), g, True)))
+    symmetric = L.N + L.N.transpose()  # not nilpotent unless N = 0
+    assert _outcome(nilpotent_powers, symmetric) == _outcome(dense_nilpotent_powers, symmetric)
+    for name, W in _tampered_ws(L).items():
+        tampered = LmhsDatum(L.hodge, L.N, W)
+        assert not _same_as_oracles(tampered), name
+        assert validate_lmhs(tampered) == _validate_with_oracles(tampered, monkeypatch), name
+
+
+def test_tampered_ws_reach_every_kind(monkeypatch):
+    """Over the small corpus the tampered W give each shape of variant, and
+    the splitting of some non-real W solves conj F^a cap W_k at a level W_k
+    that is not real."""
+    calls = []
+    meet = lmhs.intersect
+
+    def recorded(A, B):
+        calls.append((A, B))
+        return meet(A, B)
+
+    monkeypatch.setattr(lmhs, "intersect", recorded)
+    names, solved = set(), 0
+    for thunk in SMALL_CORPUS.values():
+        L = thunk()
+        variants = _tampered_ws(L)
+        names.update(variants)
+        if "non-real" in variants:
+            steps = L.hodge.filtration.steps
+            conj_steps = {conj_space(X) for X in steps} - set(steps)
+            tampered = LmhsDatum(L.hodge, L.N, variants["non-real"])
+            calls.clear()
+            _outcome(lmhs._deligne_splitting, tampered)
+            solved += any(A in conj_steps and not B.basis.is_real() for A, B in calls)
+    assert names == {"shifted", "raised", "tilted", "non-real"}
+    assert solved
+
+
+def test_rank_cost_oracles_on_the_witness_file_edit(monkeypatch):
+    """W_3 replaced by W_4 in the first witness of classify 3 1,2,2,1, the
+    edit that the console-script check makes, and the same datum with Q
+    negated."""
+    L = _corpus_datum("minimal/n=3,h=1,2,2,1,I(0,3)")
+    W = WeightFiltration(3, {**L.W.levels, 3: L.W.level(4)})
+    tampered = LmhsDatum(L.hodge, L.N, W)
+    assert not _same_as_oracles(tampered)
+    rep = validate_lmhs(tampered)
+    assert rep["weight_filtration_witness"] == "N W_3 not inside W_1"
+    assert rep == _validate_with_oracles(tampered, monkeypatch)
+    negated = LmhsDatum(_with_form(L.hodge, -1), L.N)
+    assert _same_as_oracles(negated)
+    rep = validate_lmhs(negated)
+    assert rep["polarized_primitives"] is False and "polarized_primitives_witness" in rep
+    assert rep == _validate_with_oracles(negated, monkeypatch)
+
+
+@pytest.mark.parametrize("cid", GIVEN_W_CASES)
+def test_weight_certificate_matches_its_oracle_on_given_variants(cid):
+    L = _corpus_datum(cid)
+    for name, W in _given_variants(L).items():
+        got = _outcome(lmhs._check_weight, L.N, W, L.powers)
+        assert got == _outcome(reference_check_weight, L.N, W, L.powers), name
+
+
+def test_rank_cost_oracles_on_a_weight_filtration_that_is_not_onto(monkeypatch):
+    # W_0 = W_1 = im N plus a line of ker N, W_2 = V, about the center 1:
+    # every inclusion holds and Gr_2, Gr_0 have dim 2, but N V = im N
+    L = _corpus_datum("minimal/n=1,h=2,2,I(0,1)")
+    X = Subspace.from_vectors(L.dim, list(L.W.level(0).basis.entries)
+                              + [lmhs._new_rows(L.W, 1)[0]])
+    tampered = LmhsDatum(L.hodge, L.N, WeightFiltration(1, {0: X, 1: X, 2: L.W.level(2)}))
+    with pytest.raises(AssertionError, match=r"^N\^1 not onto Gr_0$"):
+        lmhs._check_weight(tampered.N, tampered.W, tampered.powers)
+    assert not _same_as_oracles(tampered)
+    assert validate_lmhs(tampered) == _validate_with_oracles(tampered, monkeypatch)
+
+
+@pytest.mark.parametrize("N", [
+    MatrixGQ([[0, 1], [1, 0]]),                   # invertible
+    MatrixGQ([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),  # a permutation
+    MatrixGQ([[0, 1, 0], [0, 0, 0], [0, 0, 1]]),  # nilpotent part plus an idempotent
+    MatrixGQ([[1]]), MatrixGQ([[0]]),             # dim 1
+    MatrixGQ.zero(0, 0), MatrixGQ.zero(3, 3),     # N = 0
+    MatrixGQ.zero(2, 3),                          # not square
+    jordan_sum([4, 2]), jordan_sum([3, 3, 1]).scale(gq("1/2+i")),
+])
+def test_nilpotent_powers_match_the_dense_loop(N):
+    assert _outcome(nilpotent_powers, N) == _outcome(dense_nilpotent_powers, N)
