@@ -11,14 +11,17 @@ Every constructor is a sum of N-strings, each one hodge.string_block: a
 spanned by the vectors labelled (a, b) with a >= p) and certifies the datum
 it builds: the Deligne splitting must have as many dimensions at each (p, q)
 as there are labels.
+
+A minimal type is one long string plus a pure rest, which give its table,
+admissibility and witness; kind II's h^{m,m} odd is the one other rule.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .gq import MatrixGQ, gq, ZERO, ONE
 from .hodge import (
-    HodgeDatum, PolarizationForm, HodgeNumbers, labelled_filtration, string_block,
-    block_sum, pure_blocks,
+    HodgeDatum, PolarizationForm, HodgeNumbers, labelled_filtration, string_labels,
+    string_block, block_sum, pure_blocks,
 )
 from .lmhs import LmhsDatum, Bigrading, NotMhs, deligne_splitting, validate_lmhs
 from .diagrams import triples
@@ -60,9 +63,6 @@ class MinimalType:
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
-    def nodes(self):
-        return sorted(self.i_table)
-
     def triples(self):
         return triples(self.i_table)
 
@@ -70,58 +70,39 @@ class MinimalType:
         return "MinimalType(%s, p_o=%s, q_o=%s)" % (self.kind, self.p_o, self.q_o)
 
 
-def _kind1_table(n, h, p_o, q_o):
-    t = {}
-    for p in range(n + 1):
-        if h.hpq(p, n - p):
-            t[(p, n - p)] = h.hpq(p, n - p)
-    t[(p_o, q_o)] = t.get((p_o, q_o), 0) - 1
-    t[(p_o + 1, q_o - 1)] = t.get((p_o + 1, q_o - 1), 0) - 1
-    t[(p_o + 1, q_o)] = t.get((p_o + 1, q_o), 0) + 1
-    t[(p_o, q_o - 1)] = t.get((p_o, q_o - 1), 0) + 1
-    if p_o + 1 != q_o:
-        # the conjugate 2-string
-        t[(q_o, p_o)] = t.get((q_o, p_o), 0) - 1
-        t[(q_o - 1, p_o + 1)] = t.get((q_o - 1, p_o + 1), 0) - 1
-        t[(q_o, p_o + 1)] = t.get((q_o, p_o + 1), 0) + 1
-        t[(q_o - 1, p_o)] = t.get((q_o - 1, p_o), 0) + 1
-    return t
+def _long_string(n, kind, p_o, q_o):
+    """(top, length) of a minimal type's one long string: for kind II the
+    real 3-string at (m+1, m+1), m = n/2; for kind I the 2-string at
+    (p_o+1, q_o), real when p_o+1 = q_o and with its conjugate otherwise."""
+    if kind == "II":
+        return (n // 2 + 1, n // 2 + 1), 3
+    return (p_o + 1, q_o), 2
 
 
-def _kind2_table(n, h):
-    m = n // 2
-    t = {}
-    for p in range(n + 1):
-        if h.hpq(p, n - p):
-            t[(p, n - p)] = h.hpq(p, n - p)
-    t[(m - 1, m + 1)] = t.get((m - 1, m + 1), 0) - 1
-    t[(m + 1, m - 1)] = t.get((m + 1, m - 1), 0) - 1
-    t[(m + 1, m + 1)] = t.get((m + 1, m + 1), 0) + 1
-    t[(m - 1, m - 1)] = t.get((m - 1, m - 1), 0) + 1
-    return t
+def _rest(n, h, labels):
+    """The HodgeNumbers left when each label (p, q) takes one class of
+    V^{p,n-p}, or None when some V^{p,n-p} runs short."""
+    taken = Counter(p for p, _ in labels)
+    if any(h.hpq(p, n - p) < k for p, k in taken.items()):
+        return None
+    return HodgeNumbers(n, [h.hpq(p, n - p) - taken[p] for p in range(n, -1, -1)])
 
 
 def minimal_types(n, h):
-    """All minimal degeneration types admissible for weight n Hodge numbers h."""
+    """All minimal degeneration types admissible for weight n Hodge numbers h:
+    of kind I for p_o < n/2 and kind II when h^{m,m} is odd, those whose long
+    string leaves a rest.  A table is the string's labels plus the rest."""
+    candidates = [("I", p_o, n - p_o) for p_o in range((n + 1) // 2)]
+    if n % 2 == 0 and h.hpq(n // 2, n // 2) % 2:
+        candidates.append(("II", n // 2 - 1, n // 2 + 1))
     out = []
-    for p_o in range((n + 1) // 2):
-        q_o = n - p_o
-        if p_o >= q_o:
-            continue
-        if h.hpq(p_o, q_o) < 1:
-            continue
-        # the second string class must exist too
-        if q_o - p_o == 2:
-            if h.hpq(p_o + 1, q_o - 1) < 2:
-                continue
-        elif q_o - p_o > 2:
-            if h.hpq(p_o + 1, q_o - 1) < 1:
-                continue
-        out.append(MinimalType("I", p_o, q_o, _kind1_table(n, h, p_o, q_o)))
-    if n % 2 == 0:
-        m = n // 2
-        if h.hpq(m, m) % 2 == 1 and h.hpq(m - 1, m + 1) >= 1:
-            out.append(MinimalType("II", m - 1, m + 1, _kind2_table(n, h)))
+    for kind, p_o, q_o in candidates:
+        labels = string_labels(n, *_long_string(n, kind, p_o, q_o))
+        rest = _rest(n, h, labels)
+        if rest is not None:
+            table = Counter(labels)
+            table.update({(p, n - p): rest.hpq(p, n - p) for p in range(n + 1)})
+            out.append(MinimalType(kind, p_o, q_o, table))
     return out
 
 
@@ -144,47 +125,22 @@ def _direct_sum(n, blocks):
 
 
 def minimal_witness(t, n, h):
-    """Explicit LMHS realizing a minimal type: low-rank string block + pure rest."""
-    if t.triples() not in [u.triples() for u in minimal_types(n, h)]:
+    """Explicit LMHS realizing a minimal type: its long string block plus the
+    pure rest, certified by _direct_sum to split as t.i_table."""
+    if (t.kind, t.p_o, t.q_o, t.i_table) not in [
+            (u.kind, u.p_o, u.q_o, u.i_table) for u in minimal_types(n, h)]:
         raise InfeasibleType("type not admissible for these Hodge numbers")
-    if t.kind == "II":
-        block = string_block(n, (n // 2 + 1, n // 2 + 1), 3)
-    else:
-        # a real 2-string when p_o + 1 = q_o, else a conjugate pair
-        block = string_block(n, (t.p_o + 1, t.q_o), 2)
-    # a vector labelled (p, q) takes one class of V^{p,n-p} (one dim of Gr_F^p)
-    residual = list(h.h)
-    for _, (p, _) in block[2]:
-        residual[n - p] -= 1
-        if residual[n - p] < 0:
-            raise InfeasibleType("not enough classes in V^{%d,%d}" % (p, n - p))
-    L = _direct_sum(n, [block] + pure_blocks(HodgeNumbers(n, residual)))
+    block = string_block(n, *_long_string(n, t.kind, t.p_o, t.q_o))
+    rest = _rest(n, h, [label for _, label in block[2]])
+    L = _direct_sum(n, [block] + pure_blocks(rest))
     if not validate_lmhs(L)["ok"]:
         raise InfeasibleType("witness fails the nilpotent-orbit certificate")
-    dims = deligne_splitting(L).dims()
-    if dims != t.i_table:
-        raise InfeasibleType("witness splitting %s != table %s" % (dims, t.i_table))
     return L
 
 
-class HtPlan:
-    """Multiplicities d_k of the real strings e^{n-k} -> ... -> e^k realizing
-    a Hodge-Tate limit, k = 0, ..., n // 2."""
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, n, d):
-        m = n // 2
-        d = tuple(int(x) for x in d)
-        if len(d) != m + 1:
-            raise ValueError("expected %d multiplicities" % (m + 1))
-        if any(x < 0 for x in d):
-            raise GateFailed("negative atomic multiplicity")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
+# Multiplicities d_k of the real strings e^{n-k} -> ... -> e^k realizing a
+# Hodge-Tate limit, k = 0, ..., n // 2.
+HtPlan = namedtuple("HtPlan", "n d")
 
 
 def ht_gate(n, h):
@@ -201,7 +157,7 @@ def ht_plan(n, h):
     d = [h.hpq(n, 0)]
     for k in range(1, m + 1):
         d.append(h.hpq(n - k, k) - h.hpq(n - k + 1, k - 1))
-    return HtPlan(n, d)
+    return HtPlan(n, tuple(d))
 
 
 def ht_construct(n, h):
@@ -211,11 +167,10 @@ def ht_construct(n, h):
               for k, dk in enumerate(plan.d) for _ in range(dk)]
     if not blocks:
         raise GateFailed("empty structure")
-    L = _direct_sum(n, blocks)
-    if {p: d for (p, q), d in deligne_splitting(L).dims().items()} != \
-            {p: h.hpq(p, n - p) for p in range(n + 1) if h.hpq(p, n - p)}:
-        raise AssertionError("Hodge-Tate witness misses the Hodge numbers %s" % (h.h,))
-    return L
+    rest = _rest(n, h, [label for _, _, basis in blocks for _, label in basis])
+    if rest is None or rest.dim:
+        raise AssertionError("Hodge-Tate plan misses the Hodge numbers %s" % (h.h,))
+    return _direct_sum(n, blocks)
 
 
 def _as_dims(bg):
@@ -375,13 +330,11 @@ def normal_forms(n, d):
                 if i != j:
                     forms.append(("sp:e%d_%d" % (i, j),
                                   _units(d, [(i, j, 1), (c + j, c + i, -1)])))
-                forms.append(("sp:lower%d_%d" % (i, j),
-                              _units(d, [(c + i, j, 1), (c + j, i, 1)])))
-                forms.append(("sp:upper%d_%d" % (i, j),
-                              _units(d, [(i, c + j, 1), (j, c + i, 1)])))
-        for i in range(c):
-            forms.append(("sp:eu%d" % i, _units(d, [(i, c + i, 1)])))
-            forms.append(("sp:el%d" % i, _units(d, [(c + i, i, 1)])))
+                if i <= j:
+                    forms.append(("sp:lower%d_%d" % (i, j),
+                                  _units(d, [(c + i, j, 1), (c + j, i, 1)])))
+                    forms.append(("sp:upper%d_%d" % (i, j),
+                                  _units(d, [(i, c + j, 1), (j, c + i, 1)])))
     else:
         c = d // 2
         Qe = [[ZERO] * d for _ in range(d)]
@@ -396,6 +349,7 @@ def normal_forms(n, d):
                 if i != j:
                     forms.append(("so:e%d_%d" % (i, j),
                                   _units(d, [(i, j, 1), (c + j, c + i, -1)])))
+                if i < j:
                     forms.append(("so:lower%d_%d" % (i, j),
                                   _units(d, [(c + i, j, 1), (c + j, i, -1)])))
                     forms.append(("so:upper%d_%d" % (i, j),
@@ -407,16 +361,11 @@ def normal_forms(n, d):
                               _units(d, [(last, i, 1), (c + i, last, -1)])))
                 forms.append(("so:tail_up%d" % i,
                               _units(d, [(last, c + i, 1), (i, last, -1)])))
-    # dedupe zero forms (none expected) and sanity-check membership in g
     Q = MatrixGQ(Qe)
-    out = []
     for tag, N in forms:
-        if N.is_zero():
-            continue
         if not (Q * N + N.transpose() * Q).is_zero():
             raise AssertionError("form %s is not in g" % tag)
-        out.append((tag, N))
-    return Q, out
+    return Q, forms
 
 
 def _units(d, entries):

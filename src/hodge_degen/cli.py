@@ -137,7 +137,11 @@ def cmd_validate(args):
 
 
 def _parse_h(args):
-    h = tuple(int(x) for x in args.h.split(","))
+    try:
+        h = tuple(int(x) for x in args.h.split(","))
+    except ValueError:
+        raise ValueError("h must be comma-separated non-negative integers, got %r"
+                         % args.h) from None
     return HodgeNumbers(args.n, h)
 
 

@@ -194,6 +194,8 @@ class HodgeNumbers:
     __slots__ = ("n", "h")
 
     def __init__(self, n, h):
+        if n < 0:
+            raise InadmissibleHodgeNumbers("the weight must be non-negative, got %d" % n)
         h = tuple(int(x) for x in h)
         if len(h) != n + 1:
             raise InadmissibleHodgeNumbers("expected %d entries" % (n + 1))
@@ -354,9 +356,22 @@ def labelled_filtration(n, basis):
         for p in range(1, n + 1)])
 
 
+def string_labels(n, top, length):
+    """The Deligne bidegrees of the weight n N-string at top = (p, q), level
+    by level: (p - a, q - a) for a < length = p + q - n + 1, followed by its
+    conjugate (q - a, p - a) when p != q."""
+    p, q = top
+    if length < 1 or p + q - n + 1 != length:
+        raise ValueError("weight %d has no string of length %d at %s"
+                         % (n, length, top))
+    return [label for a in range(length)
+            for label in ([(p - a, q - a)] if p == q else [(p - a, q - a), (q - a, p - a)])]
+
+
 def string_block(n, top, length):
     """One N-string of weight n as a (Q, N, labelled basis) block: u at
-    top = (p, q) and N^a u at (p - a, q - a) for a < length = p + q - n + 1.
+    top = (p, q) and N^a u at (p - a, q - a) for a < length = p + q - n + 1,
+    the labels string_labels(n, top, length).
 
     A real string (p = q) has the basis e_a = N^a u.  Otherwise u = x + iy
     comes with its conjugate, the basis is x_a, y_a with N^a u = x_a + i y_a,
@@ -364,10 +379,8 @@ def string_block(n, top, length):
     pairs N^a u with N^b conj(u) only, a + b = length - 1, where it takes the
     value (-1)^a i^(q-p); this sign makes HR2 hold on the primitive u.
     """
+    labels = string_labels(n, top, length)
     p, q = top
-    if length < 1 or p + q - n + 1 != length:
-        raise ValueError("weight %d has no string of length %d at %s"
-                         % (n, length, top))
     c = i_power(q - p)
     # [[Q(x_0, x_b), Q(x_0, y_b)], [Q(y_0, x_b), Q(y_0, y_b)]], b = length - 1,
     # the real form of Q(u, N^b conj u) = c
@@ -379,7 +392,7 @@ def string_block(n, top, length):
     dim = r * length
     Qent = [[ZERO] * dim for _ in range(dim)]
     Nent = [[ZERO] * dim for _ in range(dim)]
-    basis = []
+    vectors = []
     for a in range(length):
         b = length - 1 - a
         for j in range(r):
@@ -388,12 +401,9 @@ def string_block(n, top, length):
             if a + 1 < length:
                 Nent[r * (a + 1) + j][r * a + j] = ONE
         x = unit_vector(dim, r * a)
-        if r == 1:
-            basis.append((x, (p - a, q - a)))
-        else:
-            for y, label in ((I, (p - a, q - a)), (-I, (q - a, p - a))):
-                basis.append((x[:r * a + 1] + (y,) + x[r * a + 2:], label))
-    return _matrix(tuple(map(tuple, Qent)), dim), _matrix(tuple(map(tuple, Nent)), dim), basis
+        vectors += [x] if r == 1 else [x[:r * a + 1] + (y,) + x[r * a + 2:] for y in (I, -I)]
+    return (_matrix(tuple(map(tuple, Qent)), dim), _matrix(tuple(map(tuple, Nent)), dim),
+            list(zip(vectors, labels)))
 
 
 def block_sum(blocks):
@@ -423,17 +433,11 @@ def pure_blocks(h):
             for p in range(n, (n - 1) // 2, -1) for _ in range(h.hpq(p, n - p))]
 
 
-def model_basis(h):
-    """Q and the labelled basis [(u^{p,q}_a, (p, q))] of the model PHS, the
-    sum of pure_blocks(h): conj(u^{p,q}_a) = u^{q,p}_a, and Q pairs
-    u^{p,q}_a against u^{q,p}_a only."""
+def model_phs(h):
+    """Canonical PHS with the given Hodge numbers, the sum of pure_blocks(h):
+    its basis vectors u^{p,q}_a are labelled by their Hodge type (p, q),
+    conj(u^{p,q}_a) = u^{q,p}_a, and Q pairs u^{p,q}_a against u^{q,p}_a only."""
     if h.dim == 0:
         raise InadmissibleHodgeNumbers("empty structure")
     Q, _, basis = block_sum(pure_blocks(h))
-    return Q, basis
-
-
-def model_phs(h):
-    """Canonical PHS with the given Hodge numbers, on model_basis(h)."""
-    Q, basis = model_basis(h)
     return HodgeDatum(h.dim, PolarizationForm(h.n, Q), labelled_filtration(h.n, basis))

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from hodge_degen.gq import MatrixGQ, rank
-from hodge_degen.hodge import HodgeNumbers, string_block
+from hodge_degen.hodge import HodgeNumbers, string_block, string_labels
 from hodge_degen.lmhs import (
     deligne_splitting, validate_lmhs, is_hodge_tate, disc_sample, adjoint_lmhs,
 )
@@ -78,6 +78,51 @@ def test_adjacent_admissibility_needs_two_middle_classes():
                for t in minimal_types(2, HodgeNumbers(2, (1, 2, 1))))
 
 
+def reference_minimal_types(n, h):
+    """(kind, p_o, q_o, table) of each minimal type, each table written out
+    by hand and each admissibility rule stated as its own count."""
+    def pure():
+        return {(p, n - p): h.hpq(p, n - p) for p in range(n + 1) if h.hpq(p, n - p)}
+
+    def move(t, minus, plus):
+        for k in minus:
+            t[k] = t.get(k, 0) - 1
+        for k in plus:
+            t[k] = t.get(k, 0) + 1
+
+    out = []
+    for p_o in range((n + 1) // 2):
+        q_o = n - p_o
+        if h.hpq(p_o, q_o) < 1:
+            continue
+        if q_o - p_o == 2 and h.hpq(p_o + 1, q_o - 1) < 2:
+            continue
+        if q_o - p_o > 2 and h.hpq(p_o + 1, q_o - 1) < 1:
+            continue
+        t = pure()
+        move(t, [(p_o, q_o), (p_o + 1, q_o - 1)], [(p_o + 1, q_o), (p_o, q_o - 1)])
+        if p_o + 1 != q_o:  # the conjugate 2-string
+            move(t, [(q_o, p_o), (q_o - 1, p_o + 1)], [(q_o, p_o + 1), (q_o - 1, p_o)])
+        out.append(("I", p_o, q_o, t))
+    m = n // 2
+    if n % 2 == 0 and h.hpq(m, m) % 2 == 1 and h.hpq(m - 1, m + 1) >= 1:
+        t = pure()
+        move(t, [(m - 1, m + 1), (m + 1, m - 1)], [(m + 1, m + 1), (m - 1, m - 1)])
+        out.append(("II", m - 1, m + 1, t))
+    return [(kind, p_o, q_o, {k: v for k, v in t.items() if v})
+            for kind, p_o, q_o, t in out]
+
+
+def test_minimal_types_match_the_hand_written_tables():
+    # every symmetric h with n <= 8 and entries <= 3, zero included: 1704
+    cases = [HodgeNumbers(n, c + c[:(n + 1) // 2][::-1]) for n in range(9)
+             for c in itertools.product(range(4), repeat=n // 2 + 1)]
+    assert len(cases) == 1704
+    for h in cases:
+        got = [(t.kind, t.p_o, t.q_o, t.i_table) for t in minimal_types(h.n, h)]
+        assert got == reference_minimal_types(h.n, h), h
+
+
 def test_mass_conservation():
     for n in range(1, 5):
         hn = figure_h(n, diag=True)
@@ -123,6 +168,7 @@ def test_every_small_string_block_is_an_lmhs():
         L = _direct_sum(n, [(Q, N, basis)])  # the label certificate
         assert validate_lmhs(L)["ok"], (n, p, q)
         assert Q.rows == (1 if p == q else 2) * length
+        assert string_labels(n, (p, q), length) == [label for _, label in basis]
 
 
 def test_string_block_rejects_a_wrong_length():
@@ -340,6 +386,24 @@ def test_normal_forms_rank_and_nilpotency():
             assert (Q * N + N.transpose() * Q).is_zero(), tag
             assert rank(N) <= 2, tag
             assert (N * N * N).is_zero(), tag
+
+
+def test_normal_forms_are_one_per_root():
+    # sp(2c) for odd weight, so(d) for even: one form per root of C_c, B_c or
+    # D_c, c = d // 2; so(2) has none
+    for n in range(1, 5):
+        for d in range(2, 9):
+            if n % 2 and d % 2:
+                continue
+            _, forms = normal_forms(n, d)
+            kind = "C" if n % 2 else "B" if d % 2 else "D"
+            roots = 0 if kind == "D" and d == 2 else \
+                len(build_root_system(kind, d // 2).all_roots)
+            assert len(forms) == roots, (n, d)
+            seen = set()
+            for tag, N in forms:
+                assert N.entries not in seen and N.scale(-1).entries not in seen, tag
+                seen.add(N.entries)
 
 
 def test_three_step_forms_only_for_odd_middle():

@@ -300,6 +300,16 @@ def test_classify_bad_h(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["-2", "1"], "the weight must be non-negative, got -2"),
+    (["2", "1,,1"], "h must be comma-separated non-negative integers, got '1,,1'"),
+])
+def test_classify_bad_weight_or_h_says_why(capsys, argv, error):
+    code, out, err = run(capsys, "classify", *argv)
+    assert code == 2 and err == "" and out.count("\n") == 1
+    assert json.loads(out) == {"error": error}
+
+
 def test_classify_closed_orbit(capsys):
     code, out, _ = run(capsys, "classify", "2", "1,1,1",
                        "--mode", "closed-orbit")

@@ -16,7 +16,7 @@ from hodge_degen.gq import (
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers,
     hodge_decomposition, check_hr1, check_hr2, check_isotropy, validate_phs,
-    is_valid_phs, hodge_numbers, model_phs, model_basis, labelled_filtration,
+    is_valid_phs, hodge_numbers, model_phs, labelled_filtration, block_sum, pure_blocks,
     polarizes, polarization_fault, InconsistentFiltration, InadmissibleHodgeNumbers,
     Hr1Prerequisite,
 )
@@ -52,7 +52,7 @@ def test_model_phs_rejects_empty():
                                  (4, (1, 0, 2, 0, 1))])
 def test_model_phs_steps_are_the_filtration_of_its_labels(n, h):
     hn = HodgeNumbers(n, h)
-    Q, basis = model_basis(hn)
+    Q, _, basis = block_sum(pure_blocks(hn))
     d = model_phs(hn)
     assert d.polarization.Q == Q
     assert d.filtration == labelled_filtration(n, basis)
@@ -74,6 +74,8 @@ def test_hodge_numbers_validation():
         HodgeNumbers(2, (1, 0, 2))  # not symmetric
     with pytest.raises(InadmissibleHodgeNumbers):
         HodgeNumbers(1, (1, 1, 1))  # wrong length
+    with pytest.raises(InadmissibleHodgeNumbers, match="weight must be non-negative, got -1"):
+        HodgeNumbers(-1, ())
     assert HodgeNumbers(3, (1, 2, 2, 1)).hpq(2, 1) == 2
     assert HodgeNumbers(3, (1, 2, 2, 1)).hpq(2, 2) == 0
 

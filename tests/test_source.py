@@ -1,14 +1,37 @@
-"""Source hygiene: every name a module of the package imports is used, every
-private module-level function or class is referenced, and so is every public
-one of the kernel module gq.  No module certifies by `assert`, which
-`python -O` strips."""
+"""Source hygiene: every name a module of the package imports is used, and
+every module-level function or class is referenced, but for the command
+functions and an exact list of public names that only tests use.  No module
+certifies by `assert`, which `python -O` strips."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hodge_degen"
+from hodge_degen import cli
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hodge_degen"
+
+# The public names that only tests use, each with a test that uses it.  A
+# name that gains a caller in the package, or is deleted, comes off the list.
+TEST_ONLY = {
+    "normal_forms": "test_classify.py::test_normal_forms_rank_and_nilpotency",
+    "principal_neutral_char": "test_classify.py::test_principal_families",
+    "non_ht_closed_instance": "test_classify.py::test_period_closed_non_ht_instance",
+    "catalog_names": "test_cli.py::test_catalog_closes_its_files",
+    "hodge_numbers": "test_hodge.py::test_model_phs_is_valid",
+    "is_valid_phs": "test_hodge.py::test_weight1_elliptic_curve_datum",
+    "model_phs": "test_hodge.py::test_model_phs_is_valid",
+    "qk_form": "test_lmhs.py::test_qk_form_symmetric_on_top_primitive",
+    "primitives": "test_lmhs.py::test_qk_form_symmetric_on_top_primitive",
+    "compactness": "test_roots.py::test_compactness_split",
+    "grading_from_sigma": "test_roots.py::test_grading_roundtrip_sigma",
+    "sigma_from_grading": "test_roots.py::test_grading_roundtrip_sigma",
+    "l_decomposition": "test_roots.py::test_l_decomposition_parabolic_dims",
+    "jm_parabolic": "test_roots.py::test_jm_parabolic_even",
+}
 
 
 def unused_imports(tree):
@@ -66,12 +89,11 @@ def unreferenced_private(trees):
                    if name.startswith("_") and not name.startswith("__")} - referenced)
 
 
-def unreferenced_public(trees, module):
-    """Public module-level functions and classes of trees[module] that no
-    top-level statement of any module but their own definition names."""
+def unreferenced_public(trees):
+    """Public module-level functions and classes that no top-level statement
+    of any module but their own definition names."""
     defined, referenced = definitions_and_references(trees)
-    return sorted({name for t, name in defined
-                   if t == module and not name.startswith("_")} - referenced)
+    return sorted({name for _, name in defined if not name.startswith("_")} - referenced)
 
 
 def test_every_private_definition_is_referenced():
@@ -89,11 +111,26 @@ def test_unreferenced_private_is_found():
     assert unreferenced_private([a, b]) == ["_Gone", "_dead"]
 
 
-def test_every_public_gq_definition_is_used_in_the_package():
-    # the tests alone keep no kernel helper alive
-    paths = sorted(SRC.glob("*.py"))
-    trees = [ast.parse(path.read_text()) for path in paths]
-    assert unreferenced_public(trees, paths.index(SRC / "gq.py")) == []
+def test_every_public_definition_is_used_in_the_package():
+    # main finds cmd_<name> by the subcommand <name>; beyond those, the tests
+    # alone keep exactly the TEST_ONLY names alive
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    subparsers = next(a for a in cli._parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    commands = {"cmd_" + name.replace("-", "_") for name in subparsers.choices}
+    assert set(unreferenced_public(trees)) - commands == set(TEST_ONLY)
+
+
+def test_each_test_only_name_has_a_test_that_uses_it():
+    for name, where in TEST_ONLY.items():
+        path, test = where.split("::")
+        tree = ast.parse((TESTS / path).read_text())
+        fn = next((stmt for stmt in tree.body
+                   if isinstance(stmt, ast.FunctionDef) and stmt.name == test), None)
+        assert fn is not None, where
+        assert name in {node.id if isinstance(node, ast.Name) else node.attr
+                        for node in ast.walk(fn)
+                        if isinstance(node, (ast.Name, ast.Attribute))}, where
 
 
 def test_unreferenced_public_is_found():
@@ -104,7 +141,7 @@ def test_unreferenced_public_is_found():
                   "def _private():\n    pass\n")
     b = ast.parse("from .a import outer\nx = outer()\n"
                   "def spare():\n    return 2\n")
-    assert unreferenced_public([a, b], 0) == ["dead"]
+    assert unreferenced_public([a, b]) == ["dead", "spare"]
 
 
 def assert_lines(tree):
