@@ -18,12 +18,11 @@ admissibility and witness; kind II's h^{m,m} odd is the one other rule.
 
 from collections import Counter, namedtuple
 
-from .gq import MatrixGQ, gq, ZERO, ONE
 from .hodge import (
     HodgeDatum, PolarizationForm, HodgeNumbers, labelled_filtration, string_labels,
     string_block, block_sum, pure_blocks,
 )
-from .lmhs import LmhsDatum, Bigrading, NotMhs, deligne_splitting, validate_lmhs
+from .lmhs import LmhsDatum, NotMhs, deligne_splitting, validate_lmhs
 from .diagrams import triples
 
 
@@ -173,18 +172,13 @@ def ht_construct(n, h):
     return _direct_sum(n, blocks)
 
 
-def _as_dims(bg):
-    if isinstance(bg, Bigrading):
-        return bg.dims()
-    return {tuple(k): v for k, v in bg.items()}
-
-
 def cp_orb_check(dims, strings=()):
     """Necessary constraints on an adjoint splitting for a closed-orbit limit.
 
-    strings: iterable of {"top": (p, q), "length": L} N-string descriptors.
+    dims: a {(p, q): dim} map; strings: iterable of {"top": (p, q),
+    "length": L} N-string descriptors.
     """
-    dims = {k: v for k, v in _as_dims(dims).items() if v}
+    dims = {k: v for k, v in dims.items() if v}
     c1 = all(not (p > 0 > q and p != -q) and not (q > 0 > p and q != -p)
              for p, q in dims)
     c2 = all(not (abs(p) >= 3 and abs(p) % 2 == 1 and q == -p) for p, q in dims)
@@ -207,14 +201,14 @@ def cp_orb_check(dims, strings=()):
     return report
 
 
-def period_closed_check(bg, n):
+def period_closed_check(dims, n):
     """Necessary shape of a period-domain LMHS whose limit meets the closed orbit.
 
-    Input may be a Bigrading or a {(p,q): dim} map.  Either the splitting is
+    Input is the {(p, q): dim} map of the splitting.  Either it is
     Hodge-Tate, or (weight even) the non-HT clauses are checked.  The result
     is only ever "consistent with" the closed orbit.
     """
-    dims = {k: v for k, v in _as_dims(bg).items() if v}
+    dims = {k: v for k, v in dims.items() if v}
     if all(p == q for p, q in dims):
         return {"branch": "hodge-tate", "consistent_with_closed_orbit": True}
     if n % 2:
@@ -248,11 +242,6 @@ def period_closed_check(bg, n):
     report["v_shape"] = vshape
     report["consistent_with_closed_orbit"] = ok_a and ok_b and ok_c and vshape
     return report
-
-
-def non_ht_closed_instance():
-    """Weight 2, h = (2,1,2): a closed-orbit-consistent limit that is not HT."""
-    return _direct_sum(2, [string_block(2, (2, 2), 3), string_block(2, (2, 0), 1)])
 
 
 def principal_lmhs(family, param):
@@ -309,67 +298,3 @@ def principal_neutral_char(family, param):
         vals.append(sum(c * e for c, e in zip(coords, evals)))
     Y = GradingElement(vals)
     return characteristic_vector(rs, Y)
-
-
-def normal_forms(n, d):
-    """Root-vector normal forms for a weight n period domain with dim V = d.
-
-    Returns (Q, forms) where forms is a list of (tag, N) with N in End(V, Q).
-    """
-    if n % 2:
-        if d % 2:
-            raise ParityViolation("odd weight needs even dimension")
-        c = d // 2
-        Qe = [[ZERO] * d for _ in range(d)]
-        for i in range(c):
-            Qe[i][c + i] = ONE
-            Qe[c + i][i] = gq(-1)
-        forms = []
-        for i in range(c):
-            for j in range(c):
-                if i != j:
-                    forms.append(("sp:e%d_%d" % (i, j),
-                                  _units(d, [(i, j, 1), (c + j, c + i, -1)])))
-                if i <= j:
-                    forms.append(("sp:lower%d_%d" % (i, j),
-                                  _units(d, [(c + i, j, 1), (c + j, i, 1)])))
-                    forms.append(("sp:upper%d_%d" % (i, j),
-                                  _units(d, [(i, c + j, 1), (j, c + i, 1)])))
-    else:
-        c = d // 2
-        Qe = [[ZERO] * d for _ in range(d)]
-        for i in range(c):
-            Qe[i][c + i] = ONE
-            Qe[c + i][i] = ONE
-        if d % 2:
-            Qe[d - 1][d - 1] = ONE
-        forms = []
-        for i in range(c):
-            for j in range(c):
-                if i != j:
-                    forms.append(("so:e%d_%d" % (i, j),
-                                  _units(d, [(i, j, 1), (c + j, c + i, -1)])))
-                if i < j:
-                    forms.append(("so:lower%d_%d" % (i, j),
-                                  _units(d, [(c + i, j, 1), (c + j, i, -1)])))
-                    forms.append(("so:upper%d_%d" % (i, j),
-                                  _units(d, [(i, c + j, 1), (j, c + i, -1)])))
-        if d % 2:
-            last = d - 1
-            for i in range(c):
-                forms.append(("so:tail_low%d" % i,
-                              _units(d, [(last, i, 1), (c + i, last, -1)])))
-                forms.append(("so:tail_up%d" % i,
-                              _units(d, [(last, c + i, 1), (i, last, -1)])))
-    Q = MatrixGQ(Qe)
-    for tag, N in forms:
-        if not (Q * N + N.transpose() * Q).is_zero():
-            raise AssertionError("form %s is not in g" % tag)
-    return Q, forms
-
-
-def _units(d, entries):
-    M = [[ZERO] * d for _ in range(d)]
-    for i, j, v in entries:
-        M[i][j] = gq(v)
-    return MatrixGQ(M)

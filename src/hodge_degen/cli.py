@@ -52,10 +52,6 @@ def _catalog_entries():
                 yield json.load(fh)
 
 
-def catalog_names():
-    return [entry["name"] for entry in _catalog_entries()]
-
-
 def load_catalog_entry(name):
     return _find_entry(_catalog_entries(), name)
 
@@ -197,9 +193,8 @@ def cmd_classify(args):
                 report["error"] = str(e)
                 print(json.dumps(report, sort_keys=True))
                 return 1
-        bg = deligne_splitting(L)
         try:
-            report["period_check"] = period_closed_check(bg, n)
+            report["period_check"] = period_closed_check(deligne_splitting(L).dims(), n)
         except cls.OddWeightNonHT as e:
             report["period_check"] = {"error": str(e),
                                       "consistent_with_closed_orbit": False}
@@ -415,7 +410,7 @@ def check_case(cid, L, samples=(1, 2)):
     if a.dim_g == 0:
         return cid
     adims = a.I_g.dims()
-    if is_hodge_tate(bg):
+    if is_hodge_tate(bg.dims()):
         if not is_hodge_tate(adims):
             return cid + "/adjoint-hodge-tate"
         if not cp_orb_check(adims)["ok"]:

@@ -26,10 +26,6 @@ class InadmissibleHodgeNumbers(ValueError):
     pass
 
 
-class Hr1Prerequisite(ValueError):
-    pass
-
-
 class PolarizationForm:
     """Weight n pairing Q on V, real entries, Q^T = (-1)^n Q, nondegenerate.
 
@@ -194,9 +190,17 @@ class HodgeNumbers:
     __slots__ = ("n", "h")
 
     def __init__(self, n, h):
+        # an int, not a bool, float or Fraction, which int() would truncate
+        if type(n) is not int:
+            raise InadmissibleHodgeNumbers("the weight must be an integer, got %s"
+                                           % reprlib.repr(n))
         if n < 0:
             raise InadmissibleHodgeNumbers("the weight must be non-negative, got %d" % n)
-        h = tuple(int(x) for x in h)
+        h = tuple(h)
+        for k, x in enumerate(h):
+            if type(x) is not int:
+                raise InadmissibleHodgeNumbers("Hodge number %d must be an integer, got %s"
+                                               % (k, reprlib.repr(x)))
         if len(h) != n + 1:
             raise InadmissibleHodgeNumbers("expected %d entries" % (n + 1))
         if any(x < 0 for x in h):
@@ -240,12 +244,6 @@ def hodge_decomposition(d):
              for p in range(n, (n - 1) // 2, -1)}
     return [(p, n - p, upper[p] if p in upper else conj_space(upper[n - p]))
             for p in range(n, -1, -1)]
-
-
-def polarizes(form, pieces, M=None):
-    """Whether h(u, v) = Q(u, M conj v) polarizes the (p, q, subspace) pieces
-    (polarization_fault finds no fault)."""
-    return polarization_fault(form, pieces, M) is None
 
 
 def polarization_fault(form, pieces, M=None, name="h"):
@@ -305,45 +303,22 @@ def check_isotropy(d):
     return True
 
 
-def check_hr2(d, decomposition=None):
-    """HR2 on each V^{p,q}.  `decomposition` is hodge_decomposition(d) from a
-    caller that has checked HR1 already; without it HR1 is checked here, and
-    Hr1Prerequisite raised when it fails."""
-    if decomposition is None:
-        if not check_hr1(d):
-            raise Hr1Prerequisite("HR1 fails, decomposition need not span")
-        decomposition = hodge_decomposition(d)
-    return polarizes(d.polarization, decomposition)
-
-
 def validate_phs(d):
     """Report {hr1, hr2, spans, ok}; the datum is a PHS iff all three hold,
     and ok says whether they do.  HR1 and the Hodge decomposition are each
     computed once, and each tests half the pairs (p, n+1-p) or (p, q), the
-    other half following from Q's parity and conjugation."""
+    other half following from Q's parity and conjugation.  HR2 is tested
+    only where HR1 holds; when it fails, `hr2_witness` is the
+    polarization_fault sentence naming the piece."""
     hr1 = check_hr1(d)
     decomposition = hodge_decomposition(d)
     spans = sum(space.dim for _, _, space in decomposition) == d.dim
-    hr2 = check_hr2(d, decomposition) if hr1 else False
-    return {"hr1": hr1, "hr2": hr2, "spans": spans, "ok": hr1 and hr2 and spans}
-
-
-def is_valid_phs(d):
-    return validate_phs(d)["ok"]
-
-
-def hodge_numbers(d):
-    decomp = hodge_decomposition(d)
-    h = [0] * (d.n + 1)
-    for p, q, space in decomp:
-        h[d.n - p] = space.dim
-    hn = HodgeNumbers(d.n, h)
-    # f^p = sum_{q >= p} h^{q, n-q}
-    for p in range(d.n + 1):
-        expected = sum(hn.hpq(q, d.n - q) for q in range(p, d.n + 1))
-        if d.filtration.steps[p].dim != expected:
-            raise InconsistentFiltration("f^%d inconsistent with Hodge numbers" % p)
-    return hn
+    fault = polarization_fault(d.polarization, decomposition) if hr1 else None
+    hr2 = hr1 and fault is None
+    report = {"hr1": hr1, "hr2": hr2, "spans": spans, "ok": hr1 and hr2 and spans}
+    if fault:
+        report["hr2_witness"] = fault
+    return report
 
 
 def labelled_filtration(n, basis):

@@ -413,36 +413,9 @@ def is_r_split(bg):
     return True
 
 
-def is_hodge_tate(bg_or_dims):
-    if isinstance(bg_or_dims, Bigrading):
-        dims = bg_or_dims.dims()
-    else:
-        dims = bg_or_dims
+def is_hodge_tate(dims):
+    """Whether the {(p, q): dim} map has nonzero dims on the diagonal only."""
     return all(p == q for (p, q), d in dims.items() if d)
-
-
-def qk_form(L, k):
-    """Gram matrix of Q_k(v, w) = Q(v, N^k w) over the vectors of the pieces
-    I^{p,q} with p + q - n = k, the splitting's lift of Gr^W_{center+k};
-    NotMhs when L has no Deligne splitting.
-
-    With the conventions of the constructors in this package the polarization
-    direction on every primitive piece comes out positive with no extra sign.
-    """
-    if k < 0:
-        raise ValueError("qk_form needs k >= 0, got k = %d" % k)
-    vecs = [v for p, q, s in deligne_splitting(L).nodes if p + q - L.n == k
-            for v in s.basis.entries]
-    return L.hodge.polarization.gram(vecs, vecs, L.power(k))
-
-
-def primitives(L):
-    """Primitive subspaces, one per k >= 0: the span of the pieces
-    I^{p,q} cap ker N^{k+1} with p + q - n = k (_primitive_pieces), the
-    splitting's lift of ker(N^{k+1}: Gr_{c+k} -> Gr_{c-k-2}); NotMhs when L
-    has no Deligne splitting."""
-    return [(k, _span(L.dim, [v for _, _, s in pieces for v in s.basis.entries]))
-            for k, pieces in _primitive_pieces(L, deligne_splitting(L)).items()]
 
 
 def _primitive_pieces(L, bg):
@@ -576,24 +549,6 @@ class AdjointLmhs:
     @property
     def dim_g(self):
         return len(self.pairs)
-
-    def to_v(self, combos):
-        """P X P^-1 on V for X = sum c X_k, one for each list of pairs (k, c) in
-        `combos`: the sum of x (column i of P) (row j of P^-1), x = X[i][j]."""
-        dim = self.frame.rows
-        Pcols, Pinv = _sparse_rows(self.frame.transpose()), _sparse_rows(inverse(self.frame))
-        out = []
-        for combo in combos:
-            ent = [[ZERO] * dim for _ in range(dim)]
-            for k, c in combo:
-                for i, row in enumerate(self.elements[k]):
-                    for j, e in row.items():
-                        for r, x in Pcols[i].items():
-                            x = x * e * c
-                            for col, y in Pinv[j].items():
-                                ent[r][col] += x * y
-            out.append(_matrix(tuple(map(tuple, ent)), dim))
-        return out
 
 
 def _g_pairs(labels, n):
@@ -749,7 +704,7 @@ def diagonal_levi(a):
     """The conjugation-stable Levi s = (+)_p I^{p,p}_g and its induced LMHS,
     in a real basis: (basis, an LmhsDatum on its coordinates, weight shifted
     by r to keep indices nonnegative); `basis` holds lists of pairs (k, c),
-    each the element sum c X_k of g (a.to_v(basis) gives them on V).
+    each the element sum c X_k of g, which is P (sum c X_k) P^-1 on V.
     [s, s] inside s needs no bracket: adjoint_lmhs certifies the bidegree of
     each X_k, and [I^{a,b}_g, I^{c,d}_g] lies in I^{a+c,b+d}_g
     (Cattani-Kaplan-Schmid 1986).  For R-split data the rref basis

@@ -6,9 +6,8 @@ to Lie Algebras and Representation Theory, sections 9-11).  So the roots
 are generated by integer simple reflections and involutions are checked
 on int matrices; the only rational set-up is the r x r Gram matrix of the
 simple roots in orthogonal coordinates, which gives the Cartan matrix and
-(scaled to ints) the squared lengths.  Fundamental weights and grading
-elements are exact rationals (Fractions).  Conventions fixed here once
-and for all:
+(scaled to ints) the squared lengths.  Grading elements are exact
+rationals (Fractions).  Conventions fixed here once and for all:
   G2: alpha1 short, alpha2 long, highest root 3a1+2a2
   F4: alpha1, alpha2 long, alpha3, alpha4 short (Bourbaki)
 """
@@ -16,8 +15,6 @@ and for all:
 import math
 import reprlib
 from fractions import Fraction
-
-from .gq import MatrixGQ, inverse
 
 
 class UnsupportedType(ValueError):
@@ -104,15 +101,13 @@ class RootSystem:
     """
 
     __slots__ = ("type_letter", "rank", "simple_roots", "all_roots",
-                 "cartan_matrix", "fundamental_weights", "_orth", "_gram",
-                 "_index", "_level_cache")
+                 "cartan_matrix", "_orth", "_gram", "_index", "_level_cache")
 
     def __init__(self, type_letter, rank, simple_roots, all_roots,
-                 cartan_matrix, fundamental_weights, orth, gram):
+                 cartan_matrix, orth, gram):
         for k, v in (("type_letter", type_letter), ("rank", rank),
                      ("simple_roots", simple_roots), ("all_roots", all_roots),
                      ("cartan_matrix", cartan_matrix),
-                     ("fundamental_weights", fundamental_weights),
                      ("_orth", orth), ("_gram", gram),
                      ("_index", {a: i for i, a in enumerate(all_roots)}),
                      ("_level_cache", {})):
@@ -138,26 +133,10 @@ class RootSystem:
     def pairing_with_coroot_of(self, coords, beta):
         return Fraction(2 * self._form(coords, beta)) / self._form(beta, beta)
 
-    def positive_roots(self):
-        return [a for a in self.all_roots if _is_positive(a)]
-
     def short_roots(self):
         lengths = [self._form(a, a) for a in self.all_roots]
         m = min(lengths)
         return [a for a, n in zip(self.all_roots, lengths) if n == m]
-
-    def highest_root(self):
-        return max(self.positive_roots(), key=lambda a: (sum(a), a))
-
-
-def _is_positive(coords):
-    for c in coords:
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-    return False
-
 
 def build_root_system(type_letter, rank):
     if type_letter not in _ROOT_COUNTS:
@@ -195,10 +174,7 @@ def build_root_system(type_letter, rank):
         raise AssertionError("root set not closed under negation")
     scale = math.lcm(*(x.denominator for row in gram for x in row))
     int_gram = tuple(tuple(int(x * scale) for x in row) for row in gram)
-    # fundamental weights in simple-root coordinates: the rows of C^{-1}
-    inv = inverse(MatrixGQ(cartan))
-    fws = tuple(tuple(inv[i, j].re for j in range(rank)) for i in range(rank))
-    return RootSystem(type_letter, rank, simples, all_roots, cartan, fws,
+    return RootSystem(type_letter, rank, simples, all_roots, cartan,
                       [tuple(v) for v in orth], int_gram)
 
 
@@ -223,10 +199,6 @@ class GradingElement:
 
     def __repr__(self):
         return "GradingElement(%s)" % (self.values,)
-
-    def check_integral(self, rs):
-        _levels(rs, self)
-        return self
 
 
 def _rationals(values):
@@ -303,34 +275,6 @@ def rep_weights(rs, name):
     raise UnsupportedType("unknown representation %r" % name)
 
 
-def grading_from_sigma(rs, sigma_set):
-    for i in sigma_set:
-        if not (0 <= i < rs.rank):
-            raise ValueError("bad simple index %r" % (i,))
-    return GradingElement([0 if i in sigma_set else 1 for i in range(rs.rank)])
-
-
-def sigma_from_grading(rs, L):
-    for v in L.values:
-        if v < 0:
-            raise ValueError("grading element must be nonnegative on simples")
-    return {i for i, v in enumerate(L.values) if v == 0}
-
-
-def l_decomposition(rs, L):
-    out = {0: rs.rank}
-    for lev in _levels(rs, L):
-        out[lev] = out.get(lev, 0) + 1
-    return out
-
-
-def compactness(rs, L):
-    comp, noncomp = [], []
-    for a, x in zip(rs.all_roots, _levels(rs, L)):
-        (comp if x % 2 == 0 else noncomp).append(a)
-    return {"compact": comp, "noncompact": noncomp}
-
-
 def adjoint_bigrading(rs, L, Y):
     """Node dims {(p,q): dim} of g; root alpha sits at (alpha(Y)-alpha(L), alpha(L)).
 
@@ -388,13 +332,6 @@ def characteristic_vector(rs, Y):
     return tuple(vals)
 
 
-def jm_parabolic(rs, Y):
-    vec = characteristic_vector(rs, Y)
-    sigma = {i for i, v in enumerate(vec) if v == 0}
-    even = all(v % 2 == 0 for v in vec)
-    return sigma, even
-
-
 class InvolutionDatum:
     """Conjugation sigma and Cartan involution theta acting on root coordinates.
 
@@ -438,12 +375,6 @@ class InvolutionDatum:
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
-
-    def conj_root(self, a):
-        return _matvec(self.sigma, a)
-
-    def theta_root(self, a):
-        return _matvec(self.theta, a)
 
 
 def _matmul(A, B):
@@ -519,26 +450,18 @@ def named_involution(rs, name):
 def orbit_dims(rs, L, inv):
     """Real and K_R orbit dimensions through a flag with grading element L.
 
-    dim_R = |Delta(O)|; dim_KR counts theta-fixed directions of k modulo the
-    parabolic; imaginary roots are compact exactly when alpha(L) is even.
+    dim_R = |Delta(O)|, the roots alpha with alpha(L) > 0 or conj-alpha(L) > 0;
+    dim_KR counts theta-fixed directions of k modulo the parabolic;
+    imaginary roots are compact exactly when alpha(L) is even.
     """
     lev = _levels(rs, L)
-    sets = {"O": [], "le0le0": [], "ge0ge0x": [], "plus_minus": [], "minus_plus": []}
-    dim_C = dim_KR = half_count = 0
-    for a, x, j, imaginary in zip(rs.all_roots, lev, inv._conj, inv._imag):
+    dim_C = dim_R = dim_KR = half_count = 0
+    for x, j, imaginary in zip(lev, inv._conj, inv._imag):
         y = lev[j]
         if x > 0:
             dim_C += 1
-        if x <= 0 and y <= 0:
-            sets["le0le0"].append(a)
-        else:
-            sets["O"].append(a)
-            if x >= 0 and y >= 0:
-                sets["ge0ge0x"].append(a)
-            elif x > 0 and y < 0:
-                sets["plus_minus"].append(a)
-            elif x < 0 and y > 0:
-                sets["minus_plus"].append(a)
+        if x > 0 or y > 0:
+            dim_R += 1
         if imaginary:
             if x % 2 == 0 and x > 0:
                 dim_KR += 1
@@ -549,8 +472,7 @@ def orbit_dims(rs, L, inv):
     if half_count % 2:
         raise AssertionError("odd count %d of theta-pair roots" % half_count)
     dim_KR += half_count // 2
-    return {"dim_R_orbit": len(sets["O"]), "dim_KR_orbit": dim_KR,
-            "dim_C_dual": dim_C, "sets": sets}
+    return {"dim_R_orbit": dim_R, "dim_KR_orbit": dim_KR, "dim_C_dual": dim_C}
 
 
 def closed_orbit_criterion(rs, L, inv):

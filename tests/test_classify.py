@@ -16,11 +16,12 @@ from hodge_degen.roots import build_root_system, GradingElement, adjoint_bigradi
 from hodge_degen import classify
 from hodge_degen.classify import (
     MinimalType, minimal_types, minimal_witness, ht_gate, ht_plan,
-    ht_construct, cp_orb_check, period_closed_check,
-    non_ht_closed_instance, principal_lmhs, principal_neutral_char,
-    normal_forms, InfeasibleType, GateFailed, ParityViolation, OddWeightNonHT,
-    _direct_sum,
+    ht_construct, cp_orb_check, period_closed_check, principal_lmhs,
+    principal_neutral_char, InfeasibleType, GateFailed, ParityViolation,
+    OddWeightNonHT, _direct_sum,
 )
+
+from normal_forms import normal_forms
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -205,7 +206,7 @@ def test_construct_matches_h_and_is_ht():
                  (4, (1, 1, 2, 1, 1))):
         L = ht_construct(n, HodgeNumbers(n, h))
         bg = deligne_splitting(L)
-        assert is_hodge_tate(bg)
+        assert is_hodge_tate(bg.dims())
         assert validate_lmhs(L)["ok"]
         assert {p: d for (p, q), d in bg.dims().items()} == \
             {p: h[n - p] for p in range(n + 1) if h[n - p]}
@@ -232,6 +233,15 @@ def test_direct_sum_rejects_a_wrong_label():
     # a wrong Hodge index moves F itself: F^1 = V has no splitting at all
     with pytest.raises(InfeasibleType, match="labels"):
         _direct_sum(2, [(Q, N, rest + [(v, (1, 1))])])
+
+
+def kind2_witness():
+    """The minimal witness of the one type of h = (2,1,2), of kind II: the
+    real 3-string at (2, 2) plus a pure (2, 0) + (0, 2), not Hodge-Tate."""
+    hn = HodgeNumbers(2, (2, 1, 2))
+    [t] = minimal_types(2, hn)
+    assert t.kind == "II"
+    return minimal_witness(t, 2, hn)
 
 
 def _certified(monkeypatch, build):
@@ -265,7 +275,7 @@ def test_principal_families_pass_the_label_certificate(family, param, extra,
 
 
 def test_non_ht_instance_passes_the_label_certificate(monkeypatch):
-    L = _certified(monkeypatch, non_ht_closed_instance)
+    L = _certified(monkeypatch, kind2_witness)
     assert deligne_splitting(L).dims() == {(0, 0): 1, (1, 1): 1, (2, 2): 1,
                                            (2, 0): 1, (0, 2): 1}
 
@@ -289,16 +299,15 @@ def test_cp_orb_violations():
 
 
 def test_period_closed_non_ht_instance():
-    L = non_ht_closed_instance()
+    L = kind2_witness()
     assert validate_lmhs(L)["ok"]
-    bg = deligne_splitting(L)
-    dims = bg.dims()
+    dims = deligne_splitting(L).dims()
     # h^{2,0} = i^{2,0}_prim + i^{2,2}_prim
     h20 = L.hodge.filtration.step(2).dim
     i20_prim = dims.get((2, 0), 0) - dims.get((3, 1), 0)
     i22_prim = dims.get((2, 2), 0) - dims.get((3, 3), 0)
     assert h20 == i20_prim + i22_prim == 2
-    rep = period_closed_check(bg, 2)
+    rep = period_closed_check(dims, 2)
     assert rep["branch"] == "non-hodge-tate"
     assert rep["consistent_with_closed_orbit"]
 

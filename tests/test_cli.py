@@ -476,7 +476,7 @@ def test_catalog_unknown(capsys):
 def test_catalog_closes_its_files():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        names = cli.catalog_names()
+        names = [entry["name"] for entry in cli._catalog_entries()]
         for name in names:
             cli.load_catalog_entry(name)
         gc.collect()

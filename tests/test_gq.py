@@ -206,6 +206,14 @@ def combination(coeffs, vectors, dim=4):
     return out
 
 
+def test_trace_and_flatten():
+    M = MatrixGQ([[1, 2], [3, gq("i")]])
+    assert M.trace() == GaussianRational(1, 1)
+    assert M.flatten() == (ONE, gq(2), gq(3), gq("i"))
+    with pytest.raises(ValueError, match="not square"):
+        MatrixGQ([[1, 2]]).trace()
+
+
 def test_inverse_of_the_empty_matrix():
     assert inverse(MatrixGQ.zero(0, 0)) == MatrixGQ.zero(0, 0)
 

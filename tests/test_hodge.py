@@ -15,10 +15,9 @@ from hodge_degen.gq import (
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers,
-    hodge_decomposition, check_hr1, check_hr2, check_isotropy, validate_phs,
-    is_valid_phs, hodge_numbers, model_phs, labelled_filtration, block_sum, pure_blocks,
-    polarizes, polarization_fault, InconsistentFiltration, InadmissibleHodgeNumbers,
-    Hr1Prerequisite,
+    hodge_decomposition, check_hr1, check_isotropy, validate_phs, model_phs,
+    labelled_filtration, block_sum, pure_blocks, polarization_fault,
+    InconsistentFiltration, InadmissibleHodgeNumbers,
 )
 from hodge_degen.lmhs import deligne_splitting, is_r_split, reduced_limit
 
@@ -40,7 +39,9 @@ def test_model_phs_is_valid(nh):
     d = model_phs(hn)
     rep = validate_phs(d)
     assert rep == {"hr1": True, "hr2": True, "spans": True, "ok": True}
-    assert hodge_numbers(d) == hn
+    # h^{p,n-p} = dim V^{p,n-p}, and f^p = sum of h^{a,n-a} over a >= p
+    assert tuple(s.dim for _, _, s in hodge_decomposition(d)) == hn.h
+    assert d.filtration.f_vector() == tuple(sum(hn.h[:n - p + 1]) for p in range(n + 1))
 
 
 def test_model_phs_rejects_empty():
@@ -80,6 +81,20 @@ def test_hodge_numbers_validation():
     assert HodgeNumbers(3, (1, 2, 2, 1)).hpq(2, 2) == 0
 
 
+@pytest.mark.parametrize("n, h, message", [
+    (2, (1.5, 1, 1.9), "Hodge number 0 must be an integer, got 1.5"),
+    (2, (1, True, 1), "Hodge number 1 must be an integer, got True"),
+    (2, (1, 1, Fraction(1)), r"Hodge number 2 must be an integer, got Fraction\(1, 1\)"),
+    (2.0, (1, 1, 1), "the weight must be an integer, got 2.0"),
+    (True, (1, 1), "the weight must be an integer, got True"),
+    (Fraction(2), (1, 1, 1), r"the weight must be an integer, got Fraction\(2, 1\)"),
+])
+def test_hodge_numbers_reject_non_integers_by_name(n, h, message):
+    # int() would truncate 1.5 and 1.9 to h = (1, 1, 1), and keep n = 2.0
+    with pytest.raises(InadmissibleHodgeNumbers, match=message):
+        HodgeNumbers(n, h)
+
+
 def test_polarization_parity_enforced():
     with pytest.raises(ValueError):
         PolarizationForm(1, MatrixGQ.identity(2))  # odd weight needs skew
@@ -106,7 +121,9 @@ def test_hr_sign_flip_breaks_hr2_not_hr1():
     flipped = HodgeDatum(
         d.dim, PolarizationForm(2, d.polarization.Q.scale(-1)), d.filtration)
     assert check_hr1(flipped)
-    assert not check_hr2(flipped)
+    assert validate_phs(flipped) == {
+        "hr1": True, "hr2": False, "spans": True, "ok": False,
+        "hr2_witness": "leading minor 1 of i^(p-q) h on I^{2,0} not positive"}
     assert check_isotropy(flipped)
 
 
@@ -117,10 +134,9 @@ def test_hr2_requires_hr1():
     bad = HodgeDatum(2, PolarizationForm(1, Q), HodgeFiltration(
         1, [full, Subspace.from_vectors(2, [[ONE, ONE]])]))
     assert not check_hr1(bad)
-    with pytest.raises(Hr1Prerequisite):
-        check_hr2(bad)
+    # HR2 is not tested where HR1 fails, so there is no witness for it
     rep = validate_phs(bad)
-    assert not rep["hr1"] and not rep["hr2"]
+    assert not rep["hr1"] and not rep["hr2"] and "hr2_witness" not in rep
 
 
 @pytest.mark.parametrize("flip", [1, -1])
@@ -138,7 +154,9 @@ def test_validate_phs_builds_hr1_and_decomposition_once(flip, monkeypatch):
     d = HodgeDatum(d.dim, PolarizationForm(3, d.polarization.Q.scale(flip)),
                    d.filtration)
     rep = validate_phs(d)
+    witness = rep.pop("hr2_witness", None)
     assert rep == {"hr1": True, "hr2": flip == 1, "spans": True, "ok": flip == 1}
+    assert (witness is None) == (flip == 1)
     assert calls == {"check_hr1": 1, "hodge_decomposition": 1}
 
 
@@ -148,11 +166,12 @@ def test_weight1_elliptic_curve_datum():
     F1 = Subspace.from_vectors(2, [[ONE, gq("i")]])
     d = HodgeDatum(2, PolarizationForm(1, Q), HodgeFiltration(
         1, [Subspace.full(2), F1]))
-    assert is_valid_phs(d)
+    assert validate_phs(d)["ok"]
     # conjugate line fails HR2 (wrong orientation)
     dbar = HodgeDatum(2, PolarizationForm(1, Q), HodgeFiltration(
         1, [Subspace.full(2), Subspace.from_vectors(2, [[ONE, gq("-i")]])]))
-    assert check_hr1(dbar) and not check_hr2(dbar)
+    rep = validate_phs(dbar)
+    assert rep["hr1"] and not rep["hr2"] and "hr2_witness" in rep
 
 
 def test_decomposition_conjugation_symmetry():
@@ -184,8 +203,8 @@ def test_step_clamping():
 # PolarizationForm.gram walks only nonzero entries, check_isotropy and
 # check_hr1 test p <= (n+1)/2 only, and hodge_decomposition meets only the
 # pieces with p >= q: the other pairs follow from Q^T = (-1)^n Q and from
-# conjugation.  The dense Gram matrix, the full p-loops and polarizes with
-# its own Hermitian test are kept here as oracles, and must give the same
+# conjugation.  The dense Gram matrix, the full p-loops and a polarization
+# test with its own Hermitian check are kept here as oracles, and must give the same
 # matrices, subspaces and verdicts, on failing data too.
 
 def dense_gram(form, us, vs, M=None):
@@ -242,11 +261,14 @@ def phs_report_oracle(d):
 
 
 def assert_matches_oracles(d, what):
-    """The new checks against the oracles on d; returns the report."""
+    """The new checks against the oracles on d; returns the report.  An HR2
+    witness is there exactly when HR1 holds and HR2 fails."""
     assert check_isotropy(d) == isotropy_oracle(d), what
     assert hodge_decomposition(d) == decomposition_oracle(d), what
     report = validate_phs(d)
+    witness = report.pop("hr2_witness", None)
     assert report == phs_report_oracle(d), what
+    assert (witness is not None) == (report["hr1"] and not report["hr2"]), what
     return report
 
 
@@ -326,14 +348,15 @@ def test_sparse_gram_matches_dense_on_the_corpus():
                 assert form.gram(us, vs, M) == dense_gram(form, us, vs, M), cid
 
 
-def test_polarizes_rejects_a_block_that_is_not_hermitian():
+def test_polarization_fault_rejects_a_block_that_is_not_hermitian():
     # weight 0, Q = I on C^2, one piece (0, 0): the block is M itself
     form = PolarizationForm(0, MatrixGQ.identity(2))
     pieces = [(0, 0, Subspace.full(2))]
     for M, ok in (([[1, 1], [0, 1]], False), ([[2, 1], [1, 1]], True),
                   ([[1, 2], [2, 1]], False)):
         M = MatrixGQ(M)
-        assert polarizes(form, pieces, M) == polarizes_oracle(form, pieces, M) == ok
+        assert (polarization_fault(form, pieces, M) is None) == \
+            polarizes_oracle(form, pieces, M) == ok
 
 
 def test_polarization_fault_names_the_piece_and_why():
@@ -345,7 +368,6 @@ def test_polarization_fault_names_the_piece_and_why():
                      ([[-1, 0], [0, 1]], "leading minor 1 of i^(p-q) h on I^{0,0} not positive"),
                      ([[1, 2], [2, 1]], "leading minor 2 of i^(p-q) h on I^{0,0} not positive")):
         assert polarization_fault(form, whole, MatrixGQ(M)) == fault
-        assert polarizes(form, whole, MatrixGQ(M)) == (fault is None)
     # two lines that Q pairs: the orthogonality fault comes first, and names
     # the form as the caller does
     lines = [(0, 0, Subspace.from_vectors(2, [[1, 0]])),

@@ -18,11 +18,11 @@ from hodge_degen.gq import (
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers, model_phs,
-    check_isotropy, is_valid_phs, polarizes, string_block,
+    check_isotropy, validate_phs, polarization_fault, string_block,
 )
 from hodge_degen.lmhs import (
     WeightFiltration, weight_filtration, LmhsDatum, Bigrading,
-    deligne_splitting, is_r_split, is_hodge_tate, qk_form, primitives,
+    deligne_splitting, is_r_split, is_hodge_tate,
     validate_lmhs, disc_sample, adjoint_lmhs, reduced_limit, diagonal_levi,
     AdjointLmhs, NotMhs, NonRSplit, BracketEscape,
 )
@@ -218,7 +218,7 @@ def test_atomic_block_splitting_nodes():
     L = _direct_sum(4, [string_block(4, (3, 3), 3)] * 2)
     bg = deligne_splitting(L)
     assert bg.dims() == {(1, 1): 2, (2, 2): 2, (3, 3): 2}
-    assert is_r_split(bg) and is_hodge_tate(bg)
+    assert is_r_split(bg) and is_hodge_tate(bg.dims())
 
 
 def test_splitting_is_computed_once_per_datum():
@@ -313,7 +313,7 @@ def test_check_case_states_the_converse_for_semisimple_g(n, top):
     L = _direct_sum(n, [string_block(n, top, 1)])
     a = adjoint_lmhs(L)
     assert a.dim_g == 1 and a.I_g.dims() == {(0, 0): 1}
-    assert not is_hodge_tate(deligne_splitting(L))
+    assert not is_hodge_tate(deligne_splitting(L).dims())
     assert cli.check_case("so2", L) == "so2"
 
 
@@ -335,7 +335,7 @@ def test_check_case_states_the_converse_for_semisimple_g(n, top):
 # each meet with a nonzero result puts its vectors in rref once (the
 # directness meets of check_hr1, halved too, are zero on the disc samples
 # and need none).  PolarizationForm.gram runs once per Gram matrix of
-# the Hodge-Riemann checks, qk_form and adjoint_lmhs; it was 522 while
+# the Hodge-Riemann checks and adjoint_lmhs; it was 522 while
 # check_isotropy paired F^p with F^{n+1-p} for every p, not p <= (n+1)/2.
 # The rref figure was 1,251 before clause (b) of validate_lmhs tested
 # conj I^{p,q} = I^{q,p} before building I^{q,p} + W_{l-1} (-149), the
@@ -482,8 +482,8 @@ def test_validate_detects_non_orthogonal_primitive_pieces():
                   MatrixGQ.zero(4, 4))
     pieces = deligne_splitting(L).nodes
     assert [(p, q) for p, q, _ in pieces] == [(0, 1), (1, 0)]
-    assert all(polarizes(L.hodge.polarization, [piece]) for piece in pieces)
-    assert not polarizes(L.hodge.polarization, pieces)
+    assert all(polarization_fault(L.hodge.polarization, [piece]) is None for piece in pieces)
+    assert polarization_fault(L.hodge.polarization, pieces) is not None
     assert validate_lmhs(L) == {"weight_filtration": True, "graded_hodge": True,
                                 "minus_one_minus_one": True,
                                 "polarized_primitives_witness":
@@ -676,32 +676,22 @@ def test_check_splitting_rejects_unconjugate_piece():
         reference_check_splitting(L, Bigrading(L.dim, nodes))
 
 
-def test_qk_form_symmetric_on_top_primitive():
-    L = _direct_sum(2, [string_block(2, (2, 2), 3)])
-    prim = primitives(L)
-    assert [(k, s.dim) for k, s in prim] == [(0, 0), (1, 0), (2, 1)]
-    H = qk_form(L, 2)
-    assert H == H.transpose()  # even k: symmetric twisted pairing
-
-
-def test_qk_form_rejects_a_negative_level():
-    # a ValueError, which python -O keeps: an assert would give way to the
-    # zero power N^-1 and a zero Gram matrix
-    with pytest.raises(ValueError, match="k = -1"):
-        qk_form(_corpus_datum("ht/n=3,h=1,1,1,1"), -1)
-
-
 def test_primitives_and_qk_forms_on_the_corpus():
-    # dim P_k = dim Gr_{c+k} - dim Gr_{c+k+2}, read off W alone, and Q_k is
+    # the primitive pieces of clause (d): their dims sum at level k to
+    # dim P_k = dim Gr_{c+k} - dim Gr_{c+k+2}, read off W alone, and
+    # Q_k(v, w) = Q(v, N^k w) over the pieces I^{p,q} with p + q - n = k is
     # (-1)^(n+k)-symmetric, on every corpus case
     for cid, _, _, thunk in cli.corpus_cases():
         L = thunk()
         c, W = L.center, L.W
-        prim = primitives(L)
-        assert [k for k, _ in prim] == list(range(W.max_level - c + 1)), cid
-        for k, P in prim:
-            assert P.dim == W.gr_dim(c + k) - W.gr_dim(c + k + 2), (cid, k)
-            H = qk_form(L, k)
+        bg = deligne_splitting(L)
+        prim = lmhs._primitive_pieces(L, bg)
+        assert list(prim) == list(range(W.max_level - c + 1)), cid
+        for k, pieces in prim.items():
+            assert sum(s.dim for _, _, s in pieces) == \
+                W.gr_dim(c + k) - W.gr_dim(c + k + 2), (cid, k)
+            vecs = [v for p, q, s in bg.nodes if p + q - L.n == k for v in s.basis.entries]
+            H = L.hodge.polarization.gram(vecs, vecs, L.power(k))
             assert H.transpose() == H.scale((-1) ** (L.n + k)), (cid, k)
 
 
@@ -723,7 +713,7 @@ def test_disc_sample_accepts_and_moves():
     out = disc_sample(L, (1, 2, 10))
     assert out["ok"] and len(out["samples"]) == 3
     # the raw limit filtration itself is not a PHS
-    assert not is_valid_phs(L.hodge)
+    assert not validate_phs(L.hodge)["ok"]
 
 
 def test_disc_sample_flags_bad_orbit():
@@ -780,7 +770,7 @@ def test_complex_pair_witness_is_still_r_split():
     L = minimal_witness(t, 3, hn)
     bg = deligne_splitting(L)
     assert is_r_split(bg)
-    assert not is_hodge_tate(bg)
+    assert not is_hodge_tate(bg.dims())
 
 
 def test_adjoint_hodge_tate_both_directions():
@@ -802,7 +792,7 @@ def test_reduced_limit_fixed_and_isotropic():
     for p in range(4):
         assert apply_matrix(E, F.step(p)) == F.step(p)
     # boundary point: the full direct-sum condition fails
-    assert not is_valid_phs(d)
+    assert not validate_phs(d)["ok"]
 
 
 def test_reduced_limit_needs_a_spanning_splitting():
@@ -819,7 +809,7 @@ def test_diagonal_levi_of_hodge_tate():
     basis, datum = diagonal_levi(a)
     assert len(basis) == datum.hodge.dim
     bg = deligne_splitting(datum)
-    assert is_hodge_tate(bg)
+    assert is_hodge_tate(bg.dims())
     assert validate_lmhs(datum)["weight_filtration"]
 
 
@@ -996,10 +986,27 @@ ADJOINT_ORACLE_CASES = [
 ]
 
 
+def to_v(a, combos):
+    """P X P^-1 on V for X = sum c X_k, one matrix for each list of pairs
+    (k, c) in `combos`: dense products with the frame P of adjoint_lmhs."""
+    P = a.frame
+    Pinv = inverse(P)
+    dim = P.rows
+    out = []
+    for combo in combos:
+        X = [[ZERO] * dim for _ in range(dim)]
+        for k, c in combo:
+            for i, row in enumerate(a.elements[k]):
+                for j, e in row.items():
+                    X[i][j] += c * e
+        out.append(P * MatrixGQ(X) * Pinv)
+    return out
+
+
 def _v_span(a, coords):
     """The span, as flattened matrices on V, of the elements of g whose
     coordinates are the basis vectors of the Subspace `coords`."""
-    mats = a.to_v([[(k, e) for k, e in enumerate(v) if e] for v in coords.basis.entries])
+    mats = to_v(a, [[(k, e) for k, e in enumerate(v) if e] for v in coords.basis.entries])
     return Subspace.from_vectors(a.frame.rows ** 2, [M.flatten() for M in mats])
 
 
@@ -1033,9 +1040,9 @@ def test_adjoint_and_diagonal_levi_match_reference(cid):
         assert _v_span(a, pieces(lambda p, q: p >= p0)) == _ref_span(ref, ref_sub), p0
     assert rank(a.killing_proxy) == rank(ref["killing_proxy"])
     assert rank(a.N_ad) == rank(ref["N_ad"])
-    assert a.to_v([[(k, e) for k, e in enumerate(a.N_coords) if e]]) == [L.N]
+    assert to_v(a, [[(k, e) for k, e in enumerate(a.N_coords) if e]]) == [L.N]
     basis, datum = diagonal_levi(a)
-    s_basis = a.to_v(basis)
+    s_basis = to_v(a, basis)
     ref_basis, ref_datum = reference_diagonal_levi(ref)
     assert all(B.is_real() for B in s_basis)
     dim = L.dim
@@ -1443,7 +1450,7 @@ def test_adjoint_n_outside_g():
 def test_adjoint_n_not_minus_one_minus_one():
     L = _corpus_datum(THREE_STRING)
     a = adjoint_lmhs(L)
-    H = a.to_v([[(_first_index(a, 0, 0), ONE)]])[0]
+    H = to_v(a, [[(_first_index(a, 0, 0), ONE)]])[0]
     with pytest.raises(NotMhs, match=r"not of type \(-1,-1\)"):
         adjoint_lmhs(_with_n(L, L.N + H))
 
@@ -1546,8 +1553,8 @@ def _invariants(L):
     levi = None
     if a.dim_g:
         basis, datum = diagonal_levi(a)
-        levi = deligne_splitting(datum).dims(), all(B.is_real() for B in a.to_v(basis))
-    return (bg.dims(), is_r_split(bg), is_hodge_tate(bg), a.I_g.dims(),
+        levi = deligne_splitting(datum).dims(), all(B.is_real() for B in to_v(a, basis))
+    return (bg.dims(), is_r_split(bg), is_hodge_tate(bg.dims()), a.I_g.dims(),
             rank(a.killing_proxy), rank(a.N_ad), levi)
 
 

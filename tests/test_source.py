@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used, and
-every module-level function or class is referenced, but for the command
-functions and an exact list of public names that only tests use.  No module
-certifies by `assert`, which `python -O` strips."""
+every module-level function or class, and every method of such a class, is
+referenced, but for the command functions and an exact list of public names
+that only tests use.  No module certifies by `assert`, which `python -O`
+strips."""
 
 import argparse
 import ast
@@ -14,23 +15,19 @@ from hodge_degen import cli
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hodge_degen"
 
-# The public names that only tests use, each with a test that uses it.  A
-# name that gains a caller in the package, or is deleted, comes off the list.
+# The public names that only tests use, each with a test that uses it and the
+# reason it stays; a method is named Class.method.  A name that gains a
+# caller in the package, or is deleted, comes off the list.
 TEST_ONLY = {
-    "normal_forms": "test_classify.py::test_normal_forms_rank_and_nilpotency",
+    # the characteristic vector of the principal cases, which the planned
+    # check of a datum's orbit numbers against roots.orbit_dims will read
     "principal_neutral_char": "test_classify.py::test_principal_families",
-    "non_ht_closed_instance": "test_classify.py::test_period_closed_non_ht_instance",
-    "catalog_names": "test_cli.py::test_catalog_closes_its_files",
-    "hodge_numbers": "test_hodge.py::test_model_phs_is_valid",
-    "is_valid_phs": "test_hodge.py::test_weight1_elliptic_curve_datum",
+    # builds the pure Hodge datum files that CI passes to `validate`
     "model_phs": "test_hodge.py::test_model_phs_is_valid",
-    "qk_form": "test_lmhs.py::test_qk_form_symmetric_on_top_primitive",
-    "primitives": "test_lmhs.py::test_qk_form_symmetric_on_top_primitive",
-    "compactness": "test_roots.py::test_compactness_split",
-    "grading_from_sigma": "test_roots.py::test_grading_roundtrip_sigma",
-    "sigma_from_grading": "test_roots.py::test_grading_roundtrip_sigma",
-    "l_decomposition": "test_roots.py::test_l_decomposition_parabolic_dims",
-    "jm_parabolic": "test_roots.py::test_jm_parabolic_even",
+    # small gq conveniences for building and comparing test data
+    "Subspace.from_vectors": "test_gq.py::test_modular_dimension_law",
+    "MatrixGQ.trace": "test_gq.py::test_trace_and_flatten",
+    "MatrixGQ.flatten": "test_gq.py::test_trace_and_flatten",
 }
 
 
@@ -56,44 +53,69 @@ def test_unused_import_is_found():
     assert unused_imports(tree) == ["orbit_dims", "os", "rank"]
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _short(name):
+    # Class.method -> method
+    return name.rsplit(".", 1)[-1]
+
+
 def definitions_and_references(trees):
-    """The module-level functions and classes, as (tree index, name), and the
-    names that the top-level statements read, as a Name or an attribute,
-    where a definition's reads of its own name do not count."""
+    """The module-level functions and classes, and the methods of those
+    classes but the dunders, as (tree index, name) with a method named
+    Class.method; and the names that the top-level statements read, as a
+    Name or an attribute.  A definition's reads of its own name do not
+    count, nor a class's reads of its own name anywhere in its body."""
     defined = []
     referenced = set()
     for t, tree in enumerate(trees):
         for stmt in tree.body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = stmt.name
-                defined.append((t, own))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != own:
-                    referenced.add(name)
+            parts = [((), stmt)]
+            if isinstance(stmt, ast.FunctionDef):
+                defined.append((t, stmt.name))
+                parts = [((stmt.name,), stmt)]
+            elif isinstance(stmt, ast.ClassDef):
+                defined.append((t, stmt.name))
+                own = (stmt.name,)
+                parts = [(own, node) for node in stmt.bases + stmt.keywords
+                         + stmt.decorator_list]
+                for item in stmt.body:
+                    if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                        defined.append((t, stmt.name + "." + item.name))
+                        parts.append((own + (item.name,), item))
+                    else:
+                        parts.append((own, item))
+            for own, part in parts:
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Name):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    else:
+                        continue
+                    if name not in own:
+                        referenced.add(name)
     return defined, referenced
 
 
-def unreferenced_private(trees):
-    """Private (one leading underscore) module-level functions and classes
-    that no top-level statement of any module but their own definition
-    names."""
+def unreferenced(trees):
+    """The module-level functions, classes and methods that no top-level
+    statement of any module but their own definition names."""
     defined, referenced = definitions_and_references(trees)
-    return sorted({name for _, name in defined
-                   if name.startswith("_") and not name.startswith("__")} - referenced)
+    return sorted({name for _, name in defined if _short(name) not in referenced})
+
+
+def unreferenced_private(trees):
+    """The unreferenced definitions with one leading underscore."""
+    return [name for name in unreferenced(trees)
+            if _short(name).startswith("_") and not _is_dunder(_short(name))]
 
 
 def unreferenced_public(trees):
-    """Public module-level functions and classes that no top-level statement
-    of any module but their own definition names."""
-    defined, referenced = definitions_and_references(trees)
-    return sorted({name for _, name in defined if not name.startswith("_")} - referenced)
+    """The unreferenced definitions with no leading underscore."""
+    return [name for name in unreferenced(trees) if not _short(name).startswith("_")]
 
 
 def test_every_private_definition_is_referenced():
@@ -105,10 +127,12 @@ def test_unreferenced_private_is_found():
     a = ast.parse("def _used():\n    return 1\n"
                   "def _dead(k):\n    return _dead(k - 1) if k else _used()\n"
                   "class _Gone:\n    pass\n"
+                  "class Kept:\n    def _step(self):\n        return self._step()\n"
+                  "    def __len__(self):\n        return 0\n"
                   "def __getattr__(name):\n    raise AttributeError(name)\n")
-    b = ast.parse("from .a import _helper\nx = _helper()\n"
+    b = ast.parse("from .a import _helper\nx = _helper(Kept())\n"
                   "def _helper():\n    return 2\n")
-    assert unreferenced_private([a, b]) == ["_Gone", "_dead"]
+    assert unreferenced_private([a, b]) == ["Kept._step", "_Gone", "_dead"]
 
 
 def test_every_public_definition_is_used_in_the_package():
@@ -128,20 +152,24 @@ def test_each_test_only_name_has_a_test_that_uses_it():
         fn = next((stmt for stmt in tree.body
                    if isinstance(stmt, ast.FunctionDef) and stmt.name == test), None)
         assert fn is not None, where
-        assert name in {node.id if isinstance(node, ast.Name) else node.attr
+        assert _short(name) in {node.id if isinstance(node, ast.Name) else node.attr
                         for node in ast.walk(fn)
                         if isinstance(node, (ast.Name, ast.Attribute))}, where
 
 
 def test_unreferenced_public_is_found():
-    a = ast.parse("class Used:\n    pass\n"
+    a = ast.parse("class Used:\n"
+                  "    def called(self):\n        return Used()\n"
+                  "    def recursive(self, k):\n        return self.recursive(k - 1)\n"
+                  "    def oracle(self):\n        return self.called()\n"
+                  "    def __eq__(self, other):\n        return True\n"
                   "def dead(k):\n    return dead(k - 1) if k else Used()\n"
                   "def inner():\n    return 1\n"
                   "def outer():\n    return inner()\n"
                   "def _private():\n    pass\n")
     b = ast.parse("from .a import outer\nx = outer()\n"
                   "def spare():\n    return 2\n")
-    assert unreferenced_public([a, b]) == ["dead", "spare"]
+    assert unreferenced_public([a, b]) == ["Used.oracle", "Used.recursive", "dead", "spare"]
 
 
 def assert_lines(tree):
