@@ -244,6 +244,20 @@ def period_closed_check(dims, n):
     return report
 
 
+def _principal_weight(family, param):
+    """The weight of a principal family's V; ParityViolation unless `family`
+    is a principal family and `param` fits it."""
+    if family in ("sp", "so_odd"):
+        if param < 1:
+            raise ParityViolation("need %s >= 1" % ("n" if family == "sp" else "m"))
+        return 2 * param - 1 if family == "sp" else 2 * param
+    if family in ("so_even_mm", "so_even_m2m"):
+        if param < 2 or param % 2:
+            raise ParityViolation("need m even, m >= 2")
+        return 2 * param - 2
+    raise ParityViolation("unknown family %r" % family)
+
+
 def principal_lmhs(family, param):
     """Principal-nilpotent limiting structures for the classical families.
 
@@ -252,21 +266,13 @@ def principal_lmhs(family, param):
     so_even_mm / so_even_m2m (m even): dim 2m, weight 2m-2,
         h = (1,...,1,2,1,...,1), with the extra vector w in I^{m-1,m-1}
     """
+    weight = _principal_weight(family, param)
     if family in ("sp", "so_odd"):
-        if param < 1:
-            raise ParityViolation("need %s >= 1" % ("n" if family == "sp" else "m"))
-        weight = 2 * param - 1 if family == "sp" else 2 * param
         # b_a = N^a v at I^{weight-a, weight-a}
         return _direct_sum(weight, [string_block(weight, (weight, weight), weight + 1)])
-    if family in ("so_even_mm", "so_even_m2m"):
-        # the two real forms so(m,m), so(m+2,m) share this normal form
-        m = param
-        if m < 2 or m % 2:
-            raise ParityViolation("need m even, m >= 2")
-        weight = 2 * m - 2
-        return _direct_sum(weight, [string_block(weight, (m - 1, m - 1), 1),
-                                    string_block(weight, (weight, weight), weight + 1)])
-    raise ParityViolation("unknown family %r" % family)
+    # so_even: the two real forms so(m,m), so(m+2,m) share this normal form
+    return _direct_sum(weight, [string_block(weight, (param - 1, param - 1), 1),
+                                string_block(weight, (weight, weight), weight + 1)])
 
 
 def principal_neutral_char(family, param):
@@ -276,22 +282,9 @@ def principal_neutral_char(family, param):
     positions), evaluated on the simple roots in orthogonal coordinates.
     """
     from .roots import build_root_system, GradingElement, characteristic_vector
-    if family == "sp":
-        n = param
-        rs = build_root_system("C", n) if n > 1 else build_root_system("C", 1)
-        evals = [2 * (n - i) - 1 for i in range(n)]
-    elif family == "so_odd":
-        m = param
-        rs = build_root_system("B", m)
-        evals = [2 * (m - i) for i in range(m)]
-    elif family in ("so_even_mm", "so_even_m2m"):
-        m = param
-        if m < 2:
-            raise ParityViolation("need m >= 2")
-        rs = build_root_system("D", m)
-        evals = [2 * (m - 1 - i) for i in range(m)]
-    else:
-        raise ParityViolation("unknown family %r" % family)
+    weight = _principal_weight(family, param)
+    rs = build_root_system({"sp": "C", "so_odd": "B"}.get(family, "D"), param)
+    evals = [weight - 2 * i for i in range(param)]  # the positions of the top string
     vals = []
     for a in rs.simple_roots:
         coords = rs.orthogonal(a)

@@ -361,9 +361,6 @@ class MatrixGQ:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
     def __eq__(self, other):
         if not isinstance(other, MatrixGQ):
             return NotImplemented
@@ -607,9 +604,6 @@ class Subspace:
     def dim(self):
         return self.basis.rows
 
-    def vectors(self):
-        return list(self.basis.entries)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -758,10 +752,8 @@ def image(M):
 
 
 def conj_space(X):
-    """The conjugate of a matrix, or of a Subspace: the conjugate of an rref
-    basis is in rref with the same pivots, and a real basis is its own."""
-    if isinstance(X, MatrixGQ):
-        return X.conj()
+    """The conjugate of a Subspace: the conjugate of an rref basis is in rref
+    with the same pivots, and a real basis is its own."""
     if X.basis.is_real():
         return X
     return _canonical(X.ambient_dim, X.basis.conj())

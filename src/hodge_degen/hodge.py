@@ -35,6 +35,9 @@ class PolarizationForm:
     __slots__ = ("n", "Q", "_rows")
 
     def __init__(self, n, Q):
+        # an int, not a bool, float or Fraction: F is indexed by it and to_json writes it
+        if type(n) is not int:
+            raise ValueError("the weight must be an integer, got %s" % reprlib.repr(n))
         if n < 0:
             raise ValueError("negative weight")
         if not Q.is_real():

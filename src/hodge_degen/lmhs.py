@@ -137,7 +137,8 @@ def _check_weight(N, W, powers):
     induction from the bottom, and the first failing level is the same.  The
     inclusions, tested by reduction, give N^k W_{c+k-1} inside W_{c-k-1}, so
     N^k is onto Gr_{c-k} when N^k new_{c+k} and W_{c-k-1} span a space of
-    dim W_{c-k}: one rank, with no subspace built.
+    dim W_{c-k}: one rank, with no subspace built.  Where Gr_{c+k} and
+    Gr_{c-k} are both 0 there is no rank: N^k is onto the zero piece.
     """
     c, dim = W.center, N.rows
     d = len(powers) - 2
@@ -153,6 +154,8 @@ def _check_weight(N, W, powers):
     for k in range(1, d + 1):
         if W.gr_dim(c + k) != W.gr_dim(c - k):
             raise AssertionError("Gr_%d and Gr_%d differ in dim" % (c + k, c - k))
+        if not new[c + k]:
+            continue
         vecs = tuple(powers[k].matvec(v) for v in new[c + k])
         if rank(_matrix(vecs + W.level(c - k - 1).basis.entries, dim)) != W.level(c - k).dim:
             raise AssertionError("N^%d not onto Gr_%d" % (k, c - k))
@@ -171,8 +174,9 @@ class LmhsDatum:
     `kernels` is (ker N^0, ..., ker N^deg), solved on first use and kept.  The
     Deligne splitting is computed on first use and kept (`deligne_splitting`).
     The constructor checks that N is real, nilpotent, in End(V, Q) and maps
-    each F^p into F^{p-1}; diagonal_levi builds its datum by `_fill` with the
-    W and splitting that _check_levi certifies, and so with no F^p test.
+    each F^p into F^{p-1}; diagonal_levi builds its datum by `_fill` with a
+    W and a splitting, which validate_lmhs certifies as it does a given W,
+    and so with no F^p test: its clause (c) covers it.
     """
 
     __slots__ = ("hodge", "N", "W", "powers", "_kernels", "_given_W",
@@ -183,9 +187,10 @@ class LmhsDatum:
 
     def _fill(self, hodge, N, W, splitting):
         # Check N and set every field.  validate_lmhs checks a W given from
-        # outside; one computed here has passed _check_weight.  A splitting
-        # comes with the W it certifies (diagonal_levi's, by _check_levi,
-        # whose support rule implies N F^p inside F^{p-1}): no F step is tested
+        # outside; one computed here has passed _check_weight.  A given
+        # splitting (diagonal_levi's) makes each F^p a sum of its pieces, so
+        # clause (c) of validate_lmhs implies N F^p inside F^{p-1}: no F step
+        # is tested
         dim = hodge.dim
         if N.rows != dim or N.cols != dim:
             raise ValueError("N has wrong shape")
@@ -202,7 +207,7 @@ class LmhsDatum:
             if not maps_into(N, F.step(p), F.step(p - 1)):
                 raise ValueError("N F^%d not inside F^%d" % (p, p - 1))
         for name, val in (("hodge", hodge), ("N", N), ("powers", powers), ("_kernels", None),
-                          ("_given_W", W is not None and splitting is None),
+                          ("_given_W", W is not None),
                           ("_splitting", splitting)):
             object.__setattr__(self, name, val)
         if W is None:
@@ -445,9 +450,10 @@ def validate_lmhs(L):
     (c) N has type (-1,-1) for the splitting
     (d) the twisted pairings polarize the primitive pieces
 
-    A W given from outside is certified by _check_weight, not recomputed;
-    when (a) fails, `weight_filtration_witness` names the failing level, and
-    when (b) or (c) fails, `graded_hodge_witness` or
+    A W given from outside (read from a file, or diagonal_levi's, with its
+    splitting) is certified by _check_weight, not recomputed; when (a)
+    fails, `weight_filtration_witness` names the failing level, and when
+    (b) or (c) fails, `graded_hodge_witness` or
     `minus_one_minus_one_witness` names the first failing piece I^{p,q}.
     (b) is read as an equality first: where conj I^{p,q} = I^{q,p}, as on
     every R-split datum, no sum with W_{l-1} is built.  When (d) fails,
@@ -668,26 +674,6 @@ def adjoint_lmhs(L):
                        coeff, _matrix(tuple(map(tuple, ad)), t))
 
 
-def _check_levi(L, S, r):
-    """Certify the Levi datum L whose piece I^{p+r,p+r} is the unit span of the
-    coordinates S[p]; W and F are unions of the same disjoint real spans, so
-    the pieces are in direct sum, recover W and F and are conjugation stable.
-    W is N's weight filtration (Deligne, Weil II 1.6) if N maps S_p into S_{p-1}
-    (so N F^p is in F^{p-1}, of type (-1,-1)) and each block S_{-j} x S_j of
-    N^{2j} is square of full rank.  Raises AssertionError as _check_weight."""
-    part, N, c = {i: p for p, idx in S.items() for i in idx}, L.N.entries, 2 * r
-    for p in sorted(S):
-        if any(N[i][j] and part[i] != p - 1 for j in S[p] for i in range(L.dim)):
-            raise AssertionError("N W_%d not inside W_%d" % (c + 2 * p, c + 2 * p - 2))
-    for j in range(1, r + 1):
-        top, low, P = S.get(j, []), S.get(-j, []), L.power(2 * j).entries
-        if len(top) != len(low):
-            raise AssertionError("Gr_%d and Gr_%d differ in dim" % (c + 2 * j, c - 2 * j))
-        if top and rank(_matrix(tuple(tuple(P[i][m] for m in top) for i in low),
-                                len(top))) != len(top):
-            raise AssertionError("N^%d not onto Gr_%d" % (2 * j, c - 2 * j))
-
-
 def reduced_limit(bg, n):
     """Limit filtration F_inf^p = (+)_{q <= n-p} I^{.,q} of an R-split
     splitting that spans: the filtration of the pieces' vectors, each
@@ -714,7 +700,8 @@ def diagonal_levi(a):
     (conj X = X), iX (conj X = -X), and X + conj X, i(X - conj X), in which
     N_s = ad N (N in s, mapping s into s) and -killing_proxy are real, and
     F_s, W_s and the splitting (I^{p,p}_g at I^{p+r,p+r}, Hodge-Tate by its
-    labels) are unit spans; the last two are certified by _check_levi and kept.
+    labels) are unit spans; the last two are kept, and validate_lmhs certifies
+    them as it does a given W.
     """
     sign = 1 if a.n % 2 else -1
     index = {ab: k for k, ab in enumerate(a.pairs)}
@@ -767,9 +754,6 @@ def diagonal_levi(a):
                                  for k in range(min(levels), max(levels) + 1)})
     hodge = HodgeDatum(ts, PolarizationForm(n_s, tracef), F_s)
     split = Bigrading(ts, [(p + r, p + r, span_of(lambda x: x == p)) for p, _ in diag])
-    # W_s and the splitting, certified by _check_levi, are taken as computed
-    # by validate_lmhs and deligne_splitting
     datum = object.__new__(LmhsDatum)
     datum._fill(hodge, N_s, W_s, split)
-    _check_levi(datum, {p: [pos[k] for k in ks] for p, ks in diag}, r)
     return basis, datum

@@ -333,27 +333,23 @@ def characteristic_vector(rs, Y):
 
 
 class InvolutionDatum:
-    """Conjugation sigma and Cartan involution theta acting on root coordinates.
+    """Conjugation sigma acting on root coordinates.
 
-    Both permute the roots of rs; `_conj[i]` is the all_roots index of
+    sigma permutes the roots of rs; `_conj[i]` is the all_roots index of
     conj(alpha_i) and `_imag[i]` says whether alpha_i is imaginary
-    (conj alpha = -alpha), which is whether theta fixes alpha_i, since
-    theta(alpha) = -conj(alpha) is checked for every root.
+    (conj alpha = -alpha).  On the roots of a Cartan subalgebra stable under
+    the Cartan involution, that involution is -sigma (Wolf 1969), so sigma
+    alone gives the real form.
     """
 
-    __slots__ = ("sigma", "theta", "_conj", "_imag")
+    __slots__ = ("_conj", "_imag")
 
-    def __init__(self, sigma, theta, rs):
+    def __init__(self, sigma, rs):
         sigma = tuple(tuple(Fraction(x) for x in row) for row in sigma)
-        theta = tuple(tuple(Fraction(x) for x in row) for row in theta)
-        integral = all(x.denominator == 1 for M in (sigma, theta)
-                       for row in M for x in row)
-        S, T = (_int_matrix(sigma), _int_matrix(theta)) if integral else (sigma, theta)
-        ident = _identity(len(S))
-        if _matmul(S, S) != ident or _matmul(T, T) != ident:
-            raise InconsistentInvolutions("sigma or theta is not an involution")
-        if _matmul(S, T) != _matmul(T, S):
-            raise InconsistentInvolutions("sigma and theta do not commute")
+        integral = all(x.denominator == 1 for row in sigma for x in row)
+        S = _int_matrix(sigma) if integral else sigma
+        if _matmul(S, S) != _identity(len(S)):
+            raise InconsistentInvolutions("sigma is not an involution")
         if not integral:
             # a column with a non-integer entry sends its simple root (a unit
             # vector) to a vector that is not a root
@@ -362,16 +358,12 @@ class InvolutionDatum:
         conj, imag = [], []
         for a in rs.all_roots:
             sa = _matvec(S, a)
-            ta = _matvec(T, a)
-            if sa not in index or ta not in index:
+            if sa not in index:
                 raise InconsistentInvolutions("involution does not permute roots")
-            if ta != tuple(-x for x in sa):
-                raise InconsistentInvolutions("-alpha != theta(conj alpha)")
             conj.append(index[sa])
-            imag.append(ta == a)
-        for k, v in (("sigma", sigma), ("theta", theta),
-                     ("_conj", tuple(conj)), ("_imag", tuple(imag))):
-            object.__setattr__(self, k, v)
+            imag.append(sa == tuple(-x for x in a))
+        object.__setattr__(self, "_conj", tuple(conj))
+        object.__setattr__(self, "_imag", tuple(imag))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -410,12 +402,12 @@ def reflection_matrix(rs, beta):
 
 def compact_involution(rs):
     """Compact Cartan subalgebra: all roots imaginary."""
-    return InvolutionDatum(_neg(_identity(rs.rank)), _identity(rs.rank), rs)
+    return InvolutionDatum(_neg(_identity(rs.rank)), rs)
 
 
 def split_involution(rs):
     """Split form with a maximally split Cartan: all roots real."""
-    return InvolutionDatum(_identity(rs.rank), _neg(_identity(rs.rank)), rs)
+    return InvolutionDatum(_identity(rs.rank), rs)
 
 
 def cayley_involution(rs, beta):
@@ -428,7 +420,7 @@ def cayley_involution(rs, beta):
         raise UnsupportedType("cayley root %s is not a root of %s%d"
                               % (beta, rs.type_letter, rs.rank))
     S = reflection_matrix(rs, beta)
-    return InvolutionDatum(_neg(S), S, rs)
+    return InvolutionDatum(_neg(S), rs)
 
 
 def named_involution(rs, name):
@@ -451,8 +443,9 @@ def orbit_dims(rs, L, inv):
     """Real and K_R orbit dimensions through a flag with grading element L.
 
     dim_R = |Delta(O)|, the roots alpha with alpha(L) > 0 or conj-alpha(L) > 0;
-    dim_KR counts theta-fixed directions of k modulo the parabolic;
-    imaginary roots are compact exactly when alpha(L) is even.
+    dim_KR counts the directions of k (fixed by the Cartan involution,
+    -sigma on the roots) modulo the parabolic; imaginary roots are compact
+    exactly when alpha(L) is even.
     """
     lev = _levels(rs, L)
     dim_C = dim_R = dim_KR = half_count = 0
@@ -466,11 +459,11 @@ def orbit_dims(rs, L, inv):
             if x % 2 == 0 and x > 0:
                 dim_KR += 1
         elif not (x <= 0 and y >= 0):
-            # theta-pair {a, theta a} enters k; it survives modulo p unless
+            # the pair {a, -conj a} enters k; it survives modulo p unless
             # both members lie in p, i.e. alpha(L) <= 0 and conj-alpha(L) >= 0
             half_count += 1
     if half_count % 2:
-        raise AssertionError("odd count %d of theta-pair roots" % half_count)
+        raise AssertionError("odd count %d of paired roots" % half_count)
     dim_KR += half_count // 2
     return {"dim_R_orbit": dim_R, "dim_KR_orbit": dim_KR, "dim_C_dual": dim_C}
 
@@ -478,8 +471,9 @@ def orbit_dims(rs, L, inv):
 def closed_orbit_criterion(rs, L, inv):
     """Closed iff every root in Delta(-,+) is imaginary and compact.
 
-    Imaginary means theta-fixed; compact means alpha(L) even (the Cartan
-    involution acts on the root space by (-1)^{alpha(L)}).
+    Imaginary means fixed by the Cartan involution -sigma; compact means
+    alpha(L) even (the Cartan involution acts on the root space by
+    (-1)^{alpha(L)}).
     """
     lev = _levels(rs, L)
     return all(imaginary and x % 2 == 0

@@ -4,6 +4,7 @@ gate, closed-orbit checks, principal constructors, normal-form exhaustion."""
 import itertools
 import json
 import os
+import re
 
 import pytest
 
@@ -367,13 +368,17 @@ def test_principal_hodge_numbers():
     assert L.hodge.filtration.f_vector() == (4, 3, 1)
 
 
-def test_principal_parity_violations():
-    with pytest.raises(ParityViolation):
-        principal_lmhs("so_even_mm", 3)
-    with pytest.raises(ParityViolation):
-        principal_lmhs("sp", 0)
-    with pytest.raises(ParityViolation):
-        principal_lmhs("su", 2)
+@pytest.mark.parametrize("construct", [principal_lmhs, principal_neutral_char])
+@pytest.mark.parametrize("family, param, message", [
+    ("so_even_mm", 3, "need m even, m >= 2"), ("so_even_m2m", 0, "need m even, m >= 2"),
+    ("sp", 0, "need n >= 1"), ("sp", -3, "need n >= 1"), ("so_odd", 0, "need m >= 1"),
+    ("su", 2, "unknown family 'su'"),
+])
+def test_principal_parity_violations(construct, family, param, message):
+    # both constructors take the same parameters: principal_neutral_char gave
+    # (0,) for sp(0) and sp(-3)
+    with pytest.raises(ParityViolation, match="^%s$" % re.escape(message)):
+        construct(family, param)
 
 
 # ------------------------------------------------------------ normal forms

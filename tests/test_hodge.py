@@ -104,6 +104,18 @@ def test_polarization_parity_enforced():
         PolarizationForm(2, MatrixGQ.zero(2, 2))  # degenerate
 
 
+@pytest.mark.parametrize("n, message", [
+    (2.0, r"the weight must be an integer, got 2\.0"),
+    (True, r"the weight must be an integer, got True"),
+    (Fraction(2), r"the weight must be an integer, got Fraction\(2, 1\)"),
+])
+def test_polarization_rejects_a_non_integer_weight_by_name(n, message):
+    # 2.0 passed every check and then broke to_json
+    with pytest.raises(ValueError, match=message):
+        PolarizationForm(n, MatrixGQ.identity(2))
+    assert PolarizationForm(2, MatrixGQ.identity(2)).n == 2
+
+
 def test_filtration_must_decrease():
     full = Subspace.full(2)
     line = Subspace.from_vectors(2, [[ONE, ZERO]])

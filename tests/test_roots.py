@@ -132,23 +132,24 @@ def test_named_involutions_consistent():
         named_involution(rs, "bogus")
 
 
-def test_involution_consistency_enforced():
-    rs = build_root_system("A", 2)
-    good = compact_involution(rs)
-    bad_sigma = split_involution(rs).sigma
-    with pytest.raises(InconsistentInvolutions):
-        InvolutionDatum(bad_sigma, good.theta, rs)
-
-
-@pytest.mark.parametrize("sigma, theta, message", [
-    (((1, 1), (0, 1)), ((1, 0), (0, 1)), "not an involution"),
-    (((0, 1), (1, 0)), ((-1, 0), (1, 1)), "do not commute"),
-    (((1, 0), (0, -1)), ((-1, 0), (0, 1)), "does not permute roots"),
-    (((1, 0), (0, 1)), ((1, 0), (0, 1)), r"-alpha != theta\(conj alpha\)"),
+@pytest.mark.parametrize("sigma, message", [
+    (((1, 1), (0, 1)), "sigma is not an involution"),
+    (((1, 0), (0, -1)), "does not permute roots"),  # alpha_1 + alpha_2 to (1, -1)
 ])
-def test_each_involution_check_enforced(sigma, theta, message):
+def test_each_involution_check_enforced(sigma, message):
     with pytest.raises(InconsistentInvolutions, match=message):
-        InvolutionDatum(sigma, theta, build_root_system("A", 2))
+        InvolutionDatum(sigma, build_root_system("A", 2))
+
+
+def test_sigma_alone_gives_the_imaginary_roots():
+    # the diagram flip of A2 swaps alpha_1 and alpha_2 and fixes their sum:
+    # no root is imaginary; under -1 (compact) every root is
+    rs = build_root_system("A", 2)
+    flip = InvolutionDatum(((0, 1), (1, 0)), rs)
+    assert [rs.all_roots[j] for j in flip._conj] == [matvec(((0, 1), (1, 0)), a)
+                                                      for a in rs.all_roots]
+    assert not any(flip._imag)
+    assert all(compact_involution(rs)._imag) and not any(split_involution(rs)._imag)
 
 
 def test_orbit_dims_open_orbit_compact_form():
@@ -244,13 +245,25 @@ def orbit_cases(draw):
     return letter, rank, name, tuple(values)
 
 
-def reference_orbit_layer(rs, L, inv):
+def reference_sigma(rs, name):
+    """The matrix of conj for a named involution: -1 (compact), 1 (split) or
+    -s_beta (cayley:beta)."""
+    one = tuple(tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank))
+    if name == "split":
+        return one
+    S = one if name == "compact" else roots.reflection_matrix(
+        rs, tuple(int(x) for x in name.split(":")[1].split(",")))
+    return tuple(tuple(-x for x in row) for row in S)
+
+
+def reference_orbit_layer(rs, L, sigma):
     """orbit_dims and closed_orbit_criterion from the definitions: Fraction
-    alpha(L), conj and theta applied to each root as matrices."""
+    alpha(L), and conj applied to each root as the matrix sigma; the Cartan
+    involution is -sigma on the roots."""
     sets = {"O": [], "le0le0": [], "ge0ge0x": [], "plus_minus": [], "minus_plus": []}
     dim_C = dim_KR = half_count = 0
     for a in rs.all_roots:
-        conj = matvec(inv.sigma, a)
+        conj = matvec(sigma, a)
         x, y = L(a), L(conj)
         assert x.denominator == y.denominator == 1
         dim_C += x > 0
@@ -271,7 +284,7 @@ def reference_orbit_layer(rs, L, inv):
     assert half_count % 2 == 0
     dims = {"dim_R_orbit": len(sets["O"]), "dim_KR_orbit": dim_KR + half_count // 2,
             "dim_C_dual": dim_C}
-    closed = all(matvec(inv.theta, a) == a and L(a) % 2 == 0
+    closed = all(matvec(sigma, a) == tuple(-c for c in a) and L(a) % 2 == 0
                  for a in sets["minus_plus"])
     return dims, closed
 
@@ -285,7 +298,7 @@ def test_orbit_layer_matches_definitions(case):
     rs = build_root_system(letter, rank)
     inv = named_involution(rs, name)
     L = GradingElement(values)
-    dims, closed = reference_orbit_layer(rs, L, inv)
+    dims, closed = reference_orbit_layer(rs, L, reference_sigma(rs, name))
     assert orbit_dims(rs, L, inv) == dims
     assert closed_orbit_criterion(rs, L, inv) == closed
 
@@ -295,7 +308,7 @@ def test_orbit_layer_matches_definitions(case):
 def reference_root_system(letter, rank):
     """Root data as first written: each root reflected in orthogonal
     coordinates with Fraction arithmetic, the Cartan matrix from orthogonal
-    dot products, and squared lengths by orthogonal dot products.  `involution(sigma, theta)`
+    dot products, and squared lengths by orthogonal dot products.  `involution(sigma)`
     gives (_conj, _imag) by Fraction mat-vecs on every root."""
     orth = roots._orthogonal_simples(letter, rank)
 
@@ -331,13 +344,12 @@ def reference_root_system(letter, rank):
     def matvec(M, v):
         return tuple(sum(x * y for x, y in zip(row, v)) for row in M)
 
-    def involution(sigma, theta):
+    def involution(sigma):
         conj, imag = [], []
         for a in all_roots:
-            sa, ta = matvec(sigma, a), matvec(theta, a)
-            assert ta == tuple(-x for x in sa)
+            sa = matvec(sigma, a)
             conj.append(all_roots.index(sa))
-            imag.append(ta == a)
+            imag.append(sa == tuple(-x for x in a))
         return tuple(conj), tuple(imag)
 
     def reflection(beta):
@@ -363,24 +375,21 @@ def test_root_data_matches_reference(letter, rank):
     assert rs.short_roots() == ref["short_roots"]
     one = [[Fraction(int(j == i)) for j in range(rank)] for i in range(rank)]
     neg = [[-x for x in row] for row in one]
-    cases = [("compact", neg, one), ("split", one, neg)]
+    cases = [("compact", neg), ("split", one)]
     for beta in ref["positive_roots"][:5]:
-        S = ref["reflection"](beta)
         cases.append(("cayley:" + ",".join(map(str, beta)),
-                      [[-x for x in row] for row in S], S))
-    for name, sigma, theta in cases:
+                      [[-x for x in row] for row in ref["reflection"](beta)]))
+    for name, sigma in cases:
         inv = named_involution(rs, name)
-        assert (inv._conj, inv._imag) == ref["involution"](sigma, theta), name
-        assert (inv.sigma, inv.theta) == (tuple(map(tuple, sigma)), tuple(map(tuple, theta)))
+        assert (inv._conj, inv._imag) == ref["involution"](sigma), name
 
 
 def test_non_integral_involution_rejected():
-    # an involution pair that commutes, but whose first column sends alpha_1
-    # to (1, 1/2), which is not a root
+    # an involution whose first column sends alpha_1 to (1, 1/2), which is
+    # not a root
     sigma = ((1, 0), (Fraction(1, 2), -1))
-    theta = tuple(tuple(-x for x in row) for row in sigma)
     with pytest.raises(InconsistentInvolutions, match="does not permute roots"):
-        InvolutionDatum(sigma, theta, build_root_system("A", 2))
+        InvolutionDatum(sigma, build_root_system("A", 2))
 
 
 @pytest.mark.parametrize("rank", [0, -1, "2", 2.0, True])

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package imports is used, and
 every module-level function or class, and every method of such a class, is
 referenced, but for the command functions and an exact list of public names
-that only tests use.  No module certifies by `assert`, which `python -O`
-strips."""
+that only tests use; a method only counts as referenced when it is read as
+an attribute.  Every `__slots__` field is read as an attribute, but for an
+exact list.  No module certifies by `assert`, which `python -O` strips."""
 
 import argparse
 import ast
@@ -28,6 +29,16 @@ TEST_ONLY = {
     "Subspace.from_vectors": "test_gq.py::test_modular_dimension_law",
     "MatrixGQ.trace": "test_gq.py::test_trace_and_flatten",
     "MatrixGQ.flatten": "test_gq.py::test_trace_and_flatten",
+}
+
+# The `__slots__` fields that no module reads, each with the reason it stays.
+# A field that gains a reader, or is deleted, comes off the list.
+UNREAD_SLOTS = {
+    # the frame P, the form Q' = P^T Q P and the elements X_ab of g = End(V, Q)
+    # on V: the planned G_R-orbit of the reduced limit in the compact dual
+    # reads k in this frame
+    name: "the G_R-orbit computation reads k in this frame"
+    for name in ("AdjointLmhs.frame", "AdjointLmhs.form", "AdjointLmhs.elements")
 }
 
 
@@ -65,9 +76,10 @@ def _short(name):
 def definitions_and_references(trees):
     """The module-level functions and classes, and the methods of those
     classes but the dunders, as (tree index, name) with a method named
-    Class.method; and the names that the top-level statements read, as a
-    Name or an attribute.  A definition's reads of its own name do not
-    count, nor a class's reads of its own name anywhere in its body."""
+    Class.method; and the names that the top-level statements read, a Name
+    as itself and an attribute as "." + its name.  A definition's reads of
+    its own name do not count, nor a class's reads of its own name anywhere
+    in its body."""
     defined = []
     referenced = set()
     for t, tree in enumerate(trees):
@@ -90,21 +102,25 @@ def definitions_and_references(trees):
             for own, part in parts:
                 for node in ast.walk(part):
                     if isinstance(node, ast.Name):
-                        name = node.id
+                        name, read = node.id, node.id
                     elif isinstance(node, ast.Attribute):
-                        name = node.attr
+                        name, read = node.attr, "." + node.attr
                     else:
                         continue
                     if name not in own:
-                        referenced.add(name)
+                        referenced.add(read)
     return defined, referenced
 
 
 def unreferenced(trees):
     """The module-level functions, classes and methods that no top-level
-    statement of any module but their own definition names."""
+    statement of any module but their own definition names: a method by an
+    attribute, a module-level definition by a Name or an attribute."""
     defined, referenced = definitions_and_references(trees)
-    return sorted({name for _, name in defined if _short(name) not in referenced})
+
+    def used(name):
+        return "." + _short(name) in referenced or ("." not in name and name in referenced)
+    return sorted({name for _, name in defined if not used(name)})
 
 
 def unreferenced_private(trees):
@@ -157,6 +173,15 @@ def test_each_test_only_name_has_a_test_that_uses_it():
                         if isinstance(node, (ast.Name, ast.Attribute))}, where
 
 
+def test_method_named_like_a_local_is_found():
+    # a local variable `row` read as a Name does not keep the method `row`
+    a = ast.parse("class M:\n    def row(self, i):\n        return i\n"
+                  "    def col(self, j):\n        return j\n"
+                  "def f(m, rows):\n    return [m.col(row) for row in rows]\n")
+    b = ast.parse("from .a import M, f\nx = f(M(), [1])\n")
+    assert unreferenced_public([a, b]) == ["M.row"]
+
+
 def test_unreferenced_public_is_found():
     a = ast.parse("class Used:\n"
                   "    def called(self):\n        return Used()\n"
@@ -170,6 +195,44 @@ def test_unreferenced_public_is_found():
     b = ast.parse("from .a import outer\nx = outer()\n"
                   "def spare():\n    return 2\n")
     assert unreferenced_public([a, b]) == ["Used.oracle", "Used.recursive", "dead", "spare"]
+
+
+def unread_slots(trees):
+    """The `__slots__` fields of the module-level classes, as Class.field,
+    that no module reads as an attribute."""
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = set()
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in stmt.targets)):
+                    fields.update(cls.name + "." + field
+                                  for field in ast.literal_eval(stmt.value))
+    return sorted(name for name in fields if _short(name) not in read)
+
+
+def test_every_slot_is_read():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert unread_slots(trees) == sorted(UNREAD_SLOTS)
+
+
+def test_unread_slot_is_found():
+    # a field written by object.__setattr__ and read only as a local Name,
+    # or only written, is unread; one read as an attribute anywhere is not
+    a = ast.parse("class P:\n    __slots__ = ('n', 'spare', 'kept')\n"
+                  "    def __init__(self, n, spare, kept):\n"
+                  "        object.__setattr__(self, 'n', n)\n"
+                  "        object.__setattr__(self, 'spare', spare)\n"
+                  "        self.kept = kept\n"
+                  "        print(spare)\n"
+                  "class Empty:\n    __slots__ = ()\n")
+    b = ast.parse("def f(p):\n    return p.n\n")
+    assert unread_slots([a, b]) == ["P.kept", "P.spare"]
 
 
 def assert_lines(tree):
