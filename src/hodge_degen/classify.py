@@ -16,13 +16,14 @@ A minimal type is one long string plus a pure rest, which give its table,
 admissibility and witness; kind II's h^{m,m} odd is the one other rule.
 """
 
-from collections import Counter, namedtuple
+from collections import Counter
 
+from .gq import Immutable
 from .hodge import (
     HodgeDatum, PolarizationForm, HodgeNumbers, labelled_filtration, string_labels,
     string_block, block_sum, pure_blocks,
 )
-from .lmhs import LmhsDatum, NotMhs, deligne_splitting, validate_lmhs
+from .lmhs import LmhsDatum, NotMhs, deligne_splitting, validate_lmhs, is_hodge_tate
 from .diagrams import triples
 
 
@@ -42,7 +43,7 @@ class OddWeightNonHT(ValueError):
     pass
 
 
-class MinimalType:
+class MinimalType(Immutable):
     """One admissible minimal degeneration: kind I (2-strings) or II (3-string)."""
 
     __slots__ = ("kind", "p_o", "q_o", "i_table")
@@ -58,9 +59,6 @@ class MinimalType:
         object.__setattr__(self, "p_o", p_o)
         object.__setattr__(self, "q_o", q_o)
         object.__setattr__(self, "i_table", i_table)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def triples(self):
         return triples(self.i_table)
@@ -137,11 +135,6 @@ def minimal_witness(t, n, h):
     return L
 
 
-# Multiplicities d_k of the real strings e^{n-k} -> ... -> e^k realizing a
-# Hodge-Tate limit, k = 0, ..., n // 2.
-HtPlan = namedtuple("HtPlan", "n d")
-
-
 def ht_gate(n, h):
     """h^{n,0} <= h^{n-1,1} <= ... <= h^{n-m,m}."""
     m = n // 2
@@ -150,20 +143,21 @@ def ht_gate(n, h):
 
 
 def ht_plan(n, h):
+    """The multiplicities d_k of the real strings e^{n-k} -> ... -> e^k that
+    realize a Hodge-Tate limit, k = 0, ..., n // 2."""
     if not ht_gate(n, h):
         raise GateFailed("Hodge numbers do not pass the monotone gate")
     m = n // 2
     d = [h.hpq(n, 0)]
     for k in range(1, m + 1):
         d.append(h.hpq(n - k, k) - h.hpq(n - k + 1, k - 1))
-    return HtPlan(n, tuple(d))
+    return tuple(d)
 
 
 def ht_construct(n, h):
     """Hodge-Tate degeneration as a direct sum of real strings, top first."""
-    plan = ht_plan(n, h)
     blocks = [string_block(n, (n - k, n - k), n - 2 * k + 1)
-              for k, dk in enumerate(plan.d) for _ in range(dk)]
+              for k, dk in enumerate(ht_plan(n, h)) for _ in range(dk)]
     if not blocks:
         raise GateFailed("empty structure")
     rest = _rest(n, h, [label for _, _, basis in blocks for _, label in basis])
@@ -208,9 +202,9 @@ def period_closed_check(dims, n):
     Hodge-Tate, or (weight even) the non-HT clauses are checked.  The result
     is only ever "consistent with" the closed orbit.
     """
-    dims = {k: v for k, v in dims.items() if v}
-    if all(p == q for p, q in dims):
+    if is_hodge_tate(dims):
         return {"branch": "hodge-tate", "consistent_with_closed_orbit": True}
+    dims = {k: v for k, v in dims.items() if v}
     if n % 2:
         raise OddWeightNonHT("odd weight limits meeting the closed orbit "
                              "must be Hodge-Tate")

@@ -174,8 +174,7 @@ def cmd_classify(args):
         if not report["gate"]:
             print(json.dumps(report, sort_keys=True))
             return 1
-        plan = ht_plan(n, hn)
-        report["atomic_multiplicities"] = list(plan.d)
+        report["atomic_multiplicities"] = list(ht_plan(n, hn))
         try:
             L = ht_construct(n, hn)
         except GateFailed as e:

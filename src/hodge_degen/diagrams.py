@@ -8,12 +8,14 @@ dim 1 and stroked rings for dim >= 2.
 
 import json
 
+from .gq import Immutable
+
 CELL = 20  # px per lattice step
 R_FILL = 4
 R_RING = 7
 
 
-class DiagramSpec:
+class DiagramSpec(Immutable):
     """Sorted node triples plus an axis range and optional N-arrows."""
 
     __slots__ = ("nodes", "p_range", "q_range", "arrows")
@@ -35,9 +37,6 @@ class DiagramSpec:
         object.__setattr__(self, "q_range", (int(q_range[0]), int(q_range[1])))
         object.__setattr__(self, "arrows", tuple(
             (int(p), int(q)) for p, q in arrows))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def to_json(self):
         obj = {"nodes": [list(t) for t in self.nodes],

@@ -55,30 +55,35 @@ _SCALAR_RE = _re.compile(
 )
 
 
-class GaussianRational:
+class Immutable:
+    """Base of the value types: they set their fields through
+    object.__setattr__ or the slots' member descriptors, and any plain
+    assignment raises AttributeError naming the type."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class GaussianRational(Immutable):
     """A complex number (x + y*i)/d, held as three ints in lowest terms.
 
     d > 0 and gcd(x, y, d) == 1, so equal values have equal (x, y, d) and
     zero is (0, 0, 1).  The constructor takes the real and imaginary parts
-    as ints or Fractions; `re` and `im` return them as Fractions.
+    as ints or Fractions; `re` and `im` return them as Fractions.  A real
+    value hashes as the int or Fraction it equals.
     """
 
     __slots__ = ("_x", "_y", "_d")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
             raise TypeError("GaussianRational parts must be ints or Fractions, "
                             "got %r and %r" % (re, im))
         a, b = re.numerator, re.denominator
         c, e = im.numerator, im.denominator
-        x, y, d = a * e, c * b, b * e
-        g = gcd(x, y, d)
-        _set_x(self, x // g)
-        _set_y(self, y // g)
-        _set_d(self, d // g)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GaussianRational is immutable")
+        return _make(a * e, c * b, b * e)
 
     @property
     def re(self):
@@ -164,7 +169,7 @@ class GaussianRational:
         return self._x == other._x and self._y == other._y and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.re if not self._y else (self.re, self.im))
 
     def __bool__(self):
         return bool(self._x or self._y)
@@ -177,7 +182,7 @@ class GaussianRational:
 
 
 # Results are built through the slots' member descriptors, which skip
-# __init__ and its type checks and are not stopped by __setattr__.
+# __new__ and its type checks and are not stopped by Immutable.__setattr__.
 _new = object.__new__
 _set_x = GaussianRational._x.__set__
 _set_y = GaussianRational._y.__set__
@@ -319,7 +324,7 @@ def _ratio(t):
     return int(n), int(d) if d else 1
 
 
-class MatrixGQ:
+class MatrixGQ(Immutable):
     """Matrix of GaussianRational entries, immutable.
 
     `entries` is a tuple of dense row tuples, so equality and hashing are
@@ -345,9 +350,6 @@ class MatrixGQ:
         _set_cols(self, cols)
         _set_entries(self, entries)
         _set_pivots(self, None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MatrixGQ is immutable")
 
     @staticmethod
     def zero(rows, cols):
@@ -558,7 +560,7 @@ def inverse(M):
     return _matrix(tuple(row[n:] for row in R.entries), n)
 
 
-class Subspace:
+class Subspace(Immutable):
     """A subspace of C^n, stored as an rref basis (rows).  Equality is structural.
 
     `pivots` holds the pivot column of each basis row.
@@ -574,9 +576,6 @@ class Subspace:
                                       % (basis.cols, ambient_dim))
             basis = MatrixGQ.zero(0, ambient_dim)
         return _canonical(ambient_dim, rref(basis))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subspace is immutable")
 
     @staticmethod
     def from_vectors(ambient_dim, vectors):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .gq import (
     GaussianRational, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, i_power, unit_vector,
     intersect, conj_space, rank, hermitian_pd, first_nonpositive_minor, NotHermitian,
-    _matrix, _span, _nonzeros, _add_mul,
+    Immutable, _matrix, _span, _nonzeros, _add_mul,
 )
 
 
@@ -26,7 +26,7 @@ class InadmissibleHodgeNumbers(ValueError):
     pass
 
 
-class PolarizationForm:
+class PolarizationForm(Immutable):
     """Weight n pairing Q on V, real entries, Q^T = (-1)^n Q, nondegenerate.
 
     `_rows` holds the nonzero (column, entry) pairs of each row of Q, read
@@ -50,9 +50,6 @@ class PolarizationForm:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "_rows", tuple(_nonzeros(row) for row in Q.entries))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def gram(self, us, vs, M=None):
         """The matrix [Q(u, M v)] over u in us and v in vs (M = I when None).
@@ -80,7 +77,7 @@ class PolarizationForm:
         return _matrix(tuple(out), len(vs))
 
 
-class HodgeFiltration:
+class HodgeFiltration(Immutable):
     """Decreasing steps F^n <= ... <= F^0 = V."""
 
     __slots__ = ("n", "steps")
@@ -97,9 +94,6 @@ class HodgeFiltration:
                 raise InconsistentFiltration("F^%d does not contain F^%d" % (p, p + 1))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "steps", tuple(steps))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def ambient_dim(self):
@@ -122,7 +116,7 @@ class HodgeFiltration:
         return self.n == other.n and self.steps == other.steps
 
 
-class HodgeDatum:
+class HodgeDatum(Immutable):
     __slots__ = ("dim", "polarization", "filtration")
 
     def __init__(self, dim, polarization, filtration):
@@ -133,9 +127,6 @@ class HodgeDatum:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "polarization", polarization)
         object.__setattr__(self, "filtration", filtration)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def n(self):
@@ -189,7 +180,7 @@ def _json_count(obj, key):
     return v
 
 
-class HodgeNumbers:
+class HodgeNumbers(Immutable):
     __slots__ = ("n", "h")
 
     def __init__(self, n, h):
@@ -212,9 +203,6 @@ class HodgeNumbers:
             raise InadmissibleHodgeNumbers("h^{p,q} != h^{q,p}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "h", h)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def hpq(self, p, q):
         # h is listed h^{n,0}, h^{n-1,1}, ..., h^{0,n}
@@ -308,14 +296,17 @@ def check_isotropy(d):
 
 def validate_phs(d):
     """Report {hr1, hr2, spans, ok}; the datum is a PHS iff all three hold,
-    and ok says whether they do.  HR1 and the Hodge decomposition are each
-    computed once, and each tests half the pairs (p, n+1-p) or (p, q), the
-    other half following from Q's parity and conjugation.  HR2 is tested
-    only where HR1 holds; when it fails, `hr2_witness` is the
-    polarization_fault sentence naming the piece."""
+    and ok says whether they do.  `spans` says whether the pieces V^{p,q}
+    together span V.  HR1 and the Hodge decomposition are each computed
+    once, and each tests half the pairs (p, n+1-p) or (p, q), the other half
+    following from Q's parity and conjugation.  Where HR1 holds the pieces
+    are independent, so their dims decide `spans`; elsewhere one rank of
+    all their basis rows does.  HR2 is tested only where HR1 holds; when it
+    fails, `hr2_witness` is the polarization_fault sentence naming the piece."""
     hr1 = check_hr1(d)
     decomposition = hodge_decomposition(d)
-    spans = sum(space.dim for _, _, space in decomposition) == d.dim
+    rows = tuple(v for _, _, space in decomposition for v in space.basis.entries)
+    spans = (len(rows) if hr1 else rank(_matrix(rows, d.dim))) == d.dim
     fault = polarization_fault(d.polarization, decomposition) if hr1 else None
     hr2 = hr1 and fault is None
     report = {"hr1": hr1, "hr2": hr2, "spans": spans, "ok": hr1 and hr2 and spans}

@@ -11,7 +11,7 @@ import reprlib
 from fractions import Fraction
 
 from .gq import (
-    GaussianRational, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, gq,
+    GaussianRational, Immutable, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, gq,
     intersect, ssum, conj_space, apply_matrix, maps_into,
     image, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
     inverse, rank, _matrix, _canonical, _span,
@@ -37,7 +37,7 @@ class BracketEscape(AssertionError):
     pass
 
 
-class WeightFiltration:
+class WeightFiltration(Immutable):
     """Increasing filtration, stored per level, centered at `center`."""
 
     __slots__ = ("center", "levels")
@@ -52,9 +52,6 @@ class WeightFiltration:
                 raise ValueError("filtration must be increasing")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "levels", dict(levels))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def ambient_dim(self):
@@ -167,7 +164,7 @@ def _new_rows(W, k):
     return [v for v, p in zip(S.basis.entries, S.pivots) if p not in below]
 
 
-class LmhsDatum:
+class LmhsDatum(Immutable):
     """(V, Q, F) plus a real nilpotent N and its weight filtration.
 
     `powers` is (N^0, ..., N^deg), ending at the first zero power, and
@@ -213,9 +210,6 @@ class LmhsDatum:
         if W is None:
             W = weight_filtration(N, hodge.n, powers, self.kernels)
         object.__setattr__(self, "W", W)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def dim(self):
@@ -273,7 +267,7 @@ class LmhsDatum:
         return LmhsDatum(hodge, N, W)
 
 
-class Bigrading:
+class Bigrading(Immutable):
     """Finite collection of bigraded pieces in direct sum.  Rows with pairwise
     distinct leading columns are independent, so the sum is reduced only
     when the rref pivots of the pieces collide (unit spans never do)."""
@@ -290,9 +284,6 @@ class Bigrading:
                 raise NotMhs("pieces are not in direct sum")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "nodes", tuple(nodes))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def dims(self):
         return {(p, q): s.dim for p, q, s in self.nodes}
@@ -529,7 +520,7 @@ def disc_sample(L, ys):
     return out
 
 
-class AdjointLmhs:
+class AdjointLmhs(Immutable):
     """The LMHS induced on g = End(V, Q), in the frame of the splitting.
 
     `frame` (P) has the rref bases of the pieces I^{p,q} of V as columns,
@@ -548,9 +539,6 @@ class AdjointLmhs:
     def __init__(self, *values):
         for name, val in zip(AdjointLmhs.__slots__, values, strict=True):
             object.__setattr__(self, name, val)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def dim_g(self):

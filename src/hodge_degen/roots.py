@@ -16,6 +16,8 @@ import math
 import reprlib
 from fractions import Fraction
 
+from .gq import Immutable
+
 
 class UnsupportedType(ValueError):
     pass
@@ -91,7 +93,7 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-class RootSystem:
+class RootSystem(Immutable):
     """A root system in simple-root coordinates.
 
     `simple_roots` and `all_roots` are int tuples, `all_roots` sorted;
@@ -112,9 +114,6 @@ class RootSystem:
                      ("_index", {a: i for i, a in enumerate(all_roots)}),
                      ("_level_cache", {})):
             object.__setattr__(self, k, v)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def orthogonal(self, coords):
         """Orthogonal-coordinate realization of a simple-root coordinate vector."""
@@ -178,16 +177,13 @@ def build_root_system(type_letter, rank):
                       [tuple(v) for v in orth], int_gram)
 
 
-class GradingElement:
+class GradingElement(Immutable):
     """Functional on the Cartan, stored by its values on the simple roots."""
 
     __slots__ = ("values",)
 
     def __init__(self, values):
         object.__setattr__(self, "values", _rationals(values))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __call__(self, coords):
         return sum(c * v for c, v in zip(coords, self.values))
@@ -237,42 +233,23 @@ def _levels(rs, L):
     return lev
 
 
-class WeightMultiset:
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        object.__setattr__(self, "weights",
-                           tuple((tuple(Fraction(x) for x in w), int(m))
-                                 for w, m in weights))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def total(self):
-        return sum(m for _, m in self.weights)
+# The small representations of the catalog: the short roots of the group,
+# each once, and the zero weight with the multiplicity given; and the dimension.
+_REPS = {"g2-7": ("G2", "a", 1, 7), "f4-26": ("F4", "an", 2, 26)}
 
 
 def rep_weights(rs, name):
-    """Weight multisets for the small representations used by the catalog."""
-    if name == "g2-7":
-        if (rs.type_letter, rs.rank) != ("G", 2):
-            raise UnsupportedType("g2-7 needs a G2 root system")
-        ws = [(a, 1) for a in rs.short_roots()]
-        ws.append((tuple(Fraction(0) for _ in range(2)), 1))
-        W = WeightMultiset(ws)
-        if W.total() != 7:
-            raise AssertionError("g2-7 has %d weights" % W.total())
-        return W
-    if name == "f4-26":
-        if (rs.type_letter, rs.rank) != ("F", 4):
-            raise UnsupportedType("f4-26 needs an F4 root system")
-        ws = [(a, 1) for a in rs.short_roots()]
-        ws.append((tuple(Fraction(0) for _ in range(4)), 2))
-        W = WeightMultiset(ws)
-        if W.total() != 26:
-            raise AssertionError("f4-26 has %d weights" % W.total())
-        return W
-    raise UnsupportedType("unknown representation %r" % name)
+    """The (weight, multiplicity) pairs of a small representation of the catalog."""
+    if name not in _REPS:
+        raise UnsupportedType("unknown representation %r" % name)
+    group, article, zero, dim = _REPS[name]
+    if "%s%d" % (rs.type_letter, rs.rank) != group:
+        raise UnsupportedType("%s needs %s %s root system" % (name, article, group))
+    ws = [(a, 1) for a in rs.short_roots()] + [((0,) * rs.rank, zero)]
+    total = sum(m for _, m in ws)
+    if total != dim:
+        raise AssertionError("%s has %d weights" % (name, total))
+    return ws
 
 
 def adjoint_bigrading(rs, L, Y):
@@ -290,11 +267,11 @@ def adjoint_bigrading(rs, L, Y):
 
 
 def rep_bigrading(weights, L, Y, n):
-    """Node dims on a representation; weight lam sits at
-    (lam(Y) - lam(L) + n/2, lam(L) + n/2)."""
+    """Node dims on a representation given by its (weight, multiplicity)
+    pairs; weight lam sits at (lam(Y) - lam(L) + n/2, lam(L) + n/2)."""
     shift = Fraction(n, 2)
     dims = {}
-    for w, m in weights.weights:
+    for w, m in weights:
         q = L(w) + shift
         p = (Y(w) - L(w) + shift) if Y is not None else (n - q)
         if q.denominator != 1 or p.denominator != 1:
@@ -332,7 +309,7 @@ def characteristic_vector(rs, Y):
     return tuple(vals)
 
 
-class InvolutionDatum:
+class InvolutionDatum(Immutable):
     """Conjugation sigma acting on root coordinates.
 
     sigma permutes the roots of rs; `_conj[i]` is the all_roots index of
@@ -364,9 +341,6 @@ class InvolutionDatum:
             imag.append(sa == tuple(-x for x in a))
         object.__setattr__(self, "_conj", tuple(conj))
         object.__setattr__(self, "_imag", tuple(imag))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
 
 def _matmul(A, B):

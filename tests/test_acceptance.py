@@ -108,7 +108,7 @@ def test_acceptance_3_f4_catalog():
         want = sorted([int(a) for a in k.split(",")] + [v]
                       for k, v in row["nodes"].items())
         ok = ok and triples(rep_bigrading(w26, L, Y, 16)) == want
-        kmax = max(abs(Y(wt)) for wt, m in w26.weights)
+        kmax = max(abs(Y(wt)) for wt, m in w26)
         ok = ok and int(kmax) + 1 == row["nil_order"]
     ok = ok and (time.monotonic() - t0) < 5.0
     report(3, "rank-4 exceptional catalog rows with nilpotency split", ok)

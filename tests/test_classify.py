@@ -197,7 +197,7 @@ def test_gate_examples():
 
 def test_plan_multiplicities():
     plan = ht_plan(4, HodgeNumbers(4, (1, 2, 4, 2, 1)))
-    assert plan.d == (1, 1, 2)
+    assert plan == (1, 1, 2)
     with pytest.raises(GateFailed):
         ht_plan(2, HodgeNumbers(2, (2, 1, 2)))
 

@@ -135,8 +135,21 @@ def test_equal_values_share_one_canonical_form(re, im, b, k):
     assert len({hash(w) for w in routes}) == 1
     assert len({format_scalar(w) for w in routes}) == 1
     assert all(w == z for w in routes)
-    assert hash(z) == hash((z.re, z.im))
+    # a real value hashes as the Fraction it equals
+    assert hash(z) == (hash((re, im)) if im else hash(re))
     assert (z.re, z.im) == (re, im)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ints, fracs))
+@example(1)
+@example(Fraction(-1, 2))
+def test_real_value_hashes_as_the_number_it_equals(r):
+    # equal values must hash alike, or a set or dict of ints and
+    # Fractions misses the GaussianRational equal to a member
+    assert gq(r) == r and hash(gq(r)) == hash(r)
+    assert gq(r) in {r} and r in {gq(r)}
+    assert {r: 1}[gq(r)] == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hodge_degen import cli, hodge
 from hodge_degen.gq import (
     GaussianRational, MatrixGQ, Subspace, gq, ZERO, ONE, unit_vector, i_power,
-    intersect, conj_space, apply_matrix, nilpotent_exp, hermitian_pd,
+    intersect, conj_space, apply_matrix, nilpotent_exp, hermitian_pd, rank,
 )
 from hodge_degen.hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, HodgeNumbers,
@@ -151,6 +151,31 @@ def test_hr2_requires_hr1():
     assert not rep["hr1"] and not rep["hr2"] and "hr2_witness" not in rep
 
 
+def test_spans_is_the_dimension_of_the_sum_of_the_pieces(monkeypatch):
+    # HR1 fails on the first two data.  On the weight 1 datum of
+    # test_hr2_requires_hr1, V^{1,0} = V^{0,1} = F^1 is one line: the dims
+    # sum to 2, but the pieces span a line.  On the weight 2 one, Q =
+    # diag(1, 2) is not isotropic on F^1 = F^2 = span(1, i), yet V^{2,0} and
+    # V^{0,2} = conj V^{2,0} span V.  HR1 holds on the model PHS, whose
+    # pieces are then independent: their dims decide, with no rank.
+    full = Subspace.full(2)
+    line = HodgeDatum(2, PolarizationForm(1, MatrixGQ([[ZERO, ONE], [gq(-1), ZERO]])),
+                      HodgeFiltration(1, [full, Subspace.from_vectors(2, [[ONE, ONE]])]))
+    F = Subspace.from_vectors(2, [[ONE, gq("i")]])
+    plane = HodgeDatum(2, PolarizationForm(2, MatrixGQ([[ONE, ZERO], [ZERO, gq(2)]])),
+                       HodgeFiltration(2, [full, F, F]))
+    model = model_phs(HodgeNumbers(3, (1, 2, 2, 1)))
+    assert validate_phs(line) == {"hr1": False, "hr2": False, "spans": False, "ok": False}
+
+    def spans_and_ranks(d):
+        calls = []
+        monkeypatch.setattr(hodge, "rank", lambda M: calls.append(M) or rank(M))
+        rep = validate_phs(d)
+        return rep["hr1"], rep["spans"], len(calls)
+    assert [spans_and_ranks(d) for d in (line, plane, model)] == [
+        (False, False, 1), (False, True, 1), (True, True, 0)]
+
+
 @pytest.mark.parametrize("flip", [1, -1])
 def test_validate_phs_builds_hr1_and_decomposition_once(flip, monkeypatch):
     calls = {"check_hr1": 0, "hodge_decomposition": 0}
@@ -267,7 +292,9 @@ def polarizes_oracle(form, pieces, M=None):
 def phs_report_oracle(d):
     hr1 = hr1_oracle(d)
     decomposition = decomposition_oracle(d)
-    spans = sum(s.dim for _, _, s in decomposition) == d.dim
+    # the pieces span V when their sum is V, whether or not HR1 holds
+    spans = Subspace.from_vectors(
+        d.dim, [v for _, _, s in decomposition for v in s.basis.entries]).dim == d.dim
     hr2 = hr1 and polarizes_oracle(d.polarization, decomposition)
     return {"hr1": hr1, "hr2": hr2, "spans": spans, "ok": hr1 and hr2 and spans}
 

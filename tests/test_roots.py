@@ -81,9 +81,19 @@ def test_fundamental_weight_pairing():
 
 def test_rep_weights_masses():
     rs = build_root_system("G", 2)
-    assert sum(m for _, m in rep_weights(rs, "g2-7").weights) == 7
+    assert sum(m for _, m in rep_weights(rs, "g2-7")) == 7
     rs = build_root_system("F", 4)
-    assert sum(m for _, m in rep_weights(rs, "f4-26").weights) == 26
+    assert sum(m for _, m in rep_weights(rs, "f4-26")) == 26
+
+
+@pytest.mark.parametrize("letter,rank,name,message", [
+    ("F", 4, "g2-7", "g2-7 needs a G2 root system"),
+    ("G", 2, "f4-26", "f4-26 needs an F4 root system"),
+    ("G", 2, "e8-248", "unknown representation 'e8-248'"),
+])
+def test_rep_weights_rejects_another_group_or_name(letter, rank, name, message):
+    with pytest.raises(UnsupportedType, match="^%s$" % message):
+        rep_weights(build_root_system(letter, rank), name)
 
 
 # ------------------------------------------------------------ gradings

@@ -3,7 +3,9 @@ every module-level function or class, and every method of such a class, is
 referenced, but for the command functions and an exact list of public names
 that only tests use; a method only counts as referenced when it is read as
 an attribute.  Every `__slots__` field is read as an attribute, but for an
-exact list.  No module certifies by `assert`, which `python -O` strips."""
+exact list.  No module certifies by `assert`, which `python -O` strips.  No
+class but gq.Immutable defines `__setattr__`: the value types inherit its
+guard, and every one of them refuses an assignment."""
 
 import argparse
 import ast
@@ -12,6 +14,12 @@ from pathlib import Path
 import pytest
 
 from hodge_degen import cli
+from hodge_degen.classify import ht_construct, minimal_types
+from hodge_degen.diagrams import DiagramSpec
+from hodge_degen.gq import Immutable, MatrixGQ, Subspace, gq
+from hodge_degen.hodge import HodgeNumbers, model_phs
+from hodge_degen.lmhs import adjoint_lmhs, deligne_splitting
+from hodge_degen.roots import GradingElement, build_root_system, named_involution
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hodge_degen"
@@ -250,3 +258,49 @@ def test_assert_statement_is_found():
     tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'neg'\n"
                      "    raise AssertionError('no assert statement')\n")
     assert assert_lines(tree) == [3]
+
+
+def setattr_classes(trees):
+    """The classes, anywhere in the modules, whose body defines `__setattr__`."""
+    return sorted(node.name for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef)
+                  and any(isinstance(item, ast.FunctionDef) and item.name == "__setattr__"
+                          for item in node.body))
+
+
+def test_only_the_base_defines_setattr():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert setattr_classes(trees) == ["Immutable"]
+
+
+def test_setattr_class_is_found():
+    tree = ast.parse("class Immutable:\n"
+                     "    def __setattr__(self, *a):\n        raise AttributeError\n"
+                     "class Value(Immutable):\n    __slots__ = ('x',)\n"
+                     "class Own:\n    def __setattr__(self, name, v):\n        pass\n"
+                     "def f():\n    class Inner:\n        def __setattr__(self, *a):\n"
+                     "            pass\n    return Inner\n")
+    assert setattr_classes([tree]) == ["Immutable", "Inner", "Own"]
+
+
+def value_instances():
+    """One instance of every value type of the package."""
+    d = model_phs(HodgeNumbers(2, (1, 1, 1)))
+    L = ht_construct(2, HodgeNumbers(2, (1, 1, 1)))
+    rs = build_root_system("G", 2)
+    return [gq(1), MatrixGQ.identity(2), Subspace.full(2), d.polarization, d.filtration,
+            d, HodgeNumbers(2, (1, 1, 1)), L.W, L, deligne_splitting(L), adjoint_lmhs(L),
+            minimal_types(2, HodgeNumbers(2, (1, 1, 1)))[0], rs, GradingElement((1, 1)),
+            named_involution(rs, "compact"), DiagramSpec([[0, 0, 1]])]
+
+
+def test_every_value_type_has_an_instance():
+    assert {type(x) for x in value_instances()} == set(Immutable.__subclasses__())
+
+
+@pytest.mark.parametrize("value", value_instances(), ids=lambda x: type(x).__name__)
+def test_value_types_are_immutable(value):
+    # a field, and a name that is no field, both refuse the assignment
+    for name in (type(value).__slots__[0], "spare"):
+        with pytest.raises(AttributeError, match="^%s is immutable$" % type(value).__name__):
+            setattr(value, name, None)
