@@ -11,9 +11,13 @@ gcd, and equal values have equal triples.
 
 A matrix holds dense row tuples, but the data are sparse, so the kernels
 (rref, products, matvec, subspace reduction and intersection) walk only the
-nonzero entries of each row, and each row update a -/+ f*b is one fused
-operation with one gcd.  Matrices the kernels build go through a
-trusted private constructor; the public MatrixGQ constructor and from_json
+nonzero entries of each row, and build no scalar for a partial result.  An
+entry of a product, matvec or Gram matrix sums its terms as ints and is
+reduced once.  A row that an elimination updates (in rref, a reduction, an
+intersection or the minors of a Hermitian matrix) becomes an int row, a
+dict from column to (x, y, d), each entry reduced by its own gcd, and is
+turned back into scalars at the end.  Matrices the kernels build go through
+a trusted private constructor; the public MatrixGQ constructor and from_json
 check every entry.  rref keeps the pivot columns it finds, and a Subspace
 holds them, so no row is scanned again for its pivot.
 
@@ -24,7 +28,8 @@ against the other, with one rref of the meet at the end, and none when the
 meet is 0 or the smaller space itself).  A test against the whole space is
 answered without a reduction or a product.  from_json parses each distinct
 scalar string once per ScalarTable, which the matrices of one JSON datum
-share.  A basis already in rref that keeps its pivots becomes a Subspace
+share, and Subspace.from_json solves each distinct row list of a datum
+once.  A basis already in rref that keeps its pivots becomes a Subspace
 through the trusted private _canonical, with no rref: the shared zero and
 whole spaces of each C^n, a conjugate (which has the same pivots) and the
 spans of unit vectors that lmhs builds.
@@ -212,25 +217,83 @@ def _make(x, y, d):
     return z
 
 
-# The fused row updates a - f*b and a + f*b: the product is left unreduced
-# and the sum takes the one gcd, in _make.
+# Rows under elimination, and sums of products, are held as ints: a row as
+# a sparse dict column -> (x, y, d), the entry (x + y i)/d in lowest terms,
+# with its zero entries left out; a sum as one unreduced (x, y, d), reduced
+# once by _make.
 
-def _sub_mul(a, f, b):
-    fx, fy, bx, by = f._x, f._y, b._x, b._y
-    px, py, d = fx * bx - fy * by, fx * by + fy * bx, f._d * b._d
-    e = a._d
-    if e == d:
-        return _make(a._x - px, a._y - py, d)
-    return _make(a._x * d - px * e, a._y * d - py * e, d * e)
+def _int_nonzeros(row, start=0):
+    # the (column, x, y, d) of the nonzero entries of a scalar row from start on
+    return [(j, e._x, e._y, e._d) for j, e in enumerate(row[start:], start)
+            if e._x or e._y]
 
 
-def _add_mul(a, f, b):
-    fx, fy, bx, by = f._x, f._y, b._x, b._y
-    px, py, d = fx * bx - fy * by, fx * by + fy * bx, f._d * b._d
-    e = a._d
-    if e == d:
-        return _make(a._x + px, a._y + py, d)
-    return _make(a._x * d + px * e, a._y * d + py * e, d * e)
+def _int_row(v):
+    # the int row of a vector of scalars
+    return {j: (e._x, e._y, e._d) for j, e in enumerate(v) if e._x or e._y}
+
+
+def _scalar_row(r, n):
+    # the int row r as a tuple of n scalars
+    line = [ZERO] * n
+    for j, (x, y, d) in r.items():
+        line[j] = _raw(x, y, d)
+    return tuple(line)
+
+
+def _sub_row(r, fx, fy, fd, nz):
+    # the int row r minus f = (fx + fy i)/fd times the row whose nonzero
+    # entries are the (column, x, y, d) nz, in place: each entry reduced by
+    # its own gcd, and dropped when it vanishes
+    for j, bx, by, bd in nz:
+        px, py, pd = fx * bx - fy * by, fx * by + fy * bx, fd * bd
+        t = r.get(j)
+        if t is None:
+            x, y, d = -px, -py, pd
+        else:
+            ex, ey, e = t
+            if e == pd:
+                x, y, d = ex - px, ey - py, pd
+            else:
+                x, y, d = ex * pd - px * e, ey * pd - py * e, e * pd
+            if not (x or y):
+                del r[j]
+                continue
+        g = gcd(x, y, d)
+        r[j] = (x // g, y // g, d // g) if g != 1 else (x, y, d)
+
+
+def _add_products(acc, ax, ay, ad, nz):
+    # acc[j] += a b for a = (ax + ay i)/ad and each (j, bx, by, bd) of nz,
+    # where acc maps a column to its sum so far, an unreduced [x, y, d]
+    for j, bx, by, bd in nz:
+        px, py, pd = ax * bx - ay * by, ax * by + ay * bx, ad * bd
+        t = acc.get(j)
+        if t is None:
+            acc[j] = [px, py, pd]
+        elif t[2] == pd:
+            t[0] += px
+            t[1] += py
+        else:
+            d = t[2]
+            t[0] = t[0] * pd + px * d
+            t[1] = t[1] * pd + py * d
+            t[2] = d * pd
+
+
+def _scaled(nz, x, y, d):
+    # the nonzero entries nz, each times (x + y i)/d and reduced
+    out = []
+    for j, bx, by, bd in nz:
+        px, py, pd = x * bx - y * by, x * by + y * bx, d * bd
+        g = gcd(px, py, pd)
+        out.append((j, px // g, py // g, pd // g))
+    return out
+
+
+def _int_inverse(x, y, d):
+    # 1/((x + y i)/d) = d (x - y i)/(x^2 + y^2), unreduced
+    return d * x, -d * y, x * x + y * y
 
 
 def gq(x):
@@ -306,6 +369,16 @@ def parse_scalar(s):
     if not b or not e:
         raise ValueError("zero denominator in scalar %r" % s)
     return _make(a * e, c * b, b * e)
+
+
+def _json_rows(rows, scalars):
+    # the scalars of a JSON array of rows, each an array of scalar strings,
+    # parsed through the ScalarTable `scalars`
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("a matrix must be an array of rows, each an array "
+                         "of scalar strings; got %s" % reprlib.repr(rows))
+    return [[scalars[e] if type(e) is str else parse_scalar(e) for e in row]
+            for row in rows]
 
 
 class ScalarTable(dict):
@@ -395,17 +468,22 @@ class MatrixGQ(Immutable):
             return self.scale(other)
         if self.cols != other.rows:
             raise AmbientMismatch("inner dimensions differ")
-        # each nonzero a = self[i][k] meets the nonzero (j, b) of other's row k
+        # each nonzero a = self[i][k] meets the nonzero (j, b) of other's row
+        # k; entry j sums the products a b on ints, over the columns the row
+        # touches only, and is reduced once
         cols = other.cols
-        right = [_nonzeros(row) for row in other.entries]
+        right = [_int_nonzeros(row) for row in other.entries]
         out = []
         for row in self.entries:
-            acc = [ZERO] * cols
+            acc = {}
             for k, a in enumerate(row):
                 if a._x or a._y:
-                    for j, b in right[k]:
-                        acc[j] = _add_mul(acc[j], a, b)
-            out.append(tuple(acc))
+                    _add_products(acc, a._x, a._y, a._d, right[k])
+            line = [ZERO] * cols
+            for j, (x, y, d) in acc.items():
+                if x or y:
+                    line[j] = _make(x, y, d)
+            out.append(tuple(line))
         return _matrix(tuple(out), cols)
 
     def __rmul__(self, c):
@@ -435,15 +513,22 @@ class MatrixGQ(Immutable):
         # v a sequence of scalars, returns tuple M v
         if len(v) != self.cols:
             raise AmbientMismatch("vector of length %d for %d columns" % (len(v), self.cols))
-        nz = _nonzeros(v)
+        nz = _int_nonzeros(v)
         out = []
         for row in self.entries:
-            acc = ZERO
-            for j, e in nz:
+            # the sum of the products as ints, reduced once
+            x, y, d = 0, 0, 1
+            for j, bx, by, bd in nz:
                 a = row[j]
                 if a._x or a._y:
-                    acc = _add_mul(acc, a, e)
-            out.append(acc)
+                    ax, ay, ad = a._x, a._y, a._d
+                    px, py, pd = ax * bx - ay * by, ax * by + ay * bx, ad * bd
+                    if d == pd:
+                        x += px
+                        y += py
+                    else:
+                        x, y, d = x * pd + px * d, y * pd + py * d, d * pd
+            out.append(_make(x, y, d) if x or y else ZERO)
         return tuple(out)
 
     def trace(self):
@@ -467,13 +552,7 @@ class MatrixGQ(Immutable):
         `scalars` (a ScalarTable) is shared by the matrices of one datum, so
         each distinct string is parsed once; any other entry goes to
         parse_scalar, which rejects it with its own message."""
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ValueError("a matrix must be an array of rows, each an array "
-                             "of scalar strings; got %s" % reprlib.repr(rows))
-        if scalars is None:
-            scalars = ScalarTable()
-        return MatrixGQ([[scalars[e] if type(e) is str else parse_scalar(e) for e in row]
-                         for row in rows])
+        return MatrixGQ(_json_rows(rows, ScalarTable() if scalars is None else scalars))
 
     def __repr__(self):
         return "MatrixGQ(%r)" % (self.to_json(),)
@@ -496,16 +575,13 @@ def _matrix(entries, cols, pivots=None):
     return m
 
 
-def _nonzeros(row, start=0):
-    # the (column, entry) pairs of the nonzero entries of row from start on
-    return [(j, e) for j, e in enumerate(row[start:], start) if e._x or e._y]
-
-
 def rref(M):
     """Reduced row echelon form with zero rows dropped (row space canonical form).
 
-    A row is updated only at the nonzero columns of the pivot row, each by
-    one fused a - f*b.
+    Pivots are taken on the rows of scalars.  A row that an elimination
+    updates is held from then on as an int row, updated only at the nonzero
+    columns of the pivot row, each entry reduced by its own gcd; only those
+    rows are turned back into scalars at the end.
     """
     work = [list(row) for row in M.entries]
     nrows, ncols = len(work), M.cols
@@ -514,34 +590,61 @@ def rref(M):
     for c in range(ncols):
         # find a pivot in column c at or below row r
         for i in range(r, nrows):
-            e = work[i][c]
-            if e._x or e._y:
-                break
+            row = work[i]
+            if type(row) is dict:
+                if c in row:
+                    break
+            else:
+                e = row[c]
+                if e._x or e._y:
+                    break
         else:
             continue
         prow = work[i]
         work[r], work[i] = prow, work[r]
         # the pivot row is zero left of c; scale it to a leading 1
-        p = prow[c]
-        nz = _nonzeros(prow, c + 1)
-        if p._x != 1 or p._y or p._d != 1:
-            inv = p.inverse()
-            nz = [(j, inv * e) for j, e in nz]
-        prow[c] = ONE
-        for j, e in nz:
-            prow[j] = e
+        if type(prow) is dict:
+            x, y, d = prow.pop(c)
+            nz = [(j,) + t for j, t in prow.items()]
+            if x != 1 or y or d != 1:
+                nz = _scaled(nz, *_int_inverse(x, y, d))
+                for j, x, y, d in nz:
+                    prow[j] = x, y, d
+            prow[c] = 1, 0, 1
+        else:
+            p = prow[c]
+            nz = None
+            if p._x != 1 or p._y or p._d != 1:
+                inv = p.inverse()
+                for j in range(c + 1, ncols):
+                    e = prow[j]
+                    if e._x or e._y:
+                        prow[j] = inv * e
+            prow[c] = ONE
         for i in range(nrows):
             row = work[i]
-            f = row[c]
-            if i != r and (f._x or f._y):
+            if i == r:
+                continue
+            if type(row) is dict:
+                f = row.pop(c, None)
+                if f is None:
+                    continue
+            else:
+                e = row[c]
+                if not (e._x or e._y):
+                    continue
+                f = e._x, e._y, e._d
                 row[c] = ZERO
-                for j, b in nz:
-                    row[j] = _sub_mul(row[j], f, b)
+                row = work[i] = _int_row(row)
+            if nz is None:
+                nz = _int_nonzeros(prow, c + 1)
+            _sub_row(row, *f, nz)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return _matrix(tuple(tuple(row) for row in work[:r]), ncols, tuple(pivots))
+    return _matrix(tuple(_scalar_row(row, ncols) if type(row) is dict else tuple(row)
+                         for row in work[:r]), ncols, tuple(pivots))
 
 
 def rank(M):
@@ -599,6 +702,22 @@ class Subspace(Immutable):
                 ambient_dim, MatrixGQ.identity(ambient_dim))
         return S
 
+    @staticmethod
+    def from_json(ambient_dim, rows, scalars, spaces):
+        """The span in C^ambient_dim of a JSON array of rows.
+
+        The rows are parsed and checked as by MatrixGQ.from_json, with the
+        ScalarTable `scalars`.  `spaces`, a dict shared like it by the steps
+        and levels of one datum, maps the row lists already read to their
+        Subspace, so a repeated row list is put in rref once and builds no
+        matrix."""
+        entries = _json_rows(rows, scalars)
+        key = tuple(map(tuple, rows))
+        S = spaces.get(key)
+        if S is None:
+            S = spaces[key] = Subspace(ambient_dim, MatrixGQ(entries))
+        return S
+
     @property
     def dim(self):
         return self.basis.rows
@@ -612,7 +731,8 @@ class Subspace(Immutable):
         return hash((self.ambient_dim, self.basis))
 
     def contains_vector(self, v):
-        return not any(e._x or e._y for e in _reduce_against(v, self))
+        r = _reduce_against(v, self)
+        return not (any(e._x or e._y for e in v) if r is None else r)
 
     def contains(self, other):
         """Each row of other's basis reduced against this rref basis; True at
@@ -657,19 +777,22 @@ def _span(ambient_dim, vectors):
 
 
 def _reduce_against(v, S):
-    # subtract multiples of S's rref rows (pivot entry 1, zero before it) to
-    # kill v's entries at their pivots
-    v = list(v)
-    n = S.ambient_dim
+    # v less the multiples of S's rref rows (pivot entry 1, zero before it)
+    # that kill its entries at their pivots, as an int row; None when v is
+    # zero at every pivot, and so is its own residue
+    r = None
     for row, p in zip(S.basis.entries, S.pivots):
-        f = v[p]
-        if f._x or f._y:
-            v[p] = ZERO
-            for j in range(p + 1, n):
-                b = row[j]
-                if b._x or b._y:
-                    v[j] = _sub_mul(v[j], f, b)
-    return v
+        if r is None:
+            e = v[p]
+            if not (e._x or e._y):
+                continue
+            r = _int_row(v)
+        f = r.pop(p, None)
+        if f is not None:
+            nz = _int_nonzeros(row, p + 1)
+            if nz:
+                _sub_row(r, *f, nz)
+    return r
 
 
 def ssum(A, B):
@@ -703,24 +826,24 @@ def intersect(A, B):
     vecs = []
     for a in A.basis.entries:
         r = _reduce_against(a, B)
-        a = list(a)
+        a = _int_row(a)
+        if r is None:
+            r = dict(a)
         for p, rnz, anz in kept:
-            f = r[p]
-            if f._x or f._y:
-                for j, e in rnz:
-                    r[j] = _sub_mul(r[j], f, e)
-                for j, e in anz:
-                    a[j] = _sub_mul(a[j], f, e)
-        rnz = _nonzeros(r)
-        if not rnz:
-            vecs.append(a)
+            f = r.pop(p, None)
+            if f is not None:
+                _sub_row(r, *f, rnz)
+                _sub_row(a, *f, anz)
+        if not r:
+            vecs.append(_scalar_row(a, n))
             continue
-        p, e = rnz[0]
-        anz = _nonzeros(a)
-        if e._x != 1 or e._y or e._d != 1:
-            inv = e.inverse()
-            rnz = [(j, inv * x) for j, x in rnz]
-            anz = [(j, inv * x) for j, x in anz]
+        (p, (x, y, d)), *rnz = sorted(r.items())
+        rnz = [(j,) + t for j, t in rnz]
+        anz = [(j,) + t for j, t in a.items()]
+        if x != 1 or y or d != 1:
+            inv = _int_inverse(x, y, d)
+            rnz = _scaled(rnz, *inv)
+            anz = _scaled(anz, *inv)
         kept.append((p, rnz, anz))
     if not kept:
         return A
@@ -833,35 +956,26 @@ def nilpotent_exp(N, z, powers=None):
     return out
 
 
-def _eliminate_below(work, k):
-    # rows below k minus multiples of row k, which has a nonzero pivot at
-    # column k and zeros left of it, to clear column k
-    prow = work[k]
-    inv = prow[k].inverse()
-    nz = _nonzeros(prow, k + 1)
-    for row in work[k + 1:]:
-        e = row[k]
-        if e._x or e._y:
-            f = e * inv
-            row[k] = ZERO
-            for j, b in nz:
-                row[j] = _sub_mul(row[j], f, b)
-
-
 def first_nonpositive_minor(H):
     """Index (1-based) of the first leading principal minor that is not a
     positive rational, or None if all are positive.
 
-    One elimination without row swaps: while the minors before it are
-    nonzero, the k-th leading minor is the product of the first k pivots, so
-    it is positive after positive ones exactly when the k-th pivot is.
+    One elimination without row swaps, on int rows: while the minors before
+    it are nonzero, the k-th leading minor is the product of the first k
+    pivots, so it is positive after positive ones exactly when the k-th
+    pivot is.
     """
-    work = [list(row) for row in H.entries]
-    for k in range(H.rows):
-        piv = work[k][k]
-        if piv._y or piv._x <= 0:
+    work = [_int_row(row) for row in H.entries]
+    for k, row in enumerate(work):
+        x, y, d = row.get(k, (0, 0, 1))
+        if y or x <= 0:
             return k + 1
-        _eliminate_below(work, k)
+        # clear column k below row k: subtract f times row k over its pivot
+        nz = _scaled([(j,) + t for j, t in row.items() if j != k], *_int_inverse(x, y, d))
+        for below in work[k + 1:]:
+            f = below.pop(k, None)
+            if f is not None:
+                _sub_row(below, *f, nz)
     return None
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .gq import (
     GaussianRational, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, i_power, unit_vector,
     intersect, conj_space, rank, hermitian_pd, first_nonpositive_minor, NotHermitian,
-    Immutable, _matrix, _span, _nonzeros, _add_mul,
+    Immutable, _make, _matrix, _span, _int_nonzeros, _add_products,
 )
 
 
@@ -29,8 +29,9 @@ class InadmissibleHodgeNumbers(ValueError):
 class PolarizationForm(Immutable):
     """Weight n pairing Q on V, real entries, Q^T = (-1)^n Q, nondegenerate.
 
-    `_rows` holds the nonzero (column, entry) pairs of each row of Q, read
-    once: Q is immutable, and sparse on every datum the package builds."""
+    `_rows` holds the nonzero entries of each row of Q as (column, x, y, d),
+    read once: Q is immutable, and sparse on every datum the package
+    builds."""
 
     __slots__ = ("n", "Q", "_rows")
 
@@ -49,30 +50,38 @@ class PolarizationForm(Immutable):
             raise ValueError("Q is degenerate")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "_rows", tuple(_nonzeros(row) for row in Q.entries))
+        object.__setattr__(self, "_rows", tuple(_int_nonzeros(row) for row in Q.entries))
 
     def gram(self, us, vs, M=None):
         """The matrix [Q(u, M v)] over u in us and v in vs (M = I when None).
 
         Sparse on both sides: each u^T Q is formed once, over the nonzero
         entries of u and of Q's rows, and dotted with each M v over the
-        nonzero entries of M v, each M v formed once."""
-        vnz = [_nonzeros(v if M is None else M.matvec(v)) for v in vs]
+        nonzero entries of M v, each M v formed once.  The sums are taken
+        on ints: u^T Q unreduced, and each entry of the result reduced
+        once."""
+        vnz = [_int_nonzeros(v if M is None else M.matvec(v)) for v in vs]
         rows = self._rows
         out = []
         for u in us:
-            uQ = [ZERO] * len(rows)
-            for i, a in _nonzeros(u):
-                for j, e in rows[i]:
-                    uQ[j] = _add_mul(uQ[j], a, e)
+            uQ = {}
+            for i, a in enumerate(u):
+                if a._x or a._y:
+                    _add_products(uQ, a._x, a._y, a._d, rows[i])
             line = []
             for nz in vnz:
-                acc = ZERO
-                for j, e in nz:
-                    a = uQ[j]
-                    if a._x or a._y:
-                        acc = _add_mul(acc, a, e)
-                line.append(acc)
+                x, y, d = 0, 0, 1
+                for j, bx, by, bd in nz:
+                    t = uQ.get(j)
+                    if t is not None:
+                        ax, ay, ad = t
+                        px, py, pd = ax * bx - ay * by, ax * by + ay * bx, ad * bd
+                        if d == pd:
+                            x += px
+                            y += py
+                        else:
+                            x, y, d = x * pd + px * d, y * pd + py * d, d * pd
+                line.append(_make(x, y, d) if x or y else ZERO)
             out.append(tuple(line))
         return _matrix(tuple(out), len(vs))
 
@@ -141,13 +150,18 @@ class HodgeDatum(Immutable):
         }
 
     @staticmethod
-    def from_json(obj, scalars=None):
-        """ValueError naming the fault for a value of the wrong type or shape;
-        KeyError for a missing key.  Q and every F step share one ScalarTable
-        (`scalars`, new when None), so each distinct scalar string of the
-        datum is parsed once."""
+    def from_json(obj, scalars=None, spaces=None):
+        """ValueError naming the fault for a value of the wrong type or shape,
+        or an F key that is not a step 0..n written as a plain decimal;
+        KeyError for a missing key.  Q and every F step share one
+        ScalarTable (`scalars`) and the steps one table of subspaces
+        (`spaces`, see Subspace.from_json), each new when None, so each
+        distinct scalar string of the datum is parsed once and each
+        distinct step solved once."""
         if scalars is None:
             scalars = ScalarTable()
+        if spaces is None:
+            spaces = {}
         dim = _json_count(obj, "dim")
         n = _json_count(obj, "weight")
         Q = MatrixGQ.from_json(obj["Q"], scalars)
@@ -157,6 +171,9 @@ class HodgeDatum(Immutable):
         if not isinstance(F, dict):
             raise ValueError("'F' must be an object from steps to rows, got %s"
                              % reprlib.repr(F))
+        for key in F:
+            if not 0 <= _json_index(key, "F step") <= n:
+                raise ValueError("F step %r is not one of 0..%d" % (key, n))
         steps = []
         for p in range(n + 1):
             # a step left out is the whole space, and so is an empty F^0
@@ -165,7 +182,7 @@ class HodgeDatum(Immutable):
                 steps.append(Subspace.full(dim))
             else:
                 try:
-                    steps.append(Subspace(dim, MatrixGQ.from_json(F[key], scalars)))
+                    steps.append(Subspace.from_json(dim, F[key], scalars, spaces))
                 except ValueError as e:
                     raise ValueError("F^%d: %s" % (p, e)) from None
         return HodgeDatum(dim, PolarizationForm(n, Q), HodgeFiltration(n, steps))
@@ -178,6 +195,20 @@ def _json_count(obj, key):
         raise ValueError("%r must be a non-negative integer, got %s"
                          % (key, reprlib.repr(v)))
     return v
+
+
+def _json_index(key, name):
+    """The int that a JSON object key names, F step or W level: ValueError
+    naming the key, as `name`, unless it is written as str(int) writes it,
+    so that no two keys of one object name the same index ("1" and "01"),
+    and no key is read past its spaces (" 1")."""
+    try:
+        k = int(key)
+    except ValueError:
+        raise ValueError("%s %r is not an integer" % (name, key)) from None
+    if str(k) != key:
+        raise ValueError("%s %r is not written as %r" % (name, key, str(k)))
+    return k
 
 
 class HodgeNumbers(Immutable):

@@ -18,7 +18,7 @@ from .gq import (
 )
 from .hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs, polarization_fault,
-    labelled_filtration,
+    labelled_filtration, _json_index,
 )
 
 
@@ -242,10 +242,12 @@ class LmhsDatum(Immutable):
     @staticmethod
     def from_json(obj):
         """The datum of its JSON form; Q, N and every F step and W level share
-        one ScalarTable, local to the call, so each distinct scalar string is
-        parsed once."""
-        scalars = ScalarTable()
-        hodge = HodgeDatum.from_json(obj, scalars)
+        one ScalarTable and the steps and levels one table of subspaces, both
+        local to the call, so each distinct scalar string is parsed once and
+        each distinct row list solved once.  A W key must be an integer
+        written as a plain decimal (hodge._json_index)."""
+        scalars, spaces = ScalarTable(), {}
+        hodge = HodgeDatum.from_json(obj, scalars, spaces)
         N = MatrixGQ.from_json(obj["N"], scalars)
         W = None
         if "W" in obj:
@@ -254,12 +256,9 @@ class LmhsDatum(Immutable):
                                  % reprlib.repr(obj["W"]))
             levels = {}
             for k, rows in obj["W"].items():
+                level = _json_index(k, "W level")
                 try:
-                    level = int(k)
-                except ValueError:
-                    raise ValueError("W level %r is not an integer" % k) from None
-                try:
-                    levels[level] = Subspace(hodge.dim, MatrixGQ.from_json(rows, scalars))
+                    levels[level] = Subspace.from_json(hodge.dim, rows, scalars, spaces)
                 except ValueError as e:
                     raise ValueError("W_%d: %s" % (level, e)) from None
             if levels:

@@ -129,6 +129,54 @@ def test_validate_bad_scalar_exits_2_with_one_line(capsys, ht_file, tmp_path, ba
     assert out.count("\n") == 1 and json.loads(out) == {"error": "F^2: " + error}
 
 
+# The weight-1 degeneration of ht_construct(1, (1, 1)): F^1 = <e_0>,
+# N e_0 = e_1, W_0 = W_1 = <e_1>, W_2 = V.
+WEIGHT_1 = {"dim": 2, "weight": 1, "Q": [["0", "1"], ["-1", "0"]],
+            "F": {"0": [["1", "0"], ["0", "1"]], "1": [["1", "0"]]},
+            "N": [["0", "0"], ["1", "0"]],
+            "W": {"0": [["0", "1"]], "1": [["0", "1"]], "2": [["1", "0"], ["0", "1"]]}}
+
+
+@pytest.mark.parametrize("part, keys, error", [
+    ("F", ("7",), "F step '7' is not one of 0..1"),
+    ("F", ("-1",), "F step '-1' is not one of 0..1"),
+    ("F", ("x",), "F step 'x' is not an integer"),
+    ("F", ("01",), "F step '01' is not written as '1'"),
+    ("F", (" 1",), "F step ' 1' is not written as '1'"),
+    ("F", ("1_0",), "F step '1_0' is not written as '10'"),
+    ("W", ("1", "01"), "W level '01' is not written as '1'"),
+    ("W", ("01", "1"), "W level '01' is not written as '1'"),
+    ("W", (" 1",), "W level ' 1' is not written as '1'"),
+    ("W", ("+1",), "W level '+1' is not written as '1'"),
+], ids=["F-past-n", "F-negative", "F-word", "F-leading-zero", "F-space", "F-underscore",
+        "W-1-01", "W-01-1", "W-space", "W-plus"])
+def test_validate_rejects_a_key_that_is_not_a_plain_index(capsys, tmp_path, part, keys, error):
+    # a key the parser would have read loosely, or not at all: the same file
+    # exits 2 with one line naming the key, whatever the order of its keys
+    for with_n in (True, False) if part == "F" else (True,):
+        obj = json.loads(json.dumps(WEIGHT_1))
+        if not with_n:
+            del obj["N"], obj["W"]
+        rows = obj[part].pop("1") if part == "W" else [["1", "0"]]
+        for key in keys:
+            # "01" names W_1 with rows other than W_1's, so the last key would win
+            obj[part][key] = [["1", "0"]] if key == "01" and part == "W" else rows
+        p = tmp_path / "key.json"
+        p.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "validate", str(p))
+        assert (code, err) == (2, "")
+        assert out.count("\n") == 1 and json.loads(out) == {"error": error}
+
+
+def test_validate_accepts_every_plain_index(capsys, tmp_path):
+    # the keys of WEIGHT_1 are plain, and F may leave steps out
+    for obj in (WEIGHT_1, dict(WEIGHT_1, F={"1": [["1", "0"]]})):
+        p = tmp_path / "ok.json"
+        p.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "validate", str(p))
+        assert (code, json.loads(out)["ok"]) == (0, True)
+
+
 def test_validate_non_object_file(capsys, tmp_path):
     p = tmp_path / "list.json"
     p.write_text("[1, 2]")

@@ -15,7 +15,6 @@ from hodge_degen.gq import (
     conj_space, apply_matrix,
     nilpotent_exp, nilpotent_powers, hermitian_pd, NotNilpotent,
     AmbientMismatch, inverse, first_nonpositive_minor, maps_into,
-    _eliminate_below,
 )
 from hodge_degen import gq as gq_module
 
@@ -49,8 +48,11 @@ def determinant(M):
         if piv != c:
             work[c], work[piv] = work[piv], work[c]
             det = -det
-        det = det * work[c][c]
-        _eliminate_below(work, c)
+        p = work[c][c]
+        det = det * p
+        for row in work[c + 1:]:
+            f = row[c] / p
+            row[c:] = [a - f * b for a, b in zip(row[c:], work[c][c:])]
     return det
 
 
@@ -765,3 +767,159 @@ def test_trivial_subspaces_are_shared():
         # a basis with no rows spans the zero space, whatever its width
         assert Subspace(n, MatrixGQ([])) == Subspace.zero(n)
         assert Subspace(n, MatrixGQ([])).pivots == ()
+
+
+# ------------------------------------- kernels against per-term references
+# The kernels sum products on ints and eliminate on int rows, reducing each
+# entry once.  The references below are the earlier kernels, which built a
+# reduced scalar for every term of a sum and every entry of a row update:
+# same values, so the results must be equal entry by entry.  The matrices
+# are dense, with a denominator of its own per entry (so sums cross-multiply
+# denominators), complex entries and pivots, entries equal to 1 (pivots
+# that need no scaling), zero rows, and shapes with no rows or no columns.
+
+def reference_mul(A, B):
+    out = []
+    for row in A.entries:
+        acc = [ZERO] * B.cols
+        for k, a in enumerate(row):
+            if not a.is_zero():
+                for j, b in enumerate(B.entries[k]):
+                    if not b.is_zero():
+                        acc[j] = acc[j] + a * b
+        out.append(acc)
+    return MatrixGQ(out, cols=B.cols)
+
+
+def reference_matvec(M, v):
+    out = []
+    for row in M.entries:
+        acc = ZERO
+        for a, e in zip(row, v):
+            if not a.is_zero() and not e.is_zero():
+                acc = acc + a * e
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_rref(M):
+    """(rows of the rref, pivot columns), each row update a - f*b one
+    scalar operation per entry."""
+    work = [list(row) for row in M.entries]
+    pivots = []
+    r = 0
+    for c in range(M.cols):
+        i = next((i for i in range(r, M.rows) if not work[i][c].is_zero()), None)
+        if i is None:
+            continue
+        work[r], work[i] = work[i], work[r]
+        inv = work[r][c].inverse()
+        work[r] = [inv * e for e in work[r]]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i != r and not f.is_zero():
+                work[i] = [a - f * b for a, b in zip(row, work[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def reference_inverse(M):
+    n = M.rows
+    rows, pivots = reference_rref(MatrixGQ(
+        [list(row) + [ONE if j == i else ZERO for j in range(n)]
+         for i, row in enumerate(M.entries)], cols=2 * n))
+    if pivots != tuple(range(n)):
+        return None
+    return MatrixGQ([row[n:] for row in rows], cols=n)
+
+
+def reference_kernel(M):
+    rows, pivots = reference_rref(M)
+    vecs = []
+    for f in (j for j in range(M.cols) if j not in pivots):
+        v = [ZERO] * M.cols
+        v[f] = ONE
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        vecs.append(v)
+    return reference_rref(MatrixGQ(vecs, cols=M.cols))[0]
+
+
+def reference_first_nonpositive_minor(H):
+    work = [list(row) for row in H.entries]
+    for k in range(H.rows):
+        p = work[k][k]
+        if not p.is_real() or p.re <= 0:
+            return k + 1
+        for row in work[k + 1:]:
+            f = row[k] / p
+            row[k:] = [a - f * b for a, b in zip(row[k:], work[k][k:])]
+    return None
+
+
+# entries with denominators up to 9, drawn per entry
+own_denominators = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+dense_entries = st.one_of(
+    st.builds(GaussianRational, own_denominators, own_denominators),
+    st.builds(GaussianRational, own_denominators),
+    st.just(ONE), st.just(ZERO))
+
+
+@st.composite
+def dense_matrices(draw, rows=None, cols=None):
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 6)) if cols is None else cols
+    entries = draw(st.lists(st.lists(dense_entries, min_size=c, max_size=c),
+                            min_size=r, max_size=r))
+    for i in draw(st.lists(st.integers(0, max(r - 1, 0)), max_size=2)) if r else ():
+        entries[i] = [ZERO] * c
+    return MatrixGQ(entries, cols=c)
+
+
+# a complex pivot, a pivot of 1, a zero row and a row a multiple of another
+MIXED_PIVOTS = MatrixGQ([["1/2+1/3*i", "2", "0", "1/5"], ["0", "0", "0", "0"],
+                         ["1", "-1/7*i", "3/4", "0"], ["1+2/3*i", "4", "0", "2/5"]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_matrices())
+@example(M=MIXED_PIVOTS)
+@example(M=MatrixGQ.zero(0, 4))
+@example(M=MatrixGQ.zero(3, 0))
+def test_rref_and_kernel_match_the_per_term_reference(M):
+    R = rref(M)
+    assert_built(R)
+    assert (R.entries, R._pivots) == reference_rref(M)
+    K = kernel(M)
+    assert_built(K.basis)
+    assert K.basis.entries == reference_kernel(M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_products_and_matvec_match_the_per_term_reference(data):
+    A = data.draw(dense_matrices())
+    B = data.draw(dense_matrices(rows=A.cols))
+    v = data.draw(dense_matrices(rows=1, cols=A.cols)).entries[0]
+    P = A * B
+    assert_built(P)
+    assert P == reference_mul(A, B)
+    assert A.matvec(v) == reference_matvec(A, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: dense_matrices(rows=n, cols=n)))
+@example(M=MIXED_PIVOTS)
+@example(M=MatrixGQ.zero(0, 0))
+def test_inverse_and_minors_match_the_per_term_reference(M):
+    want = reference_inverse(M)
+    if want is None:
+        with pytest.raises(ValueError, match="not invertible"):
+            inverse(M)
+    else:
+        got = inverse(M)
+        assert_built(got)
+        assert got == want
+    for H in (M, M + M.conj_transpose(), M * M.conj_transpose()):
+        assert first_nonpositive_minor(H) == reference_first_nonpositive_minor(H)

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hodge_degen import cli, hodge
 from hodge_degen.gq import (
@@ -385,6 +385,56 @@ def test_sparse_gram_matches_dense_on_the_corpus():
         for M in (None, L.N, L.power(2)):
             for us, vs in ((vecs, vecs), (vecs, conj), (conj, vecs[:2])):
                 assert form.gram(us, vs, M) == dense_gram(form, us, vs, M), cid
+
+
+def per_term_gram(form, us, vs, M=None):
+    """[Q(u, M v)], each term of each sum a reduced scalar of its own: the
+    reference for gram, which sums each entry on ints and reduces it once."""
+    Q = form.Q.entries
+    out = []
+    for u in us:
+        line = []
+        for v in vs:
+            if M is not None:
+                v = [sum((a * e for a, e in zip(row, v)), ZERO) for row in M.entries]
+            acc = ZERO
+            for i, a in enumerate(u):
+                for j, e in enumerate(v):
+                    acc = acc + a * Q[i][j] * e
+            line.append(acc)
+        out.append(line)
+    return MatrixGQ(out, cols=len(vs))
+
+
+# a denominator of its own per entry, so that the sums cross-multiply
+own_denominators = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+dense_scalars = st.one_of(st.builds(GaussianRational, own_denominators, own_denominators),
+                          st.just(ZERO), st.just(ONE))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gram_matches_the_per_term_reference(data):
+    dim = data.draw(st.integers(1, 4))
+    n = data.draw(st.sampled_from((0, 1) if dim % 2 == 0 else (0,)))
+    upper = data.draw(st.lists(own_denominators, min_size=dim * dim, max_size=dim * dim))
+    sign = -1 if n % 2 else 1
+    Q = [[ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            x = GaussianRational(upper[i * dim + j])
+            Q[i][j], Q[j][i] = (x, x * sign) if i != j else (x if sign == 1 else ZERO,) * 2
+    Q = MatrixGQ(Q)
+    assume(rank(Q) == dim)
+    form = PolarizationForm(n, Q)
+    vectors = st.lists(st.lists(dense_scalars, min_size=dim, max_size=dim), max_size=3)
+    us, vs = data.draw(vectors), data.draw(vectors)
+    M = data.draw(st.one_of(st.none(), st.lists(
+        st.lists(dense_scalars, min_size=dim, max_size=dim), min_size=dim, max_size=dim)))
+    M = None if M is None else MatrixGQ(M)
+    G = form.gram(us, vs, M)
+    assert G == per_term_gram(form, us, vs, M)
+    assert all(type(e) is GaussianRational for row in G.entries for e in row)
 
 
 def test_polarization_fault_rejects_a_block_that_is_not_hermitian():

@@ -350,12 +350,17 @@ def test_check_case_states_the_converse_for_semisimple_g(n, top):
 # rank per block and _check_weight took the rank at a level k where
 # Gr_{c+k} and Gr_{c-k} are both 0; the Levi W, given to validate_lmhs
 # and certified by _check_weight, would make it 1,128 without that skip.
-SLICE_RREF_CALLS = 1093
+# The rref figure was 1,093 and the public one 204 while LmhsDatum.from_json
+# put each F step and W level in rref and built its matrix, repeated row
+# lists included; Subspace.from_json now solves each distinct row list of a
+# datum once (the JSON round trip reads F^p and W_k back, and many are the
+# same space).
+SLICE_RREF_CALLS = 1040
 SLICE_SPLITTING_BODIES = 20
 SLICE_LEVI_CALLS = 19
 SLICE_G_COORDS_CALLS = 295
 SLICE_GRAM_CALLS = 381
-SLICE_PUBLIC_MATRICES = 204
+SLICE_PUBLIC_MATRICES = 151
 
 
 def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
@@ -1542,6 +1547,53 @@ def test_from_json_parses_each_distinct_string_once(with_w, monkeypatch):
         assert sorted(calls) == sorted(set(_strings_of([obj.get(k, []) for k in keys])))
 
 
+def test_from_json_solves_each_distinct_row_list_once(monkeypatch):
+    # F^0 .. F^4 of the weight-11 base of the validate benchmark are one
+    # space, and W levels repeat too: each distinct row list of the datum is
+    # put in rref once, and its steps and levels share one Subspace
+    hn = HodgeNumbers(11, (0, 0, 0, 0, 1, 2, 2, 1, 0, 0, 0, 0))
+    obj = json.loads(json.dumps(ht_construct(11, hn).to_json()))
+    inputs = []
+    rref = gq_module.rref
+
+    def recorded(M):
+        inputs.append(M)
+        return rref(M)
+
+    monkeypatch.setattr(gq_module, "rref", recorded)
+    L = LmhsDatum.from_json(obj)
+    assert len(set(inputs)) == len(inputs)
+    spaces = [(rows, L.hodge.filtration.steps[int(k)]) for k, rows in obj["F"].items()]
+    spaces += [(rows, L.W.levels[int(k)]) for k, rows in obj["W"].items()]
+    repeats = 0
+    for (rows, S), (other, T) in itertools.combinations(spaces, 2):
+        assert (S is T) == (rows == other)
+        repeats += rows == other
+    assert repeats >= 10
+    assert L.to_json() == obj
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([["1", "0", "0"]], "F^2: basis width 3 != ambient dim 4"),
+    ([["1", "0", "zz", "0"]], "F^2: bad scalar string: 'zz'"),
+    ([["1", "0", "0", "0"], ["1"]], "F^2: ragged matrix"),
+])
+def test_a_bad_row_list_in_f_and_w_names_the_f_step(rows, error):
+    # the table keeps only row lists that were read: the same bad rows as
+    # F^2 and W_3 fail at F^2 first, as they did before the table
+    obj = json.loads(json.dumps(ht_construct(2, HodgeNumbers(2, (1, 2, 1))).to_json()))
+    good = obj["F"]["2"]
+    obj["F"]["2"] = rows
+    obj["W"]["3"] = json.loads(json.dumps(rows))
+    with pytest.raises(ValueError) as e:
+        LmhsDatum.from_json(obj)
+    assert str(e.value) == error
+    obj["F"]["2"] = good
+    with pytest.raises(ValueError) as e:
+        LmhsDatum.from_json(obj)
+    assert str(e.value) == error.replace("F^2", "W_3")
+
+
 # ------------------------------------------------------- moved corpus
 # Every corpus case, moved by a seeded dense rational Cayley transform g in
 # Aut(V, Q) (tests/cayley.py): the structure in the new coordinates is the
@@ -1592,8 +1644,9 @@ def test_moved_corpus_keeps_invariants(cid):
     _check_moved(L, *_seeded_move(L, cid))
 
 
-# gq.rref, gq.parse_scalar, MatrixGQ.matvec and MatrixGQ.__mul__ calls of
-# `validate` on moved corpus data, each written with and without its W.  A
+# gq.rref, gq.parse_scalar, MatrixGQ.matvec and MatrixGQ.__mul__ calls, and
+# the objects built through gq._new, of `validate` on moved corpus data,
+# each written with and without its W.  A
 # change that moves a count updates it here and says why; the first two
 # were 335 and 935 before zero Deligne pieces were decided by dimension and
 # each scalar string was parsed once per datum.  The rref figure was 295
@@ -1605,13 +1658,20 @@ def test_moved_corpus_keeps_invariants(cid):
 # product figure 28 while nilpotent_powers made one dense product N^k N per
 # power, not two thin ones, T_k = T_{k-1} N and N^{k+1} = C T_k.  The rref
 # figure was 251 while _check_weight took the rank at a level k where
-# Gr_{c+k} and Gr_{c-k} are both 0.
+# Gr_{c+k} and Gr_{c-k} are both 0, and 243 while each repeated F step or
+# W level of a file was put in rref again (Subspace.from_json).  The objects
+# built through gq._new (scalars, matrices and subspaces) were 10,911 while
+# each term of a sum in a product, matvec or Gram matrix, and each entry of
+# a row update in rref, intersect and a reduction, was a reduced scalar of
+# its own; the sums and row updates now run on ints, each entry of a result
+# reduced once.
 VALIDATE_MOVED_CASES = ("ht/n=2,h=1,2,1", "minimal/n=3,h=1,1,1,1,I(0,3)",
                         "principal/so_odd(2)", "principal/sp(2)")
-VALIDATE_RREF_CALLS = 243
+VALIDATE_RREF_CALLS = 229
 VALIDATE_PARSE_CALLS = 238
 VALIDATE_MATVEC_CALLS = 120
 VALIDATE_MUL_CALLS = 40
+VALIDATE_NEW_OBJECTS = 4128
 
 
 def test_validate_count_budget_on_moved_data(monkeypatch, tmp_path, capsys):
@@ -1624,7 +1684,7 @@ def test_validate_count_budget_on_moved_data(monkeypatch, tmp_path, capsys):
             paths[-1].write_text(json.dumps(cayley.move(L.to_json(), g, with_w)))
     counts = collections.Counter()
     rref, parse = gq_module.rref, gq_module.parse_scalar
-    matvec, mul = MatrixGQ.matvec, MatrixGQ.__mul__
+    matvec, mul, new = MatrixGQ.matvec, MatrixGQ.__mul__, gq_module._new
 
     def counted_rref(M):
         counts["rref"] += 1
@@ -1642,15 +1702,21 @@ def test_validate_count_budget_on_moved_data(monkeypatch, tmp_path, capsys):
         counts["mul"] += 1
         return mul(M, other)
 
+    def counted_new(cls):
+        counts["new"] += 1
+        return new(cls)
+
     monkeypatch.setattr(gq_module, "rref", counted_rref)
     monkeypatch.setattr(gq_module, "parse_scalar", counted_parse)
     monkeypatch.setattr(MatrixGQ, "matvec", counted_matvec)
     monkeypatch.setattr(MatrixGQ, "__mul__", counted_mul)
+    monkeypatch.setattr(gq_module, "_new", counted_new)
     for path in paths:
         assert cli.main(["validate", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"]
     assert counts == {"rref": VALIDATE_RREF_CALLS, "parse_scalar": VALIDATE_PARSE_CALLS,
-                      "matvec": VALIDATE_MATVEC_CALLS, "mul": VALIDATE_MUL_CALLS}
+                      "matvec": VALIDATE_MATVEC_CALLS, "mul": VALIDATE_MUL_CALLS,
+                      "new": VALIDATE_NEW_OBJECTS}
 
 
 def test_moved_witness_of_complex_g_basis():
