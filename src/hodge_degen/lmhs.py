@@ -164,30 +164,45 @@ def _new_rows(W, k):
     return [v for v, p in zip(S.basis.entries, S.pivots) if p not in below]
 
 
+def _labelled_weight(bg, n, d):
+    """The W, centered at the weight n, that a labelled splitting bg gives:
+    W_k is the sum of the pieces I^{p,q} with p + q <= k, at the levels
+    n - d, ..., n + d that weight_filtration lays out when N^(d+1) = 0 and
+    N^d != 0.  _certify_splitting certifies it."""
+    return WeightFiltration(n, {
+        k: _span(bg.ambient_dim, [v for p, q, s in bg.nodes if p + q <= k
+                                  for v in s.basis.entries])
+        for k in range(n - d, n + d + 1)})
+
+
 class LmhsDatum(Immutable):
     """(V, Q, F) plus a real nilpotent N and its weight filtration.
 
     `powers` is (N^0, ..., N^deg), ending at the first zero power, and
     `kernels` is (ker N^0, ..., ker N^deg), solved on first use and kept.  The
-    Deligne splitting is computed on first use and kept (`deligne_splitting`).
-    The constructor checks that N is real, nilpotent, in End(V, Q) and maps
-    each F^p into F^{p-1}; diagonal_levi builds its datum by `_fill` with a
-    W and a splitting, which validate_lmhs certifies as it does a given W,
-    and so with no F^p test: its clause (c) covers it.
+    Deligne splitting is computed on first use and kept (`deligne_splitting`),
+    unless the datum was built with it, and so is the report of
+    validate_lmhs.  The constructor checks that N is real, nilpotent, in
+    End(V, Q) and maps each F^p into F^{p-1}; _fill also builds the data of
+    classify._direct_sum, whose W it reads off their labelled splitting and
+    certifies with it, and diagonal_levi's, whose W and splitting
+    validate_lmhs certifies as it does a given W.
     """
 
     __slots__ = ("hodge", "N", "W", "powers", "_kernels", "_given_W",
-                 "_splitting")
+                 "_splitting", "_report")
 
     def __init__(self, hodge, N, W=None):
         self._fill(hodge, N, W, None)
 
     def _fill(self, hodge, N, W, splitting):
-        # Check N and set every field.  validate_lmhs checks a W given from
-        # outside; one computed here has passed _check_weight.  A given
-        # splitting (diagonal_levi's) makes each F^p a sum of its pieces, so
-        # clause (c) of validate_lmhs implies N F^p inside F^{p-1}: no F step
-        # is tested
+        # Check N and set every field.  With neither W nor a splitting, W is
+        # solved (weight_filtration), which certifies it.  A splitting alone
+        # (classify._direct_sum's labelled pieces) gives W, and both are
+        # certified here (_certify_splitting), which raises NotMhs.  A W
+        # alone (read from a file) is certified by validate_lmhs.  Both
+        # (diagonal_levi's) make each F^p a sum of the pieces, so clause (c)
+        # of validate_lmhs implies N F^p inside F^{p-1}: no F step is tested
         dim = hodge.dim
         if N.rows != dim or N.cols != dim:
             raise ValueError("N has wrong shape")
@@ -200,16 +215,19 @@ class LmhsDatum(Immutable):
         if not (QN - QNt if hodge.n % 2 else QN + QNt).is_zero():
             raise ValueError("N is not in End(V, Q)")
         F = hodge.filtration
-        for p in range(1, hodge.n + 1) if splitting is None else ():
+        for p in range(1, hodge.n + 1) if W is None or splitting is None else ():
             if not maps_into(N, F.step(p), F.step(p - 1)):
                 raise ValueError("N F^%d not inside F^%d" % (p, p - 1))
         for name, val in (("hodge", hodge), ("N", N), ("powers", powers), ("_kernels", None),
                           ("_given_W", W is not None),
-                          ("_splitting", splitting)):
+                          ("_splitting", splitting), ("_report", None)):
             object.__setattr__(self, name, val)
         if W is None:
-            W = weight_filtration(N, hodge.n, powers, self.kernels)
+            W = (weight_filtration(N, hodge.n, powers, self.kernels) if splitting is None
+                 else _labelled_weight(splitting, hodge.n, len(powers) - 2))
         object.__setattr__(self, "W", W)
+        if splitting is not None and not self._given_W:
+            _certify_splitting(self, splitting)
 
     @property
     def dim(self):
@@ -298,9 +316,9 @@ class Bigrading(Immutable):
 
 
 def deligne_splitting(L):
-    """The canonical splitting I^{p,q} of an LMHS, by the standard formula.
-
-    Computed and checked once per datum; later calls return the same
+    """The canonical splitting I^{p,q} of an LMHS: the labelled one that a
+    datum of classify._direct_sum was certified with, or else the standard
+    formula, solved and checked on first use.  Later calls return the same
     (immutable) Bigrading.
     """
     bg = L._splitting
@@ -401,6 +419,31 @@ def _is_sum(X, pieces):
     return X.dim == sum(s.dim for s in pieces) and all(X.contains(s) for s in pieces)
 
 
+def _certify_splitting(L, bg):
+    """Certify that a labelled Bigrading bg, in direct sum by construction,
+    is the Deligne splitting of L, with no formula solved: L.W is the
+    weight filtration of N (_check_weight), bg recovers W and F
+    (_check_reconstruction), and conj I^{p,q} lies in I^{q,p} +
+    sum_{a<q, b<p} I^{a,b}.  Only the Deligne splitting has these properties
+    (Cattani-Kaplan-Schmid 1986, Thm 2.13).  The rule is read as an equality
+    first: where conj I^{p,q} = I^{q,p}, as on every string block, no sum is
+    built.  Raises NotMhs naming the first failing clause."""
+    try:
+        _check_weight(L.N, L.W, L.powers)
+    except AssertionError as e:
+        raise NotMhs("labelled W is not the weight filtration of N: %s" % e) from None
+    _check_reconstruction(L, bg)
+    for p, q, s in bg.nodes:
+        conj = conj_space(s)
+        if conj == bg.piece(q, p):
+            continue
+        vecs = [v for a, b, t in bg.nodes if (a, b) == (q, p) or (a < q and b < p)
+                for v in t.basis.entries]
+        if not _span(L.dim, vecs).contains(conj):
+            raise NotMhs("conj I^{%d,%d} not inside I^{%d,%d} + sum_{a<%d,b<%d} I^{a,b}"
+                         % (p, q, q, p, q, p))
+
+
 def is_r_split(bg):
     for p, q, s in bg.nodes:
         if conj_space(s) != bg.piece(q, p):
@@ -440,8 +483,20 @@ def validate_lmhs(L):
     (c) N has type (-1,-1) for the splitting
     (d) the twisted pairings polarize the primitive pieces
 
+    The report is made once per datum and kept (_validate_lmhs); each call
+    returns a copy of it.
+    """
+    if L._report is None:
+        object.__setattr__(L, "_report", _validate_lmhs(L))
+    return dict(L._report)
+
+
+def _validate_lmhs(L):
+    """The report of validate_lmhs.
+
     A W given from outside (read from a file, or diagonal_levi's, with its
-    splitting) is certified by _check_weight, not recomputed; when (a)
+    splitting) is certified by _check_weight, not recomputed; a W solved or
+    certified at construction is not certified again.  When (a)
     fails, `weight_filtration_witness` names the failing level, and when
     (b) or (c) fails, `graded_hodge_witness` or
     `minus_one_minus_one_witness` names the first failing piece I^{p,q}.

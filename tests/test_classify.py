@@ -8,18 +8,22 @@ import re
 
 import pytest
 
-from hodge_degen.gq import MatrixGQ, rank
-from hodge_degen.hodge import HodgeNumbers, string_block, string_labels
+from hodge_degen.gq import MatrixGQ, Subspace, ZERO, ONE, gq, rank
+from hodge_degen.hodge import (
+    HodgeDatum, PolarizationForm, HodgeNumbers, labelled_filtration, string_block,
+    string_labels,
+)
 from hodge_degen.lmhs import (
-    deligne_splitting, validate_lmhs, is_hodge_tate, disc_sample, adjoint_lmhs,
+    LmhsDatum, Bigrading, NotMhs, weight_filtration, deligne_splitting, validate_lmhs,
+    is_hodge_tate, is_r_split, disc_sample, adjoint_lmhs,
 )
 from hodge_degen.roots import build_root_system, GradingElement, adjoint_bigrading
-from hodge_degen import classify
+from hodge_degen import classify, cli, lmhs
 from hodge_degen.classify import (
     MinimalType, minimal_types, minimal_witness, ht_gate, ht_plan,
     ht_construct, cp_orb_check, period_closed_check, principal_lmhs,
     principal_neutral_char, InfeasibleType, GateFailed, ParityViolation,
-    OddWeightNonHT, _direct_sum,
+    OddWeightNonHT, _direct_sum, _labelled_datum,
 )
 
 from normal_forms import normal_forms
@@ -158,13 +162,15 @@ def test_string_pair_sign_is_fixed_by_hr2(n):
             assert validate_lmhs(L)["ok"] == (s == 1), (t, s)
 
 
+# every string top (p, q), p >= q, of weight n <= 6 whose bottom
+# (n - q, n - p) is a bidegree: 49 blocks
+SMALL_TOPS = [(n, (p, q)) for n in range(1, 7) for p in range(n + 1)
+              for q in range(p + 1) if p + q >= n]
+
+
 def test_every_small_string_block_is_an_lmhs():
-    # every string top (p, q), p >= q, of weight n <= 6 whose bottom
-    # (n - q, n - p) is a bidegree: 49 blocks
-    tops = [(n, (p, q)) for n in range(1, 7) for p in range(n + 1)
-            for q in range(p + 1) if p + q >= n]
-    assert len(tops) == 49
-    for n, (p, q) in tops:
+    assert len(SMALL_TOPS) == 49
+    for n, (p, q) in SMALL_TOPS:
         length = p + q - n + 1
         Q, N, basis = string_block(n, (p, q), length)
         L = _direct_sum(n, [(Q, N, basis)])  # the label certificate
@@ -234,6 +240,142 @@ def test_direct_sum_rejects_a_wrong_label():
     # a wrong Hodge index moves F itself: F^1 = V has no splitting at all
     with pytest.raises(InfeasibleType, match="labels"):
         _direct_sum(2, [(Q, N, rest + [(v, (1, 1))])])
+
+
+def test_labelled_w_and_splitting_are_the_solved_ones():
+    # every datum built from labels, the 82 corpus cases and the 49 small
+    # string blocks, has the W and the splitting that weight_filtration and
+    # the formula solve from its F and N alone, and W's levels
+    data = [(cid, thunk()) for cid, _, _, thunk in cli.corpus_cases()]
+    data += [((n, top), _direct_sum(n, [string_block(n, top, top[0] + top[1] - n + 1)]))
+             for n, top in SMALL_TOPS]
+    assert len(data) == 82 + 49
+    for key, L in data:
+        assert not L._given_W and L._splitting is not None, key
+        solved = LmhsDatum(L.hodge, L.N)
+        assert L.W == weight_filtration(L.N, L.n) == solved.W, key
+        assert sorted(L.W.levels) == sorted(solved.W.levels), key
+        assert list(L._splitting.nodes) == list(lmhs._deligne_splitting(solved).nodes), key
+
+
+def _labelled_basis(L, relabel=None, tilt=None):
+    """The basis of L's splitting, each vector labelled by its piece, with
+    the labels in `relabel` swapped and, for tilt = (target, by), the first
+    vector of the piece `target` plus the first of `by`."""
+    bg, relabel = deligne_splitting(L), relabel or {}
+    basis = [(v, relabel.get((p, q), (p, q))) for p, q, s in bg.nodes for v in s.basis.entries]
+    if tilt:
+        (target, by), i = tilt, [label for _, label in basis].index(tilt[0])
+        w = bg.piece(*by).basis.entries[0]
+        basis[i] = (tuple(a + b for a, b in zip(basis[i][0], w)), target)
+    return basis
+
+
+SPLIT_CASE = "minimal/n=1,h=2,2,I(0,1)"  # I^{0,0}, I^{1,0}, I^{0,1}, I^{1,1}
+
+
+def _split_case():
+    return next(t for c, _, _, t in cli.corpus_cases() if c == SPLIT_CASE)()
+
+
+def test_label_certificate_rejects_pieces_not_in_direct_sum():
+    # e_2, at (0, 0) of the real 3-string of weight 2, swapped for e_1: the
+    # pieces I^{1,1} and I^{0,0} are the same line.  F is that of the
+    # string, so the splitting solved from it has the labels' dims and
+    # _direct_sum gives that datum, as it did when only the dims were compared
+    Q, N, basis = string_block(2, (2, 2), 3)
+    bad = basis[:2] + [(basis[1][0], (0, 0))]
+    hodge = _direct_sum(2, [(Q, N, basis)]).hodge
+    with pytest.raises(NotMhs, match="^pieces are not in direct sum$"):
+        _labelled_datum(hodge, N, bad)
+    L = _direct_sum(2, [(Q, N, bad)])
+    assert L._given_W is False and L._splitting.piece(0, 0) != L._splitting.piece(1, 1)
+    assert deligne_splitting(L).dims() == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
+
+
+def test_label_certificate_rejects_a_w_that_is_not_the_weight_filtration():
+    # e_2 labelled (0, 1) for (0, 0): W_0, read off the labels, is 0, and
+    # N W_2 = N <e_1, e_2> is not; the message of _direct_sum is that of the
+    # solved splitting
+    Q, N, basis = string_block(2, (2, 2), 3)
+    bad = basis[:2] + [(basis[2][0], (0, 1))]
+    hodge = _direct_sum(2, [(Q, N, basis)]).hodge
+    with pytest.raises(NotMhs) as e:
+        _labelled_datum(hodge, N, bad)
+    assert str(e.value) == "labelled W is not the weight filtration of N: N W_2 not inside W_0"
+    with pytest.raises(InfeasibleType) as e:
+        _direct_sum(2, [(Q, N, bad)])
+    assert str(e.value) == ("splitting {(0, 0): 1, (1, 1): 1, (2, 2): 1} != "
+                            "labels {(2, 2): 1, (1, 1): 1, (0, 1): 1}")
+
+
+@pytest.mark.parametrize("swap, message", [
+    (((1, 0), (0, 1)), "^Hodge filtration not recovered at step 1$"),
+    (((1, 1), (0, 0)), "^weight filtration not recovered at level 0$"),
+])
+def test_label_certificate_rejects_pieces_that_miss_w_or_f(swap, message):
+    # the pieces of the split case with two labels swapped, certified
+    # against the datum's own F and W
+    L = _split_case()
+    a, b = swap
+    nodes = [(*{a: b, b: a}.get((p, q), (p, q)), s) for p, q, s in deligne_splitting(L).nodes]
+    with pytest.raises(NotMhs, match=message):
+        lmhs._certify_splitting(L, Bigrading(L.dim, nodes))
+    # through _fill the F swap is met there too; W, read off the swapped
+    # pieces, is then no weight filtration of N
+    with pytest.raises(NotMhs, match="^labelled W is not" if a == (1, 1) else message):
+        _labelled_datum(L.hodge, L.N, _labelled_basis(L, {a: b, b: a}))
+
+
+def test_label_certificate_rejects_a_piece_that_breaks_the_conjugation_rule():
+    # I^{1,1} tilted by a vector of I^{1,0} spans the same F and W, and the
+    # pieces recover both, but its conjugate meets I^{0,1}: the dims of the
+    # labels are those of the splitting, so the old check of dims alone
+    # passed it; _direct_sum gives the datum with the solved splitting
+    L = _split_case()
+    tilted = _labelled_basis(L, tilt=((1, 1), (1, 0)))
+    with pytest.raises(NotMhs) as e:
+        _labelled_datum(L.hodge, L.N, tilted)
+    assert str(e.value) == "conj I^{1,1} not inside I^{1,1} + sum_{a<1,b<1} I^{a,b}"
+    M = _direct_sum(1, [(L.hodge.polarization.Q, L.N, tilted)])
+    assert M.hodge.filtration == L.hodge.filtration and M.W == L.W
+    assert list(deligne_splitting(M).nodes) == list(deligne_splitting(L).nodes)
+    v = next(v for v, label in tilted if label == (1, 1))
+    assert Subspace.from_vectors(L.dim, [v]) != deligne_splitting(M).piece(1, 1)
+
+
+def test_label_certificate_accepts_a_splitting_that_is_not_r_split():
+    # weight 1, N e_0 = e_1, F^1 = <e_0 + i e_1>: I^{1,1} = F^1 is not its
+    # own conjugate, which lies in I^{1,1} + I^{0,0}, so the rule needs the
+    # sum, and the labelled pieces are the solved splitting
+    i = gq("i")
+    Q, N = MatrixGQ([[0, 1], [-1, 0]]), MatrixGQ([[0, 0], [1, 0]])
+    basis = [((ONE, i), (1, 1)), ((ZERO, ONE), (0, 0))]
+    L = _labelled_datum(_direct_sum(1, [(Q, N, basis)]).hodge, N, basis)
+    assert not L._given_W and not is_r_split(L._splitting)
+    solved = LmhsDatum(L.hodge, L.N)
+    assert L.W == solved.W
+    assert list(L._splitting.nodes) == list(lmhs._deligne_splitting(solved).nodes)
+    assert validate_lmhs(L)["ok"]
+
+
+def test_labelled_datum_keeps_the_griffiths_test():
+    # the 2-string at (2, 1) of weight 2 with its bottom labels (1, 0) and
+    # (0, 1) swapped: N u, for u at the top, is no longer in F^1, and the
+    # F test of LmhsDatum._fill says so, as it did before the labels were
+    # certified; the certificate alone passes these pieces, which stay
+    # conjugate and give the F they are certified against
+    Q, N, basis = string_block(2, (2, 1), 2)
+    swapped = basis[:2] + [(basis[2][0], (0, 1)), (basis[3][0], (1, 0))]
+    hodge = HodgeDatum(4, PolarizationForm(2, Q), labelled_filtration(2, swapped))
+    for build in (lambda: _labelled_datum(hodge, N, swapped),
+                  lambda: _direct_sum(2, [(Q, N, swapped)])):
+        with pytest.raises(ValueError, match=r"^N F\^2 not inside F\^1$"):
+            build()
+    bg = Bigrading(4, [(p, q, Subspace.from_vectors(4, [v])) for v, (p, q) in swapped])
+    L = object.__new__(LmhsDatum)
+    L._fill(hodge, N, lmhs._labelled_weight(bg, 2, 1), bg)  # a given W and splitting: no F test
+    lmhs._certify_splitting(L, bg)
 
 
 def kind2_witness():

@@ -247,10 +247,13 @@ def test_check_case_splits_each_datum_once(cid, monkeypatch):
     L = thunk()
     monkeypatch.setattr(lmhs, "_check_weight", counted_check)
     assert cli.check_case(cid, L) == cid
-    # L only: its JSON round trip is compared by equality, and the
-    # diagonal-Levi datum's splitting is read off its coordinates and its
-    # W certified by validate_lmhs as a given W, with clause (c) for N_s
-    assert seen == [L]
+    # none: L was built with its labelled splitting, certified by
+    # classify._direct_sum (it was L itself while the splitting was solved
+    # and then compared with the labels), its JSON round trip is compared by
+    # equality, and the diagonal-Levi datum's splitting is read off its
+    # coordinates and its W certified by validate_lmhs as a given W, with
+    # clause (c) for N_s
+    assert seen == []
     assert len(certified) == 1 and certified[0] != L.N
 
 
@@ -354,18 +357,28 @@ def test_check_case_states_the_converse_for_semisimple_g(n, top):
 # put each F step and W level in rref and built its matrix, repeated row
 # lists included; Subspace.from_json now solves each distinct row list of a
 # datum once (the JSON round trip reads F^p and W_k back, and many are the
-# same space).
-SLICE_RREF_CALLS = 1040
-SLICE_SPLITTING_BODIES = 20
+# same space).  The rref figure was 1,040, the bodies 20 and the Gram
+# matrices 381 while classify._direct_sum solved W (weight_filtration) and the
+# splitting of each datum it built and compared the splitting's dims with the
+# labels: it now reads both off the labels and certifies them, and no datum
+# of the slice solves a splitting (the Levi data are built with theirs).
+# validate_lmhs keeps its report on the datum, so each datum is validated
+# once: the bodies were 49 while minimal_witness and check_case each
+# validated a minimal witness (10 of the 20 cases), and the Gram figure falls
+# by the clause (d) forms of those second runs.
+SLICE_RREF_CALLS = 910
+SLICE_SPLITTING_BODIES = 0
+SLICE_VALIDATE_BODIES = 39
 SLICE_LEVI_CALLS = 19
 SLICE_G_COORDS_CALLS = 295
-SLICE_GRAM_CALLS = 381
+SLICE_GRAM_CALLS = 358
 SLICE_PUBLIC_MATRICES = 151
 
 
 def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
     counts = collections.Counter()
     rref, body, levi = gq_module.rref, lmhs._deligne_splitting, cli.diagonal_levi
+    validate = lmhs._validate_lmhs
     g_coords, gram, init = lmhs._g_coords, PolarizationForm.gram, MatrixGQ.__init__
 
     def counted_rref(M):
@@ -375,6 +388,10 @@ def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
     def counted_body(L):
         counts["bodies"] += 1
         return body(L)
+
+    def counted_validate(L):
+        counts["validate"] += 1
+        return validate(L)
 
     def counted_levi(a):
         counts["levi"] += 1
@@ -395,6 +412,7 @@ def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
     cases = cli.corpus_cases()[2::4]
     monkeypatch.setattr(gq_module, "rref", counted_rref)
     monkeypatch.setattr(lmhs, "_deligne_splitting", counted_body)
+    monkeypatch.setattr(lmhs, "_validate_lmhs", counted_validate)
     monkeypatch.setattr(cli, "diagonal_levi", counted_levi)
     monkeypatch.setattr(lmhs, "_g_coords", counted_g_coords)
     monkeypatch.setattr(PolarizationForm, "gram", counted_gram)
@@ -402,9 +420,11 @@ def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
     monkeypatch.setattr(cli, "corpus_cases", lambda limit=None: cases)
     assert cli.main(["verify-corpus"]) == 0
     assert json.loads(capsys.readouterr().out) == {"cases": 20, "ok": True}
-    assert counts == {"rref": SLICE_RREF_CALLS, "bodies": SLICE_SPLITTING_BODIES,
-                      "levi": SLICE_LEVI_CALLS, "g_coords": SLICE_G_COORDS_CALLS,
-                      "gram": SLICE_GRAM_CALLS, "public": SLICE_PUBLIC_MATRICES}
+    assert dict(counts, bodies=counts["bodies"]) == {
+        "rref": SLICE_RREF_CALLS, "bodies": SLICE_SPLITTING_BODIES,
+        "validate": SLICE_VALIDATE_BODIES, "levi": SLICE_LEVI_CALLS,
+        "g_coords": SLICE_G_COORDS_CALLS, "gram": SLICE_GRAM_CALLS,
+        "public": SLICE_PUBLIC_MATRICES}
 
 
 def test_splitting_reconstructs_both_filtrations():
@@ -509,16 +529,19 @@ def test_validate_detects_wrong_weight_filtration():
 
 
 def _with_tilted_piece(cid, target, by):
-    """The corpus datum cid whose kept splitting has the piece `target`
-    replaced by the span of the sum of the first vectors of `target` and
-    `by`: still a direct sum, read by validate_lmhs as the splitting."""
+    """A fresh datum of the corpus datum cid's F and N whose kept splitting
+    has the piece `target` replaced by the span of the sum of the first
+    vectors of `target` and `by`: still a direct sum, read by validate_lmhs
+    as the splitting.  The corpus datum itself keeps the report of its own
+    validation, which a new splitting would not change."""
     L = _corpus_datum(cid)
     bg = deligne_splitting(L)
     u, x = bg.piece(*target).basis.entries[0], bg.piece(*by).basis.entries[0]
     tilted = Subspace.from_vectors(L.dim, [[a + b for a, b in zip(u, x)]])
     nodes = [(p, q, tilted if (p, q) == target else s) for p, q, s in bg.nodes]
-    object.__setattr__(L, "_splitting", Bigrading(L.dim, nodes))
-    return L
+    fresh = LmhsDatum(L.hodge, L.N)
+    object.__setattr__(fresh, "_splitting", Bigrading(L.dim, nodes))
+    return fresh
 
 
 @pytest.mark.parametrize("target, by, clause, witness", [
@@ -539,6 +562,28 @@ def test_validate_names_the_first_failing_piece(target, by, clause, witness):
         cli._check_input_datum(L, HodgeNumbers(1, (2, 2)))
     assert str(e.value) == ("the datum is not a limiting mixed Hodge structure: "
                             "clause %s fails: %s" % (clause, witness))
+
+
+def test_validate_report_is_made_once_and_copied(monkeypatch):
+    # the report is kept on the datum: a second call runs no clause, and a
+    # change to a returned report does not reach the next one
+    L = ht_construct(2, HodgeNumbers(2, (1, 1, 1)))
+    runs = []
+    body = lmhs._validate_lmhs
+
+    def counted(datum):
+        runs.append(datum)
+        return body(datum)
+
+    monkeypatch.setattr(lmhs, "_validate_lmhs", counted)
+    rep = validate_lmhs(L)
+    want = {"weight_filtration": True, "graded_hodge": True, "minus_one_minus_one": True,
+            "polarized_primitives": True, "ok": True}
+    assert rep == want
+    rep["ok"] = False
+    rep["error"] = "edited"
+    assert validate_lmhs(L) == want and validate_lmhs(L) is not validate_lmhs(L)
+    assert runs == [L]
 
 
 @pytest.mark.parametrize("cid", ["ht/n=2,h=1,1,1", "minimal/n=2,h=1,2,1,I(0,2)"])
