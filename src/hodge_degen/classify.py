@@ -25,7 +25,7 @@ from .hodge import (
     string_block, block_sum, pure_blocks,
 )
 from .lmhs import (
-    LmhsDatum, Bigrading, NotMhs, deligne_splitting, validate_lmhs, is_hodge_tate,
+    LmhsDatum, Bigrading, NotMhs, validate_lmhs, is_hodge_tate,
 )
 from .diagrams import triples
 
@@ -126,27 +126,16 @@ def _direct_sum(n, blocks):
     """Assemble an LmhsDatum from (Q, N, basis) blocks, `basis` a list of
     (vector, (p, q)) labelled by Deligne bidegree, with no formula solved:
     F is read off the labels (hodge.labelled_filtration), and W and the
-    splitting too, certified (_labelled_datum).  Only when the certificate
-    fails is the splitting solved, to name the fault: InfeasibleType when
-    F and N have none or its dims are not the labels' count, and otherwise
-    the solved datum.
+    splitting too, certified (_labelled_datum).  Labels that the
+    certificate rejects raise InfeasibleType with its text and the labels.
     """
     Q, N, basis = block_sum(blocks)
     hodge = HodgeDatum(Q.rows, PolarizationForm(n, Q), labelled_filtration(n, basis))
     try:
         return _labelled_datum(hodge, N, basis)
-    except NotMhs:
-        pass
-    L = LmhsDatum(hodge, N)
-    labels = dict(Counter(label for _, label in basis))
-    try:
-        dims = deligne_splitting(L).dims()
     except NotMhs as e:
-        raise InfeasibleType("no Deligne splitting for labels %s: %s"
-                             % (labels, e)) from None
-    if dims != labels:
-        raise InfeasibleType("splitting %s != labels %s" % (dims, labels))
-    return L
+        raise InfeasibleType("labels %s are not the Deligne splitting: %s"
+                             % (dict(Counter(label for _, label in basis)), e)) from None
 
 
 def minimal_witness(t, n, h):

@@ -44,16 +44,42 @@ class UnknownEntry(KeyError):
         self.names = names
 
 
-def _catalog_entries():
+def _catalog_files():
+    """(catalog_dir(), the names of its .json files, sorted): the one
+    listing of a lookup."""
     d = catalog_dir()
-    for fn in sorted(os.listdir(d)):
-        if fn.endswith(".json"):
-            with open(os.path.join(d, fn)) as fh:
-                yield json.load(fh)
+    return d, sorted(fn for fn in os.listdir(d) if fn.endswith(".json"))
+
+
+def _catalog_entries(files=None):
+    """The entry of each file of `files`, a (directory, names) pair that is
+    by default the whole catalog, in order, each read when it is reached."""
+    d, names = _catalog_files() if files is None else files
+    for fn in names:
+        with open(os.path.join(d, fn)) as fh:
+            yield json.load(fh)
+
+
+def _own_entry(files, low):
+    """The entry in `<low>.json` (`low` a lowercased name), the file that the
+    catalog convention gives entry `low`, if the listing `files` has it and
+    its entry is called `low`, in any case; else None.  The file name is
+    taken from the listing, so no path is built from `low`."""
+    d, names = files
+    for entry in _catalog_entries((d, [fn for fn in names if fn == low + ".json"])):
+        if entry["name"].lower() == low:
+            return entry
+    return None
 
 
 def load_catalog_entry(name):
-    return _find_entry(_catalog_entries(), name)
+    """The entry called `name`, or carrying it as an alias (_find_entry).
+
+    The entry in the file that the catalog convention names answers; an
+    alias, an unknown name or a file that breaks the convention reads the
+    catalog in order, up to the match."""
+    files = _catalog_files()
+    return _own_entry(files, name.lower()) or _find_entry(_catalog_entries(files), name)
 
 
 def _find_entry(entries, name):
@@ -289,21 +315,30 @@ def cmd_diagram(args):
 
 
 def cmd_catalog(args):
-    entries = list(_catalog_entries())
     if not args.name:
-        for entry in entries:
+        for entry in list(_catalog_entries()):
             print(entry["name"])
         return 0
-    low = args.name.lower()
-    matched = [e for e in entries if e["name"].lower() == low
-               or e["name"].lower().startswith(low + "-row")]
-    if not matched:
-        try:
-            matched = [_find_entry(entries, args.name)]
-        except UnknownEntry as e:
-            print("unknown catalog entry %r; available: %s"
-                  % (args.name, ", ".join(e.names)), file=sys.stderr)
-            return 2
+    files, low = _catalog_files(), args.name.lower()
+    # the entry in its own file answers alone unless a file name is that of
+    # a row of a group `low` (the catalog convention); else, from the whole
+    # catalog, every entry `low` or `low`-row..., failing those the entry
+    # with the name as an alias
+    own = (None if any(fn.startswith(low + "-row") for fn in files[1])
+           else _own_entry(files, low))
+    if own is not None:
+        matched = [own]
+    else:
+        entries = list(_catalog_entries(files))
+        matched = [e for e in entries if e["name"].lower() == low
+                   or e["name"].lower().startswith(low + "-row")]
+        if not matched:
+            try:
+                matched = [_find_entry(entries, args.name)]
+            except UnknownEntry as e:
+                print("unknown catalog entry %r; available: %s"
+                      % (args.name, ", ".join(e.names)), file=sys.stderr)
+                return 2
     status = 0
     for entry in matched:
         name = entry["name"]

@@ -4,10 +4,12 @@ Everything is done in simple-root coordinates, where roots, Cartan
 integers and the named involutions are integral (Humphreys, Introduction
 to Lie Algebras and Representation Theory, sections 9-11).  So the roots
 are generated by integer simple reflections and involutions are checked
-on int matrices; the only rational set-up is the r x r Gram matrix of the
-simple roots in orthogonal coordinates, which gives the Cartan matrix and
-(scaled to ints) the squared lengths.  Grading elements are exact
-rationals (Fractions).  Conventions fixed here once and for all:
+on int matrices.  The one rational datum is `_orth`, the simple roots in
+orthogonal coordinates; doubled they are int vectors, whose int Gram
+matrix gives the Cartan matrix and the squared lengths.  A grading element
+keeps its values as Fractions and, scaled once to ints over a common
+denominator, evaluates on roots and weights in int arithmetic.
+Conventions fixed here once and for all:
   G2: alpha1 short, alpha2 long, highest root 3a1+2a2
   F4: alpha1, alpha2 long, alpha3, alpha4 short (Bourbaki)
 """
@@ -99,7 +101,7 @@ class RootSystem(Immutable):
     `simple_roots` and `all_roots` are int tuples, `all_roots` sorted;
     `_gram` is the Gram matrix of the simple roots scaled to ints, `_index`
     maps each root to its all_roots position, and `_level_cache` keeps
-    alpha(L) for every root by L.values (see `_levels`).
+    alpha(L) for every root by L._scaled (see `_levels`).
     """
 
     __slots__ = ("type_letter", "rank", "simple_roots", "all_roots",
@@ -129,9 +131,6 @@ class RootSystem(Immutable):
         return sum(x * g * y for x, row in zip(u, self._gram) if x
                    for g, y in zip(row, v))
 
-    def pairing_with_coroot_of(self, coords, beta):
-        return Fraction(2 * self._form(coords, beta)) / self._form(beta, beta)
-
     def short_roots(self):
         lengths = [self._form(a, a) for a in self.all_roots]
         m = min(lengths)
@@ -143,9 +142,13 @@ def build_root_system(type_letter, rank):
     if type(rank) is not int:
         raise UnsupportedType("rank must be an integer, got %r" % (rank,))
     orth = _orthogonal_simples(type_letter, rank)
-    gram = [[_dot(u, v) for v in orth] for u in orth]
-    # C[i][j] = <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)
-    cartan = tuple(tuple(int(2 * gram[i][j] / gram[j][j]) for j in range(rank))
+    # the simple roots doubled are int vectors (this clears F4's halves), so
+    # their Gram matrix g is 4 times the Gram matrix of the simple roots
+    twice = [tuple(2 * x.numerator // x.denominator for x in u) for u in orth]
+    g = [[_dot(u, v) for v in twice] for u in twice]
+    # C[i][j] = <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j),
+    # an integer, so the int division is exact
+    cartan = tuple(tuple(2 * g[i][j] // g[j][j] for j in range(rank))
                    for i in range(rank))
     if any(cartan[i][i] != 2 for i in range(rank)):
         raise AssertionError("Cartan matrix diagonal is not 2")
@@ -171,22 +174,31 @@ def build_root_system(type_letter, rank):
     all_roots = tuple(sorted(roots))
     if any(tuple(-x for x in a) not in roots for a in all_roots):
         raise AssertionError("root set not closed under negation")
-    scale = math.lcm(*(x.denominator for row in gram for x in row))
-    int_gram = tuple(tuple(int(x * scale) for x in row) for row in gram)
+    # the least int multiple of the Gram matrix: g / 4 scaled by 4 / gcd(4, g)
+    k = math.gcd(4, *(x for row in g for x in row))
+    int_gram = tuple(tuple(x // k for x in row) for row in g)
     return RootSystem(type_letter, rank, simples, all_roots, cartan,
                       [tuple(v) for v in orth], int_gram)
 
 
 class GradingElement(Immutable):
-    """Functional on the Cartan, stored by its values on the simple roots."""
+    """Functional on the Cartan, stored by its values on the simple roots.
 
-    __slots__ = ("values",)
+    `values` are Fractions; `_scaled` is (ints, d) with values = ints / d and
+    d the least common denominator, which the evaluations sum on."""
+
+    __slots__ = ("values", "_scaled")
 
     def __init__(self, values):
-        object.__setattr__(self, "values", _rationals(values))
+        values = _rationals(values)
+        d = math.lcm(*(v.denominator for v in values))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_scaled", (tuple(v.numerator * (d // v.denominator)
+                                                   for v in values), d))
 
     def __call__(self, coords):
-        return sum(c * v for c, v in zip(coords, self.values))
+        ints, d = self._scaled
+        return Fraction(sum(c * v for c, v in zip(coords, ints)), d)
 
     def __eq__(self, other):
         if not isinstance(other, GradingElement):
@@ -214,22 +226,21 @@ def _rationals(values):
 def _levels(rs, L):
     """alpha(L) for every root of rs, in all_roots order, as a tuple of ints.
 
-    Kept on rs by L.values, so each (root system, grading) is done once."""
-    lev = rs._level_cache.get(L.values)
+    Kept on rs by L._scaled, so each (root system, grading) is done once."""
+    lev = rs._level_cache.get(L._scaled)
     if lev is not None:
         return lev
     if len(L.values) != rs.rank:
         raise ValueError("grading element on %s%d needs %d values, got %d"
                          % (rs.type_letter, rs.rank, rs.rank, len(L.values)))
-    d = math.lcm(*(v.denominator for v in L.values))
-    scaled = [int(v * d) for v in L.values]
+    scaled, d = L._scaled
     out = []
     for a in rs.all_roots:
         x, r = divmod(sum(c * v for c, v in zip(a, scaled)), d)
         if r:
             raise NonIntegralGrading("alpha(L) not an integer on %s" % (a,))
         out.append(x)
-    lev = rs._level_cache[L.values] = tuple(out)
+    lev = rs._level_cache[L._scaled] = tuple(out)
     return lev
 
 
@@ -268,16 +279,22 @@ def adjoint_bigrading(rs, L, Y):
 
 def rep_bigrading(weights, L, Y, n):
     """Node dims on a representation given by its (weight, multiplicity)
-    pairs; weight lam sits at (lam(Y) - lam(L) + n/2, lam(L) + n/2)."""
-    shift = Fraction(n, 2)
+    pairs; weight lam sits at (lam(Y) - lam(L) + n/2, lam(L) + n/2).
+
+    Y = None is Y = 0, which puts lam at (n - q, q).  Both coordinates are
+    summed as ints over the denominator den = 2 dL dY."""
+    (ls, dl), (ys, dy) = L._scaled, Y._scaled if Y is not None else ((), 1)
+    den, shift = 2 * dl * dy, n * dl * dy
     dims = {}
     for w, m in weights:
-        q = L(w) + shift
-        p = (Y(w) - L(w) + shift) if Y is not None else (n - q)
-        if q.denominator != 1 or p.denominator != 1:
+        lw = 2 * dy * sum(c * v for c, v in zip(w, ls))
+        q = lw + shift
+        p = 2 * dl * sum(c * v for c, v in zip(w, ys)) - lw + shift
+        if q % den or p % den:
             raise HalfIntegralityViolation(
-                "weight lands at non-integral (p, q) = (%s, %s)" % (p, q))
-        key = (int(p), int(q))
+                "weight lands at non-integral (p, q) = (%s, %s)"
+                % (Fraction(p, den), Fraction(q, den)))
+        key = (p // den, q // den)
         dims[key] = dims.get(key, 0) + m
     return dims
 
@@ -285,11 +302,10 @@ def rep_bigrading(weights, L, Y, n):
 def characteristic_vector(rs, Y):
     """Values (alpha_1(Y), ..., alpha_r(Y)) after moving Y to the dominant
     chamber by simple reflections; entries must land in {0, 1, 2}."""
-    vals = list(Y.values)
-    for v in vals:
-        if Fraction(v).denominator != 1:
-            raise NotNormalizable("Y not integral on simple roots")
-    vals = [int(v) for v in vals]
+    ints, d = Y._scaled
+    if d != 1:
+        raise NotNormalizable("Y not integral on simple roots")
+    vals = list(ints)
     C = rs.cartan_matrix
     limit = 10 ** 6
     steps = 0
@@ -322,19 +338,15 @@ class InvolutionDatum(Immutable):
     __slots__ = ("_conj", "_imag")
 
     def __init__(self, sigma, rs):
-        sigma = tuple(tuple(Fraction(x) for x in row) for row in sigma)
-        integral = all(x.denominator == 1 for row in sigma for x in row)
-        S = _int_matrix(sigma) if integral else sigma
-        if _matmul(S, S) != _identity(len(S)):
+        # sigma is taken as it is: an int matrix, or any exact one, whose
+        # column with a non-integer entry sends its simple root (a unit
+        # vector) to a vector that is not a root
+        if _matmul(sigma, sigma) != _identity(len(sigma)):
             raise InconsistentInvolutions("sigma is not an involution")
-        if not integral:
-            # a column with a non-integer entry sends its simple root (a unit
-            # vector) to a vector that is not a root
-            raise InconsistentInvolutions("involution does not permute roots")
         index = rs._index
         conj, imag = [], []
         for a in rs.all_roots:
-            sa = _matvec(S, a)
+            sa = _matvec(sigma, a)
             if sa not in index:
                 raise InconsistentInvolutions("involution does not permute roots")
             conj.append(index[sa])
@@ -352,10 +364,6 @@ def _matvec(A, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in A)
 
 
-def _int_matrix(M):
-    return tuple(tuple(int(x) for x in row) for row in M)
-
-
 def _identity(r):
     return tuple(tuple(int(j == i) for j in range(r)) for i in range(r))
 
@@ -365,11 +373,13 @@ def _neg(M):
 
 
 def reflection_matrix(rs, beta):
-    """Matrix of s_beta on simple-root coordinates (columns = s_beta(alpha_j))."""
+    """Matrix of s_beta on simple-root coordinates (columns = s_beta(alpha_j)),
+    an int matrix for a root beta."""
     cols = []
     for j in range(rs.rank):
         a = rs.simple_roots[j]
-        c = rs.pairing_with_coroot_of(a, beta)
+        # the Cartan integer <a, beta^vee>, so the int division is exact
+        c = 2 * rs._form(a, beta) // rs._form(beta, beta)
         cols.append(tuple(a[i] - c * beta[i] for i in range(rs.rank)))
     return tuple(tuple(cols[j][i] for j in range(rs.rank)) for i in range(rs.rank))
 

@@ -230,15 +230,17 @@ def test_atomic_block_is_self_dual_string():
 # ------------------------------------------------------------ labelled blocks
 
 def test_direct_sum_rejects_a_wrong_label():
-    # (0, 1) for (0, 0) leaves F as it is, so the splitting is computed and
-    # its dims differ from the labels' count
+    # (0, 1) for (0, 0) leaves F as it is, but W read off the labels is no
+    # weight filtration of N: the error names the labels and the clause
     Q, N, basis = string_block(2, (2, 2), 3)
     rest, (v, _) = basis[:-1], basis[-1]  # v at the bottom, (0, 0)
     with pytest.raises(InfeasibleType) as e:
         _direct_sum(2, [(Q, N, rest + [(v, (0, 1))])])
-    assert "(0, 0)" in str(e.value) and "(0, 1)" in str(e.value)
+    assert "(0, 1): 1" in str(e.value) and "(0, 0)" not in str(e.value)
+    assert str(e.value).endswith(": labelled W is not the weight filtration of N: "
+                                 "N W_2 not inside W_0")
     # a wrong Hodge index moves F itself: F^1 = V has no splitting at all
-    with pytest.raises(InfeasibleType, match="labels"):
+    with pytest.raises(InfeasibleType, match=r"^labels \{\(2, 2\): 1, \(1, 1\): 2\} "):
         _direct_sum(2, [(Q, N, rest + [(v, (1, 1))])])
 
 
@@ -281,22 +283,23 @@ def _split_case():
 def test_label_certificate_rejects_pieces_not_in_direct_sum():
     # e_2, at (0, 0) of the real 3-string of weight 2, swapped for e_1: the
     # pieces I^{1,1} and I^{0,0} are the same line.  F is that of the
-    # string, so the splitting solved from it has the labels' dims and
-    # _direct_sum gives that datum, as it did when only the dims were compared
+    # string, and the splitting solved from it has the labels' dims, but
+    # _direct_sum fails closed on the certificate's text
     Q, N, basis = string_block(2, (2, 2), 3)
     bad = basis[:2] + [(basis[1][0], (0, 0))]
     hodge = _direct_sum(2, [(Q, N, basis)]).hodge
     with pytest.raises(NotMhs, match="^pieces are not in direct sum$"):
         _labelled_datum(hodge, N, bad)
-    L = _direct_sum(2, [(Q, N, bad)])
-    assert L._given_W is False and L._splitting.piece(0, 0) != L._splitting.piece(1, 1)
-    assert deligne_splitting(L).dims() == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
+    with pytest.raises(InfeasibleType) as e:
+        _direct_sum(2, [(Q, N, bad)])
+    assert str(e.value) == ("labels {(2, 2): 1, (1, 1): 1, (0, 0): 1} are not the "
+                            "Deligne splitting: pieces are not in direct sum")
 
 
 def test_label_certificate_rejects_a_w_that_is_not_the_weight_filtration():
     # e_2 labelled (0, 1) for (0, 0): W_0, read off the labels, is 0, and
-    # N W_2 = N <e_1, e_2> is not; the message of _direct_sum is that of the
-    # solved splitting
+    # N W_2 = N <e_1, e_2> is not; _direct_sum gives the certificate's text
+    # with the labels
     Q, N, basis = string_block(2, (2, 2), 3)
     bad = basis[:2] + [(basis[2][0], (0, 1))]
     hodge = _direct_sum(2, [(Q, N, basis)]).hodge
@@ -305,8 +308,9 @@ def test_label_certificate_rejects_a_w_that_is_not_the_weight_filtration():
     assert str(e.value) == "labelled W is not the weight filtration of N: N W_2 not inside W_0"
     with pytest.raises(InfeasibleType) as e:
         _direct_sum(2, [(Q, N, bad)])
-    assert str(e.value) == ("splitting {(0, 0): 1, (1, 1): 1, (2, 2): 1} != "
-                            "labels {(2, 2): 1, (1, 1): 1, (0, 1): 1}")
+    assert str(e.value) == ("labels {(2, 2): 1, (1, 1): 1, (0, 1): 1} are not the "
+                            "Deligne splitting: labelled W is not the weight "
+                            "filtration of N: N W_2 not inside W_0")
 
 
 @pytest.mark.parametrize("swap, message", [
@@ -331,17 +335,19 @@ def test_label_certificate_rejects_a_piece_that_breaks_the_conjugation_rule():
     # I^{1,1} tilted by a vector of I^{1,0} spans the same F and W, and the
     # pieces recover both, but its conjugate meets I^{0,1}: the dims of the
     # labels are those of the splitting, so the old check of dims alone
-    # passed it; _direct_sum gives the datum with the solved splitting
+    # passed it; _direct_sum fails closed on the certificate's text
     L = _split_case()
     tilted = _labelled_basis(L, tilt=((1, 1), (1, 0)))
     with pytest.raises(NotMhs) as e:
         _labelled_datum(L.hodge, L.N, tilted)
     assert str(e.value) == "conj I^{1,1} not inside I^{1,1} + sum_{a<1,b<1} I^{a,b}"
-    M = _direct_sum(1, [(L.hodge.polarization.Q, L.N, tilted)])
-    assert M.hodge.filtration == L.hodge.filtration and M.W == L.W
-    assert list(deligne_splitting(M).nodes) == list(deligne_splitting(L).nodes)
+    with pytest.raises(InfeasibleType) as e:
+        _direct_sum(1, [(L.hodge.polarization.Q, L.N, tilted)])
+    assert str(e.value).endswith(
+        " are not the Deligne splitting: conj I^{1,1} not inside I^{1,1} + "
+        "sum_{a<1,b<1} I^{a,b}")
     v = next(v for v, label in tilted if label == (1, 1))
-    assert Subspace.from_vectors(L.dim, [v]) != deligne_splitting(M).piece(1, 1)
+    assert Subspace.from_vectors(L.dim, [v]) != deligne_splitting(L).piece(1, 1)
 
 
 def test_label_certificate_accepts_a_splitting_that_is_not_r_split():

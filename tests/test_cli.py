@@ -16,13 +16,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hodge_degen
 from hodge_degen import cli
 from hodge_degen.hodge import HodgeNumbers
 from hodge_degen.lmhs import LmhsDatum
 from hodge_degen.classify import ht_construct
 
-ROOT = Path(__file__).resolve().parents[1]
+from console import console, pkg_env
 
 
 def run(capsys, *argv):
@@ -595,10 +594,32 @@ def test_catalog_bad_root_payload(capsys, tmp_path, monkeypatch, edit, witness):
     assert err == "catalog entry 'A2-test': bad payload: %s\n" % witness
 
 
-@pytest.mark.parametrize("argv", [
-    ["catalog"], ["catalog", "G2"], ["catalog", "G2-split-codim1-long"],
-    ["catalog", "nope"], ["diagram", "nope"],
-])
+def _catalog_files():
+    return sorted(fn for fn in os.listdir(cli.catalog_dir()) if fn.endswith(".json"))
+
+
+def _up_to(last):
+    files = _catalog_files()
+    return files[:files.index(last) + 1]
+
+
+# The files each lookup reads, in order.  A name reads the one file of the
+# catalog convention; `catalog` alone, a group, an alias or an unknown name
+# reads the whole catalog, and `diagram` an alias or unknown name up to the
+# match.
+READS = {
+    ("catalog",): _catalog_files,
+    ("catalog", "G2"): _catalog_files,
+    ("catalog", "G2-split-codim1-long"): _catalog_files,
+    ("diagram", "G2-split-codim1-long"): lambda: _up_to("g2-row2.json"),
+    ("catalog", "nope"): _catalog_files,
+    ("diagram", "nope"): _catalog_files,
+    ("diagram", "G2-row1"): lambda: ["g2-row1.json"],
+    ("catalog", "ht-n2-111"): lambda: ["ht-n2-111.json"],
+}
+
+
+@pytest.mark.parametrize("argv", [list(k) for k in READS])
 def test_catalog_reads_each_file_once(capsys, monkeypatch, argv):
     opened = []
 
@@ -608,7 +629,71 @@ def test_catalog_reads_each_file_once(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(cli, "open", recording_open, raising=False)
     run(capsys, *argv)
-    assert len(opened) == len(set(opened)) == 17
+    assert {os.path.dirname(p) for p in opened} == {cli.catalog_dir()}
+    assert [os.path.basename(p) for p in opened] == READS[tuple(argv)]()
+
+
+def test_catalog_files_follow_the_name_convention():
+    # entry NAME lives in <name lowercased>.json, names are unique ignoring
+    # case, and no alias is the name of an entry: so the one file a name
+    # gives holds the entry that the whole catalog would
+    entries = {fn: json.loads(Path(cli.catalog_dir(), fn).read_text())
+               for fn in _catalog_files()}
+    assert len(entries) == 17
+    assert all(fn == e["name"].lower() + ".json" for fn, e in entries.items())
+    names = {e["name"].lower() for e in entries.values()}
+    assert len(names) == len(entries)
+    aliases = [a.lower() for e in entries.values() for a in e.get("aliases", [])]
+    assert aliases and not names & set(aliases)
+
+
+def _copy_catalog(dest, rename=lambda fn: fn):
+    for fn in _catalog_files():
+        shutil.copy(os.path.join(cli.catalog_dir(), fn), dest / rename(fn))
+
+
+@pytest.mark.parametrize("rename", [
+    lambda fn: "renamed.json" if fn == "g2-row1.json" else fn,
+    lambda fn: fn[:-len(".json")].upper() + ".json",
+], ids=["renamed", "upper-case"])
+def test_catalog_lookup_falls_back_when_a_file_breaks_the_convention(
+        capsys, tmp_path, monkeypatch, rename):
+    # G2-row1 moved to renamed.json, or every file named in upper case: the
+    # file a name gives is gone, so the lookup reads the catalog in order,
+    # and every output is the shipped one
+    argvs = [["catalog", "G2-row1"], ["diagram", "G2-row1"],
+             ["diagram", "g2-row1", "--part", "adjoint", "--format", "svg"],
+             ["catalog", "f4"],
+             ["catalog", "G2-split-codim1-long"], ["catalog", "G2-split-codim1-short"],
+             ["diagram", "G2-split-codim1-long", "--format", "json"]]
+    shipped = [run(capsys, *argv) for argv in argvs]
+    _copy_catalog(tmp_path, rename)
+    monkeypatch.setenv(cli.CATALOG_ENV, str(tmp_path))
+    assert "g2-row1.json" not in _catalog_files()
+    assert [run(capsys, *argv) for argv in argvs] == shipped
+    assert all(code == 0 for code, _, _ in shipped)
+    # a group is checked in file order
+    code, out, err = run(capsys, "catalog", "G2")
+    assert (code, err) == (0, "")
+    assert sorted(out.splitlines()) == ["G2-row%d: match" % i for i in range(1, 5)]
+
+
+def test_catalog_lookup_by_own_file_takes_precedence(capsys, tmp_path, monkeypatch):
+    # an entry G2 in g2.json beside the rows g2-row*.json: `catalog G2` still
+    # checks the group, the entry and its rows; and an earlier file carrying
+    # G2-row1 as an alias does not answer for G2-row1, its own file does
+    _copy_catalog(tmp_path)
+    entry = json.loads((tmp_path / "g2-row1.json").read_text())
+    (tmp_path / "g2.json").write_text(json.dumps(dict(entry, name="G2")))
+    (tmp_path / "a-alias.json").write_text(json.dumps(
+        dict(entry, name="A-alias", aliases=["G2-row1"], payload={})))
+    monkeypatch.setenv(cli.CATALOG_ENV, str(tmp_path))
+    code, out, _ = run(capsys, "catalog", "G2")
+    assert code == 0
+    # file order: g2-row1.json ... g2-row4.json, then g2.json
+    assert out.splitlines() == ["G2-row%d: match" % i for i in range(1, 5)] + ["G2: match"]
+    assert cli.load_catalog_entry("G2-row1")["name"] == "G2-row1"
+    assert cli.load_catalog_entry("g2")["name"] == "G2"
 
 
 # ------------------------------------------------------------ corpus
@@ -681,15 +766,6 @@ def test_main_runs_the_cmd_function_the_module_holds_now(capsys, monkeypatch, ht
     assert calls == [ht_file]
 
 
-def _pkg_env():
-    """The environment with this package's root first on PYTHONPATH."""
-    pkg_root = os.path.dirname(os.path.dirname(hodge_degen.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    return env
-
-
 @pytest.mark.parametrize("argv", [["catalog"],
                                   ["diagram", "F4-row1", "--part", "adjoint",
                                    "--format", "svg"]])
@@ -700,28 +776,15 @@ def test_closed_stdout_exits_1_without_traceback(argv):
     code = "import sys; from hodge_degen.cli import main; sys.exit(main(%r))" % argv
     try:
         res = subprocess.run([sys.executable, "-c", code], stdout=w,
-                             stderr=subprocess.PIPE, text=True, env=_pkg_env())
+                             stderr=subprocess.PIPE, text=True, env=pkg_env())
     finally:
         os.close(w)
     assert (res.returncode, res.stderr) == (1, "")
 
 
 def test_entry_point_installed(tmp_path):
-    argv = ["catalog", "ht-n2-111"]
-    if shutil.which("hodge-degen"):
-        res = subprocess.run(["hodge-degen", *argv],
-                             capture_output=True, text=True)
-    else:
-        # Uninstalled checkout: run the declared target the way the
-        # generated console script does, in a fresh process whose working
-        # directory holds no catalog.
-        tomllib = pytest.importorskip("tomllib")
-        with open(ROOT / "pyproject.toml", "rb") as fh:
-            target = tomllib.load(fh)["project"]["scripts"]["hodge-degen"]
-        module, fn = target.split(":")
-        code = f"import sys; from {module} import {fn}; sys.exit({fn}())"
-        res = subprocess.run([sys.executable, "-c", code, *argv],
-                             capture_output=True, text=True,
-                             cwd=tmp_path, env=_pkg_env())
+    # the installed script, or in an uninstalled checkout the declared
+    # target, in a fresh process whose working directory holds no catalog
+    res = console("catalog", "ht-n2-111", cwd=tmp_path)
     assert res.returncode == 0
     assert "match" in res.stdout

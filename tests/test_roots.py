@@ -1,5 +1,6 @@
 """Root systems, grading elements, bigradings, sl2 data, real-form orbits."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -75,7 +76,8 @@ def test_fundamental_weight_pairing():
         for i in range(r):
             omega = [inv[i, j].re for j in range(r)]
             for j in range(r):
-                val = rs.pairing_with_coroot_of(omega, rs.simple_roots[j])
+                beta = rs.simple_roots[j]
+                val = Fraction(2 * rs._form(omega, beta), rs._form(beta, beta))
                 assert val == (1 if i == j else 0)
 
 
@@ -446,3 +448,64 @@ def test_levels_kept_per_grading():
     lev = roots._levels(rs, L)
     assert roots._levels(rs, GradingElement((1, 0, 2, 1))) is lev
     assert lev == tuple(L(a) for a in rs.all_roots)
+
+
+# ------------------------------------------------------------ int root layer oracle
+
+INT_LAYER_SYSTEMS = sorted(set([(t, r) for t in "ABCD" for r in (3, 4, 5)]
+                               + [("G", 2), ("F", 4), ("B", 2), ("C", 2), ("D", 4)]))
+
+
+@pytest.mark.parametrize("letter, rank", INT_LAYER_SYSTEMS)
+def test_int_root_layer_matches_fraction_reference(letter, rank):
+    # the systems of the benchmark sweep and the catalog's: the int Gram
+    # matrix (the Fraction one times the lcm of its denominators), the
+    # Cartan matrix 2 (a_i, a_j) / (a_j, a_j), the roots and the short roots
+    # equal the Fraction reference
+    rs = build_root_system(letter, rank)
+    ref = reference_root_system(letter, rank)
+    orth = roots._orthogonal_simples(letter, rank)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in orth] for u in orth]
+    scale = math.lcm(*(x.denominator for row in gram for x in row))
+    assert rs._gram == tuple(tuple(x * scale for x in row) for row in gram)
+    assert rs.cartan_matrix == tuple(tuple(2 * gram[i][j] / gram[j][j] for j in range(rank))
+                                     for i in range(rank)) == ref["cartan_matrix"]
+    assert all(type(x) is int for row in rs._gram + rs.cartan_matrix for x in row)
+    assert rs.all_roots == ref["all_roots"]
+    assert rs.short_roots() == ref["short_roots"]
+
+
+def test_equal_gradings_share_one_level_entry():
+    rs = build_root_system("G", 2)
+    a, b = GradingElement(("2/2", 1)), GradingElement((1, 1))
+    assert a.values == b.values and all(type(v) is Fraction for v in a.values)
+    lev = roots._levels(rs, a)
+    assert roots._levels(rs, b) is lev and len(rs._level_cache) == 1
+    assert lev == tuple(x + y for x, y in rs.all_roots)
+
+
+@pytest.mark.parametrize("letter, rank, values, message", [
+    ("G", 2, (Fraction(1, 2), 1), "alpha(L) not an integer on (-3, -2)"),
+    ("G", 2, ("1/3", 0), "alpha(L) not an integer on (-2, -1)"),
+    ("F", 4, ("1/2", "1/2", 0, "1/3"), "alpha(L) not an integer on (-2, -3, -4, -2)"),
+])
+def test_non_integral_grading_text(letter, rank, values, message):
+    with pytest.raises(NonIntegralGrading) as e:
+        adjoint_bigrading(build_root_system(letter, rank), GradingElement(values), None)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("letter, rank, rep, L, Y, n, p, q", [
+    ("G", 2, "g2-7", (1, 1), None, 5, "11/2", "-1/2"),
+    ("G", 2, "g2-7", ("1/2", 1), (1, 1), 6, "5/2", "3/2"),
+    ("G", 2, "g2-7", (1, 1), ("1/2", 0), 6, "9/2", "1"),
+    ("F", 4, "f4-26", (1, 1, 1, 1), ("1/3", 0, 0, 0), 16, "47/3", "0"),
+    ("F", 4, "f4-26", ("1/2", 0, 0, 0), None, 16, "17/2", "15/2"),
+])
+def test_half_integrality_violation_text(letter, rank, rep, L, Y, n, p, q):
+    # the first weight that lands off the lattice, named by its exact (p, q)
+    rs = build_root_system(letter, rank)
+    with pytest.raises(HalfIntegralityViolation) as e:
+        rep_bigrading(rep_weights(rs, rep), GradingElement(L),
+                      GradingElement(Y) if Y else None, n)
+    assert str(e.value) == "weight lands at non-integral (p, q) = (%s, %s)" % (p, q)
