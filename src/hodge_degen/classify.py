@@ -7,11 +7,9 @@ classical families.
 
 Every constructor is a sum of N-strings, each one hodge.string_block: a
 (Q, N, basis) block with every basis vector labelled by its Deligne bidegree
-(p, q).  One assembly path, _direct_sum, reads F, W and the splitting off
-the labels (F^p is spanned by the vectors labelled (a, b) with a >= p, W_k
-by those with a + b <= k, and I^{p,q} by those labelled (p, q)) and
-certifies that the labelled pieces are the Deligne splitting, so that
-neither W nor the splitting is solved.
+(p, q).  One assembly path, _direct_sum, hands the sum to
+lmhs.labelled_datum, which reads F, W and the splitting off the labels and
+certifies them, so that neither W nor the splitting is solved.
 
 A minimal type is one long string plus a pure rest, which give its table,
 admissibility and witness; kind II's h^{m,m} odd is the one other rule.
@@ -19,14 +17,9 @@ admissibility and witness; kind II's h^{m,m} odd is the one other rule.
 
 from collections import Counter
 
-from .gq import Immutable, _span
-from .hodge import (
-    HodgeDatum, PolarizationForm, HodgeNumbers, labelled_filtration, string_labels,
-    string_block, block_sum, pure_blocks,
-)
-from .lmhs import (
-    LmhsDatum, Bigrading, NotMhs, validate_lmhs, is_hodge_tate,
-)
+from .gq import Immutable
+from .hodge import HodgeNumbers, string_labels, string_block, block_sum, pure_blocks
+from .lmhs import NotMhs, labelled_datum, validate_lmhs, is_hodge_tate
 from .diagrams import triples
 
 
@@ -106,33 +99,16 @@ def minimal_types(n, h):
     return out
 
 
-def _labelled_datum(hodge, N, basis):
-    """The LmhsDatum of (V, Q, F) and N built with the splitting that the
-    labels of `basis` give: I^{p,q} is the span of the vectors labelled
-    (p, q), and LmhsDatum._fill reads W off the pieces and certifies both
-    (lmhs._certify_splitting).  NotMhs names the first clause that fails,
-    the direct sum of the pieces (Bigrading) first."""
-    dim = hodge.dim
-    pieces = {}
-    for v, label in basis:
-        pieces.setdefault(label, []).append(v)
-    L = object.__new__(LmhsDatum)
-    L._fill(hodge, N, None, Bigrading(dim, [(p, q, _span(dim, vs))
-                                            for (p, q), vs in pieces.items()]))
-    return L
-
-
 def _direct_sum(n, blocks):
     """Assemble an LmhsDatum from (Q, N, basis) blocks, `basis` a list of
     (vector, (p, q)) labelled by Deligne bidegree, with no formula solved:
-    F is read off the labels (hodge.labelled_filtration), and W and the
-    splitting too, certified (_labelled_datum).  Labels that the
-    certificate rejects raise InfeasibleType with its text and the labels.
+    F, W and the splitting are read off the labels and certified
+    (lmhs.labelled_datum).  Labels that the certificate rejects raise
+    InfeasibleType with its text and the labels.
     """
     Q, N, basis = block_sum(blocks)
-    hodge = HodgeDatum(Q.rows, PolarizationForm(n, Q), labelled_filtration(n, basis))
     try:
-        return _labelled_datum(hodge, N, basis)
+        return labelled_datum(n, Q, N, basis)
     except NotMhs as e:
         raise InfeasibleType("labels %s are not the Deligne splitting: %s"
                              % (dict(Counter(label for _, label in basis)), e)) from None

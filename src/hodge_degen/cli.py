@@ -413,9 +413,10 @@ def check_case(cid, L, samples=(1, 2)):
     The JSON round trip must give back Q, N, F and W (hence the splitting).
     An R-split L also gets the reduced-limit checks and, when g != 0, the
     adjoint ones (V Hodge-Tate implies g is, and the converse for g
-    semisimple; cp_orb_check) and the certified
-    diagonal-Levi datum, which must pass validate_lmhs too.  A failed
-    validate_lmhs lists its false clauses (_LMHS_CLAUSES) in the id.
+    semisimple; cp_orb_check) and the diagonal-Levi datum, certified when
+    it is built, which must pass validate_lmhs too.  A Levi datum that fails
+    to build gives the exception's type and text in the id, and a failed
+    validate_lmhs lists its false clauses (_LMHS_CLAUSES).
     """
     n = L.hodge.n
     report = validate_lmhs(L)
@@ -456,7 +457,7 @@ def check_case(cid, L, samples=(1, 2)):
     try:
         report = validate_lmhs(diagonal_levi(a)[1])
     except Exception as e:
-        return cid + "/diagonal-levi:" + type(e).__name__
+        return "%s/diagonal-levi:%s: %s" % (cid, type(e).__name__, e)
     if not report["ok"]:
         return cid + "/diagonal-levi-validate:" + _failed_clauses(report)
     return cid

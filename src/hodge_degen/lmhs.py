@@ -5,6 +5,9 @@ nilpotent-orbit validator (weight filtration + induced graded Hodge
 structures + (-1,-1) rule + polarized primitives), disc sampling, the
 induced structure on g = End(V,Q), reduced limit filtrations, Hodge-Tate
 predicates, and the diagonal Levi subalgebra.
+
+A datum the package builds comes from labelled_datum and is certified when
+it is built; a datum read from a file is certified by validate_lmhs.
 """
 
 import reprlib
@@ -168,11 +171,14 @@ def _labelled_weight(bg, n, d):
     """The W, centered at the weight n, that a labelled splitting bg gives:
     W_k is the sum of the pieces I^{p,q} with p + q <= k, at the levels
     n - d, ..., n + d that weight_filtration lays out when N^(d+1) = 0 and
-    N^d != 0.  _certify_splitting certifies it."""
-    return WeightFiltration(n, {
-        k: _span(bg.ambient_dim, [v for p, q, s in bg.nodes if p + q <= k
-                                  for v in s.basis.entries])
-        for k in range(n - d, n + d + 1)})
+    N^d != 0.  _certify_splitting certifies it.  A level with as many vectors
+    as the one below it holds the same pieces, and is that level."""
+    levels, count = {}, -1
+    for k in range(n - d, n + d + 1):
+        vecs = [v for p, q, s in bg.nodes if p + q <= k for v in s.basis.entries]
+        levels[k] = levels[k - 1] if len(vecs) == count else _span(bg.ambient_dim, vecs)
+        count = len(vecs)
+    return WeightFiltration(n, levels)
 
 
 class LmhsDatum(Immutable):
@@ -183,10 +189,9 @@ class LmhsDatum(Immutable):
     Deligne splitting is computed on first use and kept (`deligne_splitting`),
     unless the datum was built with it, and so is the report of
     validate_lmhs.  The constructor checks that N is real, nilpotent, in
-    End(V, Q) and maps each F^p into F^{p-1}; _fill also builds the data of
-    classify._direct_sum, whose W it reads off their labelled splitting and
-    certifies with it, and diagonal_levi's, whose W and splitting
-    validate_lmhs certifies as it does a given W.
+    End(V, Q) and maps each F^p into F^{p-1}.  A datum the package builds
+    comes from labelled_datum and is certified when it is built; one read
+    from a file (a given W) is certified by validate_lmhs.
     """
 
     __slots__ = ("hodge", "N", "W", "powers", "_kernels", "_given_W",
@@ -196,13 +201,11 @@ class LmhsDatum(Immutable):
         self._fill(hodge, N, W, None)
 
     def _fill(self, hodge, N, W, splitting):
-        # Check N and set every field.  With neither W nor a splitting, W is
-        # solved (weight_filtration), which certifies it.  A splitting alone
-        # (classify._direct_sum's labelled pieces) gives W, and both are
-        # certified here (_certify_splitting), which raises NotMhs.  A W
-        # alone (read from a file) is certified by validate_lmhs.  Both
-        # (diagonal_levi's) make each F^p a sum of the pieces, so clause (c)
-        # of validate_lmhs implies N F^p inside F^{p-1}: no F step is tested
+        # Check N and set every field.  Given W or a splitting, never both.
+        # With neither, W is solved (weight_filtration), which certifies it.
+        # A W (read from a file) is certified by validate_lmhs.  A splitting
+        # (labelled_datum's pieces) gives W, and both are certified here
+        # (_certify_splitting), which raises NotMhs
         dim = hodge.dim
         if N.rows != dim or N.cols != dim:
             raise ValueError("N has wrong shape")
@@ -215,7 +218,7 @@ class LmhsDatum(Immutable):
         if not (QN - QNt if hodge.n % 2 else QN + QNt).is_zero():
             raise ValueError("N is not in End(V, Q)")
         F = hodge.filtration
-        for p in range(1, hodge.n + 1) if W is None or splitting is None else ():
+        for p in range(1, hodge.n + 1):
             if not maps_into(N, F.step(p), F.step(p - 1)):
                 raise ValueError("N F^%d not inside F^%d" % (p, p - 1))
         for name, val in (("hodge", hodge), ("N", N), ("powers", powers), ("_kernels", None),
@@ -226,7 +229,7 @@ class LmhsDatum(Immutable):
             W = (weight_filtration(N, hodge.n, powers, self.kernels) if splitting is None
                  else _labelled_weight(splitting, hodge.n, len(powers) - 2))
         object.__setattr__(self, "W", W)
-        if splitting is not None and not self._given_W:
+        if splitting is not None:
             _certify_splitting(self, splitting)
 
     @property
@@ -315,9 +318,30 @@ class Bigrading(Immutable):
         return sum(s.dim for _, _, s in self.nodes)
 
 
+def labelled_datum(n, Q, N, basis):
+    """The LmhsDatum of the weight n form Q and N on C^dim with the splitting
+    that the labels of `basis`, a list of (vector, (p, q)), give: F^p is the
+    span of the vectors labelled (a, b) with a >= p
+    (hodge.labelled_filtration), I^{p,q} the span of those labelled (p, q),
+    and W_k the sum of the pieces with p + q <= k (_labelled_weight).  The
+    one constructor of the data the package builds (the classify
+    constructors' and the Levi datum); LmhsDatum checks N, and
+    _certify_splitting W and the pieces.  NotMhs names the first clause that
+    fails, the direct sum of the pieces (Bigrading) first."""
+    dim = Q.rows
+    hodge = HodgeDatum(dim, PolarizationForm(n, Q), labelled_filtration(n, basis))
+    pieces = {}
+    for v, label in basis:
+        pieces.setdefault(label, []).append(v)
+    L = object.__new__(LmhsDatum)
+    L._fill(hodge, N, None, Bigrading(dim, [(p, q, _span(dim, vs))
+                                            for (p, q), vs in pieces.items()]))
+    return L
+
+
 def deligne_splitting(L):
     """The canonical splitting I^{p,q} of an LMHS: the labelled one that a
-    datum of classify._direct_sum was certified with, or else the standard
+    datum of labelled_datum was certified with, or else the standard
     formula, solved and checked on first use.  Later calls return the same
     (immutable) Bigrading.
     """
@@ -421,9 +445,12 @@ def _is_sum(X, pieces):
 
 def _certify_splitting(L, bg):
     """Certify that a labelled Bigrading bg, in direct sum by construction,
-    is the Deligne splitting of L, with no formula solved: L.W is the
-    weight filtration of N (_check_weight), bg recovers W and F
-    (_check_reconstruction), and conj I^{p,q} lies in I^{q,p} +
+    is the Deligne splitting of L, with no formula solved.  F^p (1 <= p <= n)
+    and W_k (n - d <= k <= n + d) were read off bg (labelled_datum), so what
+    is left is: L.W is the weight filtration of N (_check_weight), whose
+    W_{n+d} = V makes the pieces span; each label has 0 <= p <= n and
+    p + q >= n - d, which makes F^0, F^{n+1} and the W levels below n - d
+    sums of the pieces too; and conj I^{p,q} lies in I^{q,p} +
     sum_{a<q, b<p} I^{a,b}.  Only the Deligne splitting has these properties
     (Cattani-Kaplan-Schmid 1986, Thm 2.13).  The rule is read as an equality
     first: where conj I^{p,q} = I^{q,p}, as on every string block, no sum is
@@ -432,7 +459,10 @@ def _certify_splitting(L, bg):
         _check_weight(L.N, L.W, L.powers)
     except AssertionError as e:
         raise NotMhs("labelled W is not the weight filtration of N: %s" % e) from None
-    _check_reconstruction(L, bg)
+    n, low = L.n, L.n - len(L.powers) + 2
+    for p, q, _ in bg.nodes:
+        if not 0 <= p <= n or p + q < low:
+            raise NotMhs("label (%d, %d) outside 0 <= p <= %d, p + q >= %d" % (p, q, n, low))
     for p, q, s in bg.nodes:
         conj = conj_space(s)
         if conj == bg.piece(q, p):
@@ -494,9 +524,9 @@ def validate_lmhs(L):
 def _validate_lmhs(L):
     """The report of validate_lmhs.
 
-    A W given from outside (read from a file, or diagonal_levi's, with its
-    splitting) is certified by _check_weight, not recomputed; a W solved or
-    certified at construction is not certified again.  When (a)
+    A W given from outside (read from a file) is certified by _check_weight,
+    not recomputed; a W solved or certified at construction is not certified
+    again.  When (a)
     fails, `weight_filtration_witness` names the failing level, and when
     (b) or (c) fails, `graded_hodge_witness` or
     `minus_one_minus_one_witness` names the first failing piece I^{p,q}.
@@ -740,17 +770,16 @@ def diagonal_levi(a):
     the frame (sigma) and takes X_ab to +-X_{sigma(a) sigma(b)}: each piece
     of s must be closed under that permutation.  It gets the real basis X
     (conj X = X), iX (conj X = -X), and X + conj X, i(X - conj X), in which
-    N_s = ad N (N in s, mapping s into s) and -killing_proxy are real, and
-    F_s, W_s and the splitting (I^{p,p}_g at I^{p+r,p+r}, Hodge-Tate by its
-    labels) are unit spans; the last two are kept, and validate_lmhs certifies
-    them as it does a given W.
+    N_s = ad N (N in s, mapping s into s) and -killing_proxy are real.  The
+    datum is labelled_datum's, on the unit vectors of that basis, each
+    labelled (p + r, p + r) for its piece I^{p,p}_g: Hodge-Tate by its labels,
+    and certified when it is built.
     """
     sign = 1 if a.n % 2 else -1
     index = {ab: k for k, ab in enumerate(a.pairs)}
     diag = [(p, sub.pivots) for p, q, sub in a.I_g.nodes if p == q]
     s_idx = [k for _, ks in diag for k in ks]
-    pos = {k: i for i, k in enumerate(s_idx)}
-    outside = [k for k in range(a.dim_g) if k not in pos]
+    outside = sorted(set(range(a.dim_g)).difference(s_idx))
     ts, first = len(s_idx), a.labels.index
     sigma = [first((q, p)) + i - first((p, q)) for i, (p, q) in enumerate(a.labels)]
     basis, read = [], []  # the real basis and the rows of its inverse, over g
@@ -784,18 +813,6 @@ def diagonal_levi(a):
     tracef = (T.transpose() * block(K) * T).scale(-1)
 
     r = max((abs(p) for p, _ in diag), default=0)
-    n_s = 2 * r
-
-    def span_of(keep):
-        return _unit_span(ts, [pos[k] for p, ks in diag if keep(p) for k in ks])
-
-    F_s = HodgeFiltration(n_s, [Subspace.full(ts)] + [
-        span_of(lambda p: p >= p0 - r) for p0 in range(1, n_s + 1)])
-    levels = [2 * (p + r) for p, _ in diag] or [n_s]
-    W_s = WeightFiltration(n_s, {k: span_of(lambda p: 2 * (p + r) <= k)
-                                 for k in range(min(levels), max(levels) + 1)})
-    hodge = HodgeDatum(ts, PolarizationForm(n_s, tracef), F_s)
-    split = Bigrading(ts, [(p + r, p + r, span_of(lambda x: x == p)) for p, _ in diag])
-    datum = object.__new__(LmhsDatum)
-    datum._fill(hodge, N_s, W_s, split)
-    return basis, datum
+    labels = [(p + r, p + r) for p, ks in diag for _ in ks]
+    return basis, labelled_datum(2 * r, tracef, N_s,
+                                 list(zip(Subspace.full(ts).basis.entries, labels)))

@@ -9,13 +9,10 @@ import re
 import pytest
 
 from hodge_degen.gq import MatrixGQ, Subspace, ZERO, ONE, gq, rank
-from hodge_degen.hodge import (
-    HodgeDatum, PolarizationForm, HodgeNumbers, labelled_filtration, string_block,
-    string_labels,
-)
+from hodge_degen.hodge import HodgeNumbers, string_block, string_labels
 from hodge_degen.lmhs import (
-    LmhsDatum, Bigrading, NotMhs, weight_filtration, deligne_splitting, validate_lmhs,
-    is_hodge_tate, is_r_split, disc_sample, adjoint_lmhs,
+    LmhsDatum, NotMhs, weight_filtration, deligne_splitting, validate_lmhs,
+    is_hodge_tate, is_r_split, disc_sample, adjoint_lmhs, diagonal_levi, labelled_datum,
 )
 from hodge_degen.roots import build_root_system, GradingElement, adjoint_bigrading
 from hodge_degen import classify, cli, lmhs
@@ -23,7 +20,7 @@ from hodge_degen.classify import (
     MinimalType, minimal_types, minimal_witness, ht_gate, ht_plan,
     ht_construct, cp_orb_check, period_closed_check, principal_lmhs,
     principal_neutral_char, InfeasibleType, GateFailed, ParityViolation,
-    OddWeightNonHT, _direct_sum, _labelled_datum,
+    OddWeightNonHT, _direct_sum,
 )
 
 from normal_forms import normal_forms
@@ -245,13 +242,16 @@ def test_direct_sum_rejects_a_wrong_label():
 
 
 def test_labelled_w_and_splitting_are_the_solved_ones():
-    # every datum built from labels, the 82 corpus cases and the 49 small
-    # string blocks, has the W and the splitting that weight_filtration and
-    # the formula solve from its F and N alone, and W's levels
+    # every datum built from labels, the 82 corpus cases, the 49 small
+    # string blocks and the diagonal-Levi data of the 80 corpus cases with
+    # g != 0, has the W and the splitting that weight_filtration and the
+    # formula solve from its F and N alone, and W's levels
     data = [(cid, thunk()) for cid, _, _, thunk in cli.corpus_cases()]
     data += [((n, top), _direct_sum(n, [string_block(n, top, top[0] + top[1] - n + 1)]))
              for n, top in SMALL_TOPS]
-    assert len(data) == 82 + 49
+    data += [((cid, "levi"), diagonal_levi(a)[1]) for cid, L in data[:82]
+             for a in [adjoint_lmhs(L)] if a.dim_g]
+    assert len(data) == 82 + 49 + 80
     for key, L in data:
         assert not L._given_W and L._splitting is not None, key
         solved = LmhsDatum(L.hodge, L.N)
@@ -287,9 +287,8 @@ def test_label_certificate_rejects_pieces_not_in_direct_sum():
     # _direct_sum fails closed on the certificate's text
     Q, N, basis = string_block(2, (2, 2), 3)
     bad = basis[:2] + [(basis[1][0], (0, 0))]
-    hodge = _direct_sum(2, [(Q, N, basis)]).hodge
     with pytest.raises(NotMhs, match="^pieces are not in direct sum$"):
-        _labelled_datum(hodge, N, bad)
+        labelled_datum(2, Q, N, bad)
     with pytest.raises(InfeasibleType) as e:
         _direct_sum(2, [(Q, N, bad)])
     assert str(e.value) == ("labels {(2, 2): 1, (1, 1): 1, (0, 0): 1} are not the "
@@ -302,9 +301,8 @@ def test_label_certificate_rejects_a_w_that_is_not_the_weight_filtration():
     # with the labels
     Q, N, basis = string_block(2, (2, 2), 3)
     bad = basis[:2] + [(basis[2][0], (0, 1))]
-    hodge = _direct_sum(2, [(Q, N, basis)]).hodge
     with pytest.raises(NotMhs) as e:
-        _labelled_datum(hodge, N, bad)
+        labelled_datum(2, Q, N, bad)
     assert str(e.value) == "labelled W is not the weight filtration of N: N W_2 not inside W_0"
     with pytest.raises(InfeasibleType) as e:
         _direct_sum(2, [(Q, N, bad)])
@@ -313,22 +311,44 @@ def test_label_certificate_rejects_a_w_that_is_not_the_weight_filtration():
                             "filtration of N: N W_2 not inside W_0")
 
 
-@pytest.mark.parametrize("swap, message", [
-    (((1, 0), (0, 1)), "^Hodge filtration not recovered at step 1$"),
-    (((1, 1), (0, 0)), "^weight filtration not recovered at level 0$"),
+@pytest.mark.parametrize("n, top, labels, message", [
+    # N = 0 on the pure pair of weight 2 labelled (1, 0), (0, 1): W_2 = V
+    # holds them, but they lie below it, so F^1 = <u> and F^2 = 0 are no
+    # Hodge structure of weight 2; the conjugation rule and clauses (b)-(d)
+    # of validate_lmhs, which read only the pieces, pass them
+    (2, (2, 0), [(1, 0), (0, 1)], "label (0, 1) outside 0 <= p <= 2, p + q >= 2"),
+    # a label with p < 0 lies outside F^0 = V
+    (0, (0, 0), [(-1, 1)], "label (-1, 1) outside 0 <= p <= 0, p + q >= 0"),
 ])
-def test_label_certificate_rejects_pieces_that_miss_w_or_f(swap, message):
-    # the pieces of the split case with two labels swapped, certified
-    # against the datum's own F and W
+def test_label_certificate_rejects_a_label_outside_f_or_w(n, top, labels, message):
+    Q, N, basis = string_block(n, top, 1)
+    bad = [(v, label) for (v, _), label in zip(basis, labels)]
+    with pytest.raises(NotMhs) as e:
+        labelled_datum(n, Q, N, bad)
+    assert str(e.value) == message
+
+
+def test_label_certificate_on_swapped_labels():
+    # the basis of the split case with two labels swapped.  F and W are read
+    # off the labels, so neither can be missed: with (1, 1) and (0, 0)
+    # swapped, W is no weight filtration of N; with (1, 0) and (0, 1)
+    # swapped, the pieces are the Deligne splitting of the F they give, and
+    # that F is not polarized (clause (d)).  The verdicts of a splitting
+    # tested against a foreign F or W are _check_reconstruction's, on the
+    # solved path (test_lmhs.py, reference_check_reconstruction)
     L = _split_case()
-    a, b = swap
-    nodes = [(*{a: b, b: a}.get((p, q), (p, q)), s) for p, q, s in deligne_splitting(L).nodes]
-    with pytest.raises(NotMhs, match=message):
-        lmhs._certify_splitting(L, Bigrading(L.dim, nodes))
-    # through _fill the F swap is met there too; W, read off the swapped
-    # pieces, is then no weight filtration of N
-    with pytest.raises(NotMhs, match="^labelled W is not" if a == (1, 1) else message):
-        _labelled_datum(L.hodge, L.N, _labelled_basis(L, {a: b, b: a}))
+    Q = L.hodge.polarization.Q
+    with pytest.raises(NotMhs, match=r"^labelled W is not the weight filtration of N: "
+                                     r"N W_0 not inside W_-2$"):
+        labelled_datum(1, Q, L.N, _labelled_basis(L, {(1, 1): (0, 0), (0, 0): (1, 1)}))
+    M = labelled_datum(1, Q, L.N, _labelled_basis(L, {(1, 0): (0, 1), (0, 1): (1, 0)}))
+    assert M.hodge.filtration != L.hodge.filtration and M.W == L.W
+    assert list(M._splitting.nodes) == list(
+        lmhs._deligne_splitting(LmhsDatum(M.hodge, M.N)).nodes)
+    rep = validate_lmhs(M)
+    assert rep["weight_filtration"] and rep["graded_hodge"] and rep["minus_one_minus_one"]
+    assert rep["polarized_primitives_witness"] == (
+        "leading minor 1 of i^(p-q) Q_0 on I^{0,1} not positive")
 
 
 def test_label_certificate_rejects_a_piece_that_breaks_the_conjugation_rule():
@@ -339,7 +359,7 @@ def test_label_certificate_rejects_a_piece_that_breaks_the_conjugation_rule():
     L = _split_case()
     tilted = _labelled_basis(L, tilt=((1, 1), (1, 0)))
     with pytest.raises(NotMhs) as e:
-        _labelled_datum(L.hodge, L.N, tilted)
+        labelled_datum(1, L.hodge.polarization.Q, L.N, tilted)
     assert str(e.value) == "conj I^{1,1} not inside I^{1,1} + sum_{a<1,b<1} I^{a,b}"
     with pytest.raises(InfeasibleType) as e:
         _direct_sum(1, [(L.hodge.polarization.Q, L.N, tilted)])
@@ -357,7 +377,7 @@ def test_label_certificate_accepts_a_splitting_that_is_not_r_split():
     i = gq("i")
     Q, N = MatrixGQ([[0, 1], [-1, 0]]), MatrixGQ([[0, 0], [1, 0]])
     basis = [((ONE, i), (1, 1)), ((ZERO, ONE), (0, 0))]
-    L = _labelled_datum(_direct_sum(1, [(Q, N, basis)]).hodge, N, basis)
+    L = labelled_datum(1, Q, N, basis)
     assert not L._given_W and not is_r_split(L._splitting)
     solved = LmhsDatum(L.hodge, L.N)
     assert L.W == solved.W
@@ -369,19 +389,14 @@ def test_labelled_datum_keeps_the_griffiths_test():
     # the 2-string at (2, 1) of weight 2 with its bottom labels (1, 0) and
     # (0, 1) swapped: N u, for u at the top, is no longer in F^1, and the
     # F test of LmhsDatum._fill says so, as it did before the labels were
-    # certified; the certificate alone passes these pieces, which stay
-    # conjugate and give the F they are certified against
+    # certified: these pieces stay conjugate and give the F they are read
+    # with, so the certificate alone would pass them
     Q, N, basis = string_block(2, (2, 1), 2)
     swapped = basis[:2] + [(basis[2][0], (0, 1)), (basis[3][0], (1, 0))]
-    hodge = HodgeDatum(4, PolarizationForm(2, Q), labelled_filtration(2, swapped))
-    for build in (lambda: _labelled_datum(hodge, N, swapped),
+    for build in (lambda: labelled_datum(2, Q, N, swapped),
                   lambda: _direct_sum(2, [(Q, N, swapped)])):
         with pytest.raises(ValueError, match=r"^N F\^2 not inside F\^1$"):
             build()
-    bg = Bigrading(4, [(p, q, Subspace.from_vectors(4, [v])) for v, (p, q) in swapped])
-    L = object.__new__(LmhsDatum)
-    L._fill(hodge, N, lmhs._labelled_weight(bg, 2, 1), bg)  # a given W and splitting: no F test
-    lmhs._certify_splitting(L, bg)
 
 
 def kind2_witness():

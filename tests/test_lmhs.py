@@ -365,8 +365,13 @@ def test_check_case_states_the_converse_for_semisimple_g(n, top):
 # validate_lmhs keeps its report on the datum, so each datum is validated
 # once: the bodies were 49 while minimal_witness and check_case each
 # validated a minimal witness (10 of the 20 cases), and the Gram figure falls
-# by the clause (d) forms of those second runs.
-SLICE_RREF_CALLS = 910
+# by the clause (d) forms of those second runs.  The rref figure was 910
+# while diagonal_levi built its F, W and pieces as unit spans with no rref:
+# the Levi datum now comes from lmhs.labelled_datum, which puts each of its
+# unit spans (the pieces, the F steps and the W levels) in rref (+230);
+# lmhs._labelled_weight takes a W level that holds the same pieces as the
+# level below it to be that level, with no second rref (-74).
+SLICE_RREF_CALLS = 1066
 SLICE_SPLITTING_BODIES = 0
 SLICE_VALIDATE_BODIES = 39
 SLICE_LEVI_CALLS = 19
@@ -1444,20 +1449,38 @@ def _nonzero_nilpotent(M):
     return not M.is_zero() and P.is_zero()
 
 
-def test_levi_support_names_the_level():
-    # add to N_ad the block of a nilpotent ad X on I^{0,0}_g: N_s stays real,
-    # nilpotent, skew for the trace form and F-compatible, but maps S_0 into S_0
-    a = adjoint_lmhs(_corpus_datum(LEVI_GL3))
+def _levi_support_broken(a):
+    """`a` with the block of a nilpotent ad X on I^{0,0}_g added to N_ad: N_s
+    stays real, nilpotent, skew for the trace form and F-compatible, but maps
+    S_0 into S_0."""
     S0 = a.I_g.piece(0, 0).pivots
     ad_x = next(M for M in (_ad(a, k) for k in S0) if _nonzero_nilpotent(MatrixGQ(M)))
     ad = [list(row) for row in a.N_ad.entries]
     for i in S0:
         for j in S0:
             ad[i][j] += ad_x[i][j]
-    rep = validate_lmhs(diagonal_levi(_tampered(a, N_ad=MatrixGQ(ad)))[1])
-    assert rep["weight_filtration_witness"] == "N W_2 not inside W_0"
-    assert rep["minus_one_minus_one_witness"] == "N I^{1,1} not inside I^{0,0}"
-    assert not rep["ok"]
+    return _tampered(a, N_ad=MatrixGQ(ad))
+
+
+LEVI_SUPPORT_FAULT = "labelled W is not the weight filtration of N: N W_2 not inside W_0"
+
+
+def test_levi_support_names_the_level():
+    # the Levi datum is certified when it is built, so the fault is raised
+    a = adjoint_lmhs(_corpus_datum(LEVI_GL3))
+    with pytest.raises(NotMhs) as e:
+        diagonal_levi(_levi_support_broken(a))
+    assert str(e.value) == LEVI_SUPPORT_FAULT
+
+
+def test_check_case_names_the_levi_clause(monkeypatch):
+    # a Levi datum that fails at construction: the id gives the exception's
+    # type and text
+    L = _corpus_datum(LEVI_GL3)
+    broken = _levi_support_broken(adjoint_lmhs(L))
+    monkeypatch.setattr(cli, "adjoint_lmhs", lambda _: broken)
+    assert cli.check_case(LEVI_GL3, L) == (
+        LEVI_GL3 + "/diagonal-levi:NotMhs: " + LEVI_SUPPORT_FAULT)
 
 
 def test_levi_singular_power_block():
@@ -1465,9 +1488,9 @@ def test_levi_singular_power_block():
     # support is right, but N_s^2 is not onto Gr_0 of the Levi datum
     a = adjoint_lmhs(_corpus_datum(LEVI_GL3))
     k = next(k for k in a.I_g.piece(-1, -1).pivots if a.pairs[k][0] == a.pairs[k][1])
-    rep = validate_lmhs(diagonal_levi(_tampered(a, N_ad=MatrixGQ(_ad(a, k))))[1])
-    assert rep["weight_filtration_witness"] == "N^2 not onto Gr_0"
-    assert rep["minus_one_minus_one"] and not rep["ok"]
+    with pytest.raises(NotMhs) as e:
+        diagonal_levi(_tampered(a, N_ad=MatrixGQ(_ad(a, k))))
+    assert str(e.value) == "labelled W is not the weight filtration of N: N^2 not onto Gr_0"
 
 
 def test_levi_shaped_weight_filtration_of_zero():
