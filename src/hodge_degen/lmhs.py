@@ -217,10 +217,13 @@ class LmhsDatum(Immutable):
         QNt = QN.transpose()
         if not (QN - QNt if hodge.n % 2 else QN + QNt).is_zero():
             raise ValueError("N is not in End(V, Q)")
+        # on the labelled path F was read off the labels, so a failure is a
+        # label fault: NotMhs, as the splitting's certificate raises
         F = hodge.filtration
+        fault = ValueError if splitting is None else NotMhs
         for p in range(1, hodge.n + 1):
             if not maps_into(N, F.step(p), F.step(p - 1)):
-                raise ValueError("N F^%d not inside F^%d" % (p, p - 1))
+                raise fault("N F^%d not inside F^%d" % (p, p - 1))
         for name, val in (("hodge", hodge), ("N", N), ("powers", powers), ("_kernels", None),
                           ("_given_W", W is not None),
                           ("_splitting", splitting), ("_report", None)):
@@ -327,7 +330,8 @@ def labelled_datum(n, Q, N, basis):
     one constructor of the data the package builds (the classify
     constructors' and the Levi datum); LmhsDatum checks N, and
     _certify_splitting W and the pieces.  NotMhs names the first clause that
-    fails, the direct sum of the pieces (Bigrading) first."""
+    fails: the direct sum of the pieces (Bigrading), then the Griffiths test
+    N F^p inside F^(p-1), then the certificate."""
     dim = Q.rows
     hodge = HodgeDatum(dim, PolarizationForm(n, Q), labelled_filtration(n, basis))
     pieces = {}

@@ -4,11 +4,12 @@ Everything is done in simple-root coordinates, where roots, Cartan
 integers and the named involutions are integral (Humphreys, Introduction
 to Lie Algebras and Representation Theory, sections 9-11).  So the roots
 are generated by integer simple reflections and involutions are checked
-on int matrices.  The one rational datum is `_orth`, the simple roots in
-orthogonal coordinates; doubled they are int vectors, whose int Gram
-matrix gives the Cartan matrix and the squared lengths.  A grading element
-keeps its values as Fractions and, scaled once to ints over a common
-denominator, evaluates on roots and weights in int arithmetic.
+on int matrices.  The simple roots in orthogonal coordinates are kept
+doubled, as int vectors, whose int Gram matrix gives the Cartan matrix and
+the squared lengths.  A grading element keeps its values as Fractions and,
+scaled once to ints over a common denominator, evaluates on roots and
+weights in int arithmetic; on all roots at once it sums the columns of the
+root table (`_levels`), as an involution does (`InvolutionDatum`).
 Conventions fixed here once and for all:
   G2: alpha1 short, alpha2 long, highest root 3a1+2a2
   F4: alpha1, alpha2 long, alpha3, alpha4 short (Bourbaki)
@@ -50,9 +51,12 @@ _ROOT_COUNTS = {"A": lambda r: r * (r + 1), "B": lambda r: 2 * r * r,
                 "G": lambda r: 12, "F": lambda r: 48}
 
 
-def _orthogonal_simples(type_letter, rank):
-    F = Fraction
-    e = lambda i, m: tuple(F(1) if j == i else F(0) for j in range(m))
+def _doubled_simples(type_letter, rank):
+    """The simple roots in orthogonal coordinates, doubled: int vectors
+    (this clears F4's halves)."""
+    def e(i, m, c=2):
+        return tuple(c if j == i else 0 for j in range(m))
+
     def sub(u, v):
         return tuple(a - b for a, b in zip(u, v))
     if type_letter == "A":
@@ -60,34 +64,26 @@ def _orthogonal_simples(type_letter, rank):
             raise UnsupportedType("A needs rank >= 1")
         m = rank + 1
         return [sub(e(i, m), e(i + 1, m)) for i in range(rank)]
-    if type_letter == "B":
-        if rank < 1:
-            raise UnsupportedType("B needs rank >= 1")
+    if type_letter in ("B", "C", "D"):
+        least = 2 if type_letter == "D" else 1
+        if rank < least:
+            raise UnsupportedType("%s needs rank >= %d" % (type_letter, least))
         out = [sub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        out.append(e(rank - 1, rank))
-        return out
-    if type_letter == "C":
-        if rank < 1:
-            raise UnsupportedType("C needs rank >= 1")
-        out = [sub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        out.append(tuple(2 * x for x in e(rank - 1, rank)))
-        return out
-    if type_letter == "D":
-        if rank < 2:
-            raise UnsupportedType("D needs rank >= 2")
-        out = [sub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        out.append(tuple(a + b for a, b in zip(e(rank - 2, rank), e(rank - 1, rank))))
+        if type_letter == "B":
+            out.append(e(rank - 1, rank))
+        elif type_letter == "C":
+            out.append(e(rank - 1, rank, 4))
+        else:
+            out.append(tuple(a + b for a, b in zip(e(rank - 2, rank), e(rank - 1, rank))))
         return out
     if type_letter == "G":
         if rank != 2:
             raise UnsupportedType("G has rank 2")
-        return [(F(1), F(-1), F(0)), (F(-2), F(1), F(1))]
+        return [(2, -2, 0), (-4, 2, 2)]
     if type_letter == "F":
         if rank != 4:
             raise UnsupportedType("F has rank 4")
-        return [(F(0), F(1), F(-1), F(0)), (F(0), F(0), F(1), F(-1)),
-                (F(0), F(0), F(0), F(1)),
-                (F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2))]
+        return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
     raise UnsupportedType("unknown type %r" % type_letter)
 
 
@@ -98,33 +94,36 @@ def _dot(u, v):
 class RootSystem(Immutable):
     """A root system in simple-root coordinates.
 
-    `simple_roots` and `all_roots` are int tuples, `all_roots` sorted;
-    `_gram` is the Gram matrix of the simple roots scaled to ints, `_index`
-    maps each root to its all_roots position, and `_level_cache` keeps
-    alpha(L) for every root by L._scaled (see `_levels`).
+    `simple_roots` and `all_roots` are int tuples, `all_roots` sorted (so
+    negation reverses its order); `_columns` is all_roots transposed, one
+    tuple per simple root, which `_levels` and InvolutionDatum sum on;
+    `_doubled` holds the simple roots in orthogonal coordinates doubled, as
+    int vectors; `_gram` is the Gram matrix of the simple roots scaled to
+    ints, `_index` maps each root to its all_roots position, and
+    `_level_cache` keeps alpha(L) for every root by L._scaled (see
+    `_levels`).
     """
 
     __slots__ = ("type_letter", "rank", "simple_roots", "all_roots",
-                 "cartan_matrix", "_orth", "_gram", "_index", "_level_cache")
+                 "cartan_matrix", "_doubled", "_gram", "_columns", "_index",
+                 "_level_cache")
 
     def __init__(self, type_letter, rank, simple_roots, all_roots,
-                 cartan_matrix, orth, gram):
+                 cartan_matrix, doubled, gram):
         for k, v in (("type_letter", type_letter), ("rank", rank),
                      ("simple_roots", simple_roots), ("all_roots", all_roots),
                      ("cartan_matrix", cartan_matrix),
-                     ("_orth", orth), ("_gram", gram),
+                     ("_doubled", doubled), ("_gram", gram),
+                     ("_columns", tuple(zip(*all_roots))),
                      ("_index", {a: i for i, a in enumerate(all_roots)}),
                      ("_level_cache", {})):
             object.__setattr__(self, k, v)
 
     def orthogonal(self, coords):
-        """Orthogonal-coordinate realization of a simple-root coordinate vector."""
-        m = len(self._orth[0])
-        out = [Fraction(0)] * m
-        for c, root in zip(coords, self._orth):
-            for i, x in enumerate(root):
-                out[i] += c * x
-        return tuple(out)
+        """Orthogonal-coordinate realization of a simple-root coordinate
+        vector, as Fractions: the doubled simple roots summed, halved."""
+        return tuple(Fraction(sum(c * x for c, x in zip(coords, col)), 2)
+                     for col in zip(*self._doubled))
 
     def _form(self, u, v):
         """The scaled Gram form u G v (an int on int vectors)."""
@@ -136,15 +135,14 @@ class RootSystem(Immutable):
         m = min(lengths)
         return [a for a, n in zip(self.all_roots, lengths) if n == m]
 
+
 def build_root_system(type_letter, rank):
     if type_letter not in _ROOT_COUNTS:
         raise UnsupportedType("unknown type %r" % (type_letter,))
     if type(rank) is not int:
         raise UnsupportedType("rank must be an integer, got %r" % (rank,))
-    orth = _orthogonal_simples(type_letter, rank)
-    # the simple roots doubled are int vectors (this clears F4's halves), so
-    # their Gram matrix g is 4 times the Gram matrix of the simple roots
-    twice = [tuple(2 * x.numerator // x.denominator for x in u) for u in orth]
+    twice = _doubled_simples(type_letter, rank)
+    # the Gram matrix g of the doubled simple roots is 4 times theirs
     g = [[_dot(u, v) for v in twice] for u in twice]
     # C[i][j] = <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j),
     # an integer, so the int division is exact
@@ -152,22 +150,23 @@ def build_root_system(type_letter, rank):
                    for i in range(rank))
     if any(cartan[i][i] != 2 for i in range(rank)):
         raise AssertionError("Cartan matrix diagonal is not 2")
-    # s_j(a) = a - <a, alpha_j^vee> alpha_j, with <a, alpha_j^vee> = sum_i a_i C[i][j]
+    # the Weyl-group orbit of the simple roots, each root with its pairings
+    # <a, alpha_j^vee>: s_j(a) = a - c alpha_j with c = <a, alpha_j^vee>, and
+    # the pairings of s_j(a) are those of a minus c times row j of C.  The
+    # orbit is every root, the negatives included (s_j(alpha_j) = -alpha_j)
     simples = tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
-    roots = set(simples)
-    frontier = simples
+    roots = dict(zip(simples, cartan))
+    frontier = list(roots.items())
     while frontier:
         nxt = []
-        for a in frontier:
-            for j in range(rank):
-                c = sum(x * cartan[i][j] for i, x in enumerate(a) if x)
+        for a, pairings in frontier:
+            for j, c in enumerate(pairings):
                 if c:
                     b = a[:j] + (a[j] - c,) + a[j + 1:]
                     if b not in roots:
-                        roots.add(b)
-                        nxt.append(b)
+                        roots[b] = pb = tuple(x - c * y for x, y in zip(pairings, cartan[j]))
+                        nxt.append((b, pb))
         frontier = nxt
-    roots |= {tuple(-x for x in a) for a in roots}
     expected = _ROOT_COUNTS[type_letter](rank)
     if len(roots) != expected:
         raise AssertionError("root count %d != %d" % (len(roots), expected))
@@ -177,8 +176,7 @@ def build_root_system(type_letter, rank):
     # the least int multiple of the Gram matrix: g / 4 scaled by 4 / gcd(4, g)
     k = math.gcd(4, *(x for row in g for x in row))
     int_gram = tuple(tuple(x // k for x in row) for row in g)
-    return RootSystem(type_letter, rank, simples, all_roots, cartan,
-                      [tuple(v) for v in orth], int_gram)
+    return RootSystem(type_letter, rank, simples, all_roots, cartan, tuple(twice), int_gram)
 
 
 class GradingElement(Immutable):
@@ -224,7 +222,9 @@ def _rationals(values):
 
 
 def _levels(rs, L):
-    """alpha(L) for every root of rs, in all_roots order, as a tuple of ints.
+    """alpha(L) for every root of rs, in all_roots order, as a tuple of ints:
+    the sum of v_j times column j of the roots (rs._columns) over the
+    nonzero scaled values v_j of L, divided by their denominator d.
 
     Kept on rs by L._scaled, so each (root system, grading) is done once."""
     lev = rs._level_cache.get(L._scaled)
@@ -234,14 +234,24 @@ def _levels(rs, L):
         raise ValueError("grading element on %s%d needs %d values, got %d"
                          % (rs.type_letter, rs.rank, rs.rank, len(L.values)))
     scaled, d = L._scaled
-    out = []
-    for a in rs.all_roots:
-        x, r = divmod(sum(c * v for c, v in zip(a, scaled)), d)
-        if r:
-            raise NonIntegralGrading("alpha(L) not an integer on %s" % (a,))
-        out.append(x)
+    out = _combine(scaled, rs._columns, len(rs.all_roots))
+    if d != 1:
+        for a, x in zip(rs.all_roots, out):
+            if x % d:
+                raise NonIntegralGrading("alpha(L) not an integer on %s" % (a,))
+        out = [x // d for x in out]
     lev = rs._level_cache[L._scaled] = tuple(out)
     return lev
+
+
+def _combine(coeffs, columns, n):
+    """sum_j coeffs[j] columns[j], a list of length n: one update per nonzero
+    coefficient."""
+    out = [0] * n
+    for v, col in zip(coeffs, columns):
+        if v:
+            out = [x + v * y for x, y in zip(out, col)]
+    return out
 
 
 # The small representations of the catalog: the short roots of the group,
@@ -343,25 +353,23 @@ class InvolutionDatum(Immutable):
         # vector) to a vector that is not a root
         if _matmul(sigma, sigma) != _identity(len(sigma)):
             raise InconsistentInvolutions("sigma is not an involution")
-        index = rs._index
-        conj, imag = [], []
-        for a in rs.all_roots:
-            sa = _matvec(sigma, a)
-            if sa not in index:
-                raise InconsistentInvolutions("involution does not permute roots")
-            conj.append(index[sa])
-            imag.append(sa == tuple(-x for x in a))
-        object.__setattr__(self, "_conj", tuple(conj))
-        object.__setattr__(self, "_imag", tuple(imag))
+        # coordinate i of sigma a, for every root a at once: row i of sigma
+        # applied to the columns of the roots
+        n, index = len(rs.all_roots), rs._index
+        images = zip(*(_combine(row, rs._columns, n) for row in sigma))
+        try:
+            conj = tuple(index[sa] for sa in images)
+        except KeyError:
+            raise InconsistentInvolutions("involution does not permute roots") from None
+        # all_roots is sorted and closed under negation, so -alpha_i is
+        # alpha_{n-1-i}
+        object.__setattr__(self, "_conj", conj)
+        object.__setattr__(self, "_imag", tuple(j == n - 1 - i for i, j in enumerate(conj)))
 
 
 def _matmul(A, B):
     return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(len(B)))
                        for j in range(len(B[0]))) for i in range(len(A)))
-
-
-def _matvec(A, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in A)
 
 
 def _identity(r):

@@ -390,13 +390,16 @@ def test_labelled_datum_keeps_the_griffiths_test():
     # (0, 1) swapped: N u, for u at the top, is no longer in F^1, and the
     # F test of LmhsDatum._fill says so, as it did before the labels were
     # certified: these pieces stay conjugate and give the F they are read
-    # with, so the certificate alone would pass them
+    # with, so the certificate alone would pass them.  _direct_sum names
+    # the labels, as for every other label fault
     Q, N, basis = string_block(2, (2, 1), 2)
     swapped = basis[:2] + [(basis[2][0], (0, 1)), (basis[3][0], (1, 0))]
-    for build in (lambda: labelled_datum(2, Q, N, swapped),
-                  lambda: _direct_sum(2, [(Q, N, swapped)])):
-        with pytest.raises(ValueError, match=r"^N F\^2 not inside F\^1$"):
-            build()
+    with pytest.raises(ValueError, match=r"^N F\^2 not inside F\^1$"):
+        labelled_datum(2, Q, N, swapped)
+    with pytest.raises(InfeasibleType) as e:
+        _direct_sum(2, [(Q, N, swapped)])
+    assert str(e.value) == ("labels {(2, 1): 1, (1, 2): 1, (0, 1): 1, (1, 0): 1} are not "
+                            "the Deligne splitting: N F^2 not inside F^1")
 
 
 def kind2_witness():

@@ -96,3 +96,8 @@ def test_f_and_w_keys_that_are_not_plain_indices_exit_2(tmp_path):
     for name, key in (("f7.json", "F step '7'"), ("w01.json", "W level '01'")):
         res = console("validate", name, cwd=tmp_path)
         assert _one_error_line(res) and key in res.stdout, name
+
+
+def test_verify_corpus_checks_all_82_cases(tmp_path):
+    res = console("verify-corpus", cwd=tmp_path)
+    assert (res.returncode, res.stdout) == (0, '{"cases": 82, "ok": true}\n')

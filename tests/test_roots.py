@@ -30,6 +30,24 @@ def test_root_counts():
     assert len(build_root_system("F", 4).all_roots) == 48
 
 
+CLOSURE_SYSTEMS = ([("A", r) for r in range(1, 7)] + [(t, r) for t in "BC" for r in range(2, 7)]
+                   + [("D", r) for r in range(3, 7)] + [("G", 2), ("F", 4)])
+
+
+@pytest.mark.parametrize("letter, rank", CLOSURE_SYSTEMS)
+def test_roots_are_the_closure_of_the_simple_roots(letter, rank):
+    # the closure of the simple roots under the simple reflections, each
+    # applied as its matrix by a mat-vec
+    rs = build_root_system(letter, rank)
+    reflections = [roots.reflection_matrix(rs, s) for s in rs.simple_roots]
+    found, frontier = set(rs.simple_roots), list(rs.simple_roots)
+    while frontier:
+        frontier = [b for b in {matvec(S, a) for a in frontier for S in reflections}
+                    if b not in found]
+        found.update(frontier)
+    assert rs.all_roots == tuple(sorted(found))
+
+
 def test_unsupported_type():
     with pytest.raises(UnsupportedType):
         build_root_system("E", 8)
@@ -153,7 +171,7 @@ def test_each_involution_check_enforced(sigma, message):
         InvolutionDatum(sigma, build_root_system("A", 2))
 
 
-def test_sigma_alone_gives_the_imaginary_roots():
+def test_diagram_flip_has_no_imaginary_root():
     # the diagram flip of A2 swaps alpha_1 and alpha_2 and fixes their sum:
     # no root is imaginary; under -1 (compact) every root is
     rs = build_root_system("A", 2)
@@ -162,6 +180,26 @@ def test_sigma_alone_gives_the_imaginary_roots():
                                                       for a in rs.all_roots]
     assert not any(flip._imag)
     assert all(compact_involution(rs)._imag) and not any(split_involution(rs)._imag)
+
+
+# the root systems of the benchmark's tables sweep
+SWEEP_SYSTEMS = [(t, r) for t in "ABCD" for r in (3, 4, 5)] + [("G", 2), ("F", 4)]
+
+
+@pytest.mark.parametrize("letter, rank", SWEEP_SYSTEMS)
+def test_sigma_alone_gives_the_imaginary_roots(letter, rank):
+    # _conj and _imag of the compact, the split and every Cayley involution,
+    # against sigma applied to each root by a mat-vec and looked up
+    rs = build_root_system(letter, rank)
+    names = ["compact", "split"] + ["cayley:" + ",".join(map(str, beta))
+                                    for beta in positive_roots(rs)]
+    for name in names:
+        sigma = reference_sigma(rs, name)
+        images = [matvec(sigma, a) for a in rs.all_roots]
+        inv = named_involution(rs, name)
+        assert inv._conj == tuple(rs.all_roots.index(sa) for sa in images), name
+        assert inv._imag == tuple(sa == tuple(-x for x in a)
+                                  for a, sa in zip(rs.all_roots, images)), name
 
 
 def test_orbit_dims_open_orbit_compact_form():
@@ -317,12 +355,18 @@ def test_orbit_layer_matches_definitions(case):
 
 # ------------------------------------------------------------ root data oracle
 
+def orthogonal_simples(letter, rank):
+    """The simple roots in orthogonal coordinates, as Fractions: the
+    module's doubled int vectors halved."""
+    return [tuple(Fraction(x, 2) for x in u) for u in roots._doubled_simples(letter, rank)]
+
+
 def reference_root_system(letter, rank):
     """Root data as first written: each root reflected in orthogonal
     coordinates with Fraction arithmetic, the Cartan matrix from orthogonal
     dot products, and squared lengths by orthogonal dot products.  `involution(sigma)`
     gives (_conj, _imag) by Fraction mat-vecs on every root."""
-    orth = roots._orthogonal_simples(letter, rank)
+    orth = orthogonal_simples(letter, rank)
 
     def dot(u, v):
         return sum(a * b for a, b in zip(u, v))
@@ -464,15 +508,30 @@ def test_int_root_layer_matches_fraction_reference(letter, rank):
     # equal the Fraction reference
     rs = build_root_system(letter, rank)
     ref = reference_root_system(letter, rank)
-    orth = roots._orthogonal_simples(letter, rank)
+    orth = orthogonal_simples(letter, rank)
     gram = [[sum(a * b for a, b in zip(u, v)) for v in orth] for u in orth]
     scale = math.lcm(*(x.denominator for row in gram for x in row))
     assert rs._gram == tuple(tuple(x * scale for x in row) for row in gram)
+    assert [rs.orthogonal(s) for s in rs.simple_roots] == orth
     assert rs.cartan_matrix == tuple(tuple(2 * gram[i][j] / gram[j][j] for j in range(rank))
                                      for i in range(rank)) == ref["cartan_matrix"]
     assert all(type(x) is int for row in rs._gram + rs.cartan_matrix for x in row)
     assert rs.all_roots == ref["all_roots"]
     assert rs.short_roots() == ref["short_roots"]
+
+
+@pytest.mark.parametrize("letter, rank", [("A", 1), ("B", 3), ("C", 4), ("G", 2), ("F", 4)])
+def test_half_integral_levels_name_the_first_root(letter, rank):
+    # alpha(L) for L = 1/2 on the last simple root and 1 elsewhere: _levels
+    # names the first root, in all_roots order, whose level is not an
+    # integer, and keeps nothing
+    rs = build_root_system(letter, rank)
+    L = GradingElement((1,) * (rank - 1) + ("1/2",))
+    first = next(a for a in rs.all_roots if L(a).denominator != 1)
+    with pytest.raises(NonIntegralGrading) as e:
+        roots._levels(rs, L)
+    assert str(e.value) == "alpha(L) not an integer on %s" % (first,)
+    assert rs._level_cache == {}
 
 
 def test_equal_gradings_share_one_level_entry():
