@@ -1,7 +1,8 @@
 """Command line interface: validate, classify, diagram, catalog, verify-corpus.
 
-Exit codes: 0 pass, 1 semantic failure, 2 input error.  All output is
-byte-deterministic (sorted node lists, canonical scalar strings).
+Exit codes: 0 pass, 1 semantic failure, 2 input error, a catalog fault too.
+All output is byte-deterministic (sorted node lists, canonical scalar
+strings).  Catalog entry NAME lives in `<name lowercased>.json` (find_entries).
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .gq import ONE, nilpotent_exp, maps_into
-from .hodge import HodgeDatum, HodgeNumbers, validate_phs, check_isotropy
+from .hodge import HodgeDatum, HodgeNumbers, validate_phs, check_isotropy, hodge_decomposition
 from .lmhs import (
     LmhsDatum, deligne_splitting, validate_lmhs, is_hodge_tate, is_r_split,
     disc_sample, adjoint_lmhs, reduced_limit, diagonal_levi, NonRSplit,
@@ -44,54 +45,54 @@ class UnknownEntry(KeyError):
         self.names = names
 
 
-def _catalog_files():
-    """(catalog_dir(), the names of its .json files, sorted): the one
-    listing of a lookup."""
+_KINDS = ("period-domain", "mumford-tate")
+
+
+def _read_entry(d, fn):
+    """The entry in catalog file `fn` of `d`, its own `<name lowercased>.json`;
+    ValueError naming the file when it cannot be read or its envelope is wrong."""
+    path = os.path.join(d, fn)
+    try:
+        with open(path) as fh:
+            entry = json.load(fh)
+    except ValueError as e:  # not JSON, or not text
+        raise ValueError("catalog file %s: %s" % (path, e)) from None
+    if not isinstance(entry, dict):
+        raise ValueError("catalog file %s: the entry is not a JSON object" % path)
+    aliases = entry.get("aliases", [])
+    for key, ok, what in (
+            ("name", isinstance(entry.get("name"), str), "a string"),
+            ("kind", entry.get("kind") in _KINDS, "%r or %r" % _KINDS),
+            ("payload", isinstance(entry.get("payload"), dict), "an object"),
+            ("expected", isinstance(entry.get("expected"), dict), "an object"),
+            ("aliases", isinstance(aliases, list)
+             and all(isinstance(a, str) for a in aliases), "a list of strings")):
+        if not ok:
+            raise ValueError("catalog file %s: key %r must be %s" % (path, key, what))
+    if fn != entry["name"].lower() + ".json":
+        raise ValueError("catalog file %s: entry %r belongs in %s.json"
+                         % (path, entry["name"], entry["name"].lower()))
+    return entry
+
+
+def find_entries(name, group):
+    """The catalog entries `name` answers, in file order, reading no other file:
+    all if `name` is None, else its own and, if `group`, its `<name>-row*.json`;
+    failing those, the first entry with `name` as an alias, or UnknownEntry."""
     d = catalog_dir()
-    return d, sorted(fn for fn in os.listdir(d) if fn.endswith(".json"))
-
-
-def _catalog_entries(files=None):
-    """The entry of each file of `files`, a (directory, names) pair that is
-    by default the whole catalog, in order, each read when it is reached."""
-    d, names = _catalog_files() if files is None else files
-    for fn in names:
-        with open(os.path.join(d, fn)) as fh:
-            yield json.load(fh)
-
-
-def _own_entry(files, low):
-    """The entry in `<low>.json` (`low` a lowercased name), the file that the
-    catalog convention gives entry `low`, if the listing `files` has it and
-    its entry is called `low`, in any case; else None.  The file name is
-    taken from the listing, so no path is built from `low`."""
-    d, names = files
-    for entry in _catalog_entries((d, [fn for fn in names if fn == low + ".json"])):
-        if entry["name"].lower() == low:
-            return entry
-    return None
-
-
-def load_catalog_entry(name):
-    """The entry called `name`, or carrying it as an alias (_find_entry).
-
-    The entry in the file that the catalog convention names answers; an
-    alias, an unknown name or a file that breaks the convention reads the
-    catalog in order, up to the match."""
-    files = _catalog_files()
-    return _own_entry(files, name.lower()) or _find_entry(_catalog_entries(files), name)
-
-
-def _find_entry(entries, name):
-    """The entry called `name`, or carrying it as an alias, in any case.
-
-    Reads `entries` (an iterable) once, up to the match."""
+    files = sorted(fn for fn in os.listdir(d) if fn.endswith(".json"))
+    if name is None:
+        return [_read_entry(d, fn) for fn in files]
     low = name.lower()
+    own, rows = low + ".json", low + "-row"
+    mine = [fn for fn in files if fn == own or group and fn.startswith(rows)]
+    if mine:
+        return [_read_entry(d, fn) for fn in mine]
     names = []
-    for entry in entries:
-        if entry["name"].lower() == low or \
-                low in [a.lower() for a in entry.get("aliases", [])]:
-            return entry
+    for fn in files:
+        entry = _read_entry(d, fn)
+        if any(a.lower() == low for a in entry.get("aliases", ())):
+            return [entry]
         names.append(entry["name"])
     raise UnknownEntry(name, names)
 
@@ -274,21 +275,20 @@ def _spec_from_input(args):
     if os.path.exists(name_or_path):
         with open(name_or_path) as fh:
             obj = json.load(fh)
-        if "nodes" in obj:
+        if isinstance(obj, dict) and "nodes" in obj:
             return DiagramSpec.from_json(obj)
         datum = load_datum(obj)
         if isinstance(datum, LmhsDatum):
             return spec_from_dims(deligne_splitting(datum).dims(), arrows=True)
-        from .hodge import hodge_decomposition
         dims = {(p, q): s.dim for p, q, s in hodge_decomposition(datum)}
         return spec_from_dims(dims)
-    entry = load_catalog_entry(name_or_path)
+    entry, = find_entries(name_or_path, False)
     expected = entry["expected"]
     block = expected.get(args.part)
     if block is None:
         raise ValueError("catalog entry %r has no diagram block %r; its blocks: %s"
                          % (entry["name"], args.part, ", ".join(sorted(expected))))
-    return DiagramSpec([(p, q, d) for p, q, d in block["nodes"]])
+    return DiagramSpec(block["nodes"])
 
 
 def cmd_diagram(args):
@@ -315,32 +315,21 @@ def cmd_diagram(args):
 
 
 def cmd_catalog(args):
+    try:
+        entries = find_entries(args.name or None, True)
+    except UnknownEntry as e:
+        print("unknown catalog entry %r; available: %s"
+              % (args.name, ", ".join(e.names)), file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as e:
+        print(e, file=sys.stderr)
+        return 2
     if not args.name:
-        for entry in list(_catalog_entries()):
+        for entry in entries:
             print(entry["name"])
         return 0
-    files, low = _catalog_files(), args.name.lower()
-    # the entry in its own file answers alone unless a file name is that of
-    # a row of a group `low` (the catalog convention); else, from the whole
-    # catalog, every entry `low` or `low`-row..., failing those the entry
-    # with the name as an alias
-    own = (None if any(fn.startswith(low + "-row") for fn in files[1])
-           else _own_entry(files, low))
-    if own is not None:
-        matched = [own]
-    else:
-        entries = list(_catalog_entries(files))
-        matched = [e for e in entries if e["name"].lower() == low
-                   or e["name"].lower().startswith(low + "-row")]
-        if not matched:
-            try:
-                matched = [_find_entry(entries, args.name)]
-            except UnknownEntry as e:
-                print("unknown catalog entry %r; available: %s"
-                      % (args.name, ", ".join(e.names)), file=sys.stderr)
-                return 2
     status = 0
-    for entry in matched:
+    for entry in entries:
         name = entry["name"]
         try:
             got = recompute_entry(entry)
@@ -348,7 +337,7 @@ def cmd_catalog(args):
             print("catalog entry %r: payload is missing key %s" % (name, e),
                   file=sys.stderr)
             return 2
-        except ValueError as e:
+        except (ValueError, TypeError) as e:
             print("catalog entry %r: bad payload: %s" % (name, e), file=sys.stderr)
             return 2
         want = entry["expected"]

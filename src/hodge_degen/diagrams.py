@@ -7,6 +7,7 @@ dim 1 and stroked rings for dim >= 2.
 """
 
 import json
+import reprlib
 
 from .gq import Immutable
 
@@ -16,27 +17,27 @@ R_RING = 7
 
 
 class DiagramSpec(Immutable):
-    """Sorted node triples plus an axis range and optional N-arrows."""
+    """Sorted node triples, axis ranges holding them and optional N-arrows, all ints."""
 
     __slots__ = ("nodes", "p_range", "q_range", "arrows")
 
     def __init__(self, nodes, p_range=None, q_range=None, arrows=()):
-        trip = sorted([int(p), int(q), int(d)] for p, q, d in nodes)
+        trip = sorted(_ints(t, 3, "node") for t in nodes)
         if any(d <= 0 for _, _, d in trip):
             raise ValueError("node dims must be positive")
         if len({(p, q) for p, q, _ in trip}) != len(trip):
             raise ValueError("duplicate node position")
-        ps = [p for p, _, _ in trip] or [0]
-        qs = [q for _, q, _ in trip] or [0]
-        if p_range is None:
-            p_range = (min(ps + [0]), max(ps + [0]))
-        if q_range is None:
-            q_range = (min(qs + [0]), max(qs + [0]))
+        arrows = tuple(tuple(_ints(a, 2, "arrow")) for a in arrows)
         object.__setattr__(self, "nodes", trip)
-        object.__setattr__(self, "p_range", (int(p_range[0]), int(p_range[1])))
-        object.__setattr__(self, "q_range", (int(q_range[0]), int(q_range[1])))
-        object.__setattr__(self, "arrows", tuple(
-            (int(p), int(q)) for p, q in arrows))
+        object.__setattr__(self, "arrows", arrows)
+        for axis, key, given in ((0, "p_range", p_range), (1, "q_range", q_range)):
+            # every node and both ends of every arrow, (p, q) to (p - 1, q - 1)
+            at = [t[axis] for t in trip] + [a[axis] - k for a in arrows for k in (0, 1)]
+            lo, hi = (min(at + [0]), max(at + [0])) if given is None else _ints(given, 2, key)
+            if not (lo <= hi and all(lo <= c <= hi for c in at)):
+                raise ValueError("%s %s must be [lo, hi], lo <= hi, holding every node "
+                                 "and arrow end" % (key, reprlib.repr(given)))
+            object.__setattr__(self, key, (lo, hi))
 
     def to_json(self):
         obj = {"nodes": [list(t) for t in self.nodes],
@@ -54,6 +55,14 @@ class DiagramSpec(Immutable):
         if not isinstance(other, DiagramSpec):
             return NotImplemented
         return self.nodes == other.nodes
+
+
+def _ints(values, n, what):
+    """`values` as a list of n ints, not bools, floats or strings."""
+    if isinstance(values, (list, tuple)) and len(values) == n and \
+            all(type(v) is int for v in values):
+        return list(values)
+    raise ValueError("%s %s must be %d integers" % (what, reprlib.repr(values), n))
 
 
 def triples(dims):

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import gc
 import io
+import itertools
 import json
 import os
 import shutil
@@ -357,6 +358,32 @@ def test_classify_bad_weight_or_h_says_why(capsys, argv, error):
     assert json.loads(out) == {"error": error}
 
 
+def test_classify_witness_files_validate(capsys, tmp_path):
+    # every symmetric h of weight n <= 4 with entries <= 2: `classify --out`
+    # writes the minimal witnesses, `--mode hodge-tate --out` the Hodge-Tate
+    # one or, where h fails the gate, exits 1 and writes none; every file
+    # written then validates
+    hs = []
+    for n in range(1, 5):
+        half = (n + 1) // 2
+        for combo in itertools.product(range(3), repeat=half + (n + 1) % 2):
+            h = list(combo) + list(reversed(combo[:half]))
+            if sum(h):
+                hs.append((str(n), ",".join(map(str, h))))
+    assert len(hs) == 44
+    for n, h in hs:
+        tag = str(tmp_path / ("n%s-h%s" % (n, h.replace(",", "-"))))
+        assert cli.main(["classify", n, h, "--out", tag + ".min"]) == 0
+        code = cli.main(["classify", n, h, "--mode", "hodge-tate", "--out", tag + ".ht.json"])
+        assert code == 0 or (code == 1 and not os.path.exists(tag + ".ht.json")), (n, h)
+    capsys.readouterr()
+    files = sorted(tmp_path.glob("*.witness*.json")) + sorted(tmp_path.glob("*.ht.json"))
+    assert len(files) == 61
+    for path in files:
+        code, out, _ = run(capsys, "validate", str(path))
+        assert (code, json.loads(out)["ok"]) == (0, True), path.name
+
+
 def test_classify_closed_orbit(capsys):
     code, out, _ = run(capsys, "classify", "2", "1,1,1",
                        "--mode", "closed-orbit")
@@ -450,6 +477,30 @@ def test_diagram_empty_spec_axes_only(capsys, tmp_path):
     assert set(out) <= set(". \n")
 
 
+@pytest.mark.parametrize("spec, named", [
+    ({"nodes": [[1.5, 0, 1], [0, 1, True]]}, "node [1.5, 0, 1]"),
+    ({"nodes": [[0, 1, True]]}, "node [0, 1, True]"),
+    ({"nodes": [[0, 0, "1"]]}, "node [0, 0, '1']"),
+    ({"nodes": [[0, 0]]}, "node [0, 0]"),
+    ({"nodes": [[0, 0, 1]], "p_range": [0, "1"]}, "p_range [0, '1']"),
+    ({"nodes": [[0, 0, 1]], "q_range": [0]}, "q_range [0]"),
+    ({"nodes": [[0, 0, 1]], "arrows": [[0.5, 1]]}, "arrow [0.5, 1]"),
+    ({"nodes": [[0, 0, 1], [1, 1, 1]], "p_range": [3, 4]}, "p_range [3, 4]"),
+    ({"nodes": [[0, 0, 1]], "q_range": [1, 0]}, "q_range [1, 0]"),
+    ({"nodes": [[1, 1, 1]], "arrows": [[1, 1]], "q_range": [1, 1]}, "q_range [1, 1]"),
+    ("nodes and more", "a datum must be a JSON object, got 'nodes and more'"),
+], ids=["float-and-bool", "bool", "str", "short-node", "str-range", "short-range",
+        "float-arrow", "range-misses-nodes", "lo-above-hi", "range-misses-arrow-end",
+        "json-string"])
+def test_diagram_spec_takes_integers_only(capsys, tmp_path, spec, named):
+    # int() used to coerce each of these, or the range dropped the nodes
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "diagram", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("bad input: ") and err.count("\n") == 1 and named in err
+
+
 def test_diagram_unwritable_out(capsys, tmp_path):
     path = str(tmp_path / "missing" / "d.txt")
     code, out, err = run(capsys, "diagram", "ht-n2-111", "--out", path)
@@ -502,10 +553,11 @@ def test_catalog_listing(capsys):
 
 
 def test_catalog_groups_match(capsys):
+    # a group is checked in file order
     for group in ("G2", "F4"):
         code, out, _ = run(capsys, "catalog", group)
         assert code == 0
-        assert out.count("match") == 4
+        assert out.splitlines() == ["%s-row%d: match" % (group, i) for i in range(1, 5)]
 
 
 def test_catalog_alias(capsys):
@@ -523,9 +575,9 @@ def test_catalog_unknown(capsys):
 def test_catalog_closes_its_files():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        names = [entry["name"] for entry in cli._catalog_entries()]
+        names = [entry["name"] for entry in cli.find_entries(None, False)]
         for name in names:
-            cli.load_catalog_entry(name)
+            cli.find_entries(name, False)
         gc.collect()
     assert len(names) == 17
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
@@ -577,8 +629,9 @@ def test_catalog_bad_payload(capsys, tmp_path, monkeypatch, edit, witness):
                'such as "1/2"), got 5'),
     ({"L": "12"}, 'grading element must be a list of rationals (integers, or strings '
                   'such as "1/2"), got \'12\''),
+    ({"type": ["A"]}, "unhashable type: 'list'"),
 ], ids=["zero-root", "not-a-root", "short-root", "long-root", "unparsed-root",
-        "short-L", "string-rank", "rank-0", "number-L", "string-L"])
+        "short-L", "string-rank", "rank-0", "number-L", "string-L", "list-type"])
 def test_catalog_bad_root_payload(capsys, tmp_path, monkeypatch, edit, witness):
     # an A2 orbit entry in a catalog of its own; every edit used to get
     # through as a traceback or as a wrong "match"
@@ -604,13 +657,12 @@ def _up_to(last):
 
 
 # The files each lookup reads, in order.  A name reads the one file of the
-# catalog convention; `catalog` alone, a group, an alias or an unknown name
-# reads the whole catalog, and `diagram` an alias or unknown name up to the
-# match.
+# catalog convention, and `catalog` of a group its rows; an alias reads the
+# catalog up to the match, and `catalog` alone or an unknown name all of it.
 READS = {
     ("catalog",): _catalog_files,
-    ("catalog", "G2"): _catalog_files,
-    ("catalog", "G2-split-codim1-long"): _catalog_files,
+    ("catalog", "G2"): lambda: ["g2-row%d.json" % i for i in range(1, 5)],
+    ("catalog", "G2-split-codim1-long"): lambda: _up_to("g2-row2.json"),
     ("diagram", "G2-split-codim1-long"): lambda: _up_to("g2-row2.json"),
     ("catalog", "nope"): _catalog_files,
     ("diagram", "nope"): _catalog_files,
@@ -652,30 +704,59 @@ def _copy_catalog(dest, rename=lambda fn: fn):
         shutil.copy(os.path.join(cli.catalog_dir(), fn), dest / rename(fn))
 
 
-@pytest.mark.parametrize("rename", [
-    lambda fn: "renamed.json" if fn == "g2-row1.json" else fn,
-    lambda fn: fn[:-len(".json")].upper() + ".json",
-], ids=["renamed", "upper-case"])
-def test_catalog_lookup_falls_back_when_a_file_breaks_the_convention(
-        capsys, tmp_path, monkeypatch, rename):
-    # G2-row1 moved to renamed.json, or every file named in upper case: the
-    # file a name gives is gone, so the lookup reads the catalog in order,
-    # and every output is the shipped one
-    argvs = [["catalog", "G2-row1"], ["diagram", "G2-row1"],
-             ["diagram", "g2-row1", "--part", "adjoint", "--format", "svg"],
-             ["catalog", "f4"],
-             ["catalog", "G2-split-codim1-long"], ["catalog", "G2-split-codim1-short"],
-             ["diagram", "G2-split-codim1-long", "--format", "json"]]
-    shipped = [run(capsys, *argv) for argv in argvs]
-    _copy_catalog(tmp_path, rename)
+ENTRY = {"name": "x", "kind": "period-domain", "payload": {}, "expected": {}}
+
+
+def _entry_file(text=None, drop=None, **edit):
+    """A catalog of one file, x.json: `text`, or ENTRY edited."""
+    entry = {k: v for k, v in dict(ENTRY, **edit).items() if k != drop}
+    return lambda d: (d / "x.json").write_text(json.dumps(entry) if text is None else text)
+
+
+@pytest.mark.parametrize("build, argv, named", [
+    (None, ["catalog"], ""),
+    (None, ["catalog", "x"], ""),
+    (None, ["diagram", "x"], ""),
+    (_entry_file("{"), ["catalog"], "x.json"),
+    (_entry_file("[1]"), ["catalog", "x"], "x.json"),
+    (_entry_file(drop="name"), ["catalog"], "x.json: key 'name'"),
+    (_entry_file(name=3), ["catalog", "x"], "x.json: key 'name'"),
+    (_entry_file(kind="hodge"), ["catalog", "x"], "x.json: key 'kind'"),
+    (_entry_file(drop="kind"), ["catalog", "x"], "x.json: key 'kind'"),
+    (_entry_file(payload=[]), ["catalog", "x"], "x.json: key 'payload'"),
+    (_entry_file(expected=[]), ["catalog", "x"], "x.json: key 'expected'"),
+    (_entry_file(expected=[]), ["diagram", "x"], "x.json: key 'expected'"),
+    (_entry_file(aliases="y"), ["catalog", "y"], "x.json: key 'aliases'"),
+    (_entry_file(aliases=[1]), ["catalog"], "x.json: key 'aliases'"),
+    (lambda d: _copy_catalog(d, lambda fn: "renamed.json" if fn == "g2-row1.json" else fn),
+     ["catalog", "G2-row1"], "renamed.json: entry 'G2-row1' belongs in g2-row1.json"),
+    (lambda d: _copy_catalog(d, lambda fn: fn[:-len(".json")].upper() + ".json"),
+     ["diagram", "g2-row1"], "C2-COMPACT-OPEN.json: entry 'C2-compact-open' belongs in"),
+], ids=["no-directory", "no-directory-name", "no-directory-diagram", "not-json",
+        "not-an-object", "no-name", "name-not-a-string", "unknown-kind", "no-kind",
+        "payload-not-an-object", "expected-not-an-object", "expected-not-an-object-diagram",
+        "aliases-not-a-list", "alias-not-a-string", "renamed", "upper-case"])
+def test_catalog_fault_exits_2_naming_the_file(capsys, tmp_path, monkeypatch, build, argv,
+                                               named):
+    # each used to end in a traceback, a wrong message or, for a file that
+    # breaks the name convention, a read of the whole catalog
+    d = tmp_path / "missing"
+    if build:
+        d = tmp_path / "catalog"
+        d.mkdir()
+        build(d)
+    monkeypatch.setenv(cli.CATALOG_ENV, str(d))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and str(d / named) in err
+
+
+def test_catalog_fault_gives_no_traceback_in_a_fresh_process(tmp_path, monkeypatch):
+    (tmp_path / "x.json").write_text("[1]")
     monkeypatch.setenv(cli.CATALOG_ENV, str(tmp_path))
-    assert "g2-row1.json" not in _catalog_files()
-    assert [run(capsys, *argv) for argv in argvs] == shipped
-    assert all(code == 0 for code, _, _ in shipped)
-    # a group is checked in file order
-    code, out, err = run(capsys, "catalog", "G2")
-    assert (code, err) == (0, "")
-    assert sorted(out.splitlines()) == ["G2-row%d: match" % i for i in range(1, 5)]
+    res = console("catalog", "x", cwd=tmp_path)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "catalog file %s: the entry is not a JSON object\n" % (tmp_path / "x.json")
 
 
 def test_catalog_lookup_by_own_file_takes_precedence(capsys, tmp_path, monkeypatch):
@@ -692,8 +773,8 @@ def test_catalog_lookup_by_own_file_takes_precedence(capsys, tmp_path, monkeypat
     assert code == 0
     # file order: g2-row1.json ... g2-row4.json, then g2.json
     assert out.splitlines() == ["G2-row%d: match" % i for i in range(1, 5)] + ["G2: match"]
-    assert cli.load_catalog_entry("G2-row1")["name"] == "G2-row1"
-    assert cli.load_catalog_entry("g2")["name"] == "G2"
+    assert [e["name"] for e in cli.find_entries("G2-row1", False)] == ["G2-row1"]
+    assert [e["name"] for e in cli.find_entries("g2", False)] == ["G2"]
 
 
 # ------------------------------------------------------------ corpus
