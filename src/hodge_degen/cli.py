@@ -80,6 +80,8 @@ def find_entries(name, group):
     all if `name` is None, else its own and, if `group`, its `<name>-row*.json`;
     failing those, the first entry with `name` as an alias, or UnknownEntry."""
     d = catalog_dir()
+    if not os.path.isdir(d):
+        raise ValueError("the catalog directory %s is missing; %s sets it" % (d, CATALOG_ENV))
     files = sorted(fn for fn in os.listdir(d) if fn.endswith(".json"))
     if name is None:
         return [_read_entry(d, fn) for fn in files]
@@ -170,12 +172,16 @@ def _parse_h(args):
 
 def cmd_classify(args):
     try:
+        if args.input and args.mode != "closed-orbit":
+            raise ValueError("--input reads a datum for --mode closed-orbit only")
+        if args.out and args.mode == "closed-orbit":
+            raise ValueError("--out writes witnesses for --mode minimal and hodge-tate only")
         hn = _parse_h(args)
     except (ValueError, TypeError) as e:
         print(json.dumps({"error": str(e)}))
         return 2
     L = None
-    if args.mode == "closed-orbit" and args.input:
+    if args.input:
         try:
             with open(args.input) as fh:
                 L = load_datum(json.load(fh))
@@ -273,6 +279,9 @@ def _check_input_datum(L, hn):
 def _spec_from_input(args):
     name_or_path = args.input
     if os.path.exists(name_or_path):
+        if args.part != "V":
+            raise ValueError("--part %s needs a catalog entry; a file has only its V diagram"
+                             % args.part)
         with open(name_or_path) as fh:
             obj = json.load(fh)
         if isinstance(obj, dict) and "nodes" in obj:
@@ -402,9 +411,9 @@ def check_case(cid, L, samples=(1, 2)):
     The JSON round trip must give back Q, N, F and W (hence the splitting).
     An R-split L also gets the reduced-limit checks and, when g != 0, the
     adjoint ones (V Hodge-Tate implies g is, and the converse for g
-    semisimple; cp_orb_check) and the diagonal-Levi datum, certified when
-    it is built, which must pass validate_lmhs too.  A Levi datum that fails
-    to build gives the exception's type and text in the id, and a failed
+    semisimple) and the diagonal-Levi datum, certified when it is built,
+    which must pass validate_lmhs too.  A Levi datum that fails to build
+    gives the exception's type and text in the id, and a failed
     validate_lmhs lists its false clauses (_LMHS_CLAUSES).
     """
     n = L.hodge.n
@@ -437,8 +446,6 @@ def check_case(cid, L, samples=(1, 2)):
     if is_hodge_tate(bg.dims()):
         if not is_hodge_tate(adims):
             return cid + "/adjoint-hodge-tate"
-        if not cp_orb_check(adims)["ok"]:
-            return cid + "/adjoint-cp-orb"
     elif a.dim_g > 1 and is_hodge_tate(adims):
         # the converse needs g semisimple; the one g = so(V, Q) or sp(V, Q)
         # that is not is so(2), dim g = 1, which lies in I^{0,0}_g

@@ -22,9 +22,13 @@ class DiagramSpec(Immutable):
     __slots__ = ("nodes", "p_range", "q_range", "arrows")
 
     def __init__(self, nodes, p_range=None, q_range=None, arrows=()):
+        for key, val in (("nodes", nodes), ("arrows", arrows)):
+            if not isinstance(val, (list, tuple)):
+                raise ValueError("%s %s must be a list" % (key, reprlib.repr(val)))
         trip = sorted(_ints(t, 3, "node") for t in nodes)
-        if any(d <= 0 for _, _, d in trip):
-            raise ValueError("node dims must be positive")
+        for t in trip:
+            if t[2] <= 0:
+                raise ValueError("node %s must have a positive dim" % t)
         if len({(p, q) for p, q, _ in trip}) != len(trip):
             raise ValueError("duplicate node position")
         arrows = tuple(tuple(_ints(a, 2, "arrow")) for a in arrows)

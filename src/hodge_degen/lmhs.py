@@ -41,11 +41,13 @@ class BracketEscape(AssertionError):
 
 
 class WeightFiltration(Immutable):
-    """Increasing filtration, stored per level, centered at `center`."""
+    """Increasing filtration, stored per level.  It keeps no center: an LMHS
+    of weight n has W = W(N)[-n], centered at n (Cattani-Kaplan-Schmid 1986),
+    and the callers pass n."""
 
-    __slots__ = ("center", "levels")
+    __slots__ = ("levels",)
 
-    def __init__(self, center, levels):
+    def __init__(self, levels):
         # levels: dict level -> Subspace over a contiguous range
         keys = sorted(levels)
         for a, b in zip(keys, keys[1:]):
@@ -53,7 +55,6 @@ class WeightFiltration(Immutable):
                 raise ValueError("levels must be contiguous")
             if not levels[b].contains(levels[a]):
                 raise ValueError("filtration must be increasing")
-        object.__setattr__(self, "center", center)
         object.__setattr__(self, "levels", dict(levels))
 
     @property
@@ -81,8 +82,6 @@ class WeightFiltration(Immutable):
     def __eq__(self, other):
         if not isinstance(other, WeightFiltration):
             return NotImplemented
-        if self.center != other.center:
-            return False
         lo = min(self.min_level, other.min_level)
         hi = max(self.max_level, other.max_level)
         return all(self.level(k) == other.level(k) for k in range(lo, hi + 1))
@@ -116,13 +115,14 @@ def weight_filtration(N, center, powers=None, kernels=None):
         for j in range(max(0, -k), deg):
             vecs.extend(intersect(kernels[min(k + j + 1, deg)], ims[j]).basis.entries)
         levels[center + k] = _span(dim, vecs)
-    W = WeightFiltration(center, levels)
-    _check_weight(N, W, powers)
+    W = WeightFiltration(levels)
+    _check_weight(N, W, powers, center)
     return W
 
 
-def _check_weight(N, W, powers):
-    """Certify that W is the monodromy weight filtration of N about W.center.
+def _check_weight(N, W, powers, c):
+    """Certify that W is the monodromy weight filtration of N about the
+    center c: the caller's, which is the weight n for an LMHS.
 
     With N^(d+1) = 0 and N^d != 0 that is the unique filtration with
     W_{c+d} = V, W_{c-d-1} = 0, N W_k inside W_{k-2}, and N^k mapping
@@ -140,7 +140,7 @@ def _check_weight(N, W, powers):
     dim W_{c-k}: one rank, with no subspace built.  Where Gr_{c+k} and
     Gr_{c-k} are both 0 there is no rank: N^k is onto the zero piece.
     """
-    c, dim = W.center, N.rows
+    dim = N.rows
     d = len(powers) - 2
     if W.level(c + d).dim != dim:
         raise AssertionError("W_%d is not the whole space" % (c + d))
@@ -178,7 +178,7 @@ def _labelled_weight(bg, n, d):
         vecs = [v for p, q, s in bg.nodes if p + q <= k for v in s.basis.entries]
         levels[k] = levels[k - 1] if len(vecs) == count else _span(bg.ambient_dim, vecs)
         count = len(vecs)
-    return WeightFiltration(n, levels)
+    return WeightFiltration(levels)
 
 
 class LmhsDatum(Immutable):
@@ -243,10 +243,6 @@ class LmhsDatum(Immutable):
     def n(self):
         return self.hodge.n
 
-    @property
-    def center(self):
-        return self.W.center
-
     def power(self, k):
         """N^k, zero past the nilpotency degree."""
         return self.powers[min(k, len(self.powers) - 1)]
@@ -286,7 +282,7 @@ class LmhsDatum(Immutable):
                 except ValueError as e:
                     raise ValueError("W_%d: %s" % (level, e)) from None
             if levels:
-                W = WeightFiltration(hodge.n, levels)
+                W = WeightFiltration(levels)
         return LmhsDatum(hodge, N, W)
 
 
@@ -358,7 +354,7 @@ def deligne_splitting(L):
 
 def _deligne_splitting(L):
     """I^{p,q} = F^p cap W_l cap (conj F^q cap W_l
-    + sum_{j>=1} conj F^{q-j} cap W_{l-j-1}), with l = p + q + c - n
+    + sum_{j>=1} conj F^{q-j} cap W_{l-j-1}), with l = p + q
     (Cattani-Kaplan-Schmid 1986), checked to be a direct sum that
     recovers W and F.
 
@@ -387,10 +383,7 @@ def _deligne_splitting(L):
     space, so each later term is a W level inside the last one.  The terms
     of the sum are reduced once.
     """
-    W = L.W
-    n = L.n
-    c = L.center
-    dim = L.dim
+    W, n, dim = L.W, L.n, L.dim
     steps = [L.hodge.filtration.step(a) for a in range(n + 2)]  # F^{n+1} = 0
     table, conj_table, real = {}, {}, {}
 
@@ -412,7 +405,7 @@ def _deligne_splitting(L):
     nodes = []
     for p in range(n + 1):
         for q in range(n + 1):
-            lev = c - n + p + q  # weight level of I^{p,q} relative to W's center
+            lev = p + q  # the weight level of I^{p,q}
             if not (meet(p, lev).dim - meet(p + 1, lev).dim
                     - meet(p, lev - 1).dim + meet(p + 1, lev - 1).dim):
                 continue
@@ -432,10 +425,9 @@ def _check_reconstruction(L, bg):
     dimension (_is_sum), and none is built."""
     if bg.total() != L.dim:
         raise NotMhs("splitting does not span")
-    c, n = L.center, L.n
-    W = L.W
+    n, W = L.n, L.W
     for k in range(W.min_level, W.max_level + 1):
-        if not _is_sum(W.level(k), [s for p, q, s in bg.nodes if c - n + p + q <= k]):
+        if not _is_sum(W.level(k), [s for p, q, s in bg.nodes if p + q <= k]):
             raise NotMhs("weight filtration not recovered at level %d" % k)
     for p0 in range(n + 1):
         if not _is_sum(L.hodge.filtration.step(p0), [s for p, _, s in bg.nodes if p >= p0]):
@@ -460,7 +452,7 @@ def _certify_splitting(L, bg):
     first: where conj I^{p,q} = I^{q,p}, as on every string block, no sum is
     built.  Raises NotMhs naming the first failing clause."""
     try:
-        _check_weight(L.N, L.W, L.powers)
+        _check_weight(L.N, L.W, L.powers, L.n)
     except AssertionError as e:
         raise NotMhs("labelled W is not the weight filtration of N: %s" % e) from None
     n, low = L.n, L.n - len(L.powers) + 2
@@ -492,9 +484,8 @@ def is_hodge_tate(dims):
 
 def _primitive_pieces(L, bg):
     """Per level k: pieces I^{p,q} cap ker N^{k+1} with p+q-n = k (centered)."""
-    c, n = L.center, L.n
-    out = {}
-    kmax = L.W.max_level - c
+    n, out = L.n, {}
+    kmax = L.W.max_level - n
     kernels = L.kernels
     for k in range(0, kmax + 1):
         ker_k = kernels[min(k + 1, len(kernels) - 1)]
@@ -545,7 +536,7 @@ def _validate_lmhs(L):
     report = {"weight_filtration": True}
     if L._given_W:
         try:
-            _check_weight(L.N, L.W, L.powers)
+            _check_weight(L.N, L.W, L.powers, L.n)
         except AssertionError as e:
             report["weight_filtration"] = False
             report["weight_filtration_witness"] = str(e)
@@ -561,16 +552,15 @@ def _validate_lmhs(L):
 
     # (b): each graded level decomposes, with conjugation symmetry mod lower
     # weight; conj I^{p,q} = I^{q,p} (every R-split datum) needs no sum
-    c, n = L.center, L.n
     for p, q, s in bg.nodes:
         conj, other = conj_space(s), bg.piece(q, p)
         if conj == other:
             continue
-        lower = L.W.level(c - n + p + q - 1)
+        lower = L.W.level(p + q - 1)
         target = ssum(other, lower) if lower.dim else other
         if not target.contains(conj):
             report["graded_hodge_witness"] = ("conj I^{%d,%d} not inside I^{%d,%d} + W_%d"
-                                              % (p, q, q, p, c - n + p + q - 1))
+                                              % (p, q, q, p, p + q - 1))
             break
     okb = report["graded_hodge"] = "graded_hodge_witness" not in report
 
@@ -675,12 +665,12 @@ def adjoint_lmhs(L):
     Q pairs I^{p,q} only with I^{n-p,n-q} (Cattani-Kaplan-Schmid 1986), which
     gives X_ab its bidegree: NotMhs names the first pair of labels that do
     not sum to (n, n) where Q' is not 0.  N's coordinates are read off
-    Q'N' = P^T (Q N) P.  With R = Q'^-1, Q'X_ab = E_ab + e E_ba, so the
-    column of ad N at X_ab is read by index off Q'[N', X_ab] =
-    M (E_ab + e E_ba) - (E_ab + e E_ba) N', M = Q'N'R formed once: columns a
-    and b of M and rows a and b of N'.  tr(X_ab X_cd) =
-    -2 (e R_ad R_bc + R_ac R_bd) is formed at the pairs (c, d) met by the
-    nonzero entries of rows a and b of R.
+    Q'N' = P^T (Q N) P, which certifies that N lies in g: Q'N' = -N'^T Q',
+    with N' = R Q'N' and R = Q'^-1.  So, with Q'X_ab = E_ab + e E_ba,
+    [N', X_ab] = -sum_i N'_ai X_ib - sum_i N'_bi X_ai, where X_ba = e X_ab
+    and X_ii = 0 for n even: the column of ad N at X_ab is read by index off
+    rows a and b of N'.  tr(X_ab X_cd) = -2 (e R_ad R_bc + R_ac R_bd) is
+    formed at the pairs (c, d) met by the nonzero entries of rows a and b of R.
     """
     bg = deligne_splitting(L)
     if not is_r_split(bg):
@@ -731,20 +721,18 @@ def adjoint_lmhs(L):
     coeff = tuple(coeff.get(k, ZERO) for k in range(t))
     if not I_g.piece(-1, -1).contains_vector(coeff):
         raise NotMhs("N is not of type (-1,-1) in the adjoint bigrading")
-    Mcols, Nrows = _sparse_rows((QN * R).transpose()), _sparse_rows(R * QN)
+    Nrows = _sparse_rows(R * QN)  # N'
     ad = [[ZERO] * t for _ in range(t)]
     for k, (a, b) in enumerate(pairs):
-        QB = [{} for _ in cols]  # Q'[N', X_ab]
-        for x, y, f in ((a, b, 1), (b, a, sign)):  # f (M E_xy - E_xy N')
-            for i, m in Mcols[x].items():
-                QB[i][y] = QB[i].get(y, ZERO) + (m if f > 0 else -m)
-            for j, m in Nrows[y].items():
-                QB[x][j] = QB[x].get(j, ZERO) - (m if f > 0 else -m)
-        col = _g_coords(QB, index, sign)
-        if col is None:
-            raise ValueError("[N, B] outside the span of g")
-        for r, e in col.items():
-            ad[r][k] = e
+        terms = [(i, b, m) for i, m in Nrows[a].items()]
+        terms += [(a, i, m) for i, m in Nrows[b].items()]
+        for u, v, m in terms:  # [N', X_ab] = -sum m X_uv
+            if u == v and sign < 0:
+                continue  # X_ii = 0
+            r = index.get((u, v) if u <= v else (v, u))
+            if r is None:
+                raise ValueError("[N, B] outside the span of g")
+            ad[r][k] -= m if u <= v or sign > 0 else -m  # X_vu = e X_uv
     return AdjointLmhs(n, _matrix(tuple(cols), L.dim).transpose(), tuple(labels), Qf, pairs,
                        tuple(elements), I_g, _matrix(tuple(map(tuple, killing)), t),
                        coeff, _matrix(tuple(map(tuple, ad)), t))

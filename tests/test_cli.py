@@ -777,6 +777,46 @@ def test_catalog_lookup_by_own_file_takes_precedence(capsys, tmp_path, monkeypat
     assert [e["name"] for e in cli.find_entries("g2", False)] == ["G2"]
 
 
+# --------------------------------------------------- faults named on input
+
+@pytest.mark.parametrize("argv, named", [
+    (["classify", "2", "1,1,1", "--input", "{missing}"], ["--input"]),
+    (["classify", "2", "1,1,1", "--mode", "hodge-tate", "--input", "{missing}"], ["--input"]),
+    (["classify", "2", "1,1,1", "--mode", "closed-orbit", "--out", "{out}"], ["--out"]),
+    (["diagram", "{datum}", "--part", "adjoint"], ["--part adjoint"]),
+    (["diagram", {"nodes": [[0, 0, 1]]}, "--part", "adjoint"], ["--part adjoint"]),
+    (["diagram", {"nodes": 5}], ["nodes 5"]),
+    (["diagram", {"nodes": [[0, 0, 1]], "arrows": 5}], ["arrows 5"]),
+    (["diagram", {"nodes": [[0, 0, 0]]}], ["node [0, 0, 0]"]),
+    (["catalog"], ["catalog directory {missing} is missing", cli.CATALOG_ENV]),
+    (["diagram", "G2"], ["catalog directory {missing} is missing", cli.CATALOG_ENV]),
+], ids=["input-minimal", "input-hodge-tate", "out-closed-orbit", "part-datum-file",
+        "part-spec-file", "nodes-not-a-list", "arrows-not-a-list", "zero-dim-node",
+        "no-catalog-directory", "no-catalog-directory-diagram"])
+def test_input_fault_exits_2_naming_it(capsys, tmp_path, monkeypatch, ht_file, argv, named):
+    # each used to exit 0 with the flag ignored, or exit 2 with a message
+    # that did not name the flag, the field, the node or the catalog
+    paths = {"missing": str(tmp_path / "missing"), "out": str(tmp_path / "out.json"),
+             "datum": ht_file}
+    spec = tmp_path / "spec.json"
+    args = []
+    for a in argv:
+        if isinstance(a, dict):
+            spec.write_text(json.dumps(a))
+            a = str(spec)
+        args.append(a.format(**paths))
+    monkeypatch.setenv(cli.CATALOG_ENV, paths["missing"])
+    code, out, err = run(capsys, *args)
+    lines = (out + err).splitlines()
+    assert code == 2 and len(lines) == 1
+    assert all(s.format(**paths) in lines[0] for s in named)
+    if argv[0] == "classify":
+        assert list(json.loads(out)) == ["error"]
+    else:
+        assert out == ""
+    assert not os.path.exists(paths["out"])
+
+
 # ------------------------------------------------------------ corpus
 
 def test_verify_corpus_limited(capsys):

@@ -98,14 +98,14 @@ def reference_weight_filtration(N, center):
             term = intersect(kernel(powers[min(k + j + 1, deg)]), image(powers[j]))
             acc = ssum(acc, term)
         levels[center + k] = acc
-    return WeightFiltration(center, levels)
+    return WeightFiltration(levels)
 
 
 def reference_splitting_nodes(L):
     """I^{p,q} = F^p cap W_l cap (conj F^q cap W_l + sum_{j>=1}
     conj F^{q-j} cap W_{l-j-1}), l = p + q + c - n, one (p, q, j) at a time,
     the j-sum running until W_{l-j-1} = 0."""
-    F, W, n, c = L.hodge.filtration, L.W, L.n, L.center
+    F, W, n, c = L.hodge.filtration, L.W, L.n, L.n
     nodes = []
     for p in range(n + 1):
         for q in range(n + 1):
@@ -128,7 +128,7 @@ def reference_deligne_splitting(L):
     for every (p, q) with F^p cap W_l != 0 the conjugate-meet sum is solved
     and met with F^p cap W_l, then certified as lmhs does.  It has the
     signature of the body, so a test can put it in the body's place."""
-    F, W, n, c, dim = L.hodge.filtration, L.W, L.n, L.center, L.dim
+    F, W, n, c, dim = L.hodge.filtration, L.W, L.n, L.n, L.dim
     conj_steps = ([Subspace.full(dim)] + [conj_space(F.step(a)) for a in range(1, n + 1)]
                   + [Subspace.zero(dim)])
     meets = {}
@@ -196,11 +196,11 @@ ORACLE_DATA = {
 @pytest.mark.parametrize("name", sorted(ORACLE_DATA))
 def test_splitting_and_weight_filtration_match_reference(name):
     L = ORACLE_DATA[name]()
-    assert L.W == reference_weight_filtration(L.N, L.center)
+    assert L.W == reference_weight_filtration(L.N, L.n)
     assert list(deligne_splitting(L).nodes) == reference_splitting_nodes(L)
     assert validate_lmhs(L)["ok"]
     # the certificates accept what the formulas computed
-    lmhs._check_weight(L.N, L.W, L.powers)
+    lmhs._check_weight(L.N, L.W, L.powers, L.n)
     reference_check_splitting(L, lmhs._deligne_splitting(L))
 
 
@@ -238,9 +238,9 @@ def test_check_case_splits_each_datum_once(cid, monkeypatch):
     certified = []  # the N of each W that _check_weight certifies
     check = lmhs._check_weight
 
-    def counted_check(N, W, powers):
+    def counted_check(N, W, powers, c):
         certified.append(N)
-        return check(N, W, powers)
+        return check(N, W, powers, c)
 
     monkeypatch.setattr(lmhs, "_deligne_splitting", counted)
     thunk = next(t for c, _, _, t in cli.corpus_cases() if c == cid)
@@ -330,12 +330,14 @@ def test_check_case_states_the_converse_for_semisimple_g(n, top):
 # rref figure 1,319 before the splitting skipped the zero pieces (those with
 # dim Gr_F^p Gr^W_l = 0) instead of solving their conjugate-meet sums, and
 # 1,211 with 14 Levi data while verify-corpus skipped the adjoint and Levi
-# work on cases of dim > 6.  lmhs._g_coords runs once for N per adjoint and
-# once per element of g for its column of ad N (sum of dim g = 275 on the
-# slice); it was 956 while diagonal_levi also read every bracket [X, Y] of
-# two elements of s.  The rref figure was 1,269 before hodge_decomposition
-# met only the pieces V^{p,q} with p >= q and took V^{q,p} as the conjugate:
-# each meet with a nonzero result puts its vectors in rref once (the
+# work on cases of dim > 6.  lmhs._g_coords runs once per adjoint, for N;
+# it was 295 while adjoint_lmhs also built Q'[N', X] for each element X of g
+# and read its column of ad N through it (sum of dim g = 275 on the slice),
+# where that column is now read by index off N', and 956 while diagonal_levi
+# also read every bracket [X, Y] of two elements of s.  The rref figure was
+# 1,269 before hodge_decomposition met only the pieces V^{p,q} with p >= q
+# and took V^{q,p} as the conjugate: each meet with a nonzero result puts
+# its vectors in rref once (the
 # directness meets of check_hr1, halved too, are zero on the disc samples
 # and need none).  PolarizationForm.gram runs once per Gram matrix of
 # the Hodge-Riemann checks and adjoint_lmhs; it was 522 while
@@ -375,7 +377,7 @@ SLICE_RREF_CALLS = 1066
 SLICE_SPLITTING_BODIES = 0
 SLICE_VALIDATE_BODIES = 39
 SLICE_LEVI_CALLS = 19
-SLICE_G_COORDS_CALLS = 295
+SLICE_G_COORDS_CALLS = 20
 SLICE_GRAM_CALLS = 358
 SLICE_PUBLIC_MATRICES = 151
 
@@ -435,7 +437,7 @@ def test_verify_corpus_count_budget_on_the_corpus_slice(monkeypatch, capsys):
 def test_splitting_reconstructs_both_filtrations():
     L = ht_construct(3, HodgeNumbers(3, (1, 2, 2, 1)))
     bg = deligne_splitting(L)
-    c, n = L.center, L.n
+    c, n = L.n, L.n
     for p in range(n + 1):
         fdim = sum(s.dim for r, s_, s in bg.nodes if r >= p)
         assert L.hodge.filtration.step(p).dim == fdim
@@ -527,7 +529,7 @@ def test_validate_detects_non_orthogonal_primitive_pieces():
 
 def test_validate_detects_wrong_weight_filtration():
     L = ht_construct(2, HodgeNumbers(2, (1, 1, 1)))
-    wrong = WeightFiltration(2, {k: Subspace.full(3) for k in range(-1, 5)})
+    wrong = WeightFiltration({k: Subspace.full(3) for k in range(-1, 5)})
     rep = validate_lmhs(LmhsDatum(L.hodge, L.N, wrong))
     assert not rep["weight_filtration"]
     assert not rep["ok"]
@@ -601,7 +603,7 @@ def test_valid_reports_have_no_witness(cid):
 # ------------------------------------------------ given-W certificate
 
 def _shifted(W, by):
-    return WeightFiltration(W.center, {k + by: s for k, s in W.levels.items()})
+    return WeightFiltration({k + by: s for k, s in W.levels.items()})
 
 
 def _given_variants(L):
@@ -615,21 +617,21 @@ def _given_variants(L):
         "computed": W,
         "up": _shifted(W, 1),
         "down": _shifted(W, -1),
-        "top-dropped": WeightFiltration(W.center, {k: s for k, s in lv.items()
+        "top-dropped": WeightFiltration({k: s for k, s in lv.items()
                                                    if k != W.max_level}),
-        "bottom-dropped": WeightFiltration(W.center, {k: s for k, s in lv.items()
+        "bottom-dropped": WeightFiltration({k: s for k, s in lv.items()
                                                       if k != W.min_level}),
-        "padded": WeightFiltration(W.center, {**lv, W.max_level + 1: Subspace.full(dim)}),
+        "padded": WeightFiltration({**lv, W.max_level + 1: Subspace.full(dim)}),
     }
     swaps = [k for k in range(W.min_level, W.max_level) if W.gr_dim(k) and W.gr_dim(k + 1)]
     if swaps:
         k = swaps[0]
-        bg, shift = deligne_splitting(L), L.center - L.n
+        bg, shift = deligne_splitting(L), L.n - L.n
         lift, above = ([v for p, q, s in bg.nodes if shift + p + q == lev
                         for v in s.basis.entries] for lev in (k, k + 1))
         X = Subspace.from_vectors(dim, list(W.level(k - 1).basis.entries)
                                   + list(lift[1:]) + [above[0]])
-        out["swapped"] = WeightFiltration(W.center, {**lv, k: X})
+        out["swapped"] = WeightFiltration({**lv, k: X})
     return out
 
 
@@ -643,7 +645,7 @@ GIVEN_W_CASES = [
 @pytest.mark.parametrize("cid", GIVEN_W_CASES)
 def test_given_weight_certificate_matches_recomputation(cid):
     L = _corpus_datum(cid)
-    want = weight_filtration(L.N, L.center)
+    want = weight_filtration(L.N, L.n)
     variants = _given_variants(L)
     assert ("swapped" in variants) == cid.startswith("minimal/")
     for name, W in variants.items():
@@ -664,7 +666,7 @@ def test_weight_certificate_names_the_level(name, witness):
     L = _corpus_datum("minimal/n=1,h=2,2,I(0,1)")
     W = _given_variants(L)[name]
     with pytest.raises(AssertionError) as e:
-        lmhs._check_weight(L.N, W, L.powers)
+        lmhs._check_weight(L.N, W, L.powers, L.n)
     assert str(e.value) == witness
     assert validate_lmhs(LmhsDatum(L.hodge, L.N, W))["weight_filtration_witness"] == witness
 
@@ -680,9 +682,9 @@ def test_weight_certificate_graded_clauses(sizes, witness):
     dim = N.rows
     low = Subspace.from_vectors(dim, [[ONE if j == i else ZERO for j in range(dim)]
                                       for i in (1, 2)])
-    W = WeightFiltration(0, {-1: low, 0: low, 1: Subspace.full(dim)})
+    W = WeightFiltration({-1: low, 0: low, 1: Subspace.full(dim)})
     with pytest.raises(AssertionError) as e:
-        lmhs._check_weight(N, W, nilpotent_powers(N))
+        lmhs._check_weight(N, W, nilpotent_powers(N), 0)
     assert str(e.value) == witness
 
 
@@ -742,7 +744,7 @@ def test_primitives_and_qk_forms_on_the_corpus():
     # (-1)^(n+k)-symmetric, on every corpus case
     for cid, _, _, thunk in cli.corpus_cases():
         L = thunk()
-        c, W = L.center, L.W
+        c, W = L.n, L.W
         bg = deligne_splitting(L)
         prim = lmhs._primitive_pieces(L, bg)
         assert list(prim) == list(range(W.max_level - c + 1)), cid
@@ -988,7 +990,7 @@ def reference_adjoint(L):
         "g_basis": basis,
         "I_g": tuple((p, q, coord_subspace(lambda a, b, p=p, q=q: (a, b) == (p, q)))
                      for p, q, _, _ in coord_nodes),
-        "W_g": WeightFiltration(0, {k: coord_subspace(lambda a, b, k=k: a + b <= k)
+        "W_g": WeightFiltration({k: coord_subspace(lambda a, b, k=k: a + b <= k)
                                     for k in range(degs[0], degs[-1] + 1)}),
         "F_g": {p0: coord_subspace(lambda a, b, p0=p0: a >= p0)
                 for p0 in range(ps[0], ps[-1] + 1)},
@@ -1133,7 +1135,7 @@ def reference_check_reconstruction(L, bg):
     dim = L.dim
     if bg.total() != dim:
         raise NotMhs("splitting does not span")
-    c, n = L.center, L.n
+    c, n = L.n, L.n
     W = L.W
     levels = range(W.min_level, W.max_level + 1)
     sums = _running_sums(dim, bg.nodes, lambda p, q: c - n + p + q, levels)
@@ -1241,7 +1243,7 @@ def test_certified_levi_matches_recomputation_on_corpus(r_split_corpus):
         if a.dim_g == 0:
             continue
         _, datum = diagonal_levi(a)
-        assert datum.W == weight_filtration(datum.N, datum.center), cid
+        assert datum.W == weight_filtration(datum.N, datum.n), cid
         assert deligne_splitting(datum).nodes == lmhs._deligne_splitting(datum).nodes, cid
         checked += 1
     assert checked == 80
@@ -1256,7 +1258,7 @@ def test_generic_certificates_accept_the_certified_levi_on_corpus(r_split_corpus
         if a.dim_g == 0:
             continue
         _, datum = diagonal_levi(a)
-        lmhs._check_weight(datum.N, datum.W, datum.powers)
+        lmhs._check_weight(datum.N, datum.W, datum.powers, datum.n)
         reference_check_splitting(datum, deligne_splitting(datum))
         checked += 1
     assert checked == 80
@@ -1499,7 +1501,7 @@ def test_levi_shaped_weight_filtration_of_zero():
     hodge = HodgeDatum(3, PolarizationForm(2, MatrixGQ.identity(3)),
                        HodgeFiltration(2, [Subspace.full(3)] + [Subspace.zero(3)] * 2))
     low = Subspace.from_vectors(3, Subspace.full(3).basis.entries[1:])
-    W = WeightFiltration(2, {0: low, 1: low, 2: low, 3: low, 4: Subspace.full(3)})
+    W = WeightFiltration({0: low, 1: low, 2: low, 3: low, 4: Subspace.full(3)})
     rep = validate_lmhs(LmhsDatum(hodge, MatrixGQ.zero(3, 3), W))
     assert rep["weight_filtration_witness"] == "W_2 is not the whole space"
 
@@ -1926,9 +1928,8 @@ def dense_nilpotent_powers(N):
     return tuple(powers)
 
 
-def reference_check_weight(N, W, powers):
+def reference_check_weight(N, W, powers, c):
     """The weight certificate on every vector of every level."""
-    c = W.center
     d = len(powers) - 2
     if W.level(c + d).dim != N.rows:
         raise AssertionError("W_%d is not the whole space" % (c + d))
@@ -1949,7 +1950,7 @@ def reference_check_weight(N, W, powers):
 def reference_conj_meet_splitting(L):
     """lmhs._deligne_splitting with each conjugate meet conj F^a cap W_k
     solved by intersect, real level or not."""
-    W, n, c, dim = L.W, L.n, L.center, L.dim
+    W, n, c, dim = L.W, L.n, L.n, L.dim
     steps = [L.hodge.filtration.step(a) for a in range(n + 2)]
 
     def meets(steps):
@@ -1996,8 +1997,8 @@ def _same_as_oracles(L):
     """nilpotent_powers, _check_weight on L.W and the splitting body agree
     with their oracles on L; the weight verdict, as a bool."""
     assert _outcome(nilpotent_powers, L.N) == _outcome(dense_nilpotent_powers, L.N)
-    got = _outcome(lmhs._check_weight, L.N, L.W, L.powers)
-    assert got == _outcome(reference_check_weight, L.N, L.W, L.powers)
+    got = _outcome(lmhs._check_weight, L.N, L.W, L.powers, L.n)
+    assert got == _outcome(reference_check_weight, L.N, L.W, L.powers, L.n)
     assert (_nodes_outcome(lmhs._deligne_splitting, L)
             == _nodes_outcome(reference_conj_meet_splitting, L))
     return got[1] is None
@@ -2015,16 +2016,16 @@ def _level_tilted(W, by):
     tilted = [a + by * b for a, b in zip(new_k[0], new_j[0])]
     X = Subspace.from_vectors(W.ambient_dim, list(W.level(k - 1).basis.entries)
                               + [tilted] + new_k[1:])
-    return WeightFiltration(W.center, {**W.levels, **{m: X for m in range(k, j)}})
+    return WeightFiltration({**W.levels, **{m: X for m in range(k, j)}})
 
 
 def _tampered_ws(L):
     """W given from outside: shifted up one level, W_c replaced by W_{c+1}
     (where they differ), a row tilted (real), a level made non-real."""
-    W, c = L.W, L.center
+    W, c = L.W, L.n
     out = {"shifted": _shifted(W, 1)}
     if W.gr_dim(c + 1):
-        out["raised"] = WeightFiltration(c, {**W.levels, c: W.level(c + 1)})
+        out["raised"] = WeightFiltration({**W.levels, c: W.level(c + 1)})
     for name, by in (("tilted", ONE), ("non-real", gq("i"))):
         tilted = _level_tilted(W, by)
         if tilted is not None:
@@ -2092,7 +2093,7 @@ def test_rank_cost_oracles_on_the_witness_file_edit(monkeypatch):
     edit that the console-script check makes, and the same datum with Q
     negated."""
     L = _corpus_datum("minimal/n=3,h=1,2,2,1,I(0,3)")
-    W = WeightFiltration(3, {**L.W.levels, 3: L.W.level(4)})
+    W = WeightFiltration({**L.W.levels, 3: L.W.level(4)})
     tampered = LmhsDatum(L.hodge, L.N, W)
     assert not _same_as_oracles(tampered)
     rep = validate_lmhs(tampered)
@@ -2109,8 +2110,8 @@ def test_rank_cost_oracles_on_the_witness_file_edit(monkeypatch):
 def test_weight_certificate_matches_its_oracle_on_given_variants(cid):
     L = _corpus_datum(cid)
     for name, W in _given_variants(L).items():
-        got = _outcome(lmhs._check_weight, L.N, W, L.powers)
-        assert got == _outcome(reference_check_weight, L.N, W, L.powers), name
+        got = _outcome(lmhs._check_weight, L.N, W, L.powers, L.n)
+        assert got == _outcome(reference_check_weight, L.N, W, L.powers, L.n), name
 
 
 def test_rank_cost_oracles_on_a_weight_filtration_that_is_not_onto(monkeypatch):
@@ -2119,9 +2120,9 @@ def test_rank_cost_oracles_on_a_weight_filtration_that_is_not_onto(monkeypatch):
     L = _corpus_datum("minimal/n=1,h=2,2,I(0,1)")
     X = Subspace.from_vectors(L.dim, list(L.W.level(0).basis.entries)
                               + [lmhs._new_rows(L.W, 1)[0]])
-    tampered = LmhsDatum(L.hodge, L.N, WeightFiltration(1, {0: X, 1: X, 2: L.W.level(2)}))
+    tampered = LmhsDatum(L.hodge, L.N, WeightFiltration({0: X, 1: X, 2: L.W.level(2)}))
     with pytest.raises(AssertionError, match=r"^N\^1 not onto Gr_0$"):
-        lmhs._check_weight(tampered.N, tampered.W, tampered.powers)
+        lmhs._check_weight(tampered.N, tampered.W, tampered.powers, tampered.n)
     assert not _same_as_oracles(tampered)
     assert validate_lmhs(tampered) == _validate_with_oracles(tampered, monkeypatch)
 
