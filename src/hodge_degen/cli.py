@@ -115,11 +115,8 @@ def recompute_entry(entry):
     L = GradingElement(payload["L"])
     if "involution" in payload:
         inv = named_involution(rs, payload["involution"])
-        dims = orbit_dims(rs, L, inv)
-        return {"dim_R_orbit": dims["dim_R_orbit"],
-                "dim_KR_orbit": dims["dim_KR_orbit"],
-                "dim_C_dual": dims["dim_C_dual"],
-                "closed": closed_orbit_criterion(rs, L, inv)}
+        # orbit_dims gives dim_R_orbit, dim_KR_orbit and dim_C_dual
+        return {**orbit_dims(rs, L, inv), "closed": closed_orbit_criterion(rs, L, inv)}
     Y = GradingElement(payload["Y"]) if payload.get("Y") else None
     w = rep_weights(rs, payload["rep"])
     V = rep_bigrading(w, L, Y, payload["weight"])
@@ -141,7 +138,7 @@ def load_datum(obj):
 
 
 def _emit(text, out):
-    if out:
+    if out is not None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
@@ -172,6 +169,7 @@ def _parse_h(args):
 
 def cmd_classify(args):
     try:
+        _check_paths(args, "input", "out")
         if args.input and args.mode != "closed-orbit":
             raise ValueError("--input reads a datum for --mode closed-orbit only")
         if args.out and args.mode == "closed-orbit":
@@ -300,8 +298,15 @@ def _spec_from_input(args):
     return DiagramSpec(block["nodes"])
 
 
+def _check_paths(args, *options):
+    for o in options:
+        if getattr(args, o) == "":
+            raise ValueError("--%s needs a file path, got an empty one" % o)
+
+
 def cmd_diagram(args):
     try:
+        _check_paths(args, "out")
         spec = _spec_from_input(args)
     except UnknownEntry as e:
         print("unknown input %s; catalog names: %s"

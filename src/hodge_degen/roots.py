@@ -2,14 +2,17 @@
 
 Everything is done in simple-root coordinates, where roots, Cartan
 integers and the named involutions are integral (Humphreys, Introduction
-to Lie Algebras and Representation Theory, sections 9-11).  So the roots
-are generated by integer simple reflections and involutions are checked
+to Lie Algebras and Representation Theory, sections 9-11).  So the positive
+roots are generated by int simple reflections that raise the height, the
+negatives are their negations, the compact and split involutions (sigma =
+-I and I) are read off the sorted root order, and the others are checked
 on int matrices.  The simple roots in orthogonal coordinates are kept
 doubled, as int vectors, whose int Gram matrix gives the Cartan matrix and
 the squared lengths.  A grading element keeps its values as Fractions and,
-scaled once to ints over a common denominator, evaluates on roots and
-weights in int arithmetic; on all roots at once it sums the columns of the
-root table (`_levels`), as an involution does (`InvolutionDatum`).
+scaled once to ints over a common denominator (1, with no lcm, for int
+values), evaluates on roots and weights in int arithmetic; on all roots at
+once it sums the columns of the root table (`_levels`), as a checked
+involution does (`InvolutionDatum`).
 Conventions fixed here once and for all:
   G2: alpha1 short, alpha2 long, highest root 3a1+2a2
   F4: alpha1, alpha2 long, alpha3, alpha4 short (Bourbaki)
@@ -137,6 +140,11 @@ class RootSystem(Immutable):
 
 
 def build_root_system(type_letter, rank):
+    """The roots, searched over the positive ones only (Humphreys 10.2): for
+    a positive root a with c = <a, alpha_j^vee> < 0, s_j(a) = a - c alpha_j
+    is a positive root of greater height, and every positive root is reached
+    so from a simple one.  The negatives, the positives negated, sort before
+    them in reverse order."""
     if type_letter not in _ROOT_COUNTS:
         raise UnsupportedType("unknown type %r" % (type_letter,))
     if type(rank) is not int:
@@ -150,29 +158,26 @@ def build_root_system(type_letter, rank):
                    for i in range(rank))
     if any(cartan[i][i] != 2 for i in range(rank)):
         raise AssertionError("Cartan matrix diagonal is not 2")
-    # the Weyl-group orbit of the simple roots, each root with its pairings
-    # <a, alpha_j^vee>: s_j(a) = a - c alpha_j with c = <a, alpha_j^vee>, and
-    # the pairings of s_j(a) are those of a minus c times row j of C.  The
-    # orbit is every root, the negatives included (s_j(alpha_j) = -alpha_j)
+    # each root is kept with its pairings, and those of s_j(a) are those of a
+    # minus c times row j of C
     simples = tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
-    roots = dict(zip(simples, cartan))
-    frontier = list(roots.items())
+    positive = dict(zip(simples, cartan))
+    frontier = list(positive.items())
     while frontier:
         nxt = []
         for a, pairings in frontier:
             for j, c in enumerate(pairings):
-                if c:
+                if c < 0:
                     b = a[:j] + (a[j] - c,) + a[j + 1:]
-                    if b not in roots:
-                        roots[b] = pb = tuple(x - c * y for x, y in zip(pairings, cartan[j]))
+                    if b not in positive:
+                        positive[b] = pb = tuple(x - c * y for x, y in zip(pairings, cartan[j]))
                         nxt.append((b, pb))
         frontier = nxt
     expected = _ROOT_COUNTS[type_letter](rank)
-    if len(roots) != expected:
-        raise AssertionError("root count %d != %d" % (len(roots), expected))
-    all_roots = tuple(sorted(roots))
-    if any(tuple(-x for x in a) not in roots for a in all_roots):
-        raise AssertionError("root set not closed under negation")
+    if 2 * len(positive) != expected:
+        raise AssertionError("root count %d != %d" % (2 * len(positive), expected))
+    positive = sorted(positive)
+    all_roots = tuple(tuple(-x for x in a) for a in reversed(positive)) + tuple(positive)
     # the least int multiple of the Gram matrix: g / 4 scaled by 4 / gcd(4, g)
     k = math.gcd(4, *(x for row in g for x in row))
     int_gram = tuple(tuple(x // k for x in row) for row in g)
@@ -188,11 +193,16 @@ class GradingElement(Immutable):
     __slots__ = ("values", "_scaled")
 
     def __init__(self, values):
-        values = _rationals(values)
-        d = math.lcm(*(v.denominator for v in values))
+        if type(values) in (list, tuple) and all(type(v) is int for v in values):
+            # ints (a bool's type is bool), as every sweep grading is: d = 1
+            scaled = (tuple(values), 1)
+            values = tuple(map(Fraction, values))
+        else:
+            values = _rationals(values)
+            d = math.lcm(*(v.denominator for v in values))
+            scaled = (tuple(v.numerator * (d // v.denominator) for v in values), d)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_scaled", (tuple(v.numerator * (d // v.denominator)
-                                                   for v in values), d))
+        object.__setattr__(self, "_scaled", scaled)
 
     def __call__(self, coords):
         ints, d = self._scaled
@@ -342,7 +352,8 @@ class InvolutionDatum(Immutable):
     conj(alpha_i) and `_imag[i]` says whether alpha_i is imaginary
     (conj alpha = -alpha).  On the roots of a Cartan subalgebra stable under
     the Cartan involution, that involution is -sigma (Wolf 1969), so sigma
-    alone gives the real form.
+    alone gives the real form.  The constructor checks sigma^2 = I and that
+    sigma permutes the roots; `_involution` builds -I and I unchecked.
     """
 
     __slots__ = ("_conj", "_imag")
@@ -351,7 +362,9 @@ class InvolutionDatum(Immutable):
         # sigma is taken as it is: an int matrix, or any exact one, whose
         # column with a non-integer entry sends its simple root (a unit
         # vector) to a vector that is not a root
-        if _matmul(sigma, sigma) != _identity(len(sigma)):
+        r = range(len(sigma))
+        if any(len(row) != len(sigma) for row in sigma) or \
+                any(sum(sigma[i][k] * sigma[k][j] for k in r) != (i == j) for i in r for j in r):
             raise InconsistentInvolutions("sigma is not an involution")
         # coordinate i of sigma a, for every root a at once: row i of sigma
         # applied to the columns of the roots
@@ -367,19 +380,6 @@ class InvolutionDatum(Immutable):
         object.__setattr__(self, "_imag", tuple(j == n - 1 - i for i, j in enumerate(conj)))
 
 
-def _matmul(A, B):
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(len(B)))
-                       for j in range(len(B[0]))) for i in range(len(A)))
-
-
-def _identity(r):
-    return tuple(tuple(int(j == i) for j in range(r)) for i in range(r))
-
-
-def _neg(M):
-    return tuple(tuple(-x for x in row) for row in M)
-
-
 def reflection_matrix(rs, beta):
     """Matrix of s_beta on simple-root coordinates (columns = s_beta(alpha_j)),
     an int matrix for a root beta."""
@@ -392,14 +392,24 @@ def reflection_matrix(rs, beta):
     return tuple(tuple(cols[j][i] for j in range(rs.rank)) for i in range(rs.rank))
 
 
+def _involution(conj, imag):
+    # the trusted InvolutionDatum constructor: conj and imag, unchecked
+    inv = object.__new__(InvolutionDatum)
+    object.__setattr__(inv, "_conj", conj)
+    object.__setattr__(inv, "_imag", imag)
+    return inv
+
+
 def compact_involution(rs):
-    """Compact Cartan subalgebra: all roots imaginary."""
-    return InvolutionDatum(_neg(_identity(rs.rank)), rs)
+    """Compact Cartan subalgebra, sigma = -I: -alpha_i = alpha_{n-1-i}, imaginary."""
+    n = len(rs.all_roots)
+    return _involution(tuple(range(n - 1, -1, -1)), (True,) * n)
 
 
 def split_involution(rs):
-    """Split form with a maximally split Cartan: all roots real."""
-    return InvolutionDatum(_identity(rs.rank), rs)
+    """Split form with a maximally split Cartan, sigma = I: all roots real."""
+    n = len(rs.all_roots)
+    return _involution(tuple(range(n)), (False,) * n)
 
 
 def cayley_involution(rs, beta):
@@ -412,7 +422,7 @@ def cayley_involution(rs, beta):
         raise UnsupportedType("cayley root %s is not a root of %s%d"
                               % (beta, rs.type_letter, rs.rank))
     S = reflection_matrix(rs, beta)
-    return InvolutionDatum(_neg(S), rs)
+    return InvolutionDatum(tuple(tuple(-x for x in row) for row in S), rs)
 
 
 def named_involution(rs, name):

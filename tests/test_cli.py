@@ -446,6 +446,23 @@ def test_classify_closed_orbit_input_must_match_n_h(capsys, tmp_path):
         "weight 2 and h 1,2,1")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--mode", "closed-orbit", "--input", ""], "input"),
+    (["--mode", "minimal", "--input", ""], "input"),
+    (["--mode", "minimal", "--out", ""], "out"),
+    (["--mode", "hodge-tate", "--out", ""], "out"),
+    (["--mode", "closed-orbit", "--out", ""], "out"),
+])
+def test_classify_empty_path_exits_2_naming_the_option(capsys, tmp_path, monkeypatch, argv, option):
+    # an empty path is not an absent option: no witness is built from it,
+    # and none is written (to the working directory or to stdout)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "classify", "2", "1,2,1", *argv)
+    assert (code, err) == (2, "") and out.count("\n") == 1
+    assert json.loads(out) == {"error": "--%s needs a file path, got an empty one" % option}
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------ diagram
 
 def test_diagram_ht_ascii(capsys):
@@ -507,6 +524,15 @@ def test_diagram_unwritable_out(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert err.startswith("cannot write output:") and path in err
+
+
+def test_diagram_empty_out_exits_2_naming_the_option(capsys, tmp_path, monkeypatch):
+    # an empty --out is not stdout
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "diagram", "ht-n2-111", "--out", "")
+    assert (code, out) == (2, "")
+    assert err == "bad input: --out needs a file path, got an empty one\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_diagram_json_round_trip(capsys, tmp_path):

@@ -48,6 +48,18 @@ def test_roots_are_the_closure_of_the_simple_roots(letter, rank):
     assert rs.all_roots == tuple(sorted(found))
 
 
+@pytest.mark.parametrize("letter, rank", CLOSURE_SYSTEMS)
+def test_all_roots_are_the_negated_positives_then_the_positives(letter, rank):
+    # the order compact_involution reads -alpha_i = alpha_{n-1-i} off: the
+    # positive half, every coordinate nonnegative, sorted, and before it its
+    # negation in reverse
+    rs = build_root_system(letter, rank)
+    half = len(rs.all_roots) // 2
+    negatives, positives = rs.all_roots[:half], rs.all_roots[half:]
+    assert all(min(a) >= 0 for a in positives) and list(positives) == sorted(positives)
+    assert negatives == tuple(tuple(-x for x in a) for a in reversed(positives))
+
+
 def test_unsupported_type():
     with pytest.raises(UnsupportedType):
         build_root_system("E", 8)
@@ -165,6 +177,7 @@ def test_named_involutions_consistent():
 @pytest.mark.parametrize("sigma, message", [
     (((1, 1), (0, 1)), "sigma is not an involution"),
     (((1, 0), (0, -1)), "does not permute roots"),  # alpha_1 + alpha_2 to (1, -1)
+    (((1, 0, 5), (0, 1, 7)), "sigma is not an involution"),  # not square
 ])
 def test_each_involution_check_enforced(sigma, message):
     with pytest.raises(InconsistentInvolutions, match=message):
@@ -180,6 +193,19 @@ def test_diagram_flip_has_no_imaginary_root():
                                                       for a in rs.all_roots]
     assert not any(flip._imag)
     assert all(compact_involution(rs)._imag) and not any(split_involution(rs)._imag)
+
+
+@pytest.mark.parametrize("letter, rank", CLOSURE_SYSTEMS)
+def test_compact_and_split_equal_the_checked_involutions(letter, rank):
+    # the compact and split involutions are read off the root order with no
+    # check; the checked constructor, which squares sigma and looks up each
+    # image, gives the same data for sigma = -I and I
+    rs = build_root_system(letter, rank)
+    one = tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
+    for trusted, sigma in ((compact_involution(rs), tuple(tuple(-x for x in row) for row in one)),
+                           (split_involution(rs), one)):
+        checked = InvolutionDatum(sigma, rs)
+        assert (trusted._conj, trusted._imag) == (checked._conj, checked._imag)
 
 
 # the root systems of the benchmark's tables sweep
@@ -484,6 +510,29 @@ def test_grading_element_needs_a_list_of_rationals(values):
 def test_grading_element_reads_rational_strings():
     assert GradingElement(["1/2", 1, Fraction(3, 2)]).values == \
         (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("ints, other", [
+    ((1, 0, 2), ("1", "0", "2")),
+    ((-3, 5), (Fraction(-3), Fraction(10, 2))),
+    ((), ()),
+])
+def test_int_gradings_equal_their_rational_forms(ints, other):
+    # a tuple or list of ints takes the int path (d = 1, no lcm); it gives
+    # the values, the scaling and the equality of the same values given as
+    # strings or Fractions
+    ref = GradingElement(list(other))
+    for values in (ints, list(ints)):
+        L = GradingElement(values)
+        assert L.values == ref.values and all(type(v) is Fraction for v in L.values)
+        assert L._scaled == ref._scaled == (tuple(ints), 1)
+        assert L == ref and ref == L
+
+
+@pytest.mark.parametrize("values", [[True, 1], (True, 1), [1, False], [0.5, 1], (0.5, 1)])
+def test_bools_and_floats_miss_the_int_path(values):
+    with pytest.raises(ValueError, match="must be a list of rationals"):
+        GradingElement(values)
 
 
 def test_levels_kept_per_grading():
