@@ -1,6 +1,7 @@
 """Command line interface: validate, classify, diagram, catalog, verify-corpus.
 
-Exit codes: 0 pass, 1 semantic failure, 2 input error, a catalog fault too.
+Exit codes: 0 pass, 1 semantic failure, 2 input error: a catalog fault, or any
+input that cannot be read (missing, not text, not JSON, or nested too deeply).
 All output is byte-deterministic (sorted node lists, canonical scalar
 strings).  Catalog entry NAME lives in `<name lowercased>.json` (find_entries).
 """
@@ -20,10 +21,9 @@ from .lmhs import (
     LmhsDatum, deligne_splitting, validate_lmhs, is_hodge_tate, is_r_split,
     disc_sample, adjoint_lmhs, reduced_limit, diagonal_levi, NonRSplit,
 )
-from . import classify as cls
 from .classify import (
-    minimal_types, minimal_witness, ht_gate, ht_plan, ht_construct,
-    cp_orb_check, period_closed_check, principal_lmhs, GateFailed, InfeasibleType,
+    minimal_types, minimal_witness, ht_gate, ht_plan, ht_construct, cp_orb_check,
+    period_closed_check, principal_lmhs, GateFailed, InfeasibleType, OddWeightNonHT,
 )
 from .diagrams import DiagramSpec, spec_from_dims, render, triples
 
@@ -48,14 +48,23 @@ class UnknownEntry(KeyError):
 _KINDS = ("period-domain", "mumford-tate")
 
 
+def _read_json(path):
+    """The JSON value in the file at `path`, the one file this module reads:
+    OSError, or ValueError when it is not text, not JSON or nested too deeply."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("the JSON is nested too deeply to decode") from None
+
+
 def _read_entry(d, fn):
     """The entry in catalog file `fn` of `d`, its own `<name lowercased>.json`;
     ValueError naming the file when it cannot be read or its envelope is wrong."""
     path = os.path.join(d, fn)
     try:
-        with open(path) as fh:
-            entry = json.load(fh)
-    except ValueError as e:  # not JSON, or not text
+        entry = _read_json(path)
+    except ValueError as e:  # not JSON, not text, or nested too deeply
         raise ValueError("catalog file %s: %s" % (path, e)) from None
     if not isinstance(entry, dict):
         raise ValueError("catalog file %s: the entry is not a JSON object" % path)
@@ -104,8 +113,7 @@ def recompute_entry(entry):
     payload = entry["payload"]
     if entry["kind"] == "period-domain":
         L = LmhsDatum.from_json(payload)
-        if not validate_lmhs(L)["ok"]:
-            raise ValueError("payload fails validation")
+        _certify_lmhs(L)
         return {"V": {"nodes": triples(deligne_splitting(L).dims())}}
     from .roots import (
         build_root_system, GradingElement, rep_weights, rep_bigrading,
@@ -145,14 +153,17 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def _input_error(e):
+    """Print the input fault e as one line {"error": ...}; the exit code 2."""
+    print(json.dumps({"error": str(e)}))
+    return 2
+
+
 def cmd_validate(args):
     try:
-        with open(args.path) as fh:
-            obj = json.load(fh)
-        datum = load_datum(obj)
+        datum = load_datum(_read_json(args.path))
     except (OSError, ValueError, TypeError) as e:
-        print(json.dumps({"error": str(e)}))
-        return 2
+        return _input_error(e)
     report = validate_lmhs(datum) if isinstance(datum, LmhsDatum) else validate_phs(datum)
     print(json.dumps(report, sort_keys=True))
     return 0 if report["ok"] else 1
@@ -168,6 +179,7 @@ def _parse_h(args):
 
 
 def cmd_classify(args):
+    L = None
     try:
         _check_paths(args, "input", "out")
         if args.input and args.mode != "closed-orbit":
@@ -175,76 +187,61 @@ def cmd_classify(args):
         if args.out and args.mode == "closed-orbit":
             raise ValueError("--out writes witnesses for --mode minimal and hodge-tate only")
         hn = _parse_h(args)
-    except (ValueError, TypeError) as e:
-        print(json.dumps({"error": str(e)}))
-        return 2
-    L = None
-    if args.input:
-        try:
-            with open(args.input) as fh:
-                L = load_datum(json.load(fh))
+        if args.input:
+            L = load_datum(_read_json(args.input))
             if not isinstance(L, LmhsDatum):
                 raise ValueError("missing key 'N'")
             _check_input_datum(L, hn)
-        except (OSError, ValueError, TypeError) as e:
-            print(json.dumps({"error": str(e)}))
-            return 2
+    except (OSError, ValueError, TypeError) as e:
+        return _input_error(e)
     n = hn.n  # the datum's weight, when a datum is read
     report = {"weight": n, "h": list(hn.h), "mode": args.mode}
     witnesses = []  # (report entry, path, datum) for each --out file
-    if args.mode == "minimal":
-        types = minimal_types(n, hn)
-        report["types"] = [
-            {"kind": t.kind, "p_o": t.p_o, "q_o": t.q_o, "nodes": t.triples()}
-            for t in types]
-        if args.out:
-            witnesses = [(report["types"][i], "%s.witness%d.json" % (args.out, i),
-                          minimal_witness(t, n, hn)) for i, t in enumerate(types)]
-    elif args.mode == "hodge-tate":
-        report["gate"] = ht_gate(n, hn)
-        if not report["gate"]:
-            print(json.dumps(report, sort_keys=True))
-            return 1
-        report["atomic_multiplicities"] = list(ht_plan(n, hn))
-        try:
-            L = ht_construct(n, hn)
-        except GateFailed as e:
-            report["error"] = str(e)
-            print(json.dumps(report, sort_keys=True))
-            return 1
-        report["nodes"] = triples(deligne_splitting(L).dims())
-        if args.out:
-            witnesses = [(report, args.out, L)]
-    else:  # closed-orbit, the last mode the parser accepts
-        if L is None:
-            try:
+    code = 0
+    try:
+        if args.mode == "minimal":
+            types = minimal_types(n, hn)
+            report["types"] = [
+                {"kind": t.kind, "p_o": t.p_o, "q_o": t.q_o, "nodes": t.triples()}
+                for t in types]
+            if args.out:
+                witnesses = [(report["types"][i], "%s.witness%d.json" % (args.out, i),
+                              minimal_witness(t, n, hn)) for i, t in enumerate(types)]
+        elif args.mode == "hodge-tate":
+            report["gate"] = ht_gate(n, hn)
+            if report["gate"]:
+                report["atomic_multiplicities"] = list(ht_plan(n, hn))
                 L = ht_construct(n, hn)
-            except GateFailed as e:
-                report["error"] = str(e)
-                print(json.dumps(report, sort_keys=True))
-                return 1
-        try:
-            report["period_check"] = period_closed_check(deligne_splitting(L).dims(), n)
-        except cls.OddWeightNonHT as e:
-            report["period_check"] = {"error": str(e),
-                                      "consistent_with_closed_orbit": False}
-        try:
-            adj = adjoint_lmhs(L)
-            report["adjoint_check"] = cp_orb_check(adj.I_g.dims())
-        except NonRSplit:
-            report["adjoint_check"] = None
-        print(json.dumps(report, sort_keys=True))
-        ok = report["period_check"].get("consistent_with_closed_orbit", False)
-        return 0 if ok else 1
+                report["nodes"] = triples(deligne_splitting(L).dims())
+                if args.out:
+                    witnesses = [(report, args.out, L)]
+            else:
+                code = 1
+        else:  # closed-orbit, the last mode the parser accepts
+            if L is None:
+                L = ht_construct(n, hn)
+            try:
+                report["period_check"] = period_closed_check(deligne_splitting(L).dims(), n)
+            except OddWeightNonHT as e:
+                report["period_check"] = {"error": str(e),
+                                          "consistent_with_closed_orbit": False}
+            try:
+                adj = adjoint_lmhs(L)
+                report["adjoint_check"] = cp_orb_check(adj.I_g.dims())
+            except NonRSplit:
+                report["adjoint_check"] = None
+            code = 0 if report["period_check"].get("consistent_with_closed_orbit") else 1
+    except GateFailed as e:  # ht_construct's, in the hodge-tate and closed-orbit modes
+        report["error"] = str(e)
+        code = 1
     for entry, path, witness in witnesses:
         try:
             _emit(json.dumps(witness.to_json(), sort_keys=True), path)
         except OSError as e:
-            print(json.dumps({"error": str(e)}))
-            return 2
+            return _input_error(e)
         entry["witness"] = path
     print(json.dumps(report, sort_keys=True))
-    return 0
+    return code
 
 
 _LMHS_CLAUSES = ("weight_filtration", "graded_hodge", "minus_one_minus_one",
@@ -266,6 +263,11 @@ def _check_input_datum(L, hn):
         raise ValueError("the datum has weight %d and h %s; the command line "
                          "gives weight %d and h %s"
                          % (L.n, ",".join(map(str, h)), hn.n, ",".join(map(str, hn.h))))
+    _certify_lmhs(L)
+
+
+def _certify_lmhs(L):
+    """ValueError naming the first failing clause unless L passes validate_lmhs."""
     rep = validate_lmhs(L)
     if not rep["ok"]:
         clause = next(c for c in _LMHS_CLAUSES if not rep[c])
@@ -280,8 +282,7 @@ def _spec_from_input(args):
         if args.part != "V":
             raise ValueError("--part %s needs a catalog entry; a file has only its V diagram"
                              % args.part)
-        with open(name_or_path) as fh:
-            obj = json.load(fh)
+        obj = _read_json(name_or_path)
         if isinstance(obj, dict) and "nodes" in obj:
             return DiagramSpec.from_json(obj)
         datum = load_datum(obj)
@@ -330,7 +331,7 @@ def cmd_diagram(args):
 
 def cmd_catalog(args):
     try:
-        entries = find_entries(args.name or None, True)
+        entries = find_entries(args.name, True)
     except UnknownEntry as e:
         print("unknown catalog entry %r; available: %s"
               % (args.name, ", ".join(e.names)), file=sys.stderr)
@@ -338,7 +339,7 @@ def cmd_catalog(args):
     except (OSError, ValueError) as e:
         print(e, file=sys.stderr)
         return 2
-    if not args.name:
+    if args.name is None:
         for entry in entries:
             print(entry["name"])
         return 0
@@ -482,27 +483,25 @@ def cmd_verify_corpus(args):
         if args.limit is not None and args.limit < 0:
             raise ValueError("--limit must be a non-negative count, got %d" % args.limit)
     except ValueError as e:
-        print(json.dumps({"error": str(e)}))
-        return 2
-    cases = corpus_cases(args.limit)
-    failures = []
+        return _input_error(e)
+    failure = None
     ran = 0
-    for cid, n, hn, thunk in cases:
+    for cid, n, hn, thunk in corpus_cases(args.limit):
         try:
             L = thunk()
         except (InfeasibleType, GateFailed) as e:
-            failures.append(cid + "/construct:" + str(e))
+            failure = cid + "/construct:" + str(e)
             break
         res = check_case(cid, L, samples=samples)
         ran += 1
         if res != cid:
-            failures.append(res)
+            failure = res
             break
-    report = {"cases": ran, "ok": not failures}
-    if failures:
-        report["first_failure"] = failures[0]
+    report = {"cases": ran, "ok": failure is None}
+    if failure is not None:
+        report["first_failure"] = failure
     print(json.dumps(report, sort_keys=True))
-    return 0 if not failures else 1
+    return 0 if failure is None else 1
 
 
 @functools.cache

@@ -803,6 +803,35 @@ def test_catalog_lookup_by_own_file_takes_precedence(capsys, tmp_path, monkeypat
     assert [e["name"] for e in cli.find_entries("g2", False)] == ["G2"]
 
 
+def test_catalog_empty_name_exits_2_as_unknown(capsys):
+    # an empty name used to list every entry and exit 0, as no name does
+    code, out, err = run(capsys, "catalog", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("unknown catalog entry ''; available: C2-compact-open, ")
+    assert err.count("\n") == 1
+
+
+def test_catalog_period_domain_payload_names_its_clause(capsys, tmp_path, monkeypatch):
+    # ht-n2-111 with Q negated: the catalog names the failing clause and its
+    # witness, in the words `classify --input` gives for the same datum
+    _copy_catalog(tmp_path)
+    path = tmp_path / "ht-n2-111.json"
+    entry = json.loads(path.read_text())
+    payload = entry["payload"]
+    payload["Q"] = [[str(-Fraction(x)) for x in row] for row in payload["Q"]]
+    path.write_text(json.dumps(entry))
+    monkeypatch.setenv(cli.CATALOG_ENV, str(tmp_path))
+    fault = ("the datum is not a limiting mixed Hodge structure: clause polarized_primitives "
+             "fails: leading minor 1 of i^(p-q) Q_2 on I^{2,2} not positive")
+    assert run(capsys, "catalog", "ht-n2-111") == (
+        2, "", "catalog entry 'ht-n2-111': bad payload: %s\n" % fault)
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "classify", "2", "1,1,1", "--mode", "closed-orbit",
+                       "--input", str(datum))
+    assert (code, json.loads(out)) == (2, {"error": fault})
+
+
 # --------------------------------------------------- faults named on input
 
 @pytest.mark.parametrize("argv, named", [
@@ -841,6 +870,39 @@ def test_input_fault_exits_2_naming_it(capsys, tmp_path, monkeypatch, ht_file, a
     else:
         assert out == ""
     assert not os.path.exists(paths["out"])
+
+
+# Deeper than the JSON decoder's recursion limit on every supported Python;
+# json.dumps cannot write it, so it is written as text
+DEEP = "[" * 100000
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["validate", "{deep}"], ""),
+    (["classify", "1", "1,1", "--mode", "closed-orbit", "--input", "{deep}"], ""),
+    (["diagram", "{deep}"], "bad input: "),
+    (["catalog"], "catalog file {deep}: "),
+], ids=["validate", "classify-input", "diagram", "catalog"])
+def test_deeply_nested_file_exits_2_naming_it(capsys, tmp_path, monkeypatch, argv, named):
+    # each used to end in a RecursionError traceback with exit 1
+    deep = tmp_path / "x.json"
+    deep.write_text(DEEP)
+    monkeypatch.setenv(cli.CATALOG_ENV, str(tmp_path))
+    code, out, err = run(capsys, *[a.format(deep=deep) for a in argv])
+    fault = "the JSON is nested too deeply to decode"
+    assert code == 2
+    if argv[0] in ("validate", "classify"):
+        assert (out, err) == (json.dumps({"error": fault}) + "\n", "")
+    else:
+        assert (out, err) == ("", named.format(deep=deep) + fault + "\n")
+
+
+def test_deeply_nested_file_gives_no_traceback_in_a_fresh_process(tmp_path):
+    (tmp_path / "x.json").write_text(DEEP)
+    res = console("validate", "x.json", cwd=tmp_path)
+    assert "Traceback" not in res.stderr
+    assert (res.returncode, res.stdout) == (
+        2, '{"error": "the JSON is nested too deeply to decode"}\n')
 
 
 # ------------------------------------------------------------ corpus

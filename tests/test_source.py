@@ -5,7 +5,9 @@ that only tests use; a method only counts as referenced when it is read as
 an attribute.  Every `__slots__` field is read as an attribute, but for an
 exact list.  No module certifies by `assert`, which `python -O` strips.  No
 class but gq.Immutable defines `__setattr__`: the value types inherit its
-guard, and every one of them refuses an assignment."""
+guard, and every one of them refuses an assignment.  In cli, `_read_json` is
+the one place that opens a file to read or calls json.load, and `_emit` the
+one place that opens a file to write."""
 
 import argparse
 import ast
@@ -70,6 +72,50 @@ def test_unused_import_is_found():
     tree = ast.parse("import os, json\nfrom .gq import rank, ZERO as Z\n"
                      "def f():\n    from .roots import orbit_dims\n    return json.dumps(Z)\n")
     assert unused_imports(tree) == ["orbit_dims", "os", "rank"]
+
+
+def file_access(tree):
+    """(where, access), sorted, for each call in the module of json.load
+    ("json.load") or of the builtin open ("write" for a literal mode with w, a,
+    x or +, else "read"): where is the top-level function or class it sits
+    in, or "" outside any."""
+    found = []
+    for stmt in tree.body:
+        where = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else ""
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "load"
+                    and isinstance(f.value, ast.Name) and f.value.id == "json"):
+                found.append((where, "json.load"))
+            elif isinstance(f, ast.Name) and f.id == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                writes = any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                             and set(m.value) & set("wax+") for m in modes)
+                found.append((where, "write" if writes else "read"))
+    return sorted(found)
+
+
+def test_cli_reads_files_in_one_place():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert file_access(tree) == [("_emit", "write"), ("_read_json", "json.load"),
+                                 ("_read_json", "read")]
+
+
+def test_second_reader_is_found():
+    tree = ast.parse("import json\n"
+                     "def _read_json(path):\n    with open(path) as fh:\n"
+                     "        return json.load(fh)\n"
+                     "def _emit(text, out):\n    with open(out, 'w') as fh:\n"
+                     "        fh.write(text)\n"
+                     "def cmd_x(args):\n    with open(args.path, mode='rb') as fh:\n"
+                     "        return json.load(fh)\n"
+                     "class C:\n    def m(self, p, mode):\n        return open(p, mode)\n"
+                     "log = open('log', 'a')\n")
+    assert file_access(tree) == [("", "write"), ("C", "read"), ("_emit", "write"),
+                                 ("_read_json", "json.load"), ("_read_json", "read"),
+                                 ("cmd_x", "json.load"), ("cmd_x", "read")]
 
 
 def _is_dunder(name):
