@@ -11,7 +11,6 @@ import functools
 import itertools
 import json
 import os
-import reprlib
 import sys
 from fractions import Fraction
 
@@ -113,6 +112,8 @@ def recompute_entry(entry):
     payload = entry["payload"]
     if entry["kind"] == "period-domain":
         L = LmhsDatum.from_json(payload)
+        if not isinstance(L, LmhsDatum):
+            raise KeyError("N")
         _certify_lmhs(L)
         return {"V": {"nodes": triples(deligne_splitting(L).dims())}}
     from .roots import (
@@ -133,14 +134,9 @@ def recompute_entry(entry):
 
 
 def load_datum(obj):
-    """LmhsDatum if the JSON carries an \"N\" or a \"W\" entry, else a pure
-    HodgeDatum.  A missing key raises ValueError naming the key."""
-    if not isinstance(obj, dict):
-        raise ValueError("a datum must be a JSON object, got %s" % reprlib.repr(obj))
+    """LmhsDatum.from_json(obj), with a missing key a ValueError naming it."""
     try:
-        if "N" in obj or "W" in obj:
-            return LmhsDatum.from_json(obj)
-        return HodgeDatum.from_json(obj)
+        return LmhsDatum.from_json(obj)
     except KeyError as e:
         raise ValueError("missing key %s" % e) from None
 

@@ -26,13 +26,13 @@ and build no subspace they only test: contains, maps_into (M A inside B,
 with no basis of M A) and intersect (the rows of the smaller space reduced
 against the other, with one rref of the meet at the end, and none when the
 meet is 0 or the smaller space itself).  A test against the whole space is
-answered without a reduction or a product.  from_json parses each distinct
-scalar string once per ScalarTable, which the matrices of one JSON datum
-share, and Subspace.from_json solves each distinct row list of a datum
-once.  A basis already in rref that keeps its pivots becomes a Subspace
-through the trusted private _canonical, with no rref: the shared zero and
-whole spaces of each C^n, a conjugate (which has the same pivots) and the
-spans of unit vectors that lmhs builds.
+answered without a reduction or a product.  MatrixGQ.from_json parses each
+distinct scalar string once per ScalarTable, which the matrices of one JSON
+datum share (lmhs.LmhsDatum.from_json, the reader of the datum format).  A
+basis already in rref that keeps its pivots becomes a Subspace through the
+trusted private _canonical, with no rref: the shared zero and whole spaces
+of each C^n, a conjugate (which has the same pivots) and the spans of unit
+vectors that lmhs builds.
 """
 
 from fractions import Fraction
@@ -56,7 +56,8 @@ class NotHermitian(ValueError):
 _FRAC = r"[+-]?\d+(?:/\d+)?"
 _SCALAR_RE = _re.compile(
     r"^\s*(?:(?P<re>{f})(?=\s*$|\s*[+-]))?\s*"
-    r"(?:(?P<im>[+-]?(?:\d+(?:/\d+)?\s*\*\s*)?)i)?\s*$".format(f=_FRAC)
+    r"(?:(?P<im>[+-]?(?:\d+(?:/\d+)?\s*\*\s*)?)i)?\s*$".format(f=_FRAC),
+    _re.ASCII,
 )
 
 
@@ -700,22 +701,6 @@ class Subspace(Immutable):
         if S is None:
             S = _FULLS[ambient_dim] = _canonical(
                 ambient_dim, MatrixGQ.identity(ambient_dim))
-        return S
-
-    @staticmethod
-    def from_json(ambient_dim, rows, scalars, spaces):
-        """The span in C^ambient_dim of a JSON array of rows.
-
-        The rows are parsed and checked as by MatrixGQ.from_json, with the
-        ScalarTable `scalars`.  `spaces`, a dict shared like it by the steps
-        and levels of one datum, maps the row lists already read to their
-        Subspace, so a repeated row list is put in rref once and builds no
-        matrix."""
-        entries = _json_rows(rows, scalars)
-        key = tuple(map(tuple, rows))
-        S = spaces.get(key)
-        if S is None:
-            S = spaces[key] = Subspace(ambient_dim, MatrixGQ(entries))
         return S
 
     @property

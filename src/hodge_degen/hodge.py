@@ -12,7 +12,7 @@ import reprlib
 from fractions import Fraction
 
 from .gq import (
-    GaussianRational, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, i_power, unit_vector,
+    GaussianRational, Subspace, ZERO, ONE, I, i_power, unit_vector,
     intersect, conj_space, rank, hermitian_pd, first_nonpositive_minor, NotHermitian,
     Immutable, _make, _matrix, _span, _int_nonzeros, _add_products,
 )
@@ -148,67 +148,6 @@ class HodgeDatum(Immutable):
             "Q": self.polarization.Q.to_json(),
             "F": {str(p): self.filtration.steps[p].to_json() for p in range(self.n + 1)},
         }
-
-    @staticmethod
-    def from_json(obj, scalars=None, spaces=None):
-        """ValueError naming the fault for a value of the wrong type or shape,
-        or an F key that is not a step 0..n written as a plain decimal;
-        KeyError for a missing key.  Q and every F step share one
-        ScalarTable (`scalars`) and the steps one table of subspaces
-        (`spaces`, see Subspace.from_json), each new when None, so each
-        distinct scalar string of the datum is parsed once and each
-        distinct step solved once."""
-        if scalars is None:
-            scalars = ScalarTable()
-        if spaces is None:
-            spaces = {}
-        dim = _json_count(obj, "dim")
-        n = _json_count(obj, "weight")
-        Q = MatrixGQ.from_json(obj["Q"], scalars)
-        if (Q.rows, Q.cols) != (dim, dim):
-            raise ValueError("Q is %dx%d, but dim is %d" % (Q.rows, Q.cols, dim))
-        F = obj["F"]
-        if not isinstance(F, dict):
-            raise ValueError("'F' must be an object from steps to rows, got %s"
-                             % reprlib.repr(F))
-        for key in F:
-            if not 0 <= _json_index(key, "F step") <= n:
-                raise ValueError("F step %r is not one of 0..%d" % (key, n))
-        steps = []
-        for p in range(n + 1):
-            # a step left out is the whole space, and so is an empty F^0
-            key = str(p)
-            if key not in F or (p == 0 and F[key] == []):
-                steps.append(Subspace.full(dim))
-            else:
-                try:
-                    steps.append(Subspace.from_json(dim, F[key], scalars, spaces))
-                except ValueError as e:
-                    raise ValueError("F^%d: %s" % (p, e)) from None
-        return HodgeDatum(dim, PolarizationForm(n, Q), HodgeFiltration(n, steps))
-
-
-def _json_count(obj, key):
-    """obj[key], which must be a non-negative int (not a bool, float or string)."""
-    v = obj[key]
-    if type(v) is not int or v < 0:
-        raise ValueError("%r must be a non-negative integer, got %s"
-                         % (key, reprlib.repr(v)))
-    return v
-
-
-def _json_index(key, name):
-    """The int that a JSON object key names, F step or W level: ValueError
-    naming the key, as `name`, unless it is written as str(int) writes it,
-    so that no two keys of one object name the same index ("1" and "01"),
-    and no key is read past its spaces (" 1")."""
-    try:
-        k = int(key)
-    except ValueError:
-        raise ValueError("%s %r is not an integer" % (name, key)) from None
-    if str(k) != key:
-        raise ValueError("%s %r is not written as %r" % (name, key, str(k)))
-    return k
 
 
 class HodgeNumbers(Immutable):

@@ -17,11 +17,11 @@ from .gq import (
     GaussianRational, Immutable, MatrixGQ, ScalarTable, Subspace, ZERO, ONE, I, gq,
     intersect, ssum, conj_space, apply_matrix, maps_into,
     image, nilpotent_exp, nilpotent_powers, nilpotent_kernels,
-    inverse, rank, _matrix, _canonical, _span,
+    inverse, rank, _matrix, _canonical, _span, _json_rows,
 )
 from .hodge import (
     HodgeDatum, HodgeFiltration, PolarizationForm, validate_phs, polarization_fault,
-    labelled_filtration, _json_index,
+    labelled_filtration,
 )
 
 
@@ -261,13 +261,53 @@ class LmhsDatum(Immutable):
 
     @staticmethod
     def from_json(obj):
-        """The datum of its JSON form; Q, N and every F step and W level share
-        one ScalarTable and the steps and levels one table of subspaces, both
-        local to the call, so each distinct scalar string is parsed once and
-        each distinct row list solved once.  A W key must be an integer
-        written as a plain decimal (hodge._json_index)."""
+        """The datum of its JSON form, the one reader of the datum format: an
+        LmhsDatum when obj has an "N" or a "W", else the pure HodgeDatum.
+        ValueError names a value of the wrong type or shape, a bad F or W key
+        (_json_index) or a weight past the bound below; KeyError a missing
+        key.  Q, N and the F steps and W levels share one ScalarTable and one
+        table of subspaces, local to the call, so each distinct scalar string
+        is parsed once and each distinct row list put in rref once."""
+        if not isinstance(obj, dict):
+            raise ValueError("a datum must be a JSON object, got %s" % reprlib.repr(obj))
         scalars, spaces = ScalarTable(), {}
-        hodge = HodgeDatum.from_json(obj, scalars, spaces)
+        dim = _json_count(obj, "dim")
+        n = _json_count(obj, "weight")
+        Q = MatrixGQ.from_json(obj["Q"], scalars)
+        if (Q.rows, Q.cols) != (dim, dim):
+            raise ValueError("Q is %dx%d, but dim is %d" % (Q.rows, Q.cols, dim))
+        F = obj["F"]
+        if not isinstance(F, dict):
+            raise ValueError("'F' must be an object from steps to rows, got %s"
+                             % reprlib.repr(F))
+        for key in F:
+            if not 0 <= _json_index(key, "F step") <= n:
+                raise ValueError("F step %r is not one of 0..%d" % (key, n))
+        # with V != 0, a valid datum lists every step above its least Hodge
+        # index p0 <= (n + dim - 1)/2, so at least (n - dim + 1)/2 of them:
+        # past that, refuse before building n + 1 steps
+        if n > 2 * len(F) + dim:
+            raise ValueError("weight %d is more than 2*len(F) + dim = %d: too few F "
+                             "steps for a valid datum" % (n, 2 * len(F) + dim))
+
+        def space(rows, name):
+            # a repeated row list is put in rref once and builds no matrix
+            try:
+                entries = _json_rows(rows, scalars)
+                key = tuple(map(tuple, rows))
+                S = spaces.get(key)
+                if S is None:
+                    S = spaces[key] = Subspace(dim, MatrixGQ(entries))
+                return S
+            except ValueError as e:
+                raise ValueError("%s: %s" % (name, e)) from None
+
+        # a step left out is the whole space, and so is an empty F^0
+        steps = [Subspace.full(dim) if str(p) not in F or p == 0 and F["0"] == []
+                 else space(F[str(p)], "F^%d" % p) for p in range(n + 1)]
+        hodge = HodgeDatum(dim, PolarizationForm(n, Q), HodgeFiltration(n, steps))
+        if "N" not in obj and "W" not in obj:
+            return hodge
         N = MatrixGQ.from_json(obj["N"], scalars)
         W = None
         if "W" in obj:
@@ -277,13 +317,33 @@ class LmhsDatum(Immutable):
             levels = {}
             for k, rows in obj["W"].items():
                 level = _json_index(k, "W level")
-                try:
-                    levels[level] = Subspace.from_json(hodge.dim, rows, scalars, spaces)
-                except ValueError as e:
-                    raise ValueError("W_%d: %s" % (level, e)) from None
+                levels[level] = space(rows, "W_%d" % level)
             if levels:
                 W = WeightFiltration(levels)
         return LmhsDatum(hodge, N, W)
+
+
+def _json_count(obj, key):
+    """obj[key], which must be a non-negative int (not a bool, float or string)."""
+    v = obj[key]
+    if type(v) is not int or v < 0:
+        raise ValueError("%r must be a non-negative integer, got %s"
+                         % (key, reprlib.repr(v)))
+    return v
+
+
+def _json_index(key, name):
+    """The int that a JSON object key names, F step or W level: ValueError
+    naming the key, as `name`, unless it is written as str(int) writes it,
+    so that no two keys of one object name the same index ("1" and "01"),
+    and no key is read past its spaces (" 1")."""
+    try:
+        k = int(key)
+    except ValueError:
+        raise ValueError("%s %r is not an integer" % (name, key)) from None
+    if str(k) != key:
+        raise ValueError("%s %r is not written as %r" % (name, key, str(k)))
+    return k
 
 
 class Bigrading(Immutable):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodge_degen import cli
-from hodge_degen.hodge import HodgeNumbers
+from hodge_degen.hodge import HodgeNumbers, model_phs
 from hodge_degen.lmhs import LmhsDatum
 from hodge_degen.classify import ht_construct
 
@@ -98,8 +98,9 @@ def test_validate_missing_key(capsys, ht_file, tmp_path, key):
     (lambda o: o["W"].__setitem__("2", [["1", "0"]]),
      "W_2: basis width 2 != ambient dim 4"),
     (lambda o: o["F"]["2"][0].__setitem__(0, "x"), "F^2: bad scalar string: 'x'"),
+    (lambda o: o.update(weight=1000), "weight 1000 is more than 2*len(F) + dim = 10"),
 ], ids=["F-list", "F-number", "zero-denominator", "weight-string", "W-list", "dim",
-        "F-width", "W-width", "F-scalar"])
+        "F-width", "W-width", "F-scalar", "weight-past-bound"])
 def test_validate_malformed_values(capsys, ht_file, tmp_path, edit, witness):
     obj = json.loads(open(ht_file).read())
     edit(obj)
@@ -116,6 +117,7 @@ def test_validate_malformed_values(capsys, ht_file, tmp_path, edit, witness):
     (None, "scalar must be a string such as \"1/2+3*i\", got None"),
     (["1"], "scalar must be a string such as \"1/2+3*i\", got ['1']"),
     ({"1": "0"}, "scalar must be a string such as \"1/2+3*i\", got {'1': '0'}"),
+    ("\u0661", "bad scalar string: '\u0661'"),
 ])
 def test_validate_bad_scalar_exits_2_with_one_line(capsys, ht_file, tmp_path, bad, error):
     # the strings of a datum are parsed once each; a bad entry, string or
@@ -127,6 +129,19 @@ def test_validate_bad_scalar_exits_2_with_one_line(capsys, ht_file, tmp_path, ba
     code, out, err = run(capsys, "validate", str(p))
     assert (code, err) == (2, "")
     assert out.count("\n") == 1 and json.loads(out) == {"error": "F^2: " + error}
+
+
+@pytest.mark.parametrize("with_n", [False, True], ids=["pure", "lmhs"])
+def test_validate_reads_an_empty_f0_as_the_whole_space(capsys, tmp_path, with_n):
+    hn = HodgeNumbers(2, (1, 2, 1))
+    obj = (ht_construct(2, hn) if with_n else model_phs(hn)).to_json()
+    p = tmp_path / "d.json"
+    runs = []
+    for f0 in (obj["F"]["0"], []):
+        obj["F"]["0"] = f0
+        p.write_text(json.dumps(obj))
+        runs.append(run(capsys, "validate", str(p)))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
 
 
 # The weight-1 degeneration of ht_construct(1, (1, 1)): F^1 = <e_0>,

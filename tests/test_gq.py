@@ -82,7 +82,8 @@ def test_scalar_format_parse_roundtrip(x):
 
 
 def test_parse_scalar_rejects_garbage():
-    for bad in ("", "1+2", "i*i", "1//2", "2 3"):
+    # digits are ASCII: an Arabic-Indic or a fullwidth digit is no digit
+    for bad in ("", "1+2", "i*i", "1//2", "2 3", "\u0661", "\uff11", "\uff11/\uff12"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 

@@ -19,7 +19,7 @@ from hodge_degen.hodge import (
     labelled_filtration, block_sum, pure_blocks, polarization_fault,
     InconsistentFiltration, InadmissibleHodgeNumbers,
 )
-from hodge_degen.lmhs import deligne_splitting, is_r_split, reduced_limit
+from hodge_degen.lmhs import LmhsDatum, deligne_splitting, is_r_split, reduced_limit
 
 
 def sym_h(n, max_entry=3):
@@ -222,7 +222,8 @@ def test_decomposition_conjugation_symmetry():
 def test_json_roundtrip():
     d = model_phs(HodgeNumbers(2, (1, 2, 1)))
     blob = json.dumps(d.to_json(), sort_keys=True)
-    d2 = HodgeDatum.from_json(json.loads(blob))
+    d2 = LmhsDatum.from_json(json.loads(blob))
+    assert type(d2) is HodgeDatum
     assert d2.polarization.Q == d.polarization.Q
     assert d2.filtration == d.filtration
     assert json.dumps(d2.to_json(), sort_keys=True) == blob

@@ -357,8 +357,8 @@ def test_check_case_states_the_converse_for_semisimple_g(n, top):
 # and certified by _check_weight, would make it 1,128 without that skip.
 # The rref figure was 1,093 and the public one 204 while LmhsDatum.from_json
 # put each F step and W level in rref and built its matrix, repeated row
-# lists included; Subspace.from_json now solves each distinct row list of a
-# datum once (the JSON round trip reads F^p and W_k back, and many are the
+# lists included; it now solves each distinct row list of a datum once
+# (the JSON round trip reads F^p and W_k back, and many are the
 # same space).  The rref figure was 1,040, the bodies 20 and the Gram
 # matrices 381 while classify._direct_sum solved W (weight_filtration) and the
 # splitting of each datum it built and compared the splitting's dims with the
@@ -1610,10 +1610,10 @@ def test_from_json_parses_each_distinct_string_once(with_w, monkeypatch):
         return parse(s)
 
     monkeypatch.setattr(gq_module, "parse_scalar", counted)
-    for from_json, keys in ((LmhsDatum.from_json, ("Q", "F", "N", "W")),
-                            (HodgeDatum.from_json, ("Q", "F"))):
+    pure = {k: obj[k] for k in ("dim", "weight", "Q", "F")}
+    for datum, keys in ((obj, ("Q", "F", "N", "W")), (pure, ("Q", "F"))):
         calls.clear()
-        from_json(obj)
+        LmhsDatum.from_json(datum)
         assert sorted(calls) == sorted(set(_strings_of([obj.get(k, []) for k in keys])))
 
 
@@ -1729,7 +1729,7 @@ def test_moved_corpus_keeps_invariants(cid):
 # power, not two thin ones, T_k = T_{k-1} N and N^{k+1} = C T_k.  The rref
 # figure was 251 while _check_weight took the rank at a level k where
 # Gr_{c+k} and Gr_{c-k} are both 0, and 243 while each repeated F step or
-# W level of a file was put in rref again (Subspace.from_json).  The objects
+# W level of a file was put in rref again (LmhsDatum.from_json).  The objects
 # built through gq._new (scalars, matrices and subspaces) were 10,911 while
 # each term of a sum in a product, matvec or Gram matrix, and each entry of
 # a row update in rref, intersect and a reduction, was a reduced scalar of

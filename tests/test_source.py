@@ -7,7 +7,9 @@ exact list.  No module certifies by `assert`, which `python -O` strips.  No
 class but gq.Immutable defines `__setattr__`: the value types inherit its
 guard, and every one of them refuses an assignment.  In cli, `_read_json` is
 the one place that opens a file to read or calls json.load, and `_emit` the
-one place that opens a file to write."""
+one place that opens a file to write.  The one reader of the datum format is
+LmhsDatum.from_json: from_json is defined only on it, MatrixGQ and
+DiagramSpec, and only it and MatrixGQ.from_json make a ScalarTable."""
 
 import argparse
 import ast
@@ -116,6 +118,51 @@ def test_second_reader_is_found():
     assert file_access(tree) == [("", "write"), ("C", "read"), ("_emit", "write"),
                                  ("_read_json", "json.load"), ("_read_json", "read"),
                                  ("cmd_x", "json.load"), ("cmd_x", "read")]
+
+
+def json_readers(trees):
+    """(the definitions named from_json, the definitions that call
+    ScalarTable), each sorted, a definition named by the classes and
+    functions it sits in (Class.method), a call outside any as ""."""
+    defs, tables = set(), set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = path + (child.name,)
+                if isinstance(child, ast.FunctionDef) and child.name == "from_json":
+                    defs.add(".".join(inner))
+                visit(child, inner)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+                if called == "ScalarTable":
+                    tables.add(".".join(path))
+            visit(child, path)
+
+    for tree in trees:
+        visit(tree, ())
+    return sorted(defs), sorted(tables)
+
+
+def test_one_datum_reader():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert json_readers(trees) == (
+        ["DiagramSpec.from_json", "LmhsDatum.from_json", "MatrixGQ.from_json"],
+        ["LmhsDatum.from_json", "MatrixGQ.from_json"])
+
+
+def test_second_datum_reader_is_found():
+    tree = ast.parse("class HodgeDatum:\n    @staticmethod\n"
+                     "    def from_json(obj, scalars=None):\n"
+                     "        return scalars or ScalarTable()\n"
+                     "def from_json(obj):\n    return gq.ScalarTable()[obj]\n"
+                     "def load(obj):\n    def inner():\n        return ScalarTable()\n"
+                     "    return inner\n"
+                     "TABLE = ScalarTable()\n")
+    assert json_readers([tree]) == (["HodgeDatum.from_json", "from_json"],
+                                    ["", "HodgeDatum.from_json", "from_json", "load.inner"])
 
 
 def _is_dunder(name):
